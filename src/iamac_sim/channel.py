@@ -37,9 +37,6 @@ class LinkModel:
     def snr(self, tx_power_dbm, d, shadow=0.0):
         return tx_power_dbm - self.path_loss(d, shadow) - self.noise_floor
 
-    def rx_power_dbm(self, tx_power_dbm, d, shadow=0.0):
-        return tx_power_dbm - self.path_loss(d, shadow)
-
     # -- error model ---------------------------------------------------
 
     def bit_error_rate(self, snr_db):

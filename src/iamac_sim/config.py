@@ -82,8 +82,6 @@ class Scenario:
     gamma_s: float = 0.0
     retry_cap: int = 1
     turnaround_s: float = 0.0
-    tx_buffer: int = 128
-    rx_buffer: int = 128
 
     def validate(self):
         if self.node_count < 2:
@@ -135,7 +133,6 @@ class Scenario:
             rf_overhead=self.rf_overhead, radio_speed=self.radio_speed,
             gamma=self.gamma_s, retry_cap=self.retry_cap,
             turnaround=self.turnaround_s,
-            tx_buffer=self.tx_buffer, rx_buffer=self.rx_buffer,
         )
 
 

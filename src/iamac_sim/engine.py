@@ -9,7 +9,6 @@ import numpy as np
 
 # Event kind tags (informational; used by traces and tests).
 KIND_SLOT = "slot"
-KIND_AIR_START = "air-start"
 KIND_AIR_END = "air-end"
 KIND_TIMER = "timer"
 KIND_SAMPLE = "sample"
@@ -28,9 +27,6 @@ class Event:
         self.payload = payload
         self.fn = fn
         self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 class Engine:
@@ -54,9 +50,6 @@ class Engine:
         self.scheduled_count += 1
         heapq.heappush(self._heap, (fire_time, ev.seq, ev))
         return ev
-
-    def schedule_in(self, delay, fn, kind=KIND_TIMER, target="world", payload=None):
-        return self.schedule(self.now + delay, fn, kind, target, payload)
 
     def cancel(self, event):
         if not event.cancelled:

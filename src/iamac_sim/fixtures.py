@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from .config import Scenario
 from .packets import make_data_packet
-from .routing import NeighborEntry, RouteState
+from .routing import preset_tree
 from .simulation import Simulation
 from .topology import fixed_topology
 
@@ -51,32 +51,13 @@ def _fixture_scenario(n, protocol, seed=11, **overrides):
     return replace(base, **overrides).validate()
 
 
-def _route_states(n, parents, topo):
-    """Preset tree: fixtures skip bootstrap. Nodes outside the parent map act
-    as local collection points."""
-    states = [RouteState(node=i, is_sink=False) for i in range(n)]
-    for i in range(n):
-        if i not in parents:
-            states[i].is_sink = True
-            states[i].my_cost = 0.0
-    for child, parent in parents.items():
-        states[child].parent = parent
-        states[child].my_cost = 1.0
-        states[parent].children.add(child)
-    for i in range(n):
-        for j in topo.sense_out[i]:
-            states[i].neighbors.setdefault(
-                int(j), NeighborEntry(neighbor=int(j), etx=1.0, advertised_cost=0.0))
-    return states
-
-
 def build_fig2(protocol, seed=11):
     if protocol not in ("adaptive-smac", "iamac", "smac"):
         raise ValueError(f"hidden-wakeup fixture undefined for {protocol!r}")
     sc = _fixture_scenario(5, protocol, seed=seed)
     topo = fixed_topology(FIG2_POSITIONS, sink=FIG2_A, model=sc.link_model(),
                           tx_power_dbm=sc.output_power_dbm)
-    states = _route_states(5, FIG2_PARENTS, topo)
+    states = preset_tree(topo, FIG2_PARENTS)
     if protocol == "iamac":
         contention = {FIG2_B: [(0, 0.001)], FIG2_D: [(2, 0.0012)],
                       FIG2_E: [(4, 0.0011)]}
@@ -111,7 +92,7 @@ def build_fig6(seed=11):
     sc = _fixture_scenario(4, "iamac", seed=seed)
     topo = fixed_topology(FIG6_POSITIONS, sink=FIG6_C, model=sc.link_model(),
                           tx_power_dbm=sc.output_power_dbm)
-    states = _route_states(4, FIG6_PARENTS, topo)
+    states = preset_tree(topo, FIG6_PARENTS)
     contention = {
         FIG6_A: [(0, 0.001)],
         FIG6_E: [(2, 0.001)],

@@ -32,11 +32,6 @@ class FramePlan:
     def is_super_frame(self):
         return self.n_time_frames > 1
 
-    @property
-    def sleep_comm_first(self):
-        """Sleep/Communication budget inside the first Time Frame."""
-        return self.time_frame - self.synch_slot - self.rts_slot - self.cts_slot
-
     def comm_windows(self, cycle_start):
         """Absolute (start, end) spans usable for data within one cycle.
 

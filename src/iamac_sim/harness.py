@@ -4,11 +4,18 @@ and declarative trend checks over swept metrics."""
 from __future__ import annotations
 
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .recovery import RecoveryParams, arq_capacity, rts_success_prob, seda_capacity
+from .config import Scenario
+from .energy import RadioState
+from .packets import make_data_packet
+from .recovery import (ArqSession, RecoveryParams, SedaSession, arq_capacity,
+                       rts_success_prob, seda_capacity)
+from .routing import preset_tree
 from .simulation import Simulation
+from .topology import fixed_topology
 
 RUN_COLUMNS = ["scenario", "protocol", "recovery", "frame_s", "seed", "metric", "value"]
 SWEEP_COLUMNS = ["param", "value", "seed", "metric", "metric_value", "status"]
@@ -157,62 +164,27 @@ def trend_interior_max(values):
 def star_simulation(scenario, children=6, radius=6.0):
     """A saturated single-parent star with a preset tree: the clean setting
     for buffer studies, where the transfer procedure is the bottleneck."""
-    import math
-
-    from .routing import NeighborEntry, RouteState
-    from .topology import fixed_topology
-
     positions = [(0.0, 0.0)]
     for k in range(children):
         ang = 2.0 * math.pi * k / children
         positions.append((radius * math.cos(ang), radius * math.sin(ang)))
     topo = fixed_topology(positions, sink=0, model=scenario.link_model(),
                           tx_power_dbm=scenario.output_power_dbm)
-    states = [RouteState(node=0, is_sink=True)]
-    for k in range(1, children + 1):
-        st = RouteState(node=k)
-        st.parent = 0
-        st.my_cost = 1.0
-        states.append(st)
-        states[0].children.add(k)
-    for i in range(children + 1):
-        for j in topo.sense_out[i]:
-            states[i].neighbors.setdefault(
-                int(j), NeighborEntry(neighbor=int(j), etx=1.0, advertised_cost=0.0))
-    return Simulation(scenario, topology=topo, route_states=states)
+    parents = {k: 0 for k in range(1, children + 1)}
+    return Simulation(scenario, topology=topo, route_states=preset_tree(topo, parents))
 
 
-# -- standalone transfer benchmark (analytics <-> simulation consistency) -----------
+# -- transfer benchmark (analytics <-> simulation consistency) ----------------------
 
 
-class _BenchScenario:
-    """Minimal two-node scenario for isolated link transfers."""
-
-    def __init__(self, base, ber):
-        self.base = base
-        self.ber = ber
-
-
-def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None,
-                       supply=None, block_draw_override=None):
+def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None, supply=None):
     """Repeated single-link transfers: a fresh saturated queue each frame of
     budget d_s, over a channel whose SNR realizes the requested bit error
     rate. Returns per-frame means of packets sent and payload delivered."""
-    import math
-    import types
-
-    from .channel import LinkModel
-    from .energy import EnergyTable, RadioState
-    from .engine import Engine, RandomStreams
-    from .medium import Medium
-    from .metrics import MetricsLedger
-    from .packets import PacketKind, make_data_packet
-    from .recovery import ArqSession, SedaSession
-    from .simulation import Node
-    from .topology import Topology
-
     params = params or RecoveryParams()
-    model = LinkModel(shadowing_sigma=0.0)
+    sc = Scenario(node_count=2, seed=seed, shadowing_sigma=0.0,
+                  output_power_dbm=0.0, stop_on_first_death=False)
+    model = sc.link_model()
     if ber > 0:
         # invert the FSK map: ber = 0.5*exp(-snr_lin/2 * k)
         snr_lin = 2.0 * math.log(0.5 / ber) / model.bandwidth_to_rate
@@ -221,100 +193,53 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None,
         snr_db = 80.0
     rx_dbm = model.noise_floor + snr_db
     # place two nodes at the distance realizing that received power
-    d = 10.0 ** ((0.0 - model.pl_d0 - rx_dbm) / (10.0 * model.path_loss_exponent))
-    topo = Topology([[0.0, 0.0], [d, 0.0]], sink=0, model=model, tx_power_dbm=0.0)
-
-    class _Shim:
-        pass
-
-    sim = _Shim()
-    sim.engine = Engine()
-    sim.streams = RandomStreams(seed)
-    sim.medium = Medium(sim.engine, topo, sim.streams)
-    sim.ledger = MetricsLedger(2, EnergyTable(), topo)
-    sim.scenario = _Shim()
-    sim.scenario.output_power_dbm = 0.0
-
-    counts = {"recovery_frames": 0}
-    original_transmit = sim.medium.transmit
-
-    def counting_transmit(sender, packet, on_resolved=None):
-        if packet.kind is PacketKind.RECOVERY_FRAME:
-            counts["recovery_frames"] += 1
-        return original_transmit(sender, packet, on_resolved)
-
-    sim.medium.transmit = counting_transmit
-    if block_draw_override is not None:
-        sim.medium.block_corruption_draws = types.MethodType(
-            block_draw_override, sim.medium)
-
-    nodes = [Node(sim, 0), Node(sim, 1)]
-    sim.nodes = nodes
-    sim.medium.nodes = nodes
-    delivered_payload = []
-    delivered_packets = []
-    sent_packets = []
-    elapsed_first = None
-
-    def deliver_to(nid, pkt):
-        delivered_payload[-1] += pkt.payload_len
-        delivered_packets[-1] += 1
-
-    def remove_from_queue(nid, uid):
-        q = nodes[nid].queue
-        for i, p in enumerate(q):
-            if p.uid == uid:
-                del q[i]
-                return p
-        return None
-
-    sim.deliver_to = deliver_to
-    sim.remove_from_queue = remove_from_queue
+    d = 10.0 ** ((sc.output_power_dbm - model.pl_d0 - rx_dbm)
+                 / (10.0 * model.path_loss_exponent))
+    topo = fixed_topology([(0.0, 0.0), (d, 0.0)], sink=0, model=model,
+                          tx_power_dbm=sc.output_power_dbm)
+    sim = Simulation(sc, topology=topo, route_states=preset_tree(topo, {1: 0}))
+    engine, nodes, ledger = sim.engine, sim.nodes, sim.ledger
 
     gap = 1.0  # idle spacing between benchmark frames
     if supply is None:
         supply = max(arq_capacity(d_s, 0.0, params),
                      seda_capacity(d_s, 0.0, params)) + 20
+    sessions = []
+    delivered_first = None
     for k in range(frames):
-        t0 = sim.engine.now if k == 0 else sim.engine.now + gap
-        sim.engine.run_until(t0)
+        t0 = engine.now if k == 0 else engine.now + gap
+        engine.run_until(t0)
         for node in nodes:
             node.state = RadioState.LISTEN
-            node._state_since = sim.engine.now
+            node._state_since = engine.now
         nodes[1].queue = [
             make_data_packet(origin=1, src=1, dst=0, born_at=t0,
                              payload_len=params.payload_len, header=params.hdr_len)
             for _ in range(supply)
         ]
-        delivered_payload.append(0)
-        delivered_packets.append(0)
-        before = sim.ledger.data_packets_started
-        sessions = []
         windows = [(t0, t0 + d_s)]
         if recovery == "seda":
-            session = SedaSession(sim, 1, 0, windows, params,
-                                  lambda s: sessions.append(s), link_ber=ber)
+            session = SedaSession(sim, 1, 0, windows, params, None, link_ber=ber)
         else:
-            session = ArqSession(sim, 1, 0, windows, params,
-                                 lambda s: sessions.append(s))
+            session = ArqSession(sim, 1, 0, windows, params, None)
+        sessions.append(session)
         nodes[0].active_session = session
         nodes[1].active_session = session
         session.start()
-        sim.engine.run_until(t0 + d_s + 0.2)
-        sent_packets.append(sim.ledger.data_packets_started - before)
-        if k == 0 and sessions:
-            elapsed_first = sessions[0].result.elapsed
+        engine.run_until(t0 + d_s + 0.2)
         nodes[0].active_session = None
         nodes[1].active_session = None
+        if k == 0:
+            delivered_first = len(ledger.delivered_records)
 
-    mean_sent = sum(sent_packets) / frames
-    mean_payload = sum(delivered_payload) / frames
+    mean_sent = ledger.data_packets_started / frames
+    first = sessions[0]
     return {
         "mean_packets_sent": mean_sent,
         "mean_sent_payload": mean_sent * params.payload_len,
-        "mean_delivered_payload": mean_payload,
-        "delivered_per_frame": delivered_packets[0],
-        "elapsed_first": elapsed_first,
-        "recovery_frames": counts["recovery_frames"],
+        "mean_delivered_payload": sum(r[3] for r in ledger.delivered_records) / frames,
+        "delivered_per_frame": delivered_first,
+        "elapsed_first": first.result.elapsed if first.done else None,
+        "recovery_frames": sum(s.result.recovery_frames for s in sessions),
         "frames": frames,
     }

@@ -57,7 +57,7 @@ class IamacDriver:
         self.phase = "idle"
         self.cycle_start = 0.0
         self._injected = {nid: list(plans) for nid, plans in sim.fixed_contention.items()}
-        self.cts_timer_override = {}
+        self._rx_schedules = {}
         for node in sim.nodes:
             node.mac = self
 
@@ -67,21 +67,13 @@ class IamacDriver:
         self.engine.schedule(0.0, self._cycle_begin, kind="slot")
 
     def _cycle_begin(self, event):
-        sim = self.sim
         plan = self.plan
         self.cycle_start = self.engine.now
-        sim.frame_idx += 1
-        sim.ledger.mark_frame_state()
         self.phase = "synch"
         for st in self.states:
             st.reset()
-        for node in sim.nodes:
-            node.active_session = None
-            sim.wake(node.id)
-        sim.refresh_routing()
-        sim.charge_synch_slot(self.rts_airtime)
+        self.sim.begin_frame(self.rts_airtime)
 
-        self._rx_schedules = {}
         t0 = self.cycle_start
         self.engine.schedule(plan.rts_start(t0), self._rts_begin, kind="slot")
         self.engine.schedule(plan.cts_start(t0), self._cts_begin, kind="slot")
@@ -95,20 +87,8 @@ class IamacDriver:
         self.engine.schedule(t0 + plan.cycle, self._cycle_end, kind="slot")
 
     def _cycle_end(self, event):
-        sim = self.sim
-        for node in sim.nodes:
-            node.flush_energy()
-        sim.ledger.flush_frame_cs(sim.frame_idx)
-        if sim.scenario.collect_detail:
-            sim.ledger.snap_frame_state()
-        sim.measured_until = self.engine.now
-        sc = sim.scenario
-        stop = (sc.stop_on_first_death and sim.ledger.first_death_time is not None)
-        next_end = self.engine.now + self.plan.cycle
-        if not stop and next_end <= sc.horizon_s + 1e-9:
+        if self.sim.end_frame(self.plan.cycle):
             self._cycle_begin(event)
-        else:
-            sim.stopped = True
 
     def _mid_synch_begin(self, event):
         # deactivated nodes stay asleep until the next frame boundary
@@ -123,15 +103,9 @@ class IamacDriver:
         for node in self.sim.nodes:
             if node.active_session is None and node.state is RadioState.LISTEN:
                 keep = (node.mac is self and self.states[node.id].committed_rx
-                        and self._schedule_of(node.id) is not None)
+                        and node.id in self._rx_schedules)
                 if not keep:
                     self.sim.sleep(node.id)
-
-    def _schedule_of(self, nid):
-        sched = getattr(self, "_rx_schedules", None)
-        if not sched:
-            return None
-        return sched.get(nid)
 
     # -- RTS slot -------------------------------------------------------------------
 
@@ -254,10 +228,7 @@ class IamacDriver:
             st.grants = [p.src for p in st.received_rtss[:fit_cap]]
             train = len(st.grants) * self.cts_airtime
             headroom = max(plan.cts_slot - train - CTS_GUARD, 0.0)
-            if node.id in self.cts_timer_override:
-                timer = self.cts_timer_override[node.id]
-            else:
-                timer = float(self.rng.uniform(0.0, headroom)) if headroom > 0 else 0.0
+            timer = float(self.rng.uniform(0.0, headroom)) if headroom > 0 else 0.0
             self.engine.schedule(self.engine.now + timer, self._cts_attempt,
                                  kind="timer", target=node.id)
 
@@ -283,8 +254,7 @@ class IamacDriver:
             return
         sc = self.sim.scenario
         cts = Packet(kind=PacketKind.CTS, src=nid, dst=st.grants[idx],
-                     length=sc.control_bytes, header=sc.header_bytes,
-                     grant_order=tuple(st.grants))
+                     length=sc.control_bytes, header=sc.header_bytes)
         self.sim.medium.transmit(nid, cts,
                                  on_resolved=lambda tx: self._send_cts(nid, idx + 1))
 
@@ -417,9 +387,7 @@ class _ReceiverSchedule:
         self.next_child()
 
     def _finish(self):
-        sched = getattr(self.driver, "_rx_schedules", None)
-        if sched is not None:
-            sched.pop(self.parent, None)
+        self.driver._rx_schedules.pop(self.parent, None)
         if self.sim.nodes[self.parent].alive:
             self.sim.sleep(self.parent)
 

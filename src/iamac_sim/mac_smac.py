@@ -61,7 +61,6 @@ class SmacDriver:
         self.rng_adaptive = sim.streams.stream("adaptive")
         self._injected = {nid: list(v) for nid, v in sim.fixed_contention.items()}
         self.states = [SmacNodeState() for _ in range(sim.topo.n)]
-        self.frame_idx_stamp = -1
         self.cycle_start = 0.0
         for node in sim.nodes:
             node.mac = self
@@ -74,34 +73,17 @@ class SmacDriver:
     def _frame_begin(self, event):
         sim = self.sim
         self.cycle_start = self.engine.now
-        sim.frame_idx += 1
-        self.frame_idx_stamp += 1
-        sim.ledger.mark_frame_state()
+        sim.begin_frame(self.rts_air)
         for st in self.states:
-            st.reset(self.frame_idx_stamp)
-        for node in sim.nodes:
-            sim.wake(node.id)
-        sim.refresh_routing()
-        sim.charge_synch_slot(self.rts_air)
+            st.reset(sim.frame_idx)
         self.engine.schedule(self.cycle_start + self.synch_slot,
                              self._contention_begin, kind="slot")
         self.engine.schedule(self.cycle_start + self.frame, self._frame_end,
                              kind="slot")
 
     def _frame_end(self, event):
-        sim = self.sim
-        for node in sim.nodes:
-            node.flush_energy()
-        sim.ledger.flush_frame_cs(sim.frame_idx)
-        if sim.scenario.collect_detail:
-            sim.ledger.snap_frame_state()
-        sim.measured_until = self.engine.now
-        sc = sim.scenario
-        stop = (sc.stop_on_first_death and sim.ledger.first_death_time is not None)
-        if not stop and self.engine.now + self.frame <= sc.horizon_s + 1e-9:
+        if self.sim.end_frame(self.frame):
             self._frame_begin(event)
-        else:
-            sim.stopped = True
 
     @property
     def _listen_end(self):
@@ -193,8 +175,7 @@ class SmacDriver:
                      length=sc.control_bytes, header=sc.header_bytes,
                      exchange_end=end)
         sim.medium.transmit(nid, rts)
-        ex = {"sender": nid, "parent": parent, "uid": node.queue[0].uid,
-              "data_received": False, "end": end, "stamp": self.frame_idx_stamp}
+        ex = {"parent": parent, "uid": node.queue[0].uid, "data_received": False}
         st.engaged = True
         st.role = "tx"
         st.peer = parent
@@ -229,9 +210,7 @@ class SmacDriver:
                 st.engaged = True
                 st.role = "rx"
                 st.peer = pkt.src
-                st.exchange = {"sender": pkt.src, "parent": nid, "uid": None,
-                               "data_received": False, "end": pkt.exchange_end,
-                               "stamp": self.frame_idx_stamp}
+                st.exchange = {"parent": nid, "uid": None, "data_received": False}
                 peer_st = self.states[pkt.src]
                 if peer_st.engaged and peer_st.exchange is not None \
                         and peer_st.exchange.get("parent") == nid:
@@ -312,7 +291,7 @@ class SmacDriver:
     def _rx_timeout(self, event):
         nid = event.target
         st = self.states[nid]
-        if st.frame_stamp != self.frame_idx_stamp:
+        if st.frame_stamp != self.sim.frame_idx:
             return
         if st.engaged and st.role == "rx" and not st.exchange.get("data_received"):
             st.pending_ev = None
@@ -375,7 +354,7 @@ class SmacDriver:
         nid = event.target
         st = self.states[nid]
         st.wake_ev = None
-        if self.states[nid].frame_stamp != self.frame_idx_stamp:
+        if st.frame_stamp != self.sim.frame_idx:
             return
         if not self.sim.nodes[nid].alive or st.engaged:
             return
@@ -388,7 +367,7 @@ class SmacDriver:
         sim = self.sim
         st = self.states[nid]
         st.wake_ev = None
-        if st.frame_stamp != self.frame_idx_stamp:
+        if st.frame_stamp != self.sim.frame_idx:
             return
         node = sim.nodes[nid]
         if not node.alive or st.engaged:
@@ -408,7 +387,7 @@ class SmacDriver:
     def _awake_expiry(self, event):
         nid = event.target
         st = self.states[nid]
-        if st.frame_stamp != self.frame_idx_stamp:
+        if st.frame_stamp != self.sim.frame_idx:
             return
         node = self.sim.nodes[nid]
         if (node.alive and not st.engaged and self.engine.now >= st.awake_until

@@ -22,7 +22,6 @@ class MetricsLedger:
         self.residual_mj = [energy_table.battery_mj] * n_nodes
 
         self.first_death_time = None
-        self.first_death_node = None
 
         # colliding sets: per-frame sets rebuilt at each frame boundary
         self._frame_cs = {}                  # receiver -> set of interferer ids
@@ -34,14 +33,12 @@ class MetricsLedger:
         self.generated_packets = 0
         self.delivered_records = []          # (origin, born_at, delivered_at, payload)
         self.dropped_packets = 0
-        self.duplicate_drops = 0
 
         # queue statistics: time-weighted integral per node
         self._queue_len = [0] * n_nodes
         self._queue_last_t = [0.0] * n_nodes
         self._queue_integral = [0.0] * n_nodes
 
-        self.frame_count = 0
         self.measure_start = 0.0
         self.measure_end = 0.0
 
@@ -80,10 +77,9 @@ class MetricsLedger:
     def node_depleted(self, node):
         return self.residual_mj[node] <= 0.0
 
-    def record_death(self, node, t):
+    def record_death(self, t):
         if self.first_death_time is None:
             self.first_death_time = t
-            self.first_death_node = node
 
     def spent_mj(self, node):
         return (sum(self.state_energy[node].values())
@@ -184,11 +180,10 @@ class MetricsLedger:
 
     def cs_stats(self):
         if not self.cs_sum_per_frame:
-            return {"mean_sum": 0.0, "mean_per_node": 0.0, "max_sum": 0}
+            return {"mean_sum": 0.0, "max_sum": 0}
         mean_sum = sum(self.cs_sum_per_frame) / len(self.cs_sum_per_frame)
         return {
             "mean_sum": mean_sum,
-            "mean_per_node": mean_sum / self.n,
             "max_sum": max(self.cs_sum_per_frame),
         }
 

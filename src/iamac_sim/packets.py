@@ -37,7 +37,6 @@ class Packet:
     # extra per-kind fields
     exchange_end: float = 0.0   # S-MAC duration field (absolute end time)
     block_uids: tuple = ()      # Seda data frame: uids of packets carried as blocks
-    grant_order: tuple = ()     # CTS: full grant list of the train
 
     def on_air_bytes(self):
         return self.length + self.header

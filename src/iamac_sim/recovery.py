@@ -25,8 +25,6 @@ class RecoveryParams:
     gamma: float = 0.0           # fixed per-budget overhead, normally negligible
     retry_cap: int = 1           # retransmissions per packet/block
     turnaround: float = 0.0      # inter-cycle gap and timeout slack
-    tx_buffer: int = 128
-    rx_buffer: int = 128
 
     @property
     def pkt_len(self):
@@ -122,14 +120,11 @@ def seda_capacity(d_s, ber, params=None):
 
 
 class TransferResult:
-    __slots__ = ("delivered_payload", "delivered_packets", "packets_started",
-                 "dropped_packets", "elapsed")
+    __slots__ = ("delivered_packets", "recovery_frames", "elapsed")
 
     def __init__(self):
-        self.delivered_payload = 0
         self.delivered_packets = 0
-        self.packets_started = 0
-        self.dropped_packets = 0
+        self.recovery_frames = 0
         self.elapsed = 0.0
 
 
@@ -160,7 +155,6 @@ class _SessionBase:
             cb(self)
 
     def _deliver(self, pkt):
-        self.result.delivered_payload += pkt.payload_len
         self.result.delivered_packets += 1
         self.sim.deliver_to(self.parent, pkt)
 
@@ -212,15 +206,11 @@ class ArqSession(_SessionBase):
         self.current = q[0]
         self.attempts = 0
         self.got_through = False
-        started = False
         start, _ = self._fit(self._cycle_time())
-        if start is not None:
-            started = True
-            self.result.packets_started += 1
-            self.sim.ledger.data_packets_started += 1
-        if not started:
+        if start is None:
             self._finish()
             return
+        self.sim.ledger.data_packets_started += 1
         self._send_attempt()
 
     def _send_attempt(self):
@@ -296,7 +286,6 @@ class ArqSession(_SessionBase):
             return
         self.sim.remove_from_queue(self.child, self.current.uid)
         if not delivered:
-            self.result.dropped_packets += 1
             self.sim.ledger.record_drop()
         self.current = None
 
@@ -353,7 +342,6 @@ class SedaSession(_SessionBase):
         self.retrans_uids = set()
         self._rf_sent = False
         self._window_end = end
-        self.result.packets_started += len(self.burst)
         self.sim.ledger.data_packets_started += len(self.burst)
         self.phase = "data"
         self._send_frame([p.uid for p in self.burst], await_recovery=True)
@@ -424,6 +412,7 @@ class SedaSession(_SessionBase):
                 self._deliver(by_uid[uid])
         if self.phase == "data" and corrupt and not self._rf_sent:
             self._rf_sent = True
+            self.result.recovery_frames += 1
             rf = Packet(kind=PacketKind.RECOVERY_FRAME, src=self.parent,
                         dst=self.child, length=self.params.rf_overhead,
                         header=self.params.hdr_len, block_uids=tuple(corrupt))
@@ -453,7 +442,6 @@ class SedaSession(_SessionBase):
                 self.sim.remove_from_queue(self.child, p.uid)
             elif p.uid in self.retrans_uids:
                 self.sim.remove_from_queue(self.child, p.uid)
-                self.result.dropped_packets += 1
                 self.sim.ledger.record_drop()
         self.burst = []
         self.phase = "idle"

@@ -110,25 +110,6 @@ def select_parent(candidates, max_children):
     return best, best_cost
 
 
-def propagate_cost(state, sender, sender_cost, sender_children, max_children):
-    """Apply one overheard cost advertisement; returns True if state changed."""
-    entry = state.neighbors.get(sender)
-    if entry is None:
-        return False
-    entry.advertised_cost = sender_cost
-    entry.advertised_children = sender_children
-    if state.is_sink or not entry.usable:
-        return False
-    candidate = sender_cost + entry.etx
-    if candidate >= state.my_cost:
-        return False
-    if max_children > 0 and sender_children >= max_children and state.parent != sender:
-        return False
-    state.parent = sender
-    state.my_cost = candidate
-    return True
-
-
 def build_tree(states, max_children, max_rounds=None):
     """Deterministic sequential cost relaxation until a fixpoint.
 
@@ -174,6 +155,25 @@ def build_tree(states, max_children, max_rounds=None):
                 changed = True
         if not changed:
             break
+    return states
+
+
+def preset_tree(topology, parents):
+    """A fixed tree that skips bootstrap. `parents` maps child -> parent;
+    nodes outside it are roots (local collection points, cost 0). Costs count
+    hops and every sensed neighbor is a perfect link (ETX 1)."""
+    states = [RouteState(node=i, is_sink=(i not in parents)) for i in range(topology.n)]
+    for child, parent in parents.items():
+        hops, cur = 1, parent
+        while cur in parents and hops <= len(parents):
+            hops, cur = hops + 1, parents[cur]
+        states[child].parent = parent
+        states[child].my_cost = float(hops)
+        states[parent].children.add(child)
+    for st in states:
+        for j in topology.sense_out[st.node]:
+            st.neighbors[int(j)] = NeighborEntry(neighbor=int(j), etx=1.0,
+                                                 advertised_cost=0.0)
     return states
 
 

@@ -61,7 +61,7 @@ class Node:
     def _check_energy(self):
         if self.alive and self.sim.ledger.node_depleted(self.id):
             self.alive = False
-            self.sim.ledger.record_death(self.id, self.sim.engine.now)
+            self.sim.ledger.record_death(self.sim.engine.now)
             self.sim.medium.abort_receptions(self.id)
 
     def radio_begin_tx(self, t_end):
@@ -182,6 +182,35 @@ class Simulation:
                 other = states[j]
                 entry.advertised_cost = other.my_cost
                 entry.advertised_children = len(other.children)
+
+    # -- frame boundaries ---------------------------------------------------------
+
+    def begin_frame(self, synch_airtime):
+        """Open the next frame: every node wakes for the Synch/Routing slot
+        and pays its beacon."""
+        self.frame_idx += 1
+        self.ledger.mark_frame_state()
+        for node in self.nodes:
+            node.active_session = None
+            self.wake(node.id)
+        self.refresh_routing()
+        self.charge_synch_slot(synch_airtime)
+
+    def end_frame(self, period):
+        """Close the frame's accounts. True when another frame of `period`
+        seconds fits the horizon and no node death stops the run."""
+        for node in self.nodes:
+            node.flush_energy()
+        self.ledger.flush_frame_cs(self.frame_idx)
+        if self.scenario.collect_detail:
+            self.ledger.snap_frame_state()
+        self.measured_until = now = self.engine.now
+        sc = self.scenario
+        stop = sc.stop_on_first_death and self.ledger.first_death_time is not None
+        if not stop and now + period <= sc.horizon_s + 1e-9:
+            return True
+        self.stopped = True
+        return False
 
     # -- traffic -----------------------------------------------------------------
 

@@ -21,7 +21,6 @@ class Topology:
         self.n = len(self.positions)
         self.sink = sink
         self.model = model
-        self.tx_power_dbm = tx_power_dbm
 
         diff = self.positions[:, None, :] - self.positions[None, :, :]
         self.dist = np.sqrt((diff ** 2).sum(axis=2))
@@ -36,7 +35,6 @@ class Topology:
                 shadow = np.triu(shadow, 1)
                 shadow = shadow + shadow.T
         np.fill_diagonal(shadow, 0.0)
-        self.shadow = shadow
 
         pl = (model.pl_d0
               + 10.0 * model.path_loss_exponent * np.log10(self.dist / model.d0)
@@ -54,9 +52,6 @@ class Topology:
             self.influence_out.append(np.nonzero(row >= infl_thr)[0])
 
         self.busy_thr_mw = dbm_to_mw(busy_thr)
-
-    def in_sense_range(self, tx, rx):
-        return self.rx_dbm[tx, rx] >= self.model.busy_threshold_dbm
 
     def distance(self, a, b):
         return self.dist[a, b]

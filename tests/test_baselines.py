@@ -1,6 +1,6 @@
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.packets import make_data_packet
-from iamac_sim.routing import NeighborEntry, RouteState
+from iamac_sim.routing import preset_tree
 from iamac_sim.simulation import Simulation
 from iamac_sim.topology import fixed_topology
 
@@ -16,17 +16,7 @@ def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
                   seed=seed).validate()
     topo = fixed_topology(positions, sink=0, model=sc.link_model(),
                           tx_power_dbm=sc.output_power_dbm)
-    states = [RouteState(node=0, is_sink=True)]
-    for k in range(1, n):
-        st = RouteState(node=k)
-        st.parent = k - 1
-        st.my_cost = float(k)
-        states.append(st)
-        states[k - 1].children.add(k)
-    for i in range(n):
-        for j in topo.sense_out[i]:
-            states[i].neighbors.setdefault(
-                int(j), NeighborEntry(neighbor=int(j), etx=1.0, advertised_cost=0.0))
+    states = preset_tree(topo, {k: k - 1 for k in range(1, n)})
     return Simulation(sc, topology=topo, route_states=states)
 
 

@@ -32,6 +32,11 @@ def test_unknown_key_rejected():
         parse_scenario("fooo = 3\n")
 
 
+def test_removed_buffer_key_rejected():
+    with pytest.raises(ConfigError, match="tx_buffer"):
+        parse_scenario("tx_buffer = 64")
+
+
 def test_zero_sampling_interval_rejected():
     with pytest.raises(ConfigError, match="sampling_interval_s"):
         parse_scenario("sampling_interval_s = 0\n")

@@ -141,7 +141,7 @@ def test_singleton_remaining_slot_is_forced():
 def test_uncontended_single_hop_delivers_within_its_frame():
     from iamac_sim.config import Scenario
     from iamac_sim.packets import make_data_packet
-    from iamac_sim.routing import NeighborEntry, RouteState
+    from iamac_sim.routing import preset_tree
     from iamac_sim.topology import fixed_topology
 
     sc = Scenario(node_count=2, area=(10.0, 5.0), frame_s=1.0,
@@ -150,15 +150,7 @@ def test_uncontended_single_hop_delivers_within_its_frame():
                   seed=1).validate()
     topo = fixed_topology([(0.0, 0.0), (4.0, 0.0)], sink=0,
                           model=sc.link_model(), tx_power_dbm=0.0)
-    states = [RouteState(node=0, is_sink=True), RouteState(node=1)]
-    states[1].parent = 0
-    states[1].my_cost = 1.0
-    states[0].children.add(1)
-    for i in range(2):
-        for j in topo.sense_out[i]:
-            states[i].neighbors[int(j)] = NeighborEntry(
-                neighbor=int(j), etx=1.0, advertised_cost=0.0)
-    sim = Simulation(sc, topology=topo, route_states=states)
+    sim = Simulation(sc, topology=topo, route_states=preset_tree(topo, {1: 0}))
     sim.enqueue(1, make_data_packet(1, 1, 0, 0.0, 29))
     sim.ledger.generated_packets += 1
     res = sim.run()

@@ -3,32 +3,20 @@ worst-case-SINR bookkeeping."""
 
 import pytest
 
-from iamac_sim.channel import LinkModel
-from iamac_sim.energy import EnergyTable, RadioState
-from iamac_sim.engine import Engine, RandomStreams
-from iamac_sim.medium import Medium
-from iamac_sim.metrics import MetricsLedger
+from iamac_sim.config import Scenario
+from iamac_sim.energy import RadioState
 from iamac_sim.packets import Packet, PacketKind
-from iamac_sim.simulation import Node
+from iamac_sim.simulation import Simulation
 from iamac_sim.topology import fixed_topology
 
 
-class _Shim:
-    pass
-
-
 def rig(positions, tx_power=0.0):
-    model = LinkModel(shadowing_sigma=0.0)
-    topo = fixed_topology(positions, sink=0, model=model, tx_power_dbm=tx_power)
-    sim = _Shim()
-    sim.engine = Engine()
-    sim.streams = RandomStreams(1)
-    sim.medium = Medium(sim.engine, topo, sim.streams)
-    sim.ledger = MetricsLedger(len(positions), EnergyTable(), topo)
-    sim.scenario = _Shim()
-    sim.scenario.output_power_dbm = tx_power
-    sim.nodes = [Node(sim, i) for i in range(len(positions))]
-    sim.medium.nodes = sim.nodes
+    """A MAC-less simulation whose nodes all listen: medium tests drive
+    transmissions by hand."""
+    sc = Scenario(node_count=len(positions), seed=1, shadowing_sigma=0.0,
+                  output_power_dbm=tx_power)
+    topo = fixed_topology(positions, sink=0, model=sc.link_model(), tx_power_dbm=tx_power)
+    sim = Simulation(sc, topology=topo)
     for node in sim.nodes:
         node.state = RadioState.LISTEN
     return sim

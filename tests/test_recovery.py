@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from iamac_sim.harness import transfer_benchmark
+from iamac_sim.medium import Medium
 from iamac_sim.recovery import (RecoveryParams, arq_capacity,
                                 rts_success_prob, seda_capacity)
 
@@ -164,7 +165,7 @@ def test_seda_perfect_channel_no_recovery_frames():
         seda_capacity(1.0, 0.0) * 29)
 
 
-def test_seda_single_corruption_one_recovery_one_retransmission():
+def test_seda_single_corruption_one_recovery_one_retransmission(monkeypatch):
     """Force exactly one corrupted block: one recovery frame comes back and
     only that block is retransmitted."""
     calls = []
@@ -177,15 +178,15 @@ def test_seda_single_corruption_one_recovery_one_retransmission():
             return flips
         return [False] * n_blocks
 
-    r = transfer_benchmark("seda", 1.0, 0.0, frames=1, supply=20,
-                           block_draw_override=force_one)
+    monkeypatch.setattr(Medium, "block_corruption_draws", force_one)
+    r = transfer_benchmark("seda", 1.0, 0.0, frames=1, supply=20)
     assert calls[0] == 20
     assert calls[1] == 1            # retransmission carries one block
     assert r["recovery_frames"] == 1
     assert r["mean_delivered_payload"] == pytest.approx(20 * 29)
 
 
-def test_seda_cutoff_retransmission_keeps_block_queued():
+def test_seda_cutoff_retransmission_keeps_block_queued(monkeypatch):
     """A recovery round with no budget left: the corrupted block stays queued
     rather than dropping (it never got its retransmission chance)."""
     calls = []
@@ -198,8 +199,8 @@ def test_seda_cutoff_retransmission_keeps_block_queued():
             return flips
         return [False] * n_blocks
 
-    r = transfer_benchmark("seda", 1.0, 0.0, frames=1,
-                           block_draw_override=force_one)
+    monkeypatch.setattr(Medium, "block_corruption_draws", force_one)
+    r = transfer_benchmark("seda", 1.0, 0.0, frames=1)
     assert len(calls) == 1
     assert r["recovery_frames"] == 1
     assert r["delivered_per_frame"] == calls[0] - 1
@@ -213,3 +214,38 @@ def test_transfer_consistency_with_capacity():
         cap_s = seda_capacity(1.0, ber)
         rs = transfer_benchmark("seda", 1.0, ber, frames=150)
         assert rs["mean_delivered_payload"] == pytest.approx(cap_s * 29, rel=0.10)
+
+
+PINNED_TRANSFERS = {
+    ("arq", 0.0): {
+        "mean_packets_sent": 35.0, "mean_sent_payload": 1015.0,
+        "mean_delivered_payload": 1015.0, "delivered_per_frame": 35,
+        "elapsed_first": 0.9916666666666663, "recovery_frames": 0, "frames": 60},
+    ("arq", 1e-4): {
+        "mean_packets_sent": 33.38333333333333, "mean_sent_payload": 968.1166666666667,
+        "mean_delivered_payload": 965.7, "delivered_per_frame": 30,
+        "elapsed_first": 0.9916716666666665, "recovery_frames": 0, "frames": 60},
+    ("arq", 1e-3): {
+        "mean_packets_sent": 25.0, "mean_sent_payload": 725.0,
+        "mean_delivered_payload": 653.4666666666667, "delivered_per_frame": 23,
+        "elapsed_first": 0.991682666666667, "recovery_frames": 0, "frames": 60},
+    ("seda", 0.0): {
+        "mean_packets_sent": 76.0, "mean_sent_payload": 2204.0,
+        "mean_delivered_payload": 2204.0, "delivered_per_frame": 76,
+        "elapsed_first": 0.9970853333333334, "recovery_frames": 0, "frames": 60},
+    ("seda", 1e-4): {
+        "mean_packets_sent": 74.83333333333333, "mean_sent_payload": 2170.1666666666665,
+        "mean_delivered_payload": 2105.883333333333, "delivered_per_frame": 70,
+        "elapsed_first": 0.9995853333333334, "recovery_frames": 56, "frames": 60},
+    ("seda", 1e-3): {
+        "mean_packets_sent": 69.45, "mean_sent_payload": 2014.0500000000002,
+        "mean_delivered_payload": 1672.8166666666666, "delivered_per_frame": 59,
+        "elapsed_first": 0.9933363333333335, "recovery_frames": 109, "frames": 60},
+}
+
+
+@pytest.mark.parametrize("recovery,ber", sorted(PINNED_TRANSFERS))
+def test_transfer_benchmark_pinned(recovery, ber):
+    """Exact per-frame figures of 60 transfer frames, recorded from the
+    reference implementation; any drift in wiring or RNG use shows here."""
+    assert transfer_benchmark(recovery, 1.0, ber, frames=60) == PINNED_TRANSFERS[(recovery, ber)]

@@ -3,11 +3,12 @@ import math
 import pytest
 
 from iamac_sim.config import desk_preset, paper_density_preset
-from iamac_sim.routing import (NeighborEntry, RouteState, build_tree,
-                               disjoint_nodes, estimate_links, propagate_cost,
-                               select_parent, shortest_path_oracle,
-                               tree_is_acyclic)
+from iamac_sim.harness import star_simulation
+from iamac_sim.routing import (NeighborEntry, build_tree, disjoint_nodes,
+                               estimate_links, preset_tree, select_parent,
+                               shortest_path_oracle, tree_is_acyclic)
 from iamac_sim.simulation import Simulation
+from iamac_sim.topology import fixed_topology
 
 
 def entry(nid, etx=1.0, cost=0.0, children=0):
@@ -52,36 +53,6 @@ def test_select_parent_tie_breaks_to_lower_id():
 def test_select_parent_empty_admissible_set():
     parent, cost = select_parent([entry(1, etx=math.inf, cost=0.0)], 8)
     assert parent is None
-
-
-def test_propagate_cost_adopts_better_parent():
-    st = RouteState(node=5)
-    st.neighbors[0] = entry(0, etx=1.2, cost=math.inf)
-    changed = propagate_cost(st, sender=0, sender_cost=0.0,
-                             sender_children=0, max_children=8)
-    assert changed
-    assert st.parent == 0
-    assert st.my_cost == pytest.approx(1.2)
-
-
-def test_propagate_cost_ignores_worse_offer():
-    st = RouteState(node=5)
-    st.neighbors[0] = entry(0, etx=1.2)
-    st.my_cost = 1.0
-    assert not propagate_cost(st, 0, 0.5, 0, 8)
-    assert st.parent is None
-
-
-def test_propagate_cost_rejects_full_parent():
-    st = RouteState(node=5)
-    st.neighbors[0] = entry(0, etx=1.2)
-    assert not propagate_cost(st, 0, 0.0, 8, 8)
-    assert st.parent is None
-
-
-def test_propagate_cost_unknown_neighbor_ignored():
-    st = RouteState(node=5)
-    assert not propagate_cost(st, 9, 0.0, 0, 8)
 
 
 def _bootstrap(sc):
@@ -157,3 +128,23 @@ def test_reference_scale_disjoint_below_minus_eight_dbm():
     sim = Simulation(sc)
     sim.bootstrap_routing()
     assert sim.status == "disjoint"
+
+
+def test_preset_tree_star_and_chain():
+    star = star_simulation(desk_preset(node_count=7, shadowing_sigma=0.0)).route_states
+    chain_topo = fixed_topology([(6.0 * k, 0.0) for k in range(4)], sink=0,
+                                model=desk_preset().link_model(), tx_power_dbm=0.0)
+    chain = preset_tree(chain_topo, {1: 0, 2: 1, 3: 2})
+    cases = [
+        (star, [0], [None] + [0] * 6, {0: set(range(1, 7))}),
+        (chain, [0], [None, 0, 1, 2], {0: {1}, 1: {2}, 2: {3}}),
+    ]
+    for states, roots, parents, children in cases:
+        assert [st.node for st in states if st.is_sink] == roots
+        assert [st.parent for st in states] == parents
+        for st in states:
+            assert st.children == children.get(st.node, set())
+            assert all(e.etx == 1.0 for e in st.neighbors.values())
+        assert tree_is_acyclic(states)
+        assert disjoint_nodes(states) == []
+    assert [st.my_cost for st in chain] == [0.0, 1.0, 2.0, 3.0]
