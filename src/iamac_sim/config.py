@@ -9,10 +9,12 @@ rejected so a typo can never silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .channel import LinkModel
 from .energy import EnergyTable
+from .frames import build_frame_plan
 from .recovery import RecoveryParams
 
 
@@ -84,6 +86,13 @@ class Scenario:
     turnaround_s: float = 0.0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in parts):
+                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+        if len(self.area) != 2:
+            raise ConfigError(f"area: need width and height, got {self.area!r}")
         if self.node_count < 2:
             raise ConfigError("node_count: need at least a sink and one node")
         if self.area[0] <= 0 or self.area[1] <= 0:
@@ -96,17 +105,23 @@ class Scenario:
             raise ConfigError("sampling_interval_s: must be > 0")
         if self.horizon_s <= self.frame_s:
             raise ConfigError("horizon_s: must exceed one frame")
-        if self.w < 1:
-            raise ConfigError("w: need at least one contention mini-slot")
+        self._derive("path_loss_exponent, d0, radio_speed, shadowing_sigma", self.link_model)
+        self._derive("sleep_ma, listen_ma, tx0_ma, voltage", self.energy_table)
         rts_air = 8.0 * (self.control_bytes + self.header_bytes) / self.radio_speed
-        if self.mini_slot_s <= self.max_backoff_s + rts_air:
-            raise ConfigError(
-                "mini_slot_s: must exceed max_backoff_s + RTS airtime "
-                f"({self.max_backoff_s + rts_air:.4f} s)")
+        self._derive("frame_s, synch_slot_s, w, mini_slot_s, cts_slot_s, max_backoff_s",
+                     lambda: self.frame_plan(rts_air))
         if self.cts_slot_s <= rts_air + 0.002:
             raise ConfigError(
                 f"cts_slot_s: must exceed one grant airtime plus guard ({rts_air + 0.002:.4f} s)")
         return self
+
+    @staticmethod
+    def _derive(keys, build):
+        """Build a derived object; its ValueError becomes a ConfigError naming `keys`."""
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{keys}: {exc}") from exc
 
     # -- derived objects -------------------------------------------------
 
@@ -117,6 +132,13 @@ class Scenario:
             shadowing_sigma=self.shadowing_sigma,
             bandwidth_to_rate=self.bandwidth_to_rate,
             radio_speed=self.radio_speed, cs_threshold=self.cs_threshold,
+        )
+
+    def frame_plan(self, rts_airtime):
+        return build_frame_plan(
+            self.frame_s, synch_slot=self.synch_slot_s, w=self.w,
+            mini_slot=self.mini_slot_s, cts_slot=self.cts_slot_s,
+            max_backoff=self.max_backoff_s, rts_airtime=rts_airtime,
         )
 
     def energy_table(self):

@@ -7,24 +7,15 @@ import zlib
 
 import numpy as np
 
-# Event kind tags (informational; used by traces and tests).
-KIND_SLOT = "slot"
-KIND_AIR_END = "air-end"
-KIND_TIMER = "timer"
-KIND_SAMPLE = "sample"
-
-
 class Event:
-    """A scheduled callback. Equal fire times dispatch in insertion order."""
+    """A scheduled callback, called as fn(event). Equal fire times dispatch in
+    insertion order. State the callback needs is bound where it is scheduled."""
 
-    __slots__ = ("fire_time", "seq", "kind", "target", "payload", "fn", "cancelled")
+    __slots__ = ("fire_time", "seq", "fn", "cancelled")
 
-    def __init__(self, fire_time, seq, kind, target, payload, fn):
+    def __init__(self, fire_time, seq, fn):
         self.fire_time = fire_time
         self.seq = seq
-        self.kind = kind
-        self.target = target
-        self.payload = payload
         self.fn = fn
         self.cancelled = False
 
@@ -40,19 +31,20 @@ class Engine:
         self.dispatched_count = 0
         self.cancelled_count = 0
 
-    def schedule(self, fire_time, fn, kind=KIND_TIMER, target="world", payload=None):
+    def schedule(self, fire_time, fn):
         if fire_time < self.now:
             raise RuntimeError(
                 f"cannot schedule at {fire_time} before clock {self.now}"
             )
-        ev = Event(fire_time, self._seq, kind, target, payload, fn)
+        ev = Event(fire_time, self._seq, fn)
         self._seq += 1
         self.scheduled_count += 1
         heapq.heappush(self._heap, (fire_time, ev.seq, ev))
         return ev
 
     def cancel(self, event):
-        if not event.cancelled:
+        """Drop a pending event; None (no timer set) is a no-op."""
+        if event is not None and not event.cancelled:
             event.cancelled = True
             self.cancelled_count += 1
 
@@ -101,8 +93,3 @@ class RandomStreams:
             gen = np.random.default_rng(ss)
             self._streams[label] = gen
         return gen
-
-    def fresh_stream(self, label):
-        """A new generator at the start of the (seed, label) sequence."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_label_key(label),))
-        return np.random.default_rng(ss)

@@ -11,7 +11,6 @@ frame. Granted children transfer to their parent back to back in grant order.
 from __future__ import annotations
 
 from .energy import RadioState
-from .frames import build_frame_plan
 from .packets import Packet, PacketKind
 from .recovery import ArqSession, SedaSession
 
@@ -48,9 +47,9 @@ class IamacDriver:
         self.sim = sim
         self.engine = sim.engine
         sc = sim.scenario
+        # a CTS is as long as an RTS
         self.rts_airtime = 8.0 * (sc.control_bytes + sc.header_bytes) / sim.model.radio_speed
-        self.cts_airtime = self.rts_airtime
-        self.plan = build_plan(sc, self.rts_airtime)
+        self.plan = sc.frame_plan(self.rts_airtime)
         self.params = sc.recovery_params()
         self.rng = sim.streams.stream("contention")
         self.states = [IamacNodeState() for _ in range(sim.topo.n)]
@@ -64,7 +63,7 @@ class IamacDriver:
     # -- cycle scheduling --------------------------------------------------------
 
     def start(self):
-        self.engine.schedule(0.0, self._cycle_begin, kind="slot")
+        self.engine.schedule(0.0, self._cycle_begin)
 
     def _cycle_begin(self, event):
         plan = self.plan
@@ -75,16 +74,14 @@ class IamacDriver:
         self.sim.begin_frame(self.rts_airtime)
 
         t0 = self.cycle_start
-        self.engine.schedule(plan.rts_start(t0), self._rts_begin, kind="slot")
-        self.engine.schedule(plan.cts_start(t0), self._cts_begin, kind="slot")
-        self.engine.schedule(plan.cts_start(t0) + plan.cts_slot, self._comm_begin,
-                             kind="slot")
+        self.engine.schedule(plan.rts_start(t0), self._rts_begin)
+        self.engine.schedule(plan.cts_start(t0), self._cts_begin)
+        self.engine.schedule(plan.cts_start(t0) + plan.cts_slot, self._comm_begin)
         for k, t_synch in enumerate(plan.synch_starts(t0)):
             if k > 0:
-                self.engine.schedule(t_synch, self._mid_synch_begin, kind="slot")
-                self.engine.schedule(t_synch + plan.synch_slot, self._mid_synch_end,
-                                     kind="slot")
-        self.engine.schedule(t0 + plan.cycle, self._cycle_end, kind="slot")
+                self.engine.schedule(t_synch, self._mid_synch_begin)
+                self.engine.schedule(t_synch + plan.synch_slot, self._mid_synch_end)
+        self.engine.schedule(t0 + plan.cycle, self._cycle_end)
 
     def _cycle_end(self, event):
         if self.sim.end_frame(self.plan.cycle):
@@ -140,11 +137,10 @@ class IamacDriver:
         st.awaiting = False
         st.pending_slot = slot
         st.window_start = plan.mini_slot_start(self.cycle_start, slot)
-        st.pending_ev = self.engine.schedule(
-            st.window_start + backoff, self._rts_attempt, kind="timer", target=nid)
+        st.pending_ev = self.engine.schedule(st.window_start + backoff,
+                                             lambda ev: self._rts_attempt(nid))
 
-    def _rts_attempt(self, event):
-        nid = event.target
+    def _rts_attempt(self, nid):
         sim = self.sim
         node = sim.nodes[nid]
         st = self.states[nid]
@@ -206,9 +202,8 @@ class IamacDriver:
             self._deactivate(nid, "rts-for-other-pair")
 
     def _cancel_pending(self, st):
-        if st.pending_ev is not None:
-            self.engine.cancel(st.pending_ev)
-            st.pending_ev = None
+        self.engine.cancel(st.pending_ev)
+        st.pending_ev = None
         st.contending = False
         st.awaiting = False
 
@@ -218,7 +213,7 @@ class IamacDriver:
         self.phase = "cts"
         sim = self.sim
         plan = self.plan
-        fit_cap = max(1, int((plan.cts_slot - CTS_GUARD) / self.cts_airtime))
+        fit_cap = max(1, int((plan.cts_slot - CTS_GUARD) / self.rts_airtime))
         for node in sim.nodes:
             st = self.states[node.id]
             if not node.alive or not st.active:
@@ -226,14 +221,13 @@ class IamacDriver:
             if not st.received_rtss or st.cancel_cts:
                 continue
             st.grants = [p.src for p in st.received_rtss[:fit_cap]]
-            train = len(st.grants) * self.cts_airtime
+            train = len(st.grants) * self.rts_airtime
             headroom = max(plan.cts_slot - train - CTS_GUARD, 0.0)
             timer = float(self.rng.uniform(0.0, headroom)) if headroom > 0 else 0.0
-            self.engine.schedule(self.engine.now + timer, self._cts_attempt,
-                                 kind="timer", target=node.id)
+            self.engine.schedule(self.engine.now + timer,
+                                 lambda ev, nid=node.id: self._cts_attempt(nid))
 
-    def _cts_attempt(self, event):
-        nid = event.target
+    def _cts_attempt(self, nid):
         sim = self.sim
         node = sim.nodes[nid]
         st = self.states[nid]
@@ -390,15 +384,3 @@ class _ReceiverSchedule:
         self.driver._rx_schedules.pop(self.parent, None)
         if self.sim.nodes[self.parent].alive:
             self.sim.sleep(self.parent)
-
-
-def build_plan(scenario, rts_airtime):
-    return build_frame_plan(
-        scenario.frame_s,
-        synch_slot=scenario.synch_slot_s,
-        w=scenario.w,
-        mini_slot=scenario.mini_slot_s,
-        cts_slot=scenario.cts_slot_s,
-        max_backoff=scenario.max_backoff_s,
-        rts_airtime=rts_airtime,
-    )

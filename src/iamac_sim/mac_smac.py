@@ -20,12 +20,12 @@ from .packets import Packet, PacketKind
 class SmacNodeState:
     __slots__ = ("nav_until", "engaged", "peer", "role", "exchange",
                  "pending_ev", "window_start", "awaiting", "done_frame",
-                 "awake_until", "wake_ev", "frame_stamp")
+                 "awake_until", "wake_ev")
 
     def __init__(self):
-        self.reset(-1)
+        self.reset()
 
-    def reset(self, frame_stamp):
+    def reset(self):
         self.nav_until = 0.0
         self.engaged = False
         self.peer = None
@@ -37,7 +37,6 @@ class SmacNodeState:
         self.done_frame = False
         self.awake_until = 0.0
         self.wake_ev = None
-        self.frame_stamp = frame_stamp
 
 
 class SmacDriver:
@@ -47,14 +46,13 @@ class SmacDriver:
         self.adaptive = adaptive
         sc = sim.scenario
         speed = sim.model.radio_speed
+        # a CTS is as long as an RTS
         self.rts_air = 8.0 * (sc.control_bytes + sc.header_bytes) / speed
-        self.cts_air = self.rts_air
         self.ack_air = 8.0 * sc.recovery_params().ack_len / speed
         self.sifs = sc.sifs_s
         self.synch_slot = sc.synch_slot_s
         # listen budget mirrors the slotted MAC's RTS+CTS share for fairness
         self.contention_window = sc.w * sc.mini_slot_s + sc.cts_slot_s
-        self.adaptive_window = self.contention_window
         self.frame = sc.frame_s
         self.err = sc.smac_adaptive_err
         self.rng = sim.streams.stream("contention")
@@ -68,18 +66,16 @@ class SmacDriver:
     # -- frame scheduling ------------------------------------------------------
 
     def start(self):
-        self.engine.schedule(0.0, self._frame_begin, kind="slot")
+        self.engine.schedule(0.0, self._frame_begin)
 
     def _frame_begin(self, event):
         sim = self.sim
         self.cycle_start = self.engine.now
         sim.begin_frame(self.rts_air)
         for st in self.states:
-            st.reset(sim.frame_idx)
-        self.engine.schedule(self.cycle_start + self.synch_slot,
-                             self._contention_begin, kind="slot")
-        self.engine.schedule(self.cycle_start + self.frame, self._frame_end,
-                             kind="slot")
+            st.reset()
+        self.engine.schedule(self.cycle_start + self.synch_slot, self._contention_begin)
+        self.engine.schedule(self.cycle_start + self.frame, self._frame_end)
 
     def _frame_end(self, event):
         if self.sim.end_frame(self.frame):
@@ -94,7 +90,7 @@ class SmacDriver:
             if node.alive and node.queue and self.sim.parent_of(node.id) is not None:
                 self._backoff(node.id)
         # nodes beyond the contention outcome sleep when the listen period ends
-        self.engine.schedule(self._listen_end, self._listen_over, kind="slot")
+        self.engine.schedule(self._listen_end, self._listen_over)
 
     def _listen_over(self, event):
         for node in self.sim.nodes:
@@ -120,7 +116,7 @@ class SmacDriver:
             return None
         data_air = 8.0 * (node.queue[0].payload_len + self.sim.scenario.header_bytes) \
             / self.sim.model.radio_speed
-        return (self.rts_air + self.sifs + self.cts_air + self.sifs
+        return (self.rts_air + self.sifs + self.rts_air + self.sifs
                 + data_air + self.sifs + self.ack_air)
 
     def _backoff(self, nid):
@@ -147,11 +143,9 @@ class SmacDriver:
             delay = float(injected.pop(0))
         else:
             delay = float(self.rng.uniform(0.0, min(room, self.contention_window / 4)))
-        st.pending_ev = self.engine.schedule(now + delay, self._attempt,
-                                             kind="timer", target=nid)
+        st.pending_ev = self.engine.schedule(now + delay, lambda ev: self._attempt(nid))
 
-    def _attempt(self, event):
-        nid = event.target
+    def _attempt(self, nid):
         sim = self.sim
         node = sim.nodes[nid]
         st = self.states[nid]
@@ -181,12 +175,10 @@ class SmacDriver:
         st.peer = parent
         st.exchange = ex
         sim.trace(nid, "smac-rts", f"dst={parent}")
-        timeout = self.engine.now + self.rts_air + self.sifs + self.cts_air + 2e-3
-        st.pending_ev = self.engine.schedule(timeout, self._cts_timeout,
-                                             kind="timer", target=nid)
+        timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
+        st.pending_ev = self.engine.schedule(timeout, lambda ev: self._cts_timeout(nid))
 
-    def _cts_timeout(self, event):
-        nid = event.target
+    def _cts_timeout(self, nid):
         st = self.states[nid]
         st.pending_ev = None
         if st.engaged and st.role == "tx" and not st.exchange.get("cts_seen"):
@@ -223,9 +215,8 @@ class SmacDriver:
                                      lambda ev: sim.medium.transmit(nid, cts))
                 sim.trace(nid, "smac-cts", f"dst={pkt.src}")
                 # release the reservation if the data never shows up
-                st.pending_ev = self.engine.schedule(
-                    pkt.exchange_end + 2e-3, self._rx_timeout,
-                    kind="timer", target=nid)
+                st.pending_ev = self.engine.schedule(pkt.exchange_end + 2e-3,
+                                                     lambda ev: self._rx_timeout(nid))
             else:
                 self._overheard(nid, pkt)
         elif kind is PacketKind.CTS:
@@ -278,21 +269,16 @@ class SmacDriver:
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)
-        st.pending_ev = self.engine.schedule(ack_deadline, self._ack_timeout,
-                                             kind="timer", target=nid)
+        st.pending_ev = self.engine.schedule(ack_deadline, lambda ev: self._ack_timeout(nid))
 
-    def _ack_timeout(self, event):
-        nid = event.target
+    def _ack_timeout(self, nid):
         st = self.states[nid]
         st.pending_ev = None
         if st.engaged and st.role == "tx":
             self._exchange_over(nid, success=st.exchange.get("data_received", False))
 
-    def _rx_timeout(self, event):
-        nid = event.target
+    def _rx_timeout(self, nid):
         st = self.states[nid]
-        if st.frame_stamp != self.sim.frame_idx:
-            return
         if st.engaged and st.role == "rx" and not st.exchange.get("data_received"):
             st.pending_ev = None
             self.sim.trace(nid, "smac-rx-timeout")
@@ -313,14 +299,13 @@ class SmacDriver:
         st.done_frame = not self.adaptive
         self._cancel_pending(st)
         if self.adaptive:
-            self._stay_awake(nid, self.adaptive_window)
+            self._stay_awake(nid)
         else:
             sim.sleep(nid)
 
     def _cancel_pending(self, st):
-        if st.pending_ev is not None:
-            self.engine.cancel(st.pending_ev)
-            st.pending_ev = None
+        self.engine.cancel(st.pending_ev)
+        st.pending_ev = None
 
     # -- overhearing and adaptive wakeups ------------------------------------------------
 
@@ -337,58 +322,45 @@ class SmacDriver:
             remaining = max(pkt.exchange_end - self.engine.now, 0.0)
             err = float(self.rng_adaptive.uniform(-self.err, self.err))
             wake_at = self.engine.now + remaining * (1.0 + err)
-            if st.wake_ev is not None:
-                self.engine.cancel(st.wake_ev)
-            st.wake_ev = self.engine.schedule(wake_at, self._adaptive_wake,
-                                              kind="timer", target=nid)
+            self.engine.cancel(st.wake_ev)
+            st.wake_ev = self.engine.schedule(wake_at, lambda ev: self._adaptive_wake(nid))
             sim.trace(nid, "nav-sleep", f"until~{wake_at:.4f}")
         else:
             sim.trace(nid, "nav-sleep", f"until={pkt.exchange_end:.4f}")
-            if st.wake_ev is not None:
-                self.engine.cancel(st.wake_ev)
-            st.wake_ev = self.engine.schedule(st.nav_until, self._plain_nav_wake,
-                                              kind="timer", target=nid)
+            self.engine.cancel(st.wake_ev)
+            st.wake_ev = self.engine.schedule(st.nav_until,
+                                              lambda ev: self._plain_nav_wake(nid))
         sim.sleep(nid)
 
-    def _plain_nav_wake(self, event):
-        nid = event.target
+    def _plain_nav_wake(self, nid):
         st = self.states[nid]
         st.wake_ev = None
-        if st.frame_stamp != self.sim.frame_idx:
-            return
         if not self.sim.nodes[nid].alive or st.engaged:
             return
         if self.engine.now < self._listen_end:
             self.sim.wake(nid)   # listen out the rest of the common period
         # otherwise stay asleep until the next frame
 
-    def _adaptive_wake(self, event):
-        nid = event.target
+    def _adaptive_wake(self, nid):
         sim = self.sim
         st = self.states[nid]
         st.wake_ev = None
-        if st.frame_stamp != self.sim.frame_idx:
-            return
         node = sim.nodes[nid]
         if not node.alive or st.engaged:
             return
         sim.wake(nid)
         sim.trace(nid, "adaptive-wake")
-        self._stay_awake(nid, self.adaptive_window)
+        self._stay_awake(nid)
 
-    def _stay_awake(self, nid, window):
+    def _stay_awake(self, nid):
         st = self.states[nid]
-        st.awake_until = max(st.awake_until, self.engine.now + window)
-        self.engine.schedule(st.awake_until, self._awake_expiry,
-                             kind="timer", target=nid)
+        st.awake_until = max(st.awake_until, self.engine.now + self.contention_window)
+        self.engine.schedule(st.awake_until, lambda ev: self._awake_expiry(nid))
         if self.sim.nodes[nid].queue and self.sim.parent_of(nid) is not None:
             self._backoff(nid)
 
-    def _awake_expiry(self, event):
-        nid = event.target
+    def _awake_expiry(self, nid):
         st = self.states[nid]
-        if st.frame_stamp != self.sim.frame_idx:
-            return
         node = self.sim.nodes[nid]
         if (node.alive and not st.engaged and self.engine.now >= st.awake_until
                 and node.state is RadioState.LISTEN

@@ -10,8 +10,7 @@ sense range are collected per data reception for the colliding-set metric.
 
 from __future__ import annotations
 
-from .channel import mw_to_dbm
-from .engine import KIND_AIR_END
+from .channel import sinr_db
 from .packets import PacketKind
 
 CONTROL_KINDS = (PacketKind.SYNCH_ROUTING, PacketKind.RTS, PacketKind.CTS)
@@ -40,9 +39,6 @@ class Reception:
         self.live = True
         self.interferers = set() if track_interferers else None
 
-    def min_sinr_db(self, noise_mw):
-        return mw_to_dbm(self.wanted_mw) - mw_to_dbm(noise_mw + self.max_other_mw)
-
 
 class Medium:
     def __init__(self, engine, topology, streams, control_corruption_disabled=False):
@@ -58,11 +54,6 @@ class Medium:
         self.onair_mw = [0.0] * n        # summed on-air power present at each node
         self.receptions = [dict() for _ in range(n)]  # listener -> {tx: Reception}
         self.active_data = set()
-        busy_thr = topology.model.busy_threshold_dbm
-        self.sense_in = [
-            {int(i) for i in range(n) if topology.rx_dbm[i, j] >= busy_thr and i != j}
-            for j in range(n)
-        ]
 
         # metrics hooks, wired by the simulation
         self.on_data_reception_resolved = None  # fn(rec, delivered)
@@ -110,7 +101,7 @@ class Medium:
                 )
                 if is_data:
                     for other_tx in self.active_data:
-                        if other_tx is not tx and other_tx.sender in self.sense_in[j]:
+                        if other_tx is not tx and other_tx.sender in self.topo.sense_in[j]:
                             rec.interferers.add(other_tx.sender)
                 self.receptions[j][tx] = rec
             if is_data:
@@ -120,8 +111,7 @@ class Medium:
                         rec.interferers.add(sender)
             node.on_air_rise(tx)
 
-        self.engine.schedule(tx.t_end, self._end_transmission,
-                             kind=KIND_AIR_END, target=sender, payload=tx)
+        self.engine.schedule(tx.t_end, lambda ev: self._end_transmission(tx))
         return tx.t_end
 
     def abort_receptions(self, listener):
@@ -129,8 +119,7 @@ class Medium:
         for rec in self.receptions[listener].values():
             rec.live = False
 
-    def _end_transmission(self, event):
-        tx = event.payload
+    def _end_transmission(self, tx):
         sender = tx.sender
         is_data = tx.packet.kind in DATA_KINDS
         if is_data:
@@ -153,7 +142,7 @@ class Medium:
             delivered = False
             sinr = None
             if rec is not None and rec.live and node.radio_listening():
-                sinr = rec.min_sinr_db(self.noise_mw)
+                sinr = sinr_db(rec.wanted_mw, rec.max_other_mw, self.noise_mw)
                 delivered = self._decide(tx.packet, sinr)
             if is_data and rec is not None and rec.live:
                 if self.on_data_reception_resolved is not None:

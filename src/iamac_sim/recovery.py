@@ -141,6 +141,7 @@ class _SessionBase:
         self.result = TransferResult()
         self.done = False
         self._t0 = self.engine.now
+        self._timeout_ev = None
 
     def _queue(self):
         return self.sim.nodes[self.child].queue
@@ -167,6 +168,10 @@ class _SessionBase:
                 return start, e
         return None, None
 
+    def _cancel_timer(self):
+        self.engine.cancel(self._timeout_ev)
+        self._timeout_ev = None
+
     def on_packet(self, node, pkt, sinr):
         raise NotImplementedError
 
@@ -186,7 +191,6 @@ class ArqSession(_SessionBase):
         self.current = None
         self.attempts = 0
         self.got_through = False     # parent decoded some attempt of current
-        self._timeout_ev = None
 
     def start(self):
         self._next_packet()
@@ -257,9 +261,7 @@ class ArqSession(_SessionBase):
             self._ack_received()
 
     def _ack_received(self):
-        if self._timeout_ev is not None:
-            self.engine.cancel(self._timeout_ev)
-            self._timeout_ev = None
+        self._cancel_timer()
         self._pop_current(delivered=True)
         if not self._queue():
             self._finish()
@@ -306,7 +308,6 @@ class SedaSession(_SessionBase):
         self.delivered_uids = set()
         self.retrans_uids = set()    # blocks that flew in a retransmission
         self.phase = "idle"          # idle | data | retrans
-        self._timeout_ev = None
         self._window_end = None
         self._rf_sent = False
 
@@ -427,11 +428,6 @@ class SedaSession(_SessionBase):
             self._parent_got_frame(pkt, sinr)
         elif node == self.child and pkt.kind is PacketKind.RECOVERY_FRAME and pkt.src == self.parent:
             self._recovery_received(pkt)
-
-    def _cancel_timer(self):
-        if self._timeout_ev is not None:
-            self.engine.cancel(self._timeout_ev)
-            self._timeout_ev = None
 
     def _resolve_burst(self):
         """Burst over: delivered blocks leave the queue, blocks that lost

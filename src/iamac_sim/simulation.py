@@ -221,12 +221,11 @@ class Simulation:
             if node.id == self.topo.sink:
                 continue
             first = float(rng.uniform(0.0, interval))
-            self.engine.schedule(first, self._sample, kind="sample", target=node.id)
+            self.engine.schedule(first, lambda ev, nid=node.id: self._sample(nid))
 
-    def _sample(self, event):
+    def _sample(self, nid):
         if self.stopped:
             return
-        nid = event.target
         node = self.nodes[nid]
         if node.alive:
             pkt = make_data_packet(
@@ -238,9 +237,8 @@ class Simulation:
             self.enqueue(nid, pkt)
             self.ledger.record_generated()
             self.ledger.account_sample(nid)
-            self.engine.schedule(
-                self.engine.now + self.scenario.sampling_interval_s,
-                self._sample, kind="sample", target=nid)
+            self.engine.schedule(self.engine.now + self.scenario.sampling_interval_s,
+                                 lambda ev: self._sample(nid))
 
     # -- queue plumbing -------------------------------------------------------------
 

@@ -43,13 +43,14 @@ class Topology:
         self.rx_mw = np.power(10.0, self.rx_dbm / 10.0)
 
         busy_thr = model.busy_threshold_dbm
-        self.sense_out = []       # j can sense/decode i's transmissions
-        self.influence_out = []   # i's power is non-negligible at j (SINR bookkeeping)
-        infl_thr = model.noise_floor - influence_margin_db
-        for i in range(self.n):
-            row = self.rx_dbm[i]
-            self.sense_out.append(np.nonzero(row >= busy_thr)[0])
-            self.influence_out.append(np.nonzero(row >= infl_thr)[0])
+        sense = self.rx_dbm >= busy_thr
+        influence = self.rx_dbm >= model.noise_floor - influence_margin_db
+        # sense_out[i]: the j that can sense/decode i's transmissions
+        self.sense_out = [np.nonzero(row)[0] for row in sense]
+        # sense_in[j]: the senders i that j can sense (the transpose, as a set)
+        self.sense_in = [set(np.nonzero(col)[0].tolist()) for col in sense.T]
+        # influence_out[i]: the j where i's power is non-negligible (SINR bookkeeping)
+        self.influence_out = [np.nonzero(row)[0] for row in influence]
 
         self.busy_thr_mw = dbm_to_mw(busy_thr)
 

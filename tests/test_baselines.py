@@ -1,3 +1,5 @@
+import pytest
+
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.packets import make_data_packet
 from iamac_sim.routing import preset_tree
@@ -90,3 +92,16 @@ def test_smac_exchange_carries_one_packet_per_frame():
     times = sorted(d for _, _, d, _ in sim.ledger.delivered_records)
     frames = [int(t // sim.scenario.frame_s) for t in times]
     assert len(set(frames)) == 4  # one per frame, never two
+
+
+@pytest.mark.xfail(strict=True, reason="a new frame resets S-MAC node state without "
+                   "cancelling the previous frame's wake and backoff timers")
+def test_adaptive_smac_sends_no_rts_in_a_synch_slot():
+    # every node spends the Synch slot on its beacon; contention starts after it
+    sc = desk_preset(protocol="adaptive-smac", seed=4, horizon_s=120.0,
+                     stop_on_first_death=False)
+    sim = Simulation(sc, trace=True)
+    sim.run()
+    in_synch = [(t, node) for t, node, label, _ in sim.trace_log
+                if label == "smac-rts" and t % sc.frame_s < sc.synch_slot_s - 1e-9]
+    assert in_synch == []

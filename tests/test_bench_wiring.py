@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps simulator entry points by name; every name it
-wraps must still exist, or the traced benchmark run breaks."""
+wraps must still exist, or the traced benchmark run breaks. Every workload
+must also reproduce the CSV hash the benchmark recorded for it."""
 
 from pathlib import Path
 
@@ -16,3 +17,17 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     tracer.uninstall()
     for owner, attr, orig in originals:
         assert owner.__dict__[attr] is orig
+
+
+def test_benchmark_workloads_reproduce_recorded_hashes(monkeypatch):
+    monkeypatch.syspath_prepend(str(SIMBENCH))
+    import workloads
+
+    seed = workloads.DEFAULT_SEED
+    recorded = workloads.expected()["hashes"]
+    got = {}
+    for workload in workloads.WORKLOADS:
+        sc = workloads.scenario(workload, seed)
+        got[workload] = workloads.csv_hash(sc, workloads.build(workload, sc).run())
+    assert got == {workload: recorded[workload][str(seed)]
+                   for workload in workloads.WORKLOADS}

@@ -35,6 +35,12 @@ def test_cancelled_event_never_dispatched():
     assert n == 2
 
 
+def test_cancelling_no_event_is_a_noop():
+    e = Engine()
+    e.cancel(None)
+    assert e.cancelled_count == 0
+
+
 def test_scheduling_in_the_past_is_a_hard_fault():
     e = Engine()
     e.run_until(5.0)
@@ -107,11 +113,11 @@ def test_different_seed_differs():
 
 
 def test_labels_are_independent():
+    before = RandomStreams(7).stream("contention").random(10)
     s = RandomStreams(7)
-    before = s.fresh_stream("contention").random(10)
     # drawing heavily from another label must not perturb this one
     s.stream("traffic").random(1000)
-    after = s.fresh_stream("contention").random(10)
+    after = s.stream("contention").random(10)
     assert list(before) == list(after)
 
 

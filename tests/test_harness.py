@@ -149,6 +149,15 @@ def test_cli_rejects_bad_key(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("setting", ["area=100", "frame_s=0", "w=100", "listen_ma=0",
+                                     "frame_s=nan"])
+def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
+    assert main(["run", "--preset", "desk", "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert setting.split("=")[0] in err
+
+
 def test_cli_reports_disjoint(tmp_path):
     code = main(["run", "--preset", "paper-density", "--seed", "1",
                  "--set", "output_power_dbm=-12",

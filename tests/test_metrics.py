@@ -101,7 +101,7 @@ def test_colliding_set_online_matches_offline_oracle():
     res = sim.run()
     assert res["status"] == "ok"
     offline = colliding_sets_offline(sim.medium.tx_log, sim.rx_log,
-                                     sim.medium.sense_in)
+                                     sim.topo.sense_in)
     online = {f: {r: c for r, c in d.items() if c > 0}
               for f, d in sim.ledger.cs_frames}
     online = {f: d for f, d in online.items() if d}
