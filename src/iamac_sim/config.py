@@ -22,6 +22,17 @@ class ConfigError(ValueError):
     pass
 
 
+# smallest accepted value of each size (bytes), count, duration and energy
+_MINIMUM = {
+    "broadcast_count": 1, "report_rounds": 0, "max_children": 0,
+    "control_bytes": 1, "header_bytes": 0, "payload_bytes": 1, "ack_len": 1,
+    "block_overhead": 0, "rf_overhead": 0, "retry_cap": 0,
+    "synch_slot_s": 0.0, "max_backoff_s": 0.0, "sifs_s": 0.0, "gamma_s": 0.0,
+    "turnaround_s": 0.0, "smac_adaptive_err": 0.0, "disjoint_tolerance": 0.0,
+    "switch_mj": 0.0, "sample_mj": 0.0,
+}
+
+
 @dataclass
 class Scenario:
     seed: int = 1
@@ -93,6 +104,14 @@ class Scenario:
                 raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if len(self.area) != 2:
             raise ConfigError(f"area: need width and height, got {self.area!r}")
+        for key, low in _MINIMUM.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key}: must be >= {low}, got {getattr(self, key)!r}")
+        for key in ("battery_mah", "bandwidth_to_rate"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key}: must be > 0, got {getattr(self, key)!r}")
+        if self.smac_adaptive_err > 1.0:
+            raise ConfigError("smac_adaptive_err: must be <= 1")
         if self.node_count < 2:
             raise ConfigError("node_count: need at least a sink and one node")
         if self.area[0] <= 0 or self.area[1] <= 0:
@@ -107,7 +126,9 @@ class Scenario:
             raise ConfigError("horizon_s: must exceed one frame")
         self._derive("path_loss_exponent, d0, radio_speed, shadowing_sigma", self.link_model)
         self._derive("sleep_ma, listen_ma, tx0_ma, voltage", self.energy_table)
-        rts_air = 8.0 * (self.control_bytes + self.header_bytes) / self.radio_speed
+        rts_air = self._derive("control_bytes, header_bytes, radio_speed",
+                               lambda: 8.0 * (self.control_bytes + self.header_bytes)
+                               / self.radio_speed)
         self._derive("frame_s, synch_slot_s, w, mini_slot_s, cts_slot_s, max_backoff_s",
                      lambda: self.frame_plan(rts_air))
         if self.cts_slot_s <= rts_air + 0.002:
@@ -117,10 +138,11 @@ class Scenario:
 
     @staticmethod
     def _derive(keys, build):
-        """Build a derived object; its ValueError becomes a ConfigError naming `keys`."""
+        """Build and return a derived object; its ValueError or overflow
+        becomes a ConfigError naming `keys`."""
         try:
-            build()
-        except ValueError as exc:
+            return build()
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{keys}: {exc}") from exc
 
     # -- derived objects -------------------------------------------------

@@ -9,7 +9,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import Scenario
-from .energy import RadioState
 from .packets import make_data_packet
 from .recovery import (ArqSession, RecoveryParams, SedaSession, arq_capacity,
                        rts_success_prob, seda_capacity)
@@ -210,8 +209,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None, supply=N
         t0 = engine.now if k == 0 else engine.now + gap
         engine.run_until(t0)
         for node in nodes:
-            node.state = RadioState.LISTEN
-            node._state_since = engine.now
+            sim.wake(node.id)
         nodes[1].queue = [
             make_data_packet(origin=1, src=1, dst=0, born_at=t0,
                              payload_len=params.payload_len, header=params.hdr_len)

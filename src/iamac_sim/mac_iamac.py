@@ -18,10 +18,8 @@ CTS_GUARD = 0.001
 
 
 class IamacNodeState:
-    __slots__ = ("active", "received_rtss", "cancel_rts", "cancel_cts",
-                 "contending", "awaiting", "sent_rts", "granted",
-                 "committed_rx", "pending_ev", "pending_slot", "window_start",
-                 "grants")
+    __slots__ = ("active", "received_rtss", "cancel_cts", "contending", "awaiting",
+                 "sent_rts", "granted", "committed_rx", "pending_ev", "window_start", "grants")
 
     def __init__(self):
         self.reset()
@@ -29,7 +27,6 @@ class IamacNodeState:
     def reset(self):
         self.active = True
         self.received_rtss = []
-        self.cancel_rts = False
         self.cancel_cts = False
         self.contending = False
         self.awaiting = False
@@ -37,7 +34,6 @@ class IamacNodeState:
         self.granted = False
         self.committed_rx = False
         self.pending_ev = None
-        self.pending_slot = -1
         self.window_start = 0.0
         self.grants = []
 
@@ -56,9 +52,6 @@ class IamacDriver:
         self.phase = "idle"
         self.cycle_start = 0.0
         self._injected = {nid: list(plans) for nid, plans in sim.fixed_contention.items()}
-        self._rx_schedules = {}
-        for node in sim.nodes:
-            node.mac = self
 
     # -- cycle scheduling --------------------------------------------------------
 
@@ -99,24 +92,17 @@ class IamacDriver:
         # only transfer participants stay awake once the beacon slot closes
         for node in self.sim.nodes:
             if node.active_session is None and node.state is RadioState.LISTEN:
-                keep = (node.mac is self and self.states[node.id].committed_rx
-                        and node.id in self._rx_schedules)
-                if not keep:
-                    self.sim.sleep(node.id)
+                self.sim.sleep(node.id)
 
     # -- RTS slot -------------------------------------------------------------------
 
     def _rts_begin(self, event):
         self.phase = "rts"
         sim = self.sim
+        # every state is fresh from the frame reset: nothing has deactivated yet
         for node in sim.nodes:
-            st = self.states[node.id]
-            if not node.alive or not st.active:
-                continue
-            parent = sim.parent_of(node.id)
-            if parent is None or not node.queue or st.cancel_rts:
-                continue
-            self._pick_contention(node.id, min_slot=0)
+            if node.alive and node.queue and sim.parent_of(node.id) is not None:
+                self._pick_contention(node.id, min_slot=0)
 
     def _pick_contention(self, nid, min_slot):
         st = self.states[nid]
@@ -135,7 +121,6 @@ class IamacDriver:
             backoff = float(self.rng.uniform(0.0, plan.max_backoff))
         st.contending = True
         st.awaiting = False
-        st.pending_slot = slot
         st.window_start = plan.mini_slot_start(self.cycle_start, slot)
         st.pending_ev = self.engine.schedule(st.window_start + backoff,
                                              lambda ev: self._rts_attempt(nid))
@@ -145,7 +130,7 @@ class IamacDriver:
         node = sim.nodes[nid]
         st = self.states[nid]
         st.pending_ev = None
-        if not node.alive or not st.active or st.cancel_rts or not st.contending:
+        if not node.alive or not st.active or not st.contending:
             return
         if sim.medium.carrier_busy(nid) or node.last_rise_t >= st.window_start:
             # something was on the air during the sensing window: hold off and
@@ -179,7 +164,6 @@ class IamacDriver:
             st.received_rtss.append(pkt)
             sim.trace(nid, "rts-queued", f"from={pkt.src}")
             if not st.sent_rts:
-                st.cancel_rts = True
                 self._cancel_pending(st)
         elif parent is not None and pkt.dst == parent:
             # answering a child now could collide with the overheard pair's
@@ -188,7 +172,6 @@ class IamacDriver:
             st.cancel_cts = True
             if st.received_rtss:
                 st.received_rtss = []
-                st.cancel_rts = False
                 sim.trace(nid, "rts-queue-deleted", f"overheard={pkt.src}->{pkt.dst}")
                 if node.queue and not st.sent_rts:
                     self._pick_contention(nid, self._current_mini_slot() + 1)
@@ -271,16 +254,10 @@ class IamacDriver:
     def _comm_begin(self, event):
         self.phase = "comm"
         sim = self.sim
-        self._rx_schedules = {}
-        receivers = []
-        for node in sim.nodes:
-            st = self.states[node.id]
-            if node.alive and st.committed_rx and st.grants:
-                receivers.append(node.id)
-        party = set()
-        for rid in receivers:
-            party.add(rid)
-            party.update(self.states[rid].grants)
+        # a committed receiver always holds at least one grant
+        receivers = [node.id for node in sim.nodes
+                     if node.alive and self.states[node.id].committed_rx]
+        party = set(receivers).union(*(self.states[rid].grants for rid in receivers))
         for node in sim.nodes:
             if node.alive and node.id not in party:
                 sim.sleep(node.id)
@@ -290,9 +267,39 @@ class IamacDriver:
         windows = [(s, e - guard) for s, e in self.plan.comm_windows(self.cycle_start)
                    if e - guard > s]
         for rid in receivers:
-            sched = _ReceiverSchedule(self, rid, list(self.states[rid].grants), windows)
-            self._rx_schedules[rid] = sched
-            sched.next_child()
+            self._next_transfer(rid, iter(self.states[rid].grants), windows)
+
+    def _next_transfer(self, parent, children, windows):
+        """Greedy grant-order handoff: the next granted child with a queue transfers
+        to `parent`; its session's end resumes `children`, then the parent sleeps."""
+        sim = self.sim
+        for child in children:
+            if not sim.nodes[parent].alive:
+                return
+            st_child = self.states[child]
+            node = sim.nodes[child]
+            # a grant that never reached its child (it deactivated or slept
+            # through the train) forfeits its window; it is not resurrected
+            if not (st_child.granted and st_child.active) or not node.alive or not node.queue:
+                continue
+            sim.wake(child)
+
+            def done(session):
+                sim.nodes[child].active_session = None
+                sim.nodes[parent].active_session = None
+                sim.sleep(child)
+                self._next_transfer(parent, children, windows)
+
+            if sim.scenario.recovery == "seda":
+                session = SedaSession(sim, child, parent, windows, self.params, done,
+                                      link_ber=sim.link_ber_estimate(child, parent))
+            else:
+                session = ArqSession(sim, child, parent, windows, self.params, done)
+            node.active_session = session
+            sim.nodes[parent].active_session = session
+            session.start()
+            return
+        sim.sleep(parent)
 
     # -- shared handlers ----------------------------------------------------------------------
 
@@ -310,7 +317,7 @@ class IamacDriver:
         if not st.active:
             return
         if self.phase == "rts":
-            if st.awaiting and st.contending and not st.sent_rts:
+            if st.awaiting:
                 self._pick_contention(node.id, self._current_mini_slot() + 1)
                 self.sim.trace(node.id, "repick-undecodable")
         elif self.phase == "cts":
@@ -329,58 +336,3 @@ class IamacDriver:
         self.sim.sleep(nid)
         self.sim.trace(nid, "deactivated", why)
 
-
-class _ReceiverSchedule:
-    """Greedy grant-order handoff: each granted child transfers to the parent
-    until its queue empties or the communication budget runs out."""
-
-    def __init__(self, driver, parent, children, windows):
-        self.driver = driver
-        self.sim = driver.sim
-        self.parent = parent
-        self.children = children
-        self.windows = windows
-        self.idx = 0
-
-    def next_child(self):
-        sim = self.sim
-        if self.idx >= len(self.children) or not sim.nodes[self.parent].alive:
-            self._finish()
-            return
-        child = self.children[self.idx]
-        self.idx += 1
-        st_child = self.driver.states[child]
-        if not (st_child.granted and st_child.active):
-            # the grant never reached this child (it deactivated or slept
-            # through the train): its window is forfeited, not resurrected
-            self.next_child()
-            return
-        if not sim.nodes[child].alive or not sim.nodes[child].queue:
-            self.next_child()
-            return
-        sim.wake(child)
-        sc = sim.scenario
-        params = self.driver.params
-        if sc.recovery == "seda":
-            session = SedaSession(sim, child, self.parent, self.windows, params,
-                                  self._child_done,
-                                  link_ber=sim.link_ber_estimate(child, self.parent))
-        else:
-            session = ArqSession(sim, child, self.parent, self.windows, params,
-                                 self._child_done)
-        sim.nodes[child].active_session = session
-        sim.nodes[self.parent].active_session = session
-        session.start()
-
-    def _child_done(self, session):
-        sim = self.sim
-        child = session.child
-        sim.nodes[child].active_session = None
-        sim.nodes[self.parent].active_session = None
-        sim.sleep(child)
-        self.next_child()
-
-    def _finish(self):
-        self.driver._rx_schedules.pop(self.parent, None)
-        if self.sim.nodes[self.parent].alive:
-            self.sim.sleep(self.parent)

@@ -18,7 +18,7 @@ from .packets import Packet, PacketKind
 
 
 class SmacNodeState:
-    __slots__ = ("nav_until", "engaged", "peer", "role", "exchange",
+    __slots__ = ("nav_until", "peer", "role", "exchange",
                  "pending_ev", "window_start", "awaiting", "done_frame",
                  "awake_until", "wake_ev")
 
@@ -27,9 +27,8 @@ class SmacNodeState:
 
     def reset(self):
         self.nav_until = 0.0
-        self.engaged = False
         self.peer = None
-        self.role = None
+        self.role = None        # "tx" or "rx" while in an exchange
         self.exchange = None
         self.pending_ev = None
         self.window_start = 0.0
@@ -48,7 +47,7 @@ class SmacDriver:
         speed = sim.model.radio_speed
         # a CTS is as long as an RTS
         self.rts_air = 8.0 * (sc.control_bytes + sc.header_bytes) / speed
-        self.ack_air = 8.0 * sc.recovery_params().ack_len / speed
+        self.ack_air = 8.0 * sc.ack_len / speed
         self.sifs = sc.sifs_s
         self.synch_slot = sc.synch_slot_s
         # listen budget mirrors the slotted MAC's RTS+CTS share for fairness
@@ -60,8 +59,6 @@ class SmacDriver:
         self._injected = {nid: list(v) for nid, v in sim.fixed_contention.items()}
         self.states = [SmacNodeState() for _ in range(sim.topo.n)]
         self.cycle_start = 0.0
-        for node in sim.nodes:
-            node.mac = self
 
     # -- frame scheduling ------------------------------------------------------
 
@@ -95,7 +92,7 @@ class SmacDriver:
     def _listen_over(self, event):
         for node in self.sim.nodes:
             st = self.states[node.id]
-            if (node.alive and not st.engaged
+            if (node.alive and st.role is None
                     and node.state is RadioState.LISTEN
                     and self.engine.now >= st.awake_until):
                 self.sim.sleep(node.id)
@@ -121,7 +118,7 @@ class SmacDriver:
 
     def _backoff(self, nid):
         st = self.states[nid]
-        if st.engaged or st.done_frame:
+        if st.role is not None or st.done_frame:
             return
         now = self.engine.now
         if now < st.nav_until:
@@ -150,7 +147,7 @@ class SmacDriver:
         node = sim.nodes[nid]
         st = self.states[nid]
         st.pending_ev = None
-        if (not node.alive or st.engaged or st.done_frame
+        if (not node.alive or st.role is not None or st.done_frame
                 or not node.queue or node.state is not RadioState.LISTEN):
             return
         assert self.engine.now >= st.nav_until, "transmission during NAV"
@@ -169,11 +166,9 @@ class SmacDriver:
                      length=sc.control_bytes, header=sc.header_bytes,
                      exchange_end=end)
         sim.medium.transmit(nid, rts)
-        ex = {"parent": parent, "uid": node.queue[0].uid, "data_received": False}
-        st.engaged = True
         st.role = "tx"
         st.peer = parent
-        st.exchange = ex
+        st.exchange = {"uid": node.queue[0].uid, "data_received": False}
         sim.trace(nid, "smac-rts", f"dst={parent}")
         timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
         st.pending_ev = self.engine.schedule(timeout, lambda ev: self._cts_timeout(nid))
@@ -181,7 +176,7 @@ class SmacDriver:
     def _cts_timeout(self, nid):
         st = self.states[nid]
         st.pending_ev = None
-        if st.engaged and st.role == "tx" and not st.exchange.get("cts_seen"):
+        if st.role == "tx" and not st.exchange.get("cts_seen"):
             # collision or lost CTS: retry next frame
             self.sim.trace(nid, "smac-no-cts")
             self._exchange_over(nid, success=False)
@@ -196,17 +191,16 @@ class SmacDriver:
 
         if kind is PacketKind.RTS:
             if pkt.dst == nid:
-                if st.engaged or st.done_frame or self.engine.now < st.nav_until:
+                if st.role is not None or st.done_frame or self.engine.now < st.nav_until:
                     return
                 self._cancel_pending(st)
-                st.engaged = True
                 st.role = "rx"
                 st.peer = pkt.src
-                st.exchange = {"parent": nid, "uid": None, "data_received": False}
                 peer_st = self.states[pkt.src]
-                if peer_st.engaged and peer_st.exchange is not None \
-                        and peer_st.exchange.get("parent") == nid:
+                if peer_st.role == "tx" and peer_st.peer == nid:
                     st.exchange = peer_st.exchange
+                else:
+                    st.exchange = {"uid": None, "data_received": False}
                 cts = Packet(kind=PacketKind.CTS, src=nid, dst=pkt.src,
                              length=sim.scenario.control_bytes,
                              header=sim.scenario.header_bytes,
@@ -221,7 +215,7 @@ class SmacDriver:
                 self._overheard(nid, pkt)
         elif kind is PacketKind.CTS:
             if pkt.dst == nid:
-                if st.engaged and st.role == "tx":
+                if st.role == "tx":
                     st.exchange["cts_seen"] = True
                     self._cancel_pending(st)
                     self.engine.schedule(self.engine.now + self.sifs,
@@ -229,27 +223,26 @@ class SmacDriver:
             else:
                 self._overheard(nid, pkt)
         elif kind is PacketKind.DATA:
-            if pkt.dst == nid and st.engaged and st.role == "rx" \
-                    and pkt.src == st.peer:
+            if pkt.dst == nid and st.role == "rx" and pkt.src == st.peer:
                 if not st.exchange["data_received"]:
                     st.exchange["data_received"] = True
                     sim.deliver_to(nid, pkt)
                 ack = Packet(kind=PacketKind.ACK, src=nid, dst=pkt.src,
-                             length=sim.scenario.recovery_params().ack_len, header=0)
+                             length=sim.scenario.ack_len, header=0)
                 self.engine.schedule(
                     self.engine.now + self.sifs,
                     lambda ev: sim.medium.transmit(
                         nid, ack, on_resolved=lambda tx: self._exchange_over(nid, True)))
         elif kind is PacketKind.ACK:
-            if pkt.dst == nid and st.engaged and st.role == "tx":
+            if pkt.dst == nid and st.role == "tx":
                 self._cancel_pending(st)
                 self._exchange_over(nid, success=True)
-            elif st.awaiting and not st.engaged:
+            elif st.awaiting and st.role is None:
                 st.awaiting = False
                 self._backoff(nid)
 
         if kind is PacketKind.DATA and pkt.dst != nid \
-                and st.awaiting and not st.engaged:
+                and st.awaiting and st.role is None:
             # overheard someone else's data while deferring: contend again
             st.awaiting = False
             self._backoff(nid)
@@ -258,7 +251,7 @@ class SmacDriver:
         sim = self.sim
         node = sim.nodes[nid]
         st = self.states[nid]
-        if not node.alive or not st.engaged or not node.queue:
+        if not node.alive or st.role is None or not node.queue:
             return
         pkt = node.queue[0]
         data = Packet(kind=PacketKind.DATA, src=nid, dst=st.peer,
@@ -274,12 +267,12 @@ class SmacDriver:
     def _ack_timeout(self, nid):
         st = self.states[nid]
         st.pending_ev = None
-        if st.engaged and st.role == "tx":
+        if st.role == "tx":
             self._exchange_over(nid, success=st.exchange.get("data_received", False))
 
     def _rx_timeout(self, nid):
         st = self.states[nid]
-        if st.engaged and st.role == "rx" and not st.exchange.get("data_received"):
+        if st.role == "rx" and not st.exchange.get("data_received"):
             st.pending_ev = None
             self.sim.trace(nid, "smac-rx-timeout")
             self._exchange_over(nid, success=False)
@@ -287,13 +280,12 @@ class SmacDriver:
     def _exchange_over(self, nid, success):
         sim = self.sim
         st = self.states[nid]
-        if not st.engaged:
+        if st.role is None:
             return
         if st.role == "tx":
             if success or st.exchange.get("data_received"):
                 # reconcile: the parent holds the packet even if the ack died
                 sim.remove_from_queue(nid, st.exchange["uid"])
-        st.engaged = False
         st.role = None
         st.peer = None
         st.done_frame = not self.adaptive
@@ -313,7 +305,7 @@ class SmacDriver:
         """Foreign RTS or CTS: sleep through the announced exchange."""
         sim = self.sim
         st = self.states[nid]
-        if st.engaged:
+        if st.role is not None:
             return
         st.nav_until = max(st.nav_until, pkt.exchange_end)
         self._cancel_pending(st)
@@ -335,7 +327,7 @@ class SmacDriver:
     def _plain_nav_wake(self, nid):
         st = self.states[nid]
         st.wake_ev = None
-        if not self.sim.nodes[nid].alive or st.engaged:
+        if not self.sim.nodes[nid].alive or st.role is not None:
             return
         if self.engine.now < self._listen_end:
             self.sim.wake(nid)   # listen out the rest of the common period
@@ -346,7 +338,7 @@ class SmacDriver:
         st = self.states[nid]
         st.wake_ev = None
         node = sim.nodes[nid]
-        if not node.alive or st.engaged:
+        if not node.alive or st.role is not None:
             return
         sim.wake(nid)
         sim.trace(nid, "adaptive-wake")
@@ -362,14 +354,14 @@ class SmacDriver:
     def _awake_expiry(self, nid):
         st = self.states[nid]
         node = self.sim.nodes[nid]
-        if (node.alive and not st.engaged and self.engine.now >= st.awake_until
+        if (node.alive and st.role is None and self.engine.now >= st.awake_until
                 and node.state is RadioState.LISTEN
                 and self.engine.now >= self._listen_end):
             self.sim.sleep(nid)
 
     def on_corrupt(self, node, tx):
         st = self.states[node.id]
-        if not node.alive or st.engaged:
+        if not node.alive or st.role is not None:
             return
         if st.awaiting and node.state is RadioState.LISTEN:
             st.awaiting = False

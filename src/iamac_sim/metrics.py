@@ -39,7 +39,6 @@ class MetricsLedger:
         self._queue_last_t = [0.0] * n_nodes
         self._queue_integral = [0.0] * n_nodes
 
-        self.measure_start = 0.0
         self.measure_end = 0.0
 
         # per-frame state-time snapshots (tests)
@@ -130,14 +129,15 @@ class MetricsLedger:
             self.queue_changed(node, self._queue_len[node], t)
 
     def mean_queue_len(self):
-        span = self.measure_end - self.measure_start
-        if span <= 0:
+        if self.measure_end <= 0:
             return 0.0
-        return sum(self._queue_integral) / (span * self.n)
+        return sum(self._queue_integral) / (self.measure_end * self.n)
 
     # -- per-frame state bookkeeping (tests) ---------------------------------
 
     def mark_frame_state(self):
+        if not self.collect_detail:
+            return
         self._frame_state_mark = [dict(st) for st in self.state_time]
 
     def snap_frame_state(self):
@@ -173,10 +173,9 @@ class MetricsLedger:
         return {"mean": mean, "p95": p95, "count": len(lats)}
 
     def throughput_bps(self):
-        span = self.measure_end - self.measure_start
-        if span <= 0:
+        if self.measure_end <= 0:
             return 0.0
-        return sum(p for _, _, _, p in self.delivered_records) / span
+        return sum(p for _, _, _, p in self.delivered_records) / self.measure_end
 
     def cs_stats(self):
         if not self.cs_sum_per_frame:

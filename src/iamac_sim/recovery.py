@@ -172,14 +172,8 @@ class _SessionBase:
         self.engine.cancel(self._timeout_ev)
         self._timeout_ev = None
 
-    def on_packet(self, node, pkt, sinr):
-        raise NotImplementedError
-
     def on_corrupt(self, node, tx):
         pass
-
-    def start(self):
-        raise NotImplementedError
 
 
 class ArqSession(_SessionBase):

@@ -21,7 +21,6 @@ class Node:
         self.id = nid
         self.alive = True
         self.queue = []
-        self.mac = None
         self.active_session = None
         self.last_rise_t = -1.0
         self.state = RadioState.SLEEP
@@ -81,8 +80,8 @@ class Node:
 
     def on_air_rise(self, tx):
         self.last_rise_t = self.sim.engine.now
-        if self.mac is not None:
-            self.mac.on_air_rise(self, tx)
+        if self.sim.driver is not None:
+            self.sim.driver.on_air_rise(self, tx)
 
     def on_packet(self, pkt, sinr):
         if self.active_session is not None and pkt.kind in (
@@ -90,15 +89,15 @@ class Node:
                 PacketKind.SEDA_BLOCK, PacketKind.RECOVERY_FRAME):
             self.active_session.on_packet(self.id, pkt, sinr)
             return
-        if self.mac is not None:
-            self.mac.on_packet(self, pkt, sinr)
+        if self.sim.driver is not None:
+            self.sim.driver.on_packet(self, pkt, sinr)
 
     def on_air_resolved_corrupt(self, tx):
         if self.active_session is not None:
             self.active_session.on_corrupt(self.id, tx)
             return
-        if self.mac is not None:
-            self.mac.on_corrupt(self, tx)
+        if self.sim.driver is not None:
+            self.sim.driver.on_corrupt(self, tx)
 
 
 class Simulation:
@@ -166,7 +165,6 @@ class Simulation:
         elif not tree_is_acyclic(self.route_states):
             raise AssertionError("routing produced a cyclic parent graph")
         self.stranded = stranded
-        return stranded
 
     def parent_of(self, nid):
         return self.route_states[nid].parent
@@ -279,9 +277,9 @@ class Simulation:
 
     def run(self):
         sc = self.scenario
-        stranded = self.bootstrap_routing()
+        self.bootstrap_routing()
         if self.status == "disjoint":
-            return self._result(stranded=stranded)
+            return self._result()
 
         from .mac_iamac import IamacDriver
         from .mac_smac import SmacDriver
@@ -294,21 +292,20 @@ class Simulation:
             raise ValueError(f"unknown protocol {sc.protocol!r}")
 
         self.start_traffic()
-        self.ledger.measure_start = 0.0
         self.driver.start()
         self.engine.run_until(sc.horizon_s)
         end = self.measured_until if self.measured_until > 0 else sc.horizon_s
         self.ledger.measure_end = end
         self.ledger.close_queues(end)
-        return self._result(stranded=self.stranded)
+        return self._result()
 
-    def _result(self, stranded):
+    def _result(self):
         ledger = self.ledger
         lat = ledger.latency_stats()
         cs = ledger.cs_stats()
         res = {
             "status": self.status,
-            "stranded": len(stranded),
+            "stranded": len(self.stranded),
             "frames": self.frame_idx + 1,
             "lifetime_s": (ledger.first_death_time
                            if ledger.first_death_time is not None

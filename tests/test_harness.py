@@ -1,9 +1,17 @@
+import hashlib
+import os
+import subprocess
+import sys
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iamac_sim.cli import main
-from iamac_sim.config import ConfigError, parse_scenario
+from iamac_sim.config import ConfigError, Scenario, parse_scenario
 from iamac_sim.harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
                                analytic_report, isotonic_fit, p0_table,
                                rows_to_csv, run_experiment, sweep,
@@ -45,6 +53,18 @@ def test_zero_sampling_interval_rejected():
 def test_bad_value_names_the_key():
     with pytest.raises(ConfigError, match="node_count"):
         parse_scenario("node_count = soup\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(key=st.sampled_from(sorted(f.name for f in fields(Scenario))),
+       value=st.one_of(st.text(), st.integers(-10**400, 10**400).map(str),
+                         st.floats().map(str)))
+def test_any_value_of_a_known_key_gives_a_scenario_or_config_error(key, value):
+    try:
+        sc = parse_scenario(f"{key} = {value}\n")
+    except ConfigError:
+        return
+    assert isinstance(sc, Scenario)
 
 
 def test_preset_then_overrides():
@@ -150,12 +170,31 @@ def test_cli_rejects_bad_key(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["area=100", "frame_s=0", "w=100", "listen_ma=0",
-                                     "frame_s=nan"])
+                                     "frame_s=nan", "broadcast_count=0", "ack_len=0",
+                                     "battery_mah=-1", "battery_mah=0", "payload_bytes=0",
+                                     "payload_bytes=-5", "header_bytes=-16",
+                                     "retry_cap=-1"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert setting.split("=")[0] in err
+
+
+def test_run_csv_is_identical_across_processes_and_hash_seeds():
+    """`Medium.active_data` is a set of objects hashed by id(); no output may
+    depend on string-hash or set iteration order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cmd = [sys.executable, "-m", "iamac_sim", "run", "--preset", "desk", "--seed", "4",
+           "--set", "horizon_s=30", "--set", "protocol=adaptive-smac"]
+    digests = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(cmd, env=env, capture_output=True, check=True).stdout
+        assert out.startswith(b"scenario,protocol,")
+        digests.append(hashlib.sha256(out).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_cli_reports_disjoint(tmp_path):

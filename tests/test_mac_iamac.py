@@ -93,7 +93,7 @@ def test_contention_slot_uniformity():
     st = driver.states[1]
     for _ in range(10_000):
         driver._pick_contention(1, min_slot=0)
-        counts[st.pending_slot] += 1
+        counts[round((st.window_start - driver.plan.rts_start(driver.cycle_start)) / driver.plan.mini_slot)] += 1
         if st.pending_ev is not None:
             driver.engine.cancel(st.pending_ev)
     expect = 10_000 / w
@@ -109,7 +109,7 @@ def test_repick_draws_only_from_later_slots():
     st = driver.states[2]
     for _ in range(300):
         driver._pick_contention(2, min_slot=4)
-        assert st.pending_slot >= 4
+        assert round((st.window_start - driver.plan.rts_start(driver.cycle_start)) / driver.plan.mini_slot) >= 4
         if st.pending_ev is not None:
             driver.engine.cancel(st.pending_ev)
 
@@ -133,7 +133,7 @@ def test_singleton_remaining_slot_is_forced():
     last = driver.plan.w - 1
     for _ in range(20):
         driver._pick_contention(5, min_slot=last)
-        assert st.pending_slot == last
+        assert round((st.window_start - driver.plan.rts_start(driver.cycle_start)) / driver.plan.mini_slot) == last
         if st.pending_ev is not None:
             driver.engine.cancel(st.pending_ev)
 

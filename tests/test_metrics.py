@@ -61,7 +61,6 @@ def test_delivery_before_birth_rejected(table):
 
 def test_queue_time_weighted_mean(table):
     ledger = MetricsLedger(2, table)
-    ledger.measure_start = 0.0
     ledger.measure_end = 10.0
     ledger.queue_changed(0, 4, 2.0)   # len 0 for [0,2)
     ledger.queue_changed(0, 0, 7.0)   # len 4 for [2,7)
