@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import LinkModel
+from .channel import LinkModel, dbm_to_mw
 from .energy import EnergyTable
 from .frames import build_frame_plan
 from .recovery import RecoveryParams
@@ -120,12 +120,23 @@ class Scenario:
             raise ConfigError(f"protocol: unknown value {self.protocol!r}")
         if self.recovery not in ("arq", "seda"):
             raise ConfigError(f"recovery: unknown value {self.recovery!r}")
-        if self.sampling_interval_s <= 0:
-            raise ConfigError("sampling_interval_s: must be > 0")
         if self.horizon_s <= self.frame_s:
             raise ConfigError("horizon_s: must exceed one frame")
-        self._derive("path_loss_exponent, d0, radio_speed, shadowing_sigma", self.link_model)
-        self._derive("sleep_ma, listen_ma, tx0_ma, voltage", self.energy_table)
+        model = self._derive("path_loss_exponent, d0, radio_speed, shadowing_sigma",
+                             self.link_model)
+        # the dBm-to-mW values a run converts
+        self._derive("noise_floor", lambda: model.noise_mw)
+        self._derive("noise_floor, cs_threshold", lambda: dbm_to_mw(model.busy_threshold_dbm))
+        table = self._derive("sleep_ma, listen_ma, tx0_ma, voltage", self.energy_table)
+        self._derive("output_power_dbm", lambda: table.tx_ma(self.output_power_dbm))
+        # a sample per node faster than one data packet's airtime only
+        # floods the event queue (at 1 ns the run never finishes)
+        data_airtime = self._derive("payload_bytes, header_bytes, radio_speed",
+                                    lambda: 8.0 * (self.payload_bytes + self.header_bytes)
+                                    / self.radio_speed)
+        if self.sampling_interval_s < data_airtime:
+            raise ConfigError(f"sampling_interval_s: must be >= one data packet airtime "
+                              f"({data_airtime:.6g} s), got {self.sampling_interval_s!r}")
         rts_air = self._derive("control_bytes, header_bytes, radio_speed",
                                lambda: 8.0 * (self.control_bytes + self.header_bytes)
                                / self.radio_speed)

@@ -11,10 +11,19 @@ sense range are collected per data reception for the colliding-set metric.
 from __future__ import annotations
 
 from .channel import sinr_db
+from .energy import RadioState
 from .packets import PacketKind
 
 CONTROL_KINDS = (PacketKind.SYNCH_ROUTING, PacketKind.RTS, PacketKind.CTS)
 DATA_KINDS = (PacketKind.DATA, PacketKind.SEDA_BLOCK)
+LISTEN = RadioState.LISTEN
+
+
+def _sender_tables(rx_mw, listeners):
+    """Per sender: its listener ids and their received power in mW, as plain
+    ints and floats in the topology's order, so the per-event loops do no
+    numpy scalar indexing."""
+    return [(ids.tolist(), rx_mw[i][ids].tolist()) for i, ids in enumerate(listeners)]
 
 
 class Transmission:
@@ -46,8 +55,12 @@ class Medium:
         self.topo = topology
         self.model = topology.model
         self.noise_mw = topology.model.noise_mw
+        self.busy_thr_mw = topology.busy_thr_mw
         self.rng = streams.stream("channel")
         self.control_corruption_disabled = control_corruption_disabled
+
+        self.influence_out = _sender_tables(topology.rx_mw, topology.influence_out)
+        self.sense_out = _sender_tables(topology.rx_mw, topology.sense_out)
 
         n = topology.n
         self.nodes = [None] * n          # wired by the simulation
@@ -62,7 +75,7 @@ class Medium:
     # -- state queries ---------------------------------------------------
 
     def carrier_busy(self, node):
-        return self.onair_mw[node] > self.topo.busy_thr_mw
+        return self.onair_mw[node] > self.busy_thr_mw
 
     # -- transmission lifecycle -------------------------------------------
 
@@ -71,42 +84,45 @@ class Medium:
         now = self.engine.now
         duration = packet.airtime(self.model.radio_speed)
         tx = Transmission(sender, packet, now, now + duration, on_resolved)
-
-        self.nodes[sender].radio_begin_tx(tx.t_end)
+        nodes = self.nodes
+        nodes[sender].radio_begin_tx(tx.t_end)
 
         is_data = packet.kind in DATA_KINDS
+        active_data = self.active_data
         if is_data:
-            self.active_data.add(tx)
+            active_data.add(tx)
             if self.tx_log is not None:
                 self.tx_log.append((sender, now, tx.t_end))
 
-        for j in self.topo.influence_out[sender]:
-            p = self.topo.rx_mw[sender, j]
-            self.onair_mw[j] += p
-            for rec in self.receptions[j].values():
-                if rec.live:
-                    other = self.onair_mw[j] - rec.wanted_mw
-                    if other > rec.max_other_mw:
-                        rec.max_other_mw = other
+        onair = self.onair_mw
+        receptions = self.receptions
+        for j, p in zip(*self.influence_out[sender]):
+            total = onair[j] = onair[j] + p
+            open_here = receptions[j]
+            if open_here:
+                for rec in open_here.values():
+                    if rec.live:
+                        other = total - rec.wanted_mw
+                        if other > rec.max_other_mw:
+                            rec.max_other_mw = other
 
-        for j in self.topo.sense_out[sender]:
-            node = self.nodes[j]
-            if node is None or not node.alive:
+        sense_in = self.topo.sense_in
+        for j, p in zip(*self.sense_out[sender]):
+            node = nodes[j]
+            if not node.alive:
                 continue
-            if node.radio_listening():
-                rec = Reception(
-                    tx, j, self.topo.rx_mw[sender, j],
-                    self.onair_mw[j] - self.topo.rx_mw[sender, j],
-                    track_interferers=is_data,
-                )
+            open_here = receptions[j]
+            if node.state is LISTEN:
+                rec = Reception(tx, j, p, onair[j] - p, is_data)
                 if is_data:
-                    for other_tx in self.active_data:
-                        if other_tx is not tx and other_tx.sender in self.topo.sense_in[j]:
+                    heard = sense_in[j]
+                    for other_tx in active_data:
+                        if other_tx is not tx and other_tx.sender in heard:
                             rec.interferers.add(other_tx.sender)
-                self.receptions[j][tx] = rec
+                open_here[tx] = rec
             if is_data:
                 # this sender becomes an interferer of every data reception open at j
-                for rec in self.receptions[j].values():
+                for rec in open_here.values():
                     if rec.live and rec.interferers is not None and rec.tx is not tx:
                         rec.interferers.add(sender)
             node.on_air_rise(tx)
@@ -121,50 +137,58 @@ class Medium:
 
     def _end_transmission(self, tx):
         sender = tx.sender
-        is_data = tx.packet.kind in DATA_KINDS
+        pkt = tx.packet
+        kind = pkt.kind
+        is_data = kind in DATA_KINDS
         if is_data:
             self.active_data.discard(tx)
 
-        for j in self.topo.influence_out[sender]:
-            self.onair_mw[j] -= self.topo.rx_mw[sender, j]
-            if self.onair_mw[j] < 1e-21:
-                self.onair_mw[j] = 0.0
+        onair = self.onair_mw
+        for j, p in zip(*self.influence_out[sender]):
+            left = onair[j] - p
+            onair[j] = 0.0 if left < 1e-21 else left
 
         # the sender is receive-ready the instant its last bit leaves, so
         # same-instant responses (acks, recovery frames) can reach it
-        self.nodes[sender].radio_maybe_end_tx()
+        nodes = self.nodes
+        nodes[sender].radio_maybe_end_tx()
 
-        for j in self.topo.sense_out[sender]:
-            rec = self.receptions[j].pop(tx, None)
-            node = self.nodes[j]
-            if node is None or not node.alive:
+        # control frames with corruption switched off always arrive; Seda
+        # block bursts degrade block by block, not all-or-nothing: the
+        # receiver draws per-block corruption at this same worst-case SINR
+        always = kind is PacketKind.SEDA_BLOCK or (
+            self.control_corruption_disabled and kind in CONTROL_KINDS)
+        on_air_bytes = pkt.on_air_bytes()
+        reception_prob = self.model.packet_reception_prob
+        random = self.rng.random
+        noise_mw = self.noise_mw
+        resolved = self.on_data_reception_resolved if is_data else None
+        receptions = self.receptions
+        for j in self.sense_out[sender][0]:
+            open_here = receptions[j]
+            rec = open_here.pop(tx, None) if open_here else None
+            node = nodes[j]
+            if not node.alive:
+                continue
+            if rec is None or not rec.live:
+                node.on_air_resolved_corrupt(tx)
                 continue
             delivered = False
-            sinr = None
-            if rec is not None and rec.live and node.radio_listening():
-                sinr = sinr_db(rec.wanted_mw, rec.max_other_mw, self.noise_mw)
-                delivered = self._decide(tx.packet, sinr)
-            if is_data and rec is not None and rec.live:
-                if self.on_data_reception_resolved is not None:
-                    self.on_data_reception_resolved(rec, delivered)
+            if node.state is LISTEN:
+                sinr = sinr_db(rec.wanted_mw, rec.max_other_mw, noise_mw)
+                if always:
+                    delivered = True
+                else:
+                    prr = reception_prob(sinr, on_air_bytes)
+                    delivered = prr >= 1.0 or random() < prr
+            if resolved is not None:
+                resolved(rec, delivered)
             if delivered:
-                node.on_packet(tx.packet, sinr)
+                node.on_packet(pkt, sinr)
             else:
                 node.on_air_resolved_corrupt(tx)
         if tx.on_resolved is not None:
             tx.on_resolved(tx)
-
-    def _decide(self, pkt, sinr_db):
-        if self.control_corruption_disabled and pkt.kind in CONTROL_KINDS:
-            return True
-        if pkt.kind is PacketKind.SEDA_BLOCK:
-            # block bursts degrade block by block, not all-or-nothing: the
-            # receiver draws per-block corruption at this same worst-case SINR
-            return True
-        prr = self.model.packet_reception_prob(sinr_db, pkt.on_air_bytes())
-        if prr >= 1.0:
-            return True
-        return self.rng.random() < prr
 
     def block_corruption_draws(self, sinr_db, n_blocks, block_bytes):
         """Seda: independent per-block corruption at the frame's worst SINR."""

@@ -7,6 +7,8 @@ import math
 
 from .energy import RadioState
 
+SLEEP, LISTEN = RadioState.SLEEP, RadioState.LISTEN
+
 
 class MetricsLedger:
     def __init__(self, n_nodes, energy_table, topology=None, collect_detail=False):
@@ -15,8 +17,15 @@ class MetricsLedger:
         self.topo = topology
         self.collect_detail = collect_detail
 
-        self.state_time = [dict.fromkeys(RadioState, 0.0) for _ in range(n_nodes)]
-        self.state_energy = [dict.fromkeys(RadioState, 0.0) for _ in range(n_nodes)]
+        # per node, seconds and mJ in each state, in RadioState order:
+        # SLEEP, LISTEN, TX
+        self.state_time = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
+        self.state_energy = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
+        # mJ per second in a state: the (current * voltage) factor of
+        # EnergyTable.energy_mj, so rate * duration is the same product
+        self._sleep_rate = energy_table.current_ma(SLEEP) * energy_table.voltage
+        self._listen_rate = energy_table.current_ma(LISTEN) * energy_table.voltage
+        self._tx_rate = {}                   # output power (dBm) -> rate
         self.switch_energy = [0.0] * n_nodes
         self.sample_energy = [0.0] * n_nodes
         self.residual_mj = [energy_table.battery_mj] * n_nodes
@@ -56,32 +65,37 @@ class MetricsLedger:
             raise ValueError("negative duration")
         if duration == 0.0:
             return 0.0
-        mj = self.table.energy_mj(state, duration, power_dbm)
-        self.state_time[node][state] += duration
-        self.state_energy[node][state] += mj
-        self._draw(node, mj)
+        if state is SLEEP:
+            k, rate = 0, self._sleep_rate
+        elif state is LISTEN:
+            k, rate = 1, self._listen_rate
+        else:
+            k, rate = 2, self._tx_rate.get(power_dbm)
+            if rate is None:
+                table = self.table
+                rate = self._tx_rate[power_dbm] = table.current_ma(state, power_dbm) * table.voltage
+        mj = rate * duration
+        self.state_time[node][k] += duration
+        self.state_energy[node][k] += mj
+        self.residual_mj[node] -= mj
         return mj
 
     def account_switch(self, node):
-        self.switch_energy[node] += self.table.switch_mj
-        self._draw(node, self.table.switch_mj)
-
-    def account_sample(self, node):
-        self.sample_energy[node] += self.table.sample_mj
-        self._draw(node, self.table.sample_mj)
-
-    def _draw(self, node, mj):
+        mj = self.table.switch_mj
+        self.switch_energy[node] += mj
         self.residual_mj[node] -= mj
 
-    def node_depleted(self, node):
-        return self.residual_mj[node] <= 0.0
+    def account_sample(self, node):
+        mj = self.table.sample_mj
+        self.sample_energy[node] += mj
+        self.residual_mj[node] -= mj
 
     def record_death(self, t):
         if self.first_death_time is None:
             self.first_death_time = t
 
     def spent_mj(self, node):
-        return (sum(self.state_energy[node].values())
+        return (sum(self.state_energy[node])
                 + self.switch_energy[node] + self.sample_energy[node])
 
     # -- colliding set ----------------------------------------------------
@@ -138,28 +152,25 @@ class MetricsLedger:
     def mark_frame_state(self):
         if not self.collect_detail:
             return
-        self._frame_state_mark = [dict(st) for st in self.state_time]
+        self._frame_state_mark = [list(st) for st in self.state_time]
 
     def snap_frame_state(self):
         if self._frame_state_mark is None:
             return
-        deltas = []
-        for node in range(self.n):
-            deltas.append({
-                s: self.state_time[node][s] - self._frame_state_mark[node][s]
-                for s in RadioState
-            })
-        self.frame_state_deltas.append(deltas)
-        self._frame_state_mark = [dict(st) for st in self.state_time]
+        self.frame_state_deltas.append([
+            {s: now - then for s, now, then in zip(RadioState, st, mark)}
+            for st, mark in zip(self.state_time, self._frame_state_mark)
+        ])
+        self._frame_state_mark = [list(st) for st in self.state_time]
 
     # -- summaries ---------------------------------------------------------
 
     def duty_cycle(self, node):
-        total = sum(self.state_time[node].values())
+        times = self.state_time[node]
+        total = sum(times)
         if total == 0.0:
             return 0.0
-        awake = self.state_time[node][RadioState.LISTEN] + self.state_time[node][RadioState.TX]
-        return awake / total
+        return (times[1] + times[2]) / total   # LISTEN + TX
 
     def mean_duty_cycle(self):
         return sum(self.duty_cycle(i) for i in range(self.n)) / self.n

@@ -12,6 +12,8 @@ from .packets import PacketKind, make_data_packet
 from .routing import build_tree, disjoint_nodes, estimate_links, tree_is_acyclic
 from .topology import random_topology
 
+SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
+
 
 class Node:
     """Radio-state bookkeeping and queue ownership for one sensor node."""
@@ -19,11 +21,16 @@ class Node:
     def __init__(self, sim, nid):
         self.sim = sim
         self.id = nid
+        # fixed for the run, so the radio path binds them once
+        self.engine = sim.engine
+        self.ledger = sim.ledger
+        self.medium = sim.medium
+        self.power_dbm = sim.scenario.output_power_dbm
         self.alive = True
         self.queue = []
         self.active_session = None
         self.last_rise_t = -1.0
-        self.state = RadioState.SLEEP
+        self.state = SLEEP
         self._state_since = 0.0
         self._tx_until = -1.0
 
@@ -32,56 +39,53 @@ class Node:
     def set_radio(self, state):
         if not self.alive:
             return
-        now = self.sim.engine.now
+        now = self.engine.now
         elapsed = now - self._state_since
+        ledger = self.ledger
         if elapsed > 0:
-            self.sim.ledger.account(self.id, self.state, elapsed,
-                                    self.sim.scenario.output_power_dbm)
+            ledger.account(self.id, self.state, elapsed, self.power_dbm)
         self._state_since = now
         if state is not self.state:
-            was_listening = self.state is RadioState.LISTEN
+            was_listening = self.state is LISTEN
             self.state = state
-            self.sim.ledger.account_switch(self.id)
+            ledger.account_switch(self.id)
             if was_listening:
-                self.sim.medium.abort_receptions(self.id)
+                self.medium.abort_receptions(self.id)
         self._check_energy()
 
     def flush_energy(self):
         if not self.alive:
             return
-        now = self.sim.engine.now
+        now = self.engine.now
         elapsed = now - self._state_since
         if elapsed > 0:
-            self.sim.ledger.account(self.id, self.state, elapsed,
-                                    self.sim.scenario.output_power_dbm)
+            self.ledger.account(self.id, self.state, elapsed, self.power_dbm)
             self._state_since = now
             self._check_energy()
 
     def _check_energy(self):
-        if self.alive and self.sim.ledger.node_depleted(self.id):
+        # every caller holds a live node
+        if self.ledger.residual_mj[self.id] <= 0.0:
             self.alive = False
-            self.sim.ledger.record_death(self.sim.engine.now)
-            self.sim.medium.abort_receptions(self.id)
+            self.ledger.record_death(self.engine.now)
+            self.medium.abort_receptions(self.id)
 
     def radio_begin_tx(self, t_end):
         if t_end > self._tx_until:
             self._tx_until = t_end
-        self.set_radio(RadioState.TX)
+        self.set_radio(TX)
 
     def radio_maybe_end_tx(self):
-        if self.alive and self.state is RadioState.TX \
-                and self.sim.engine.now >= self._tx_until - 1e-12:
-            self.set_radio(RadioState.LISTEN)
-
-    def radio_listening(self):
-        return self.alive and self.state is RadioState.LISTEN
+        if self.alive and self.state is TX and self.engine.now >= self._tx_until - 1e-12:
+            self.set_radio(LISTEN)
 
     # -- medium callbacks -----------------------------------------------------
 
     def on_air_rise(self, tx):
-        self.last_rise_t = self.sim.engine.now
-        if self.sim.driver is not None:
-            self.sim.driver.on_air_rise(self, tx)
+        self.last_rise_t = self.engine.now
+        driver = self.sim.driver
+        if driver is not None:
+            driver.on_air_rise(self, tx)
 
     def on_packet(self, pkt, sinr):
         if self.active_session is not None and pkt.kind in (
@@ -89,15 +93,17 @@ class Node:
                 PacketKind.SEDA_BLOCK, PacketKind.RECOVERY_FRAME):
             self.active_session.on_packet(self.id, pkt, sinr)
             return
-        if self.sim.driver is not None:
-            self.sim.driver.on_packet(self, pkt, sinr)
+        driver = self.sim.driver
+        if driver is not None:
+            driver.on_packet(self, pkt, sinr)
 
     def on_air_resolved_corrupt(self, tx):
         if self.active_session is not None:
             self.active_session.on_corrupt(self.id, tx)
             return
-        if self.sim.driver is not None:
-            self.sim.driver.on_corrupt(self, tx)
+        driver = self.sim.driver
+        if driver is not None:
+            driver.on_corrupt(self, tx)
 
 
 class Simulation:
@@ -190,7 +196,8 @@ class Simulation:
         self.ledger.mark_frame_state()
         for node in self.nodes:
             node.active_session = None
-            self.wake(node.id)
+            if node.alive and node.state is SLEEP:
+                node.set_radio(LISTEN)
         self.refresh_routing()
         self.charge_synch_slot(synch_airtime)
 
@@ -340,21 +347,22 @@ class Simulation:
 
     def wake(self, nid):
         node = self.nodes[nid]
-        if node.alive and node.state is RadioState.SLEEP:
-            node.set_radio(RadioState.LISTEN)
+        if node.alive and node.state is SLEEP:
+            node.set_radio(LISTEN)
 
     def sleep(self, nid):
         node = self.nodes[nid]
-        if node.alive and node.state is not RadioState.SLEEP:
-            node.set_radio(RadioState.SLEEP)
+        if node.alive and node.state is not SLEEP:
+            node.set_radio(SLEEP)
 
     def charge_synch_slot(self, synch_airtime):
         """Synchronization beacons are modeled as airtime and energy only:
         every awake node pays one transmit burst, receptions are abstract."""
+        account = self.ledger.account
+        power_dbm = self.scenario.output_power_dbm
         for node in self.nodes:
-            if node.alive and node.state is RadioState.LISTEN:
-                self.ledger.account(node.id, RadioState.TX, synch_airtime,
-                                    self.scenario.output_power_dbm)
+            if node.alive and node.state is LISTEN:
+                account(node.id, TX, synch_airtime, power_dbm)
                 # the transmit burst replaces listen time inside the slot
                 node._state_since += synch_airtime
                 node._check_energy()

@@ -173,7 +173,9 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "frame_s=nan", "broadcast_count=0", "ack_len=0",
                                      "battery_mah=-1", "battery_mah=0", "payload_bytes=0",
                                      "payload_bytes=-5", "header_bytes=-16",
-                                     "retry_cap=-1"])
+                                     "retry_cap=-1", "output_power_dbm=4000",
+                                     "noise_floor=1e300", "cs_threshold=1e300",
+                                     "sampling_interval_s=1e-9"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
@@ -195,6 +197,32 @@ def test_run_csv_is_identical_across_processes_and_hash_seeds():
         assert out.startswith(b"scenario,protocol,")
         digests.append(hashlib.sha256(out).hexdigest())
     assert digests[0] == digests[1]
+
+
+# `desk` seed 4 for 60 s: every protocol and recovery, and a 20 s super frame
+# whose mid-frame Synch slots the benchmark workloads never reach
+PINNED_RUN_CSV = {
+    ("iamac", "arq", 1.0): "dc9d1dcf48c1ea2d9039f73b3885dbb7e6f8e9be78b0ccb3642fc40c64bfde5a",
+    ("iamac", "seda", 1.0): "a47fc7899a9ec57840a4475970535066a999583aa367c6c7b566e03808df8f12",
+    ("smac", "arq", 1.0): "8b0a441e1ad0b5661b5deac94f9a9ee9c2a86aa104af94cdbd4fb99b3937ecb8",
+    ("smac", "seda", 1.0): "80a757c161404633a577acdcd3998313061d077db1115554fbd54309de81222e",
+    ("adaptive-smac", "arq", 1.0):
+        "cbdd72f0a6b7e9fad51b585d900dbf016e09be0b28f21b7c3c80b120676a7063",
+    ("adaptive-smac", "seda", 1.0):
+        "7592f5d080ac9373a9e2f9325874e79e7215d096f0c0f26749db7b4341fb60cd",
+    ("iamac", "arq", 20.0): "80c6f71748868087b853ffe1b4cb752829ca799be7426e578a3b54229967c50e",
+}
+
+
+def test_run_csv_matches_pinned_digests():
+    got = {}
+    for protocol, recovery, frame_s in PINNED_RUN_CSV:
+        sc = desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
+                         protocol=protocol, recovery=recovery, frame_s=frame_s)
+        _, rows = run_experiment(sc)
+        got[protocol, recovery, frame_s] = hashlib.sha256(
+            rows_to_csv(RUN_COLUMNS, rows).encode("utf-8")).hexdigest()
+    assert got == PINNED_RUN_CSV
 
 
 def test_cli_reports_disjoint(tmp_path):

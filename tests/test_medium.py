@@ -1,10 +1,13 @@
 """On-air registry behavior: carrier sensing, reception lifecycle and the
 worst-case-SINR bookkeeping."""
 
+import math
+
 import pytest
 
-from iamac_sim.config import Scenario
+from iamac_sim.config import Scenario, desk_preset, paper_preset
 from iamac_sim.energy import RadioState
+from iamac_sim.medium import Medium
 from iamac_sim.packets import Packet, PacketKind
 from iamac_sim.simulation import Simulation
 from iamac_sim.topology import fixed_topology
@@ -121,3 +124,59 @@ def test_colliding_set_tracks_concurrent_data_senders():
     assert 2 in wanted_1                 # the overlapping sender is recorded
     wanted_2 = next(i for l, w, i in seen if l == 0 and w == 2)
     assert 1 in wanted_2                 # and symmetrically for the later frame
+
+
+# -- per-sender tables and the on-air power sum ---------------------------------
+
+
+def test_sender_tables_match_the_topology_loop():
+    """Each sender's listener ids and received powers are the topology's
+    influence and sense sets with `rx_mw`, as plain ints and floats in order."""
+    sim = Simulation(paper_preset(seed=1))
+    topo, medium = sim.topo, sim.medium
+    for table, listeners in ((medium.influence_out, topo.influence_out),
+                             (medium.sense_out, topo.sense_out)):
+        for i in range(topo.n):
+            pairs = list(zip(*table[i]))
+            assert pairs == [(int(j), float(topo.rx_mw[i, j])) for j in listeners[i]]
+            assert all(type(j) is int and type(p) is float for j, p in pairs)
+
+
+@pytest.mark.parametrize("protocol, recovery", [("iamac", "seda"), ("adaptive-smac", "arq")])
+def test_onair_power_is_the_sum_over_live_transmissions(protocol, recovery, monkeypatch):
+    """After every transmit and every end of transmission, the incremental
+    `onair_mw` at each node equals the exact sum of the received power of the
+    transmissions still on the air."""
+    sc = desk_preset(seed=4, protocol=protocol, recovery=recovery, horizon_s=60.0,
+                     stop_on_first_death=False)
+    sim = Simulation(sc)
+    topo = sim.topo
+    power = [{int(j): float(topo.rx_mw[i, j]) for j in row}
+             for i, row in enumerate(topo.influence_out)]
+    live = []                     # the sender of every transmission on the air
+    most_live = 0
+    transmit, end_transmission = Medium.transmit, Medium._end_transmission
+
+    def check(medium):
+        nonlocal most_live
+        most_live = max(most_live, len(live))
+        for j in range(topo.n):
+            exact = math.fsum(power[s].get(j, 0.0) for s in live)
+            assert math.isclose(medium.onair_mw[j], exact, rel_tol=1e-9, abs_tol=1e-21)
+
+    def checked_transmit(medium, sender, packet, on_resolved=None):
+        t_end = transmit(medium, sender, packet, on_resolved)
+        live.append(sender)
+        check(medium)
+        return t_end
+
+    def checked_end(medium, tx):
+        # the power leaves the air before any reception callback runs
+        live.remove(tx.sender)
+        end_transmission(medium, tx)
+        check(medium)
+
+    monkeypatch.setattr(Medium, "transmit", checked_transmit)
+    monkeypatch.setattr(Medium, "_end_transmission", checked_end)
+    assert sim.run()["status"] == "ok"
+    assert most_live >= 2
