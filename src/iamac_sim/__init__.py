@@ -6,12 +6,12 @@ from .channel import LinkModel, transitional_region
 from .config import Scenario, desk_preset, load_scenario, paper_density_preset, paper_preset
 from .engine import Engine, RandomStreams
 from .frames import FramePlan, build_frame_plan
-from .recovery import RecoveryParams, arq_capacity, rts_success_prob, seda_capacity
+from .recovery import arq_capacity, rts_success_prob, seda_capacity
 from .simulation import Simulation
 
 __all__ = [
     "Engine", "RandomStreams", "LinkModel", "transitional_region",
-    "FramePlan", "build_frame_plan", "RecoveryParams", "rts_success_prob",
+    "FramePlan", "build_frame_plan", "rts_success_prob",
     "arq_capacity", "seda_capacity", "Scenario", "load_scenario",
     "desk_preset", "paper_preset", "paper_density_preset", "Simulation",
 ]

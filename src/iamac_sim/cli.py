@@ -121,8 +121,7 @@ def cmd_sweep(args):
 def cmd_analytics(args):
     sc = _load(args)
     grid = _parse_values(args.ber_grid)
-    rows = analytic_report([float(b) for b in grid], d_s=args.ds,
-                           params=sc.recovery_params())
+    rows = analytic_report([float(b) for b in grid], d_s=args.ds, sc=sc)
     csv = rows_to_csv(ANALYTICS_COLUMNS, rows)
     out = os.path.join(args.out, "analytics.csv") if args.out else None
     _write(out, csv)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from .channel import LinkModel, dbm_to_mw
 from .energy import EnergyTable
 from .frames import build_frame_plan
-from .recovery import RecoveryParams
+from .packets import airtime
 
 
 class ConfigError(ValueError):
@@ -30,6 +30,11 @@ _MINIMUM = {
     "synch_slot_s": 0.0, "max_backoff_s": 0.0, "sifs_s": 0.0, "gamma_s": 0.0,
     "turnaround_s": 0.0, "smac_adaptive_err": 0.0, "disjoint_tolerance": 0.0,
     "switch_mj": 0.0, "sample_mj": 0.0,
+}
+
+# accepted range of each dBm level: what a low-power radio can emit or hear
+_RANGE = {
+    "output_power_dbm": (-60.0, 30.0), "noise_floor": (-200.0, 0.0),
 }
 
 
@@ -107,6 +112,10 @@ class Scenario:
         for key, low in _MINIMUM.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key}: must be >= {low}, got {getattr(self, key)!r}")
+        for key, (low, high) in _RANGE.items():
+            if not low <= getattr(self, key) <= high:
+                raise ConfigError(f"{key}: must be in [{low}, {high}], "
+                                  f"got {getattr(self, key)!r}")
         for key in ("battery_mah", "bandwidth_to_rate"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key}: must be > 0, got {getattr(self, key)!r}")
@@ -132,14 +141,14 @@ class Scenario:
         # a sample per node faster than one data packet's airtime only
         # floods the event queue (at 1 ns the run never finishes)
         data_airtime = self._derive("payload_bytes, header_bytes, radio_speed",
-                                    lambda: 8.0 * (self.payload_bytes + self.header_bytes)
-                                    / self.radio_speed)
+                                    lambda: airtime(self.payload_bytes + self.header_bytes,
+                                                    self.radio_speed))
         if self.sampling_interval_s < data_airtime:
             raise ConfigError(f"sampling_interval_s: must be >= one data packet airtime "
                               f"({data_airtime:.6g} s), got {self.sampling_interval_s!r}")
         rts_air = self._derive("control_bytes, header_bytes, radio_speed",
-                               lambda: 8.0 * (self.control_bytes + self.header_bytes)
-                               / self.radio_speed)
+                               lambda: airtime(self.control_bytes + self.header_bytes,
+                                               self.radio_speed))
         self._derive("frame_s, synch_slot_s, w, mini_slot_s, cts_slot_s, max_backoff_s",
                      lambda: self.frame_plan(rts_air))
         if self.cts_slot_s <= rts_air + 0.002:
@@ -179,15 +188,6 @@ class Scenario:
             sleep_ma=self.sleep_ma, listen_ma=self.listen_ma, tx0_ma=self.tx0_ma,
             voltage=self.voltage, switch_mj=self.switch_mj,
             sample_mj=self.sample_mj, battery_mah=self.battery_mah,
-        )
-
-    def recovery_params(self):
-        return RecoveryParams(
-            payload_len=self.payload_bytes, hdr_len=self.header_bytes,
-            block_overhead=self.block_overhead, ack_len=self.ack_len,
-            rf_overhead=self.rf_overhead, radio_speed=self.radio_speed,
-            gamma=self.gamma_s, retry_cap=self.retry_cap,
-            turnaround=self.turnaround_s,
         )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .config import Scenario
-from .packets import make_data_packet
 from .routing import preset_tree
 from .simulation import Simulation
 from .topology import fixed_topology
@@ -67,10 +66,10 @@ def build_fig2(protocol, seed=11):
         contention = {FIG2_B: [0.001], FIG2_D: [0.032], FIG2_E: [0.048]}
     sim = Simulation(sc, topology=topo, route_states=states,
                      fixed_contention=contention, trace=True)
-    sim.enqueue(FIG2_B, make_data_packet(FIG2_B, FIG2_B, FIG2_A, 0.0, 29))
-    sim.enqueue(FIG2_E, make_data_packet(FIG2_E, FIG2_E, FIG2_A, 0.0, 29))
+    sim.enqueue(FIG2_B, sim.data_packet(FIG2_B, FIG2_A, 29))
+    sim.enqueue(FIG2_E, sim.data_packet(FIG2_E, FIG2_A, 29))
     # the long transfer whose reception the hidden wake-up tramples
-    sim.enqueue(FIG2_D, make_data_packet(FIG2_D, FIG2_D, FIG2_C, 0.0, 200))
+    sim.enqueue(FIG2_D, sim.data_packet(FIG2_D, FIG2_C, 200))
     sim.ledger.generated_packets += 3
     return sim
 
@@ -100,9 +99,9 @@ def build_fig6(seed=11):
     }
     sim = Simulation(sc, topology=topo, route_states=states,
                      fixed_contention=contention, trace=True)
-    sim.enqueue(FIG6_A, make_data_packet(FIG6_A, FIG6_A, FIG6_B, 0.0, 29))
-    sim.enqueue(FIG6_B, make_data_packet(FIG6_B, FIG6_B, FIG6_C, 0.0, 29))
-    sim.enqueue(FIG6_E, make_data_packet(FIG6_E, FIG6_E, FIG6_C, 0.0, 29))
+    sim.enqueue(FIG6_A, sim.data_packet(FIG6_A, FIG6_B, 29))
+    sim.enqueue(FIG6_B, sim.data_packet(FIG6_B, FIG6_C, 29))
+    sim.enqueue(FIG6_E, sim.data_packet(FIG6_E, FIG6_C, 29))
     sim.ledger.generated_packets += 3
     return sim
 

@@ -9,9 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import Scenario
-from .packets import make_data_packet
-from .recovery import (ArqSession, RecoveryParams, SedaSession, arq_capacity,
-                       rts_success_prob, seda_capacity)
+from .recovery import ArqSession, SedaSession, arq_capacity, rts_success_prob, seda_capacity
 from .routing import preset_tree
 from .simulation import Simulation
 from .topology import fixed_topology
@@ -90,15 +88,16 @@ def sweep(base, param, values, seeds, workers=0):
     return table, rows
 
 
-def analytic_report(ber_grid, d_s=1.0, params=None):
-    """Closed-form capacities per bit error rate; no simulation involved."""
-    params = params or RecoveryParams()
+def analytic_report(ber_grid, d_s=1.0, sc=None):
+    """Closed-form capacities per bit error rate for scenario `sc` (default:
+    the reference scenario); no simulation involved."""
+    sc = sc or Scenario()
     rows = []
     for ber in ber_grid:
-        a = arq_capacity(d_s, ber, params)
-        s = seda_capacity(d_s, ber, params)
+        a = arq_capacity(d_s, ber, sc)
+        s = seda_capacity(d_s, ber, sc)
         rows.append([_fmt(ber), str(a), str(s),
-                     str(a * params.payload_len), str(s * params.payload_len)])
+                     str(a * sc.payload_bytes), str(s * sc.payload_bytes)])
     return rows
 
 
@@ -176,13 +175,12 @@ def star_simulation(scenario, children=6, radius=6.0):
 # -- transfer benchmark (analytics <-> simulation consistency) ----------------------
 
 
-def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None, supply=None):
+def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, supply=None):
     """Repeated single-link transfers: a fresh saturated queue each frame of
     budget d_s, over a channel whose SNR realizes the requested bit error
     rate. Returns per-frame means of packets sent and payload delivered."""
-    params = params or RecoveryParams()
-    sc = Scenario(node_count=2, seed=seed, shadowing_sigma=0.0,
-                  output_power_dbm=0.0, stop_on_first_death=False)
+    sc = Scenario(node_count=2, seed=seed, shadowing_sigma=0.0, output_power_dbm=0.0,
+                  stop_on_first_death=False, turnaround_s=turnaround_s)
     model = sc.link_model()
     if ber > 0:
         # invert the FSK map: ber = 0.5*exp(-snr_lin/2 * k)
@@ -201,8 +199,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None, supply=N
 
     gap = 1.0  # idle spacing between benchmark frames
     if supply is None:
-        supply = max(arq_capacity(d_s, 0.0, params),
-                     seda_capacity(d_s, 0.0, params)) + 20
+        supply = max(arq_capacity(d_s, 0.0, sc), seda_capacity(d_s, 0.0, sc)) + 20
     sessions = []
     delivered_first = None
     for k in range(frames):
@@ -210,16 +207,12 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None, supply=N
         engine.run_until(t0)
         for node in nodes:
             sim.wake(node.id)
-        nodes[1].queue = [
-            make_data_packet(origin=1, src=1, dst=0, born_at=t0,
-                             payload_len=params.payload_len, header=params.hdr_len)
-            for _ in range(supply)
-        ]
+        nodes[1].queue = [sim.data_packet(1, 0, sc.payload_bytes, t0) for _ in range(supply)]
         windows = [(t0, t0 + d_s)]
         if recovery == "seda":
-            session = SedaSession(sim, 1, 0, windows, params, None, link_ber=ber)
+            session = SedaSession(sim, 1, 0, windows, None, link_ber=ber)
         else:
-            session = ArqSession(sim, 1, 0, windows, params, None)
+            session = ArqSession(sim, 1, 0, windows, None)
         sessions.append(session)
         nodes[0].active_session = session
         nodes[1].active_session = session
@@ -234,7 +227,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, params=None, supply=N
     first = sessions[0]
     return {
         "mean_packets_sent": mean_sent,
-        "mean_sent_payload": mean_sent * params.payload_len,
+        "mean_sent_payload": mean_sent * sc.payload_bytes,
         "mean_delivered_payload": sum(r[3] for r in ledger.delivered_records) / frames,
         "delivered_per_frame": delivered_first,
         "elapsed_first": first.result.elapsed if first.done else None,

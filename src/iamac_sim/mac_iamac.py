@@ -11,7 +11,7 @@ frame. Granted children transfer to their parent back to back in grant order.
 from __future__ import annotations
 
 from .energy import RadioState
-from .packets import Packet, PacketKind
+from .packets import Packet, PacketKind, airtime
 from .recovery import ArqSession, SedaSession
 
 CTS_GUARD = 0.001
@@ -44,9 +44,8 @@ class IamacDriver:
         self.engine = sim.engine
         sc = sim.scenario
         # a CTS is as long as an RTS
-        self.rts_airtime = 8.0 * (sc.control_bytes + sc.header_bytes) / sim.model.radio_speed
+        self.rts_airtime = airtime(sc.control_bytes + sc.header_bytes, sc.radio_speed)
         self.plan = sc.frame_plan(self.rts_airtime)
-        self.params = sc.recovery_params()
         self.rng = sim.streams.stream("contention")
         self.states = [IamacNodeState() for _ in range(sim.topo.n)]
         self.phase = "idle"
@@ -262,8 +261,8 @@ class IamacDriver:
             if node.alive and node.id not in party:
                 sim.sleep(node.id)
         # shave the window tail so trailing timers resolve inside the frame
-        guard = (self.params.airtime_bytes(self.params.rf_overhead + self.params.hdr_len)
-                 + self.params.turnaround + 0.001)
+        sc = sim.scenario
+        guard = airtime(sc.rf_overhead + sc.header_bytes, sc.radio_speed) + sc.turnaround_s + 0.001
         windows = [(s, e - guard) for s, e in self.plan.comm_windows(self.cycle_start)
                    if e - guard > s]
         for rid in receivers:
@@ -291,10 +290,10 @@ class IamacDriver:
                 self._next_transfer(parent, children, windows)
 
             if sim.scenario.recovery == "seda":
-                session = SedaSession(sim, child, parent, windows, self.params, done,
+                session = SedaSession(sim, child, parent, windows, done,
                                       link_ber=sim.link_ber_estimate(child, parent))
             else:
-                session = ArqSession(sim, child, parent, windows, self.params, done)
+                session = ArqSession(sim, child, parent, windows, done)
             node.active_session = session
             sim.nodes[parent].active_session = session
             session.start()

@@ -13,8 +13,10 @@ reception elsewhere.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .energy import RadioState
-from .packets import Packet, PacketKind
+from .packets import Packet, PacketKind, airtime
 
 
 class SmacNodeState:
@@ -44,10 +46,9 @@ class SmacDriver:
         self.engine = sim.engine
         self.adaptive = adaptive
         sc = sim.scenario
-        speed = sim.model.radio_speed
         # a CTS is as long as an RTS
-        self.rts_air = 8.0 * (sc.control_bytes + sc.header_bytes) / speed
-        self.ack_air = 8.0 * sc.ack_len / speed
+        self.rts_air = airtime(sc.control_bytes + sc.header_bytes, sc.radio_speed)
+        self.ack_air = airtime(sc.ack_len, sc.radio_speed)
         self.sifs = sc.sifs_s
         self.synch_slot = sc.synch_slot_s
         # listen budget mirrors the slotted MAC's RTS+CTS share for fairness
@@ -111,8 +112,8 @@ class SmacDriver:
         node = self.sim.nodes[nid]
         if not node.queue:
             return None
-        data_air = 8.0 * (node.queue[0].payload_len + self.sim.scenario.header_bytes) \
-            / self.sim.model.radio_speed
+        sc = self.sim.scenario
+        data_air = airtime(node.queue[0].payload_len + sc.header_bytes, sc.radio_speed)
         return (self.rts_air + self.sifs + self.rts_air + self.sifs
                 + data_air + self.sifs + self.ack_air)
 
@@ -253,11 +254,7 @@ class SmacDriver:
         st = self.states[nid]
         if not node.alive or st.role is None or not node.queue:
             return
-        pkt = node.queue[0]
-        data = Packet(kind=PacketKind.DATA, src=nid, dst=st.peer,
-                      length=pkt.payload_len, header=sim.scenario.header_bytes,
-                      born_at=pkt.born_at, origin=pkt.origin,
-                      payload_len=pkt.payload_len, uid=pkt.uid)
+        data = replace(node.queue[0], src=nid, dst=st.peer, header=sim.scenario.header_bytes)
         sim.ledger.data_packets_started += 1
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)

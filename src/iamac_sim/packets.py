@@ -1,10 +1,10 @@
-"""Frame types shared by every MAC and the recovery procedures."""
+"""Frame types shared by every MAC and the recovery procedures, and the one
+airtime formula."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 
 
 class PacketKind(Enum):
@@ -17,7 +17,9 @@ class PacketKind(Enum):
     RECOVERY_FRAME = "recovery"
 
 
-_uid = count()
+def airtime(nbytes, radio_speed):
+    """Seconds on air for `nbytes` bytes at `radio_speed` bits/second."""
+    return 8.0 * nbytes / radio_speed
 
 
 @dataclass
@@ -33,7 +35,7 @@ class Packet:
     born_at: float = 0.0        # generation time of the payload, for latency
     origin: int = -1            # node that generated the payload
     payload_len: int = 0
-    uid: int = field(default_factory=lambda: next(_uid))
+    uid: int = -1               # data packets: numbered per run by the Simulation
     # extra per-kind fields
     exchange_end: float = 0.0   # S-MAC duration field (absolute end time)
     block_uids: tuple = ()      # Seda data frame: uids of packets carried as blocks
@@ -42,17 +44,18 @@ class Packet:
         return self.length + self.header
 
     def airtime(self, radio_speed):
-        return 8.0 * self.on_air_bytes() / radio_speed
+        return airtime(self.on_air_bytes(), radio_speed)
 
 
-def make_data_packet(origin, src, dst, born_at, payload_len, header=16):
+def make_data_packet(uid, origin, dst, born_at, payload_len, header):
     return Packet(
         kind=PacketKind.DATA,
-        src=src,
+        src=origin,
         dst=dst,
         length=payload_len,
         header=header,
         born_at=born_at,
         origin=origin,
         payload_len=payload_len,
+        uid=uid,
     )

@@ -9,33 +9,10 @@ lossy medium; their agreement with the closed forms is an acceptance gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .packets import Packet, PacketKind
-
-
-@dataclass
-class RecoveryParams:
-    payload_len: int = 29        # bytes per payload unit
-    hdr_len: int = 16            # physical + MAC header
-    block_overhead: int = 2
-    ack_len: int = 23            # on air, header included
-    rf_overhead: int = 5         # recovery frame body
-    radio_speed: float = 19200.0
-    gamma: float = 0.0           # fixed per-budget overhead, normally negligible
-    retry_cap: int = 1           # retransmissions per packet/block
-    turnaround: float = 0.0      # inter-cycle gap and timeout slack
-
-    @property
-    def pkt_len(self):
-        return self.payload_len + self.hdr_len
-
-    @property
-    def block_len(self):
-        return self.payload_len + self.block_overhead
-
-    def airtime_bytes(self, nbytes):
-        return 8.0 * nbytes / self.radio_speed
+from .config import Scenario
+from .packets import Packet, PacketKind, airtime
 
 
 # -- contention analytics ---------------------------------------------------
@@ -63,33 +40,34 @@ def rts_success_prob(n, w, mode="distinct-slot"):
 
 # -- capacity analytics ------------------------------------------------------
 
-def arq_capacity(d_s, ber, params=None):
+def arq_capacity(d_s, ber, sc=None):
     """Largest packet count whose send+ack cycles, with the expected
-    single retransmission share, fit into the d_s budget."""
-    params = params or RecoveryParams()
+    single retransmission share, fit into the d_s budget of scenario `sc`
+    (default: the reference scenario)."""
+    sc = sc or Scenario()
     if not 0.0 <= ber < 1.0:
         raise ValueError("ber must be in [0, 1)")
-    if d_s <= params.gamma:
+    if d_s <= sc.gamma_s:
         return 0
-    lp_bits = 8 * params.pkt_len
-    lack_bits = 8 * params.ack_len
+    lp_bits = 8 * (sc.payload_bytes + sc.header_bytes)
+    lack_bits = 8 * sc.ack_len
     retrans = 2.0 - (1.0 - ber) ** lp_bits
-    per_pkt = (lp_bits + lack_bits) * retrans / params.radio_speed
-    return int((d_s - params.gamma) / per_pkt)
+    per_pkt = (lp_bits + lack_bits) * retrans / sc.radio_speed
+    return int((d_s - sc.gamma_s) / per_pkt)
 
 
-def seda_capacity(d_s, ber, params=None):
+def seda_capacity(d_s, ber, sc=None):
     """Largest block count for one header-framed burst plus the expected
     recovery round (recovery frame, retransmission header, corrupted blocks)."""
-    params = params or RecoveryParams()
+    sc = sc or Scenario()
     if not 0.0 <= ber < 1.0:
         raise ValueError("ber must be in [0, 1)")
-    if d_s <= params.gamma:
+    if d_s <= sc.gamma_s:
         return 0
-    lb_bits = 8 * params.block_len
-    hdr_bits = 8 * params.hdr_len
-    rf_bits = 8 * params.rf_overhead
-    speed = params.radio_speed
+    lb_bits = 8 * (sc.payload_bytes + sc.block_overhead)
+    hdr_bits = 8 * sc.header_bytes
+    rf_bits = 8 * sc.rf_overhead
+    speed = sc.radio_speed
     p_block = 1.0 - (1.0 - ber) ** lb_bits
 
     def fits(mpf):
@@ -97,7 +75,7 @@ def seda_capacity(d_s, ber, params=None):
         e_corrupt = mpf * p_block
         t = (hdr_bits + mpf * lb_bits
              + p_any * (rf_bits + hdr_bits + e_corrupt * lb_bits)) / speed
-        return t + params.gamma <= d_s
+        return t + sc.gamma_s <= d_s
 
     if not fits(1):
         return 0
@@ -129,14 +107,14 @@ class TransferResult:
 
 
 class _SessionBase:
-    def __init__(self, sim, child, parent, windows, params, on_done):
+    def __init__(self, sim, child, parent, windows, on_done):
         self.sim = sim
+        self.sc = sim.scenario
         self.engine = sim.engine
         self.medium = sim.medium
         self.child = child
         self.parent = parent
         self.windows = list(windows)
-        self.params = params
         self.on_done = on_done
         self.result = TransferResult()
         self.done = False
@@ -190,9 +168,9 @@ class ArqSession(_SessionBase):
         self._next_packet()
 
     def _cycle_time(self):
-        p = self.params
-        return (p.airtime_bytes(p.pkt_len) + p.airtime_bytes(p.ack_len)
-                + p.turnaround)
+        sc = self.sc
+        return (airtime(sc.payload_bytes + sc.header_bytes, sc.radio_speed)
+                + airtime(sc.ack_len, sc.radio_speed) + sc.turnaround_s)
 
     def _next_packet(self):
         if self.done:
@@ -228,16 +206,13 @@ class ArqSession(_SessionBase):
             self.engine.schedule(start, lambda ev: self._send_attempt())
             return
         self.attempts += 1
-        pkt = self.current
-        data = Packet(kind=PacketKind.DATA, src=self.child, dst=self.parent,
-                      length=pkt.payload_len, header=self.params.hdr_len,
-                      born_at=pkt.born_at, origin=pkt.origin,
-                      payload_len=pkt.payload_len, uid=pkt.uid)
+        sc = self.sc
+        data = replace(self.current, src=self.child, dst=self.parent,
+                       header=sc.header_bytes)
         t_end = self.medium.transmit(self.child, data)
         # the instant-ack case resolves exactly at t_end + ack airtime; the
         # 1 us slack keeps the timeout strictly after that resolution
-        timeout = (t_end + self.params.airtime_bytes(self.params.ack_len)
-                   + self.params.turnaround + 1e-6)
+        timeout = t_end + airtime(sc.ack_len, sc.radio_speed) + sc.turnaround_s + 1e-6
         self._timeout_ev = self.engine.schedule(timeout, self._on_timeout)
 
     def on_packet(self, node, pkt, sinr):
@@ -249,7 +224,7 @@ class ArqSession(_SessionBase):
                 self._deliver(self.current)
             # acknowledge every decoded data frame, duplicates included
             ack = Packet(kind=PacketKind.ACK, src=self.parent, dst=self.child,
-                         length=self.params.ack_len, header=0)
+                         length=self.sc.ack_len, header=0)
             self.medium.transmit(self.parent, ack)
         elif node == self.child and pkt.kind is PacketKind.ACK and pkt.src == self.parent:
             self._ack_received()
@@ -260,7 +235,7 @@ class ArqSession(_SessionBase):
         if not self._queue():
             self._finish()
             return
-        gap = self.params.turnaround
+        gap = self.sc.turnaround_s
         if gap > 0:
             self.engine.schedule(self.engine.now + gap, lambda ev: self._next_packet())
         else:
@@ -270,7 +245,7 @@ class ArqSession(_SessionBase):
         self._timeout_ev = None
         if self.done:
             return
-        if self.attempts <= self.params.retry_cap:
+        if self.attempts <= self.sc.retry_cap:
             self._send_attempt()
         else:
             # retry budget exhausted; reconcile against what actually arrived
@@ -298,6 +273,7 @@ class SedaSession(_SessionBase):
     def __init__(self, *args, link_ber=0.0, **kwargs):
         super().__init__(*args, **kwargs)
         self.link_ber = link_ber
+        self.block_len = self.sc.payload_bytes + self.sc.block_overhead
         self.burst = []
         self.delivered_uids = set()
         self.retrans_uids = set()    # blocks that flew in a retransmission
@@ -320,8 +296,7 @@ class SedaSession(_SessionBase):
         if not q:
             self._finish()
             return
-        min_need = self.params.airtime_bytes(self.params.hdr_len + self.params.block_len)
-        start, end = self._fit(min_need)
+        start, end = self._fit(self._frame_airtime(1))
         if start is None:
             self._finish()
             return
@@ -329,9 +304,9 @@ class SedaSession(_SessionBase):
             self.engine.schedule(start, lambda ev: self._next_burst())
             return
         budget = end - self.engine.now
-        plan = seda_capacity(budget, self.link_ber, self.params)
+        plan = seda_capacity(budget, self.link_ber, self.sc)
         if plan < 1:
-            plan = 1  # min_need already fits: push at least one block
+            plan = 1  # a one-block frame already fits: push at least one block
         self.burst = list(q[:plan])
         self.delivered_uids = set()
         self.retrans_uids = set()
@@ -341,16 +316,19 @@ class SedaSession(_SessionBase):
         self.phase = "data"
         self._send_frame([p.uid for p in self.burst], await_recovery=True)
 
+    def _frame_airtime(self, blocks):
+        return airtime(self.sc.header_bytes + blocks * self.block_len, self.sc.radio_speed)
+
     def _send_frame(self, uids, await_recovery):
-        nbytes = self.params.hdr_len + len(uids) * self.params.block_len
+        sc = self.sc
         frame = Packet(kind=PacketKind.SEDA_BLOCK, src=self.child, dst=self.parent,
-                       length=nbytes - self.params.hdr_len, header=self.params.hdr_len,
+                       length=len(uids) * self.block_len, header=sc.header_bytes,
                        block_uids=tuple(uids))
         t_end = self.medium.transmit(self.child, frame)
         self._cancel_timer()
         if await_recovery:
-            rf_time = self.params.airtime_bytes(self.params.rf_overhead + self.params.hdr_len)
-            deadline = t_end + rf_time + self.params.turnaround + 1e-6
+            rf_time = airtime(sc.rf_overhead + sc.header_bytes, sc.radio_speed)
+            deadline = t_end + rf_time + sc.turnaround_s + 1e-6
         else:
             deadline = t_end + 1e-6
         self._timeout_ev = self.engine.schedule(deadline, self._on_deadline)
@@ -369,26 +347,15 @@ class SedaSession(_SessionBase):
             return
         if tx.sender != self.parent or tx.packet.kind is not PacketKind.RECOVERY_FRAME:
             return
+        self._retransmit_or_resolve([p.uid for p in self.burst])
+
+    def _retransmit_or_resolve(self, uids):
+        """Resend `uids` once if their frame fits the window, else close the burst."""
         self._cancel_timer()
-        uids = [p.uid for p in self.burst]
-        need = self.params.airtime_bytes(
-            self.params.hdr_len + len(uids) * self.params.block_len)
-        if self._window_end - self.engine.now >= need:
+        if uids and self._window_end - self.engine.now >= self._frame_airtime(len(uids)):
             self.phase = "retrans"
             self.retrans_uids.update(uids)
             self._send_frame(uids, await_recovery=False)
-        else:
-            self._resolve_burst()
-
-    def _recovery_received(self, pkt):
-        self._cancel_timer()
-        corrupt = list(pkt.block_uids)
-        need = self.params.airtime_bytes(
-            self.params.hdr_len + len(corrupt) * self.params.block_len)
-        if corrupt and self._window_end - self.engine.now >= need:
-            self.phase = "retrans"
-            self.retrans_uids.update(corrupt)
-            self._send_frame(corrupt, await_recovery=False)
         else:
             self._resolve_burst()
 
@@ -397,7 +364,7 @@ class SedaSession(_SessionBase):
     def _parent_got_frame(self, pkt, sinr):
         by_uid = {p.uid: p for p in self.burst}
         flips = self.medium.block_corruption_draws(
-            sinr, len(pkt.block_uids), self.params.block_len)
+            sinr, len(pkt.block_uids), self.block_len)
         corrupt = []
         for uid, bad in zip(pkt.block_uids, flips):
             if bad:
@@ -409,8 +376,8 @@ class SedaSession(_SessionBase):
             self._rf_sent = True
             self.result.recovery_frames += 1
             rf = Packet(kind=PacketKind.RECOVERY_FRAME, src=self.parent,
-                        dst=self.child, length=self.params.rf_overhead,
-                        header=self.params.hdr_len, block_uids=tuple(corrupt))
+                        dst=self.child, length=self.sc.rf_overhead,
+                        header=self.sc.header_bytes, block_uids=tuple(corrupt))
             self.medium.transmit(self.parent, rf)
 
     # -- shared -----------------------------------------------------------
@@ -421,7 +388,7 @@ class SedaSession(_SessionBase):
         if node == self.parent and pkt.kind is PacketKind.SEDA_BLOCK and pkt.src == self.child:
             self._parent_got_frame(pkt, sinr)
         elif node == self.child and pkt.kind is PacketKind.RECOVERY_FRAME and pkt.src == self.parent:
-            self._recovery_received(pkt)
+            self._retransmit_or_resolve(pkt.block_uids)
 
     def _resolve_burst(self):
         """Burst over: delivered blocks leave the queue, blocks that lost
@@ -435,5 +402,5 @@ class SedaSession(_SessionBase):
                 self.sim.ledger.record_drop()
         self.burst = []
         self.phase = "idle"
-        gap = self.params.turnaround + 1e-6
+        gap = self.sc.turnaround_s + 1e-6
         self.engine.schedule(self.engine.now + gap, lambda ev: self._next_burst())

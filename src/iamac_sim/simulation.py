@@ -4,6 +4,8 @@ independent runs share nothing."""
 
 from __future__ import annotations
 
+from itertools import count
+
 from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
@@ -140,6 +142,7 @@ class Simulation:
         self.frame_idx = -1
         self.measured_until = 0.0
         self.driver = None
+        self._uids = count()
         self.rx_log = [] if scenario.collect_detail else None
         if scenario.collect_detail:
             self.medium.tx_log = []
@@ -233,12 +236,8 @@ class Simulation:
             return
         node = self.nodes[nid]
         if node.alive:
-            pkt = make_data_packet(
-                origin=nid, src=nid, dst=self.parent_of(nid) or 0,
-                born_at=self.engine.now,
-                payload_len=self.scenario.payload_bytes,
-                header=self.scenario.header_bytes,
-            )
+            pkt = self.data_packet(nid, self.parent_of(nid) or 0,
+                                   self.scenario.payload_bytes, self.engine.now)
             self.enqueue(nid, pkt)
             self.ledger.record_generated()
             self.ledger.account_sample(nid)
@@ -246,6 +245,11 @@ class Simulation:
                                  lambda ev: self._sample(nid))
 
     # -- queue plumbing -------------------------------------------------------------
+
+    def data_packet(self, origin, dst, payload_len, born_at=0.0):
+        """A new data packet from `origin`, numbered in this run's own sequence."""
+        return make_data_packet(next(self._uids), origin, dst, born_at, payload_len,
+                                self.scenario.header_bytes)
 
     def enqueue(self, nid, pkt):
         node = self.nodes[nid]

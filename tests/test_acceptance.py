@@ -9,13 +9,12 @@ import statistics
 import pytest
 
 from iamac_sim.channel import transitional_region
-from iamac_sim.config import desk_preset, paper_density_preset
+from iamac_sim.config import Scenario, desk_preset, paper_density_preset
 from iamac_sim.fixtures import FIG6_GOLDEN, run_fig2, run_fig6
 from iamac_sim.harness import (RUN_COLUMNS, rows_to_csv, run_experiment,
                                star_simulation, transfer_benchmark,
                                trend_interior_max, trend_monotone)
-from iamac_sim.recovery import (RecoveryParams, arq_capacity,
-                                rts_success_prob, seda_capacity)
+from iamac_sim.recovery import arq_capacity, rts_success_prob, seda_capacity
 from iamac_sim.simulation import Simulation
 
 PAYLOAD = 29
@@ -51,13 +50,13 @@ def test_c1_rts_success_probability_exact():
 # -- criterion 2: capacity analytics ---------------------------------------------------
 
 def test_c2_capacity_closed_forms_and_ordering():
-    params = RecoveryParams()
-    a0 = arq_capacity(1.0, 0.0, params)
-    s0 = seda_capacity(1.0, 0.0, params)
+    sc = Scenario()
+    a0 = arq_capacity(1.0, 0.0, sc)
+    s0 = seda_capacity(1.0, 0.0, sc)
     assert a0 == 35 and s0 == 76
     for ber in (0.0, 1e-5, 1e-4, 1e-3, 1e-2):
-        arq_b = arq_capacity(1.0, ber, params) * PAYLOAD
-        seda_b = seda_capacity(1.0, ber, params) * PAYLOAD
+        arq_b = arq_capacity(1.0, ber, sc) * PAYLOAD
+        seda_b = seda_capacity(1.0, ber, sc) * PAYLOAD
         assert seda_b >= arq_b, f"ordering violated at ber={ber}"
     report(2, True, f"arq(1s,0)={a0}, seda(1s,0)={s0}; "
                     "block recovery dominates on the whole grid")

@@ -1,7 +1,6 @@
 import pytest
 
 from iamac_sim.config import Scenario, desk_preset
-from iamac_sim.packets import make_data_packet
 from iamac_sim.routing import preset_tree
 from iamac_sim.simulation import Simulation
 from iamac_sim.topology import fixed_topology
@@ -24,7 +23,7 @@ def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
 
 def test_plain_smac_one_hop_per_frame_bound():
     sim = chain_sim("smac")
-    sim.enqueue(3, make_data_packet(3, 3, 2, 0.0, 29))
+    sim.enqueue(3, sim.data_packet(3, 2, 29))
     sim.ledger.generated_packets += 1
     res = sim.run()
     assert res["delivered_packets"] == 1
@@ -35,12 +34,12 @@ def test_plain_smac_one_hop_per_frame_bound():
 
 def test_adaptive_smac_forwards_across_hops_in_one_frame():
     plain = chain_sim("smac")
-    plain.enqueue(3, make_data_packet(3, 3, 2, 0.0, 29))
+    plain.enqueue(3, plain.data_packet(3, 2, 29))
     plain.ledger.generated_packets += 1
     r_plain = plain.run()
 
     adaptive = chain_sim("adaptive-smac")
-    adaptive.enqueue(3, make_data_packet(3, 3, 2, 0.0, 29))
+    adaptive.enqueue(3, adaptive.data_packet(3, 2, 29))
     adaptive.ledger.generated_packets += 1
     r_adaptive = adaptive.run()
 
@@ -84,7 +83,7 @@ def test_overhearer_never_transmits_during_nav():
 def test_smac_exchange_carries_one_packet_per_frame():
     sim = chain_sim("smac", hops=1, horizon_s=6.0)
     for k in range(4):
-        sim.enqueue(1, make_data_packet(1, 1, 0, 0.0, 29))
+        sim.enqueue(1, sim.data_packet(1, 0, 29))
     sim.ledger.generated_packets += 4
     res = sim.run()
     # six frames, one data+ack exchange each: at most 6, exactly queue-limited

@@ -17,6 +17,7 @@ from iamac_sim.harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
                                rows_to_csv, run_experiment, sweep,
                                trend_interior_max, trend_monotone)
 from iamac_sim.config import desk_preset
+from iamac_sim.simulation import Simulation
 
 
 # -- configuration -------------------------------------------------------------
@@ -175,7 +176,8 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "payload_bytes=-5", "header_bytes=-16",
                                      "retry_cap=-1", "output_power_dbm=4000",
                                      "noise_floor=1e300", "cs_threshold=1e300",
-                                     "sampling_interval_s=1e-9"])
+                                     "sampling_interval_s=1e-9", "noise_floor=-4000",
+                                     "output_power_dbm=3000"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
@@ -214,6 +216,18 @@ PINNED_RUN_CSV = {
 }
 
 
+def test_repeated_runs_in_one_process_number_packets_alike():
+    """Data packet ids belong to their run: two identical runs in one process
+    leave the same ids in their queues."""
+    queued = []
+    for _ in range(2):
+        sim = Simulation(desk_preset(seed=4, horizon_s=30.0, stop_on_first_death=False))
+        sim.run()
+        queued.append([p.uid for node in sim.nodes for p in node.queue])
+    assert queued[0] and len(set(queued[0])) == len(queued[0])
+    assert queued[0] == queued[1]
+
+
 def test_run_csv_matches_pinned_digests():
     got = {}
     for protocol, recovery, frame_s in PINNED_RUN_CSV:
@@ -245,6 +259,28 @@ def test_cli_analytics_writes_csv(tmp_path):
     assert (tmp_path / "p0.csv").exists()
 
 
+# `analytics --p0` output digests, recorded before the closed forms read the
+# scenario directly; the second case moves every recovery size they use
+PINNED_ANALYTICS_CSV = {
+    (): {"analytics.csv": "368b05e034b71d81c4e2c4bca1a4dd245a8d07b639c1d175e4493137bb4af431",
+         "p0.csv": "20139d487e3b66933f1450a3d49d26f023ce80a6248726794d85477dc0fa748a"},
+    ("ack_len=40", "gamma_s=0.1", "block_overhead=4"): {
+        "analytics.csv": "04a5cb00cdbedd184e7fbd377a8be2cbab5e82596621bde25f6573a58608eac0",
+        "p0.csv": "20139d487e3b66933f1450a3d49d26f023ce80a6248726794d85477dc0fa748a"},
+}
+
+
+@pytest.mark.parametrize("overrides", list(PINNED_ANALYTICS_CSV))
+def test_cli_analytics_csv_matches_pinned_digests(overrides, tmp_path):
+    argv = ["analytics", "--p0", "--out", str(tmp_path)]
+    for setting in overrides:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("analytics.csv", "p0.csv")}
+    assert got == PINNED_ANALYTICS_CSV[overrides]
+
+
 def test_cli_run_writes_metrics(tmp_path):
     code = main(["run", "--preset", "desk", "--seed", "4",
                  "--set", "horizon_s=10", "--out", str(tmp_path)])
@@ -268,8 +304,6 @@ def test_cli_sweep_trend_gate(tmp_path):
 def test_twenty_node_smoke_completes_quickly():
     sc = desk_preset(node_count=20, area=(40.0, 40.0), horizon_s=300.0,
                      sampling_interval_s=10.0, seed=6, stop_on_first_death=False)
-    from iamac_sim.simulation import Simulation
-
     start = time.time()
     res = Simulation(sc).run()
     elapsed = time.time() - start

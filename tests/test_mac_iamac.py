@@ -140,7 +140,6 @@ def test_singleton_remaining_slot_is_forced():
 
 def test_uncontended_single_hop_delivers_within_its_frame():
     from iamac_sim.config import Scenario
-    from iamac_sim.packets import make_data_packet
     from iamac_sim.routing import preset_tree
     from iamac_sim.topology import fixed_topology
 
@@ -151,7 +150,7 @@ def test_uncontended_single_hop_delivers_within_its_frame():
     topo = fixed_topology([(0.0, 0.0), (4.0, 0.0)], sink=0,
                           model=sc.link_model(), tx_power_dbm=0.0)
     sim = Simulation(sc, topology=topo, route_states=preset_tree(topo, {1: 0}))
-    sim.enqueue(1, make_data_packet(1, 1, 0, 0.0, 29))
+    sim.enqueue(1, sim.data_packet(1, 0, 29))
     sim.ledger.generated_packets += 1
     res = sim.run()
     assert res["delivered_packets"] == 1

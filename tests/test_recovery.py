@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from iamac_sim.config import Scenario
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
-from iamac_sim.recovery import (RecoveryParams, arq_capacity,
-                                rts_success_prob, seda_capacity)
+from iamac_sim.packets import airtime
+from iamac_sim.recovery import arq_capacity, rts_success_prob, seda_capacity
 
 
 # -- contention probability ----------------------------------------------------
@@ -95,26 +96,26 @@ def test_seda_capacity_error_free():
 
 
 def test_capacities_monotone_grid():
-    params = RecoveryParams()
+    sc = Scenario()
     bers = [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2]
     budgets = [0.25, 0.5, 1.0, 2.0]
     for d in budgets:
-        arqs = [arq_capacity(d, b, params) for b in bers]
-        sedas = [seda_capacity(d, b, params) for b in bers]
+        arqs = [arq_capacity(d, b, sc) for b in bers]
+        sedas = [seda_capacity(d, b, sc) for b in bers]
         assert arqs == sorted(arqs, reverse=True)
         assert sedas == sorted(sedas, reverse=True)
     for b in bers:
-        arqs = [arq_capacity(d, b, params) for d in budgets]
-        sedas = [seda_capacity(d, b, params) for d in budgets]
+        arqs = [arq_capacity(d, b, sc) for d in budgets]
+        sedas = [seda_capacity(d, b, sc) for d in budgets]
         assert arqs == sorted(arqs)
         assert sedas == sorted(sedas)
 
 
 def test_seda_payload_dominates_arq_on_grid():
-    params = RecoveryParams()
+    sc = Scenario()
     for ber in (0.0, 1e-5, 1e-4, 1e-3, 1e-2):
-        assert (seda_capacity(1.0, ber, params) * params.payload_len
-                >= arq_capacity(1.0, ber, params) * params.payload_len)
+        assert (seda_capacity(1.0, ber, sc) * sc.payload_bytes
+                >= arq_capacity(1.0, ber, sc) * sc.payload_bytes)
 
 
 def test_both_capacities_tend_to_fixed_values_at_high_ber():
@@ -123,7 +124,7 @@ def test_both_capacities_tend_to_fixed_values_at_high_ber():
 
 
 def test_gamma_reduces_budget():
-    assert arq_capacity(1.0, 0.0, RecoveryParams(gamma=0.5)) == arq_capacity(0.5, 0.0)
+    assert arq_capacity(1.0, 0.0, Scenario(gamma_s=0.5)) == arq_capacity(0.5, 0.0)
 
 
 def test_domain_errors_capacity():
@@ -138,10 +139,10 @@ def test_domain_errors_capacity():
 
 def test_arq_perfect_channel_timeline():
     """Five packets over a clean link: elapsed = 5(t_pkt + t_ack) + 4 gaps."""
-    params = RecoveryParams(turnaround=0.002)
-    r = transfer_benchmark("arq", 1.0, 0.0, frames=1, params=params, supply=5)
-    t_pkt = params.airtime_bytes(params.pkt_len)
-    t_ack = params.airtime_bytes(params.ack_len)
+    sc = Scenario()
+    r = transfer_benchmark("arq", 1.0, 0.0, frames=1, turnaround_s=0.002, supply=5)
+    t_pkt = airtime(sc.payload_bytes + sc.header_bytes, sc.radio_speed)
+    t_ack = airtime(sc.ack_len, sc.radio_speed)
     assert r["delivered_per_frame"] == 5
     assert r["elapsed_first"] == pytest.approx(5 * (t_pkt + t_ack) + 4 * 0.002,
                                                abs=1e-6)
