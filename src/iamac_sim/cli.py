@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .config import ConfigError, PRESETS, Scenario, load_scenario, parse_scenario
-from .harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
+from .harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, RUN_METRICS, SWEEP_COLUMNS,
                       analytic_report, p0_table, rows_to_csv, run_experiment,
                       sweep, trend_interior_max, trend_monotone)
 
@@ -20,6 +20,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DISJOINT = 3
 EXIT_CHECK = 4
+
+TRENDS = {
+    "increasing": lambda xs: trend_monotone(xs, increasing=True),
+    "decreasing": lambda xs: trend_monotone(xs, increasing=False),
+    "interior-max": trend_interior_max,
+}
 
 
 def _load(args):
@@ -76,27 +82,42 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _parse_values(raw):
+def _parse_values(raw, option, kinds=(int, float)):
+    """Comma-separated numbers, each read as the first of `kinds` that parses it."""
     vals = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
-        try:
-            vals.append(int(chunk))
-        except ValueError:
-            vals.append(float(chunk))
+        for kind in kinds:
+            try:
+                vals.append(kind(chunk))
+                break
+            except ValueError:
+                pass
+        else:
+            raise ConfigError(f"{option}: cannot parse {chunk!r}")
     return vals
 
 
 def cmd_sweep(args):
+    # every argument is checked before the first point runs
     sc = _load(args)
-    values = _parse_values(args.values)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.param not in {f.name for f in fields(Scenario)}:
+        raise ConfigError(f"--param: unknown scenario field {args.param!r}")
+    values = _parse_values(args.values, "--values")
+    for value in values:
+        replace(sc, **{args.param: value}).validate()
+    seeds = _parse_values(args.seeds, "--seeds", kinds=(int,))
+    if args.trend:
+        kind, _, metric = args.trend.partition(":")
+        if kind not in TRENDS:
+            raise ConfigError(f"--trend: unknown trend {kind!r}")
+        if metric not in RUN_METRICS:
+            raise ConfigError(f"--trend: unknown metric {metric!r}")
     table, rows = sweep(sc, args.param, values, seeds, workers=args.workers)
     csv = rows_to_csv(SWEEP_COLUMNS, rows)
     out = os.path.join(args.out, "sweep.csv") if args.out else None
     _write(out, csv)
     if args.trend:
-        kind, metric = args.trend.split(":", 1)
         series = []
         for v in values:
             pts = [table[(v, s)].get(metric) for s in seeds
@@ -104,14 +125,8 @@ def cmd_sweep(args):
                    and table[(v, s)].get(metric) is not None]
             if pts:
                 series.append(sum(pts) / len(pts))
-        checks = {
-            "increasing": lambda xs: trend_monotone(xs, increasing=True),
-            "decreasing": lambda xs: trend_monotone(xs, increasing=False),
-            "interior-max": trend_interior_max,
-        }
-        if kind not in checks:
-            raise ConfigError(f"unknown trend {kind!r}")
-        ok = checks[kind](series)
+        # a trend over no usable point cannot pass
+        ok = bool(series) and TRENDS[kind](series)
         sys.stderr.write(f"trend {args.trend}: {'pass' if ok else 'FAIL'} over {series}\n")
         if not ok:
             return EXIT_CHECK
@@ -120,8 +135,11 @@ def cmd_sweep(args):
 
 def cmd_analytics(args):
     sc = _load(args)
-    grid = _parse_values(args.ber_grid)
-    rows = analytic_report([float(b) for b in grid], d_s=args.ds, sc=sc)
+    grid = _parse_values(args.ber_grid, "--ber-grid", kinds=(float,))
+    for ber in grid:
+        if not 0.0 <= ber < 1.0:
+            raise ConfigError(f"--ber-grid: bit error rate must be in [0, 1), got {ber!r}")
+    rows = analytic_report(grid, d_s=args.ds, sc=sc)
     csv = rows_to_csv(ANALYTICS_COLUMNS, rows)
     out = os.path.join(args.out, "analytics.csv") if args.out else None
     _write(out, csv)

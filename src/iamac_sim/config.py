@@ -52,7 +52,6 @@ class Scenario:
     stop_on_first_death: bool = True
     control_corruption_disabled: bool = False
     collect_detail: bool = False
-    symmetric_shadowing: bool = False
 
     # routing
     broadcast_count: int = 25

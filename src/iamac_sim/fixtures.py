@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .config import Scenario
-from .routing import preset_tree
 from .simulation import Simulation
-from .topology import fixed_topology
 
 # node indices in the hidden-wakeup layout
 FIG2_B, FIG2_A, FIG2_E, FIG2_C, FIG2_D = 0, 1, 2, 3, 4
@@ -54,9 +52,6 @@ def build_fig2(protocol, seed=11):
     if protocol not in ("adaptive-smac", "iamac", "smac"):
         raise ValueError(f"hidden-wakeup fixture undefined for {protocol!r}")
     sc = _fixture_scenario(5, protocol, seed=seed)
-    topo = fixed_topology(FIG2_POSITIONS, sink=FIG2_A, model=sc.link_model(),
-                          tx_power_dbm=sc.output_power_dbm)
-    states = preset_tree(topo, FIG2_PARENTS)
     if protocol == "iamac":
         contention = {FIG2_B: [(0, 0.001)], FIG2_D: [(2, 0.0012)],
                       FIG2_E: [(4, 0.0011)]}
@@ -64,13 +59,12 @@ def build_fig2(protocol, seed=11):
         # listen-period backoffs: B wins first, D follows clear of A's grant,
         # E defers into its overheard sleep
         contention = {FIG2_B: [0.001], FIG2_D: [0.032], FIG2_E: [0.048]}
-    sim = Simulation(sc, topology=topo, route_states=states,
+    sim = Simulation(sc, FIG2_POSITIONS, sink=FIG2_A, parents=FIG2_PARENTS,
                      fixed_contention=contention, trace=True)
-    sim.enqueue(FIG2_B, sim.data_packet(FIG2_B, FIG2_A, 29))
-    sim.enqueue(FIG2_E, sim.data_packet(FIG2_E, FIG2_A, 29))
+    sim.inject(FIG2_B, 29)
+    sim.inject(FIG2_E, 29)
     # the long transfer whose reception the hidden wake-up tramples
-    sim.enqueue(FIG2_D, sim.data_packet(FIG2_D, FIG2_C, 200))
-    sim.ledger.generated_packets += 3
+    sim.inject(FIG2_D, 200)
     return sim
 
 
@@ -89,20 +83,15 @@ def run_fig2(protocol, seed=11):
 
 def build_fig6(seed=11):
     sc = _fixture_scenario(4, "iamac", seed=seed)
-    topo = fixed_topology(FIG6_POSITIONS, sink=FIG6_C, model=sc.link_model(),
-                          tx_power_dbm=sc.output_power_dbm)
-    states = preset_tree(topo, FIG6_PARENTS)
     contention = {
         FIG6_A: [(0, 0.001)],
         FIG6_E: [(2, 0.001)],
         FIG6_B: [(3, 0.001), (4, 0.001)],   # second entry consumed at re-pick
     }
-    sim = Simulation(sc, topology=topo, route_states=states,
+    sim = Simulation(sc, FIG6_POSITIONS, sink=FIG6_C, parents=FIG6_PARENTS,
                      fixed_contention=contention, trace=True)
-    sim.enqueue(FIG6_A, sim.data_packet(FIG6_A, FIG6_B, 29))
-    sim.enqueue(FIG6_B, sim.data_packet(FIG6_B, FIG6_C, 29))
-    sim.enqueue(FIG6_E, sim.data_packet(FIG6_E, FIG6_C, 29))
-    sim.ledger.generated_packets += 3
+    for nid in (FIG6_A, FIG6_B, FIG6_E):
+        sim.inject(nid, 29)
     return sim
 
 

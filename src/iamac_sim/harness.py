@@ -10,9 +10,7 @@ from dataclasses import replace
 
 from .config import Scenario
 from .recovery import ArqSession, SedaSession, arq_capacity, rts_success_prob, seda_capacity
-from .routing import preset_tree
 from .simulation import Simulation
-from .topology import fixed_topology
 
 RUN_COLUMNS = ["scenario", "protocol", "recovery", "frame_s", "seed", "metric", "value"]
 SWEEP_COLUMNS = ["param", "value", "seed", "metric", "metric_value", "status"]
@@ -166,10 +164,7 @@ def star_simulation(scenario, children=6, radius=6.0):
     for k in range(children):
         ang = 2.0 * math.pi * k / children
         positions.append((radius * math.cos(ang), radius * math.sin(ang)))
-    topo = fixed_topology(positions, sink=0, model=scenario.link_model(),
-                          tx_power_dbm=scenario.output_power_dbm)
-    parents = {k: 0 for k in range(1, children + 1)}
-    return Simulation(scenario, topology=topo, route_states=preset_tree(topo, parents))
+    return Simulation(scenario, positions, parents={k: 0 for k in range(1, children + 1)})
 
 
 # -- transfer benchmark (analytics <-> simulation consistency) ----------------------
@@ -181,20 +176,17 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
     rate. Returns per-frame means of packets sent and payload delivered."""
     sc = Scenario(node_count=2, seed=seed, shadowing_sigma=0.0, output_power_dbm=0.0,
                   stop_on_first_death=False, turnaround_s=turnaround_s)
-    model = sc.link_model()
     if ber > 0:
         # invert the FSK map: ber = 0.5*exp(-snr_lin/2 * k)
-        snr_lin = 2.0 * math.log(0.5 / ber) / model.bandwidth_to_rate
+        snr_lin = 2.0 * math.log(0.5 / ber) / sc.bandwidth_to_rate
         snr_db = 10.0 * math.log10(snr_lin)
     else:
         snr_db = 80.0
-    rx_dbm = model.noise_floor + snr_db
+    rx_dbm = sc.noise_floor + snr_db
     # place two nodes at the distance realizing that received power
-    d = 10.0 ** ((sc.output_power_dbm - model.pl_d0 - rx_dbm)
-                 / (10.0 * model.path_loss_exponent))
-    topo = fixed_topology([(0.0, 0.0), (d, 0.0)], sink=0, model=model,
-                          tx_power_dbm=sc.output_power_dbm)
-    sim = Simulation(sc, topology=topo, route_states=preset_tree(topo, {1: 0}))
+    d = 10.0 ** ((sc.output_power_dbm - sc.pl_d0 - rx_dbm)
+                 / (10.0 * sc.path_loss_exponent))
+    sim = Simulation(sc, [(0.0, 0.0), (d, 0.0)], parents={1: 0})
     engine, nodes, ledger = sim.engine, sim.nodes, sim.ledger
 
     gap = 1.0  # idle spacing between benchmark frames
@@ -214,12 +206,8 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
         else:
             session = ArqSession(sim, 1, 0, windows, None)
         sessions.append(session)
-        nodes[0].active_session = session
-        nodes[1].active_session = session
         session.start()
         engine.run_until(t0 + d_s + 0.2)
-        nodes[0].active_session = None
-        nodes[1].active_session = None
         if k == 0:
             delivered_first = len(ledger.delivered_records)
 

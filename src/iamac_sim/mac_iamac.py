@@ -284,8 +284,6 @@ class IamacDriver:
             sim.wake(child)
 
             def done(session):
-                sim.nodes[child].active_session = None
-                sim.nodes[parent].active_session = None
                 sim.sleep(child)
                 self._next_transfer(parent, children, windows)
 
@@ -294,8 +292,6 @@ class IamacDriver:
                                       link_ber=sim.link_ber_estimate(child, parent))
             else:
                 session = ArqSession(sim, child, parent, windows, done)
-            node.active_session = session
-            sim.nodes[parent].active_session = session
             session.start()
             return
         sim.sleep(parent)

@@ -92,11 +92,7 @@ class SmacDriver:
 
     def _listen_over(self, event):
         for node in self.sim.nodes:
-            st = self.states[node.id]
-            if (node.alive and st.role is None
-                    and node.state is RadioState.LISTEN
-                    and self.engine.now >= st.awake_until):
-                self.sim.sleep(node.id)
+            self._awake_expiry(node.id)
 
     # -- contention -----------------------------------------------------------------
 
@@ -197,11 +193,9 @@ class SmacDriver:
                 self._cancel_pending(st)
                 st.role = "rx"
                 st.peer = pkt.src
-                peer_st = self.states[pkt.src]
-                if peer_st.role == "tx" and peer_st.peer == nid:
-                    st.exchange = peer_st.exchange
-                else:
-                    st.exchange = {"uid": None, "data_received": False}
+                # the sender holds this exchange until its CTS timeout, which
+                # falls after its RTS ends
+                st.exchange = self.states[pkt.src].exchange
                 cts = Packet(kind=PacketKind.CTS, src=nid, dst=pkt.src,
                              length=sim.scenario.control_bytes,
                              header=sim.scenario.header_bytes,

@@ -38,14 +38,13 @@ class Transmission:
 
 
 class Reception:
-    __slots__ = ("tx", "listener", "wanted_mw", "max_other_mw", "live", "interferers")
+    __slots__ = ("tx", "listener", "wanted_mw", "max_other_mw", "interferers")
 
     def __init__(self, tx, listener, wanted_mw, other_mw, track_interferers):
         self.tx = tx
         self.listener = listener
         self.wanted_mw = wanted_mw
         self.max_other_mw = other_mw
-        self.live = True
         self.interferers = set() if track_interferers else None
 
 
@@ -101,10 +100,9 @@ class Medium:
             open_here = receptions[j]
             if open_here:
                 for rec in open_here.values():
-                    if rec.live:
-                        other = total - rec.wanted_mw
-                        if other > rec.max_other_mw:
-                            rec.max_other_mw = other
+                    other = total - rec.wanted_mw
+                    if other > rec.max_other_mw:
+                        rec.max_other_mw = other
 
         sense_in = self.topo.sense_in
         for j, p in zip(*self.sense_out[sender]):
@@ -123,7 +121,7 @@ class Medium:
             if is_data:
                 # this sender becomes an interferer of every data reception open at j
                 for rec in open_here.values():
-                    if rec.live and rec.interferers is not None and rec.tx is not tx:
+                    if rec.interferers is not None and rec.tx is not tx:
                         rec.interferers.add(sender)
             node.on_air_rise(tx)
 
@@ -131,9 +129,9 @@ class Medium:
         return tx.t_end
 
     def abort_receptions(self, listener):
-        """Listener stopped listening (sleep or own TX): open receptions die."""
-        for rec in self.receptions[listener].values():
-            rec.live = False
+        """Listener stopped listening (sleep or own TX): its open receptions
+        are dropped, and their transmissions end as corrupt there."""
+        self.receptions[listener].clear()
 
     def _end_transmission(self, tx):
         sender = tx.sender
@@ -170,7 +168,7 @@ class Medium:
             node = nodes[j]
             if not node.alive:
                 continue
-            if rec is None or not rec.live:
+            if rec is None:
                 node.on_air_resolved_corrupt(tx)
                 continue
             delivered = False

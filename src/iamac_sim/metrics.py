@@ -7,11 +7,12 @@ import math
 
 from .energy import RadioState
 
-SLEEP, LISTEN = RadioState.SLEEP, RadioState.LISTEN
+SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
 
 
 class MetricsLedger:
-    def __init__(self, n_nodes, energy_table, topology=None, collect_detail=False):
+    def __init__(self, n_nodes, energy_table, output_power_dbm=0.0, topology=None,
+                 collect_detail=False):
         self.n = n_nodes
         self.table = energy_table
         self.topo = topology
@@ -22,10 +23,11 @@ class MetricsLedger:
         self.state_time = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
         self.state_energy = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
         # mJ per second in a state: the (current * voltage) factor of
-        # EnergyTable.energy_mj, so rate * duration is the same product
+        # EnergyTable.energy_mj, so rate * duration is the same product;
+        # every transmission of a run uses its one output power
         self._sleep_rate = energy_table.current_ma(SLEEP) * energy_table.voltage
         self._listen_rate = energy_table.current_ma(LISTEN) * energy_table.voltage
-        self._tx_rate = {}                   # output power (dBm) -> rate
+        self._tx_rate = energy_table.current_ma(TX, output_power_dbm) * energy_table.voltage
         self.switch_energy = [0.0] * n_nodes
         self.sample_energy = [0.0] * n_nodes
         self.residual_mj = [energy_table.battery_mj] * n_nodes
@@ -59,7 +61,7 @@ class MetricsLedger:
 
     # -- energy ---------------------------------------------------------
 
-    def account(self, node, state, duration, power_dbm=0.0):
+    def account(self, node, state, duration):
         """Charge `duration` seconds in `state`; returns the energy in mJ."""
         if duration < 0:
             raise ValueError("negative duration")
@@ -70,10 +72,7 @@ class MetricsLedger:
         elif state is LISTEN:
             k, rate = 1, self._listen_rate
         else:
-            k, rate = 2, self._tx_rate.get(power_dbm)
-            if rate is None:
-                table = self.table
-                rate = self._tx_rate[power_dbm] = table.current_ma(state, power_dbm) * table.voltage
+            k, rate = 2, self._tx_rate
         mj = rate * duration
         self.state_time[node][k] += duration
         self.state_energy[node][k] += mj
@@ -196,26 +195,3 @@ class MetricsLedger:
             "mean_sum": mean_sum,
             "max_sum": max(self.cs_sum_per_frame),
         }
-
-
-def colliding_sets_offline(tx_log, rx_log, sense_in):
-    """Recompute per-frame colliding sets from logged intervals.
-
-    tx_log: (sender, t_start, t_end) for every data transmission.
-    rx_log: (receiver, wanted_sender, t_start, t_end, frame_idx) per data reception.
-    Returns {frame_idx: {receiver: cs_count}}.
-    """
-    frames = {}
-    for receiver, wanted, t0, t1, frame in rx_log:
-        bucket = frames.setdefault(frame, {}).setdefault(receiver, set())
-        for sender, s0, s1 in tx_log:
-            if sender == wanted or sender == receiver:
-                continue
-            if sender not in sense_in[receiver]:
-                continue
-            if s0 < t1 and t0 < s1:
-                bucket.add(sender)
-    return {
-        frame: {r: len(s) for r, s in per_rx.items()}
-        for frame, per_rx in frames.items()
-    }

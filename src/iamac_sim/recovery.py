@@ -91,10 +91,11 @@ def seda_capacity(d_s, ber, sc=None):
 
 # -- event-level transfers ----------------------------------------------------
 #
-# Sessions run inside the engine. The receiving node forwards decoded packets
-# to its active session; timeouts drive retransmission. Reconciling queues
-# against what actually arrived stands in for the protocols' sequence-number
-# machinery, keeping payload conservation exact.
+# Sessions run inside the engine. A session is its two nodes' active session
+# from its construction until it finishes: both forward decoded packets to it,
+# and timeouts drive retransmission. Reconciling queues against what actually
+# arrived stands in for the protocols' sequence-number machinery, keeping
+# payload conservation exact.
 
 
 class TransferResult:
@@ -120,6 +121,8 @@ class _SessionBase:
         self.done = False
         self._t0 = self.engine.now
         self._timeout_ev = None
+        sim.nodes[child].active_session = self
+        sim.nodes[parent].active_session = self
 
     def _queue(self):
         return self.sim.nodes[self.child].queue
@@ -129,6 +132,10 @@ class _SessionBase:
             return
         self.done = True
         self.result.elapsed = self.engine.now - self._t0
+        for nid in (self.child, self.parent):
+            node = self.sim.nodes[nid]
+            if node.active_session is self:
+                node.active_session = None
         cb, self.on_done = self.on_done, None
         if cb is not None:
             cb(self)

@@ -197,41 +197,3 @@ def tree_is_acyclic(states):
         if not cur.is_sink:
             return False
     return True
-
-
-def shortest_path_oracle(states, sink):
-    """Offline Dijkstra over the same link estimates (uncapped reference)."""
-    import heapq
-
-    n = len(states)
-    dist = [math.inf] * n
-    dist[sink] = 0.0
-    heap = [(0.0, sink)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        # relax: v hears u's cost over link v->u (v's estimate of that link)
-        for v in range(n):
-            entry = states[v].neighbors.get(u)
-            if entry is None or not entry.usable:
-                continue
-            nd = d + entry.etx
-            if nd < dist[v] - 1e-12:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    parents = [None] * n
-    for v in range(n):
-        if v == sink or not math.isfinite(dist[v]):
-            continue
-        best, best_cost = None, math.inf
-        for u, entry in states[v].neighbors.items():
-            if not entry.usable or not math.isfinite(dist[u]):
-                continue
-            cost = dist[u] + entry.etx
-            if cost < best_cost or (cost == best_cost and (best is None or u < best)):
-                best, best_cost = u, cost
-        parents[v] = best
-    return dist, parents

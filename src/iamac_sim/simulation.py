@@ -11,8 +11,8 @@ from .engine import Engine, RandomStreams
 from .medium import Medium
 from .metrics import MetricsLedger
 from .packets import PacketKind, make_data_packet
-from .routing import build_tree, disjoint_nodes, estimate_links, tree_is_acyclic
-from .topology import random_topology
+from .routing import build_tree, disjoint_nodes, estimate_links, preset_tree, tree_is_acyclic
+from .topology import Topology, random_topology
 
 SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
 
@@ -27,7 +27,6 @@ class Node:
         self.engine = sim.engine
         self.ledger = sim.ledger
         self.medium = sim.medium
-        self.power_dbm = sim.scenario.output_power_dbm
         self.alive = True
         self.queue = []
         self.active_session = None
@@ -45,7 +44,7 @@ class Node:
         elapsed = now - self._state_since
         ledger = self.ledger
         if elapsed > 0:
-            ledger.account(self.id, self.state, elapsed, self.power_dbm)
+            ledger.account(self.id, self.state, elapsed)
         self._state_since = now
         if state is not self.state:
             was_listening = self.state is LISTEN
@@ -61,7 +60,7 @@ class Node:
         now = self.engine.now
         elapsed = now - self._state_since
         if elapsed > 0:
-            self.ledger.account(self.id, self.state, elapsed, self.power_dbm)
+            self.ledger.account(self.id, self.state, elapsed)
             self._state_since = now
             self._check_energy()
 
@@ -109,7 +108,12 @@ class Node:
 
 
 class Simulation:
-    def __init__(self, scenario, topology=None, route_states=None,
+    """One run. Nodes are placed at random over `scenario.area` with the sink
+    at node 0, or at the given `positions` with zero shadowing and the given
+    `sink`. The routing tree is bootstrapped, or fixed by `parents` (child ->
+    parent; nodes outside it are roots)."""
+
+    def __init__(self, scenario, positions=None, sink=0, parents=None,
                  fixed_contention=None, trace=False):
         self.scenario = scenario
         self.streams = RandomStreams(scenario.seed)
@@ -117,22 +121,22 @@ class Simulation:
         self.model = scenario.link_model()
         self.energy_table = scenario.energy_table()
 
-        if topology is None:
-            topology = random_topology(
-                scenario.node_count, scenario.area[0], scenario.area[1],
-                self.model, scenario.output_power_dbm, self.streams,
-                symmetric_shadowing=scenario.symmetric_shadowing,
-            )
+        power = scenario.output_power_dbm
+        if positions is None:
+            topology = random_topology(scenario.node_count, scenario.area[0],
+                                       scenario.area[1], self.model, power, self.streams)
+        else:
+            topology = Topology(positions, sink, self.model, power)
         self.topo = topology
         self.medium = Medium(self.engine, topology, self.streams,
                              control_corruption_disabled=scenario.control_corruption_disabled)
-        self.ledger = MetricsLedger(topology.n, self.energy_table, topology,
+        self.ledger = MetricsLedger(topology.n, self.energy_table, power, topology,
                                     collect_detail=scenario.collect_detail)
         self.nodes = [Node(self, i) for i in range(topology.n)]
         self.medium.nodes = self.nodes
         self.medium.on_data_reception_resolved = self._data_reception_resolved
 
-        self.route_states = route_states
+        self.route_states = None if parents is None else preset_tree(topology, parents)
         self.fixed_contention = dict(fixed_contention or {})
         self.trace_enabled = trace
         self.trace_log = []
@@ -236,13 +240,17 @@ class Simulation:
             return
         node = self.nodes[nid]
         if node.alive:
-            pkt = self.data_packet(nid, self.parent_of(nid) or 0,
-                                   self.scenario.payload_bytes, self.engine.now)
-            self.enqueue(nid, pkt)
-            self.ledger.record_generated()
+            self.inject(nid, self.scenario.payload_bytes)
             self.ledger.account_sample(nid)
             self.engine.schedule(self.engine.now + self.scenario.sampling_interval_s,
                                  lambda ev: self._sample(nid))
+
+    def inject(self, origin, payload_len):
+        """A new data packet, born now at `origin` and queued there for its parent."""
+        pkt = self.data_packet(origin, self.parent_of(origin) or 0, payload_len,
+                               self.engine.now)
+        self.enqueue(origin, pkt)
+        self.ledger.record_generated()
 
     # -- queue plumbing -------------------------------------------------------------
 
@@ -363,10 +371,9 @@ class Simulation:
         """Synchronization beacons are modeled as airtime and energy only:
         every awake node pays one transmit burst, receptions are abstract."""
         account = self.ledger.account
-        power_dbm = self.scenario.output_power_dbm
         for node in self.nodes:
             if node.alive and node.state is LISTEN:
-                account(node.id, TX, synch_airtime, power_dbm)
+                account(node.id, TX, synch_airtime)
                 # the transmit burst replaces listen time inside the slot
                 node._state_since += synch_airtime
                 node._check_energy()

@@ -10,13 +10,12 @@ from .channel import dbm_to_mw
 class Topology:
     """Positions plus frozen per-ordered-pair shadowing and received powers.
 
-    The sink sits at the middle of the top edge unless positions are given
-    explicitly. Shadowing offsets are drawn once per ordered pair (A->B and
-    B->A independent by default, symmetric mode for debugging).
+    Shadowing offsets are drawn from `rng` once per ordered pair (A->B and
+    B->A independent); without `rng` there is no shadowing.
     """
 
     def __init__(self, positions, sink, model, tx_power_dbm, rng=None,
-                 symmetric_shadowing=False, influence_margin_db=6.0):
+                 influence_margin_db=6.0):
         self.positions = np.asarray(positions, dtype=float)
         self.n = len(self.positions)
         self.sink = sink
@@ -31,9 +30,6 @@ class Topology:
             shadow = np.zeros((self.n, self.n))
         else:
             shadow = rng.normal(0.0, model.shadowing_sigma, size=(self.n, self.n))
-            if symmetric_shadowing:
-                shadow = np.triu(shadow, 1)
-                shadow = shadow + shadow.T
         np.fill_diagonal(shadow, 0.0)
 
         pl = (model.pl_d0
@@ -61,8 +57,7 @@ class Topology:
         return float(np.mean([len(s) for s in self.sense_out]))
 
 
-def random_topology(n, width, height, model, tx_power_dbm, streams,
-                    symmetric_shadowing=False):
+def random_topology(n, width, height, model, tx_power_dbm, streams):
     """Uniform placement with the sink injected at the middle of the top edge."""
     rng_pos = streams.stream("topology")
     pts = np.column_stack([
@@ -71,12 +66,5 @@ def random_topology(n, width, height, model, tx_power_dbm, streams,
     ])
     sink_pos = np.array([[width / 2.0, height]])
     positions = np.vstack([sink_pos, pts])
-    return Topology(
-        positions, sink=0, model=model, tx_power_dbm=tx_power_dbm,
-        rng=streams.stream("shadowing"), symmetric_shadowing=symmetric_shadowing,
-    )
-
-
-def fixed_topology(positions, sink, model, tx_power_dbm):
-    """Hand-built layout with zero shadowing (fixture scenarios)."""
-    return Topology(positions, sink=sink, model=model, tx_power_dbm=tx_power_dbm, rng=None)
+    return Topology(positions, sink=0, model=model, tx_power_dbm=tx_power_dbm,
+                    rng=streams.stream("shadowing"))

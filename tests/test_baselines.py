@@ -1,9 +1,7 @@
 import pytest
 
 from iamac_sim.config import Scenario, desk_preset
-from iamac_sim.routing import preset_tree
 from iamac_sim.simulation import Simulation
-from iamac_sim.topology import fixed_topology
 
 def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
               sampling=1000.0):
@@ -15,16 +13,24 @@ def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
                   horizon_s=horizon_s, shadowing_sigma=0.0,
                   stop_on_first_death=False, smac_adaptive_err=0.0,
                   seed=seed).validate()
-    topo = fixed_topology(positions, sink=0, model=sc.link_model(),
-                          tx_power_dbm=sc.output_power_dbm)
-    states = preset_tree(topo, {k: k - 1 for k in range(1, n)})
-    return Simulation(sc, topology=topo, route_states=states)
+    return Simulation(sc, positions, parents={k: k - 1 for k in range(1, n)})
+
+
+def test_injected_packets_are_counted_and_conserved():
+    sim = chain_sim("iamac", horizon_s=6.0)
+    for origin in (1, 2, 3, 3):
+        sim.inject(origin, 29)
+    # each packet is addressed to its origin's parent
+    assert [(p.origin, p.dst) for n in sim.nodes for p in n.queue] == [
+        (1, 0), (2, 1), (3, 2), (3, 2)]
+    res = sim.run()
+    assert res["generated_packets"] == 4
+    assert res["conserved"]
 
 
 def test_plain_smac_one_hop_per_frame_bound():
     sim = chain_sim("smac")
-    sim.enqueue(3, sim.data_packet(3, 2, 29))
-    sim.ledger.generated_packets += 1
+    sim.inject(3, 29)
     res = sim.run()
     assert res["delivered_packets"] == 1
     _, born, delivered, _ = sim.ledger.delivered_records[0]
@@ -34,13 +40,11 @@ def test_plain_smac_one_hop_per_frame_bound():
 
 def test_adaptive_smac_forwards_across_hops_in_one_frame():
     plain = chain_sim("smac")
-    plain.enqueue(3, plain.data_packet(3, 2, 29))
-    plain.ledger.generated_packets += 1
+    plain.inject(3, 29)
     r_plain = plain.run()
 
     adaptive = chain_sim("adaptive-smac")
-    adaptive.enqueue(3, adaptive.data_packet(3, 2, 29))
-    adaptive.ledger.generated_packets += 1
+    adaptive.inject(3, 29)
     r_adaptive = adaptive.run()
 
     assert r_adaptive["delivered_packets"] == 1
@@ -83,8 +87,7 @@ def test_overhearer_never_transmits_during_nav():
 def test_smac_exchange_carries_one_packet_per_frame():
     sim = chain_sim("smac", hops=1, horizon_s=6.0)
     for k in range(4):
-        sim.enqueue(1, sim.data_packet(1, 0, 29))
-    sim.ledger.generated_packets += 4
+        sim.inject(1, 29)
     res = sim.run()
     # six frames, one data+ack exchange each: at most 6, exactly queue-limited
     assert res["delivered_packets"] == 4

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iamac_sim import harness
 from iamac_sim.cli import main
 from iamac_sim.config import ConfigError, Scenario, parse_scenario
 from iamac_sim.harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
@@ -288,6 +289,46 @@ def test_cli_run_writes_metrics(tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(RUN_COLUMNS)
     assert any(",frames," in ln for ln in lines)
+
+
+SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (SWEEP_DESK + ["--param", "frame_sx", "--values", "1,2"], "frame_sx"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,abc"], "abc"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,0"], "frame_s"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--seeds", "1,x"], "'x'"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--trend", "increasing"],
+     "metric ''"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2",
+                   "--trend", "increasing:throughput_bsp"], "throughput_bsp"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--trend", "sideways:x"],
+     "sideways"),
+    (["analytics", "--ber-grid", "0,zz"], "zz"),
+    (["analytics", "--ber-grid", "0,1.5"], "1.5"),
+])
+def test_cli_malformed_sweep_and_analytics_arguments(argv, named, tmp_path, capsys,
+                                                     monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    # rejected before any point runs, so nothing is written
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_trend_over_no_usable_point_fails(tmp_path, capsys):
+    # both powers leave the network disjoint: no point feeds the trend
+    code = main(["sweep", "--preset", "desk", "--param", "output_power_dbm",
+                 "--values=-30,-25", "--trend", "increasing:throughput_bps",
+                 "--out", str(tmp_path)])
+    assert code == 4
+    assert "FAIL over []" in capsys.readouterr().err
 
 
 def test_cli_sweep_trend_gate(tmp_path):

@@ -140,18 +140,13 @@ def test_singleton_remaining_slot_is_forced():
 
 def test_uncontended_single_hop_delivers_within_its_frame():
     from iamac_sim.config import Scenario
-    from iamac_sim.routing import preset_tree
-    from iamac_sim.topology import fixed_topology
 
     sc = Scenario(node_count=2, area=(10.0, 5.0), frame_s=1.0,
                   sampling_interval_s=1000.0, horizon_s=1.5,
                   shadowing_sigma=0.0, stop_on_first_death=False,
                   seed=1).validate()
-    topo = fixed_topology([(0.0, 0.0), (4.0, 0.0)], sink=0,
-                          model=sc.link_model(), tx_power_dbm=0.0)
-    sim = Simulation(sc, topology=topo, route_states=preset_tree(topo, {1: 0}))
-    sim.enqueue(1, sim.data_packet(1, 0, 29))
-    sim.ledger.generated_packets += 1
+    sim = Simulation(sc, [(0.0, 0.0), (4.0, 0.0)], parents={1: 0})
+    sim.inject(1, 29)
     res = sim.run()
     assert res["delivered_packets"] == 1
     assert res["mean_latency_s"] < sc.frame_s

@@ -10,7 +10,6 @@ from iamac_sim.energy import RadioState
 from iamac_sim.medium import Medium
 from iamac_sim.packets import Packet, PacketKind
 from iamac_sim.simulation import Simulation
-from iamac_sim.topology import fixed_topology
 
 
 def rig(positions, tx_power=0.0):
@@ -18,11 +17,16 @@ def rig(positions, tx_power=0.0):
     transmissions by hand."""
     sc = Scenario(node_count=len(positions), seed=1, shadowing_sigma=0.0,
                   output_power_dbm=tx_power)
-    topo = fixed_topology(positions, sink=0, model=sc.link_model(), tx_power_dbm=tx_power)
-    sim = Simulation(sc, topology=topo)
+    sim = Simulation(sc, positions)
     for node in sim.nodes:
         node.state = RadioState.LISTEN
     return sim
+
+
+def test_placed_run_has_one_link_model_and_the_scenario_power():
+    sim = rig([(0.0, 0.0), (3.0, 0.0)], tx_power=-7.0)
+    assert sim.topo.model is sim.model
+    assert sim.topo.rx_dbm[1, 0] == pytest.approx(-7.0 - sim.model.path_loss(3.0))
 
 
 def control(src, dst):

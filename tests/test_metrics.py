@@ -2,8 +2,31 @@ import pytest
 
 from iamac_sim.config import desk_preset
 from iamac_sim.energy import EnergyTable, RadioState
-from iamac_sim.metrics import MetricsLedger, colliding_sets_offline
+from iamac_sim.metrics import MetricsLedger
 from iamac_sim.simulation import Simulation
+
+
+def colliding_sets_offline(tx_log, rx_log, sense_in):
+    """Recompute per-frame colliding sets from logged intervals.
+
+    tx_log: (sender, t_start, t_end) for every data transmission.
+    rx_log: (receiver, wanted_sender, t_start, t_end, frame_idx) per data reception.
+    Returns {frame_idx: {receiver: cs_count}}.
+    """
+    frames = {}
+    for receiver, wanted, t0, t1, frame in rx_log:
+        bucket = frames.setdefault(frame, {}).setdefault(receiver, set())
+        for sender, s0, s1 in tx_log:
+            if sender == wanted or sender == receiver:
+                continue
+            if sender not in sense_in[receiver]:
+                continue
+            if s0 < t1 and t0 < s1:
+                bucket.add(sender)
+    return {
+        frame: {r: len(s) for r, s in per_rx.items()}
+        for frame, per_rx in frames.items()
+    }
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ from iamac_sim.config import Scenario
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
 from iamac_sim.packets import airtime
-from iamac_sim.recovery import arq_capacity, rts_success_prob, seda_capacity
+from iamac_sim.recovery import ArqSession, arq_capacity, rts_success_prob, seda_capacity
+from iamac_sim.simulation import Simulation
 
 
 # -- contention probability ----------------------------------------------------
@@ -250,3 +251,17 @@ def test_transfer_benchmark_pinned(recovery, ber):
     """Exact per-frame figures of 60 transfer frames, recorded from the
     reference implementation; any drift in wiring or RNG use shows here."""
     assert transfer_benchmark(recovery, 1.0, ber, frames=60) == PINNED_TRANSFERS[(recovery, ber)]
+
+
+def test_finished_session_leaves_a_newer_session_attached():
+    sc = Scenario(node_count=3, seed=1, shadowing_sigma=0.0)
+    sim = Simulation(sc, [(0.0, 0.0), (4.0, 0.0), (8.0, 0.0)], parents={1: 0, 2: 1})
+    seen = []
+    old = ArqSession(sim, 1, 0, [(0.0, 1.0)],
+                     lambda s: seen.append([n.active_session for n in sim.nodes]))
+    assert [n.active_session for n in sim.nodes] == [old, old, None]
+    new = ArqSession(sim, 2, 1, [(0.0, 1.0)], None)
+    old.start()   # node 1 has nothing queued: the session ends at once
+    assert old.done and not new.done
+    # detached before its callback, and only where it was still attached
+    assert seen == [[None, new, new]]

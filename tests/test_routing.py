@@ -5,10 +5,46 @@ import pytest
 from iamac_sim.config import desk_preset, paper_density_preset
 from iamac_sim.harness import star_simulation
 from iamac_sim.routing import (NeighborEntry, build_tree, disjoint_nodes,
-                               estimate_links, preset_tree, select_parent,
-                               shortest_path_oracle, tree_is_acyclic)
+                               estimate_links, select_parent, tree_is_acyclic)
 from iamac_sim.simulation import Simulation
-from iamac_sim.topology import fixed_topology
+
+
+def shortest_path_oracle(states, sink):
+    """Offline Dijkstra over the same link estimates (uncapped reference)."""
+    import heapq
+
+    n = len(states)
+    dist = [math.inf] * n
+    dist[sink] = 0.0
+    heap = [(0.0, sink)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        # relax: v hears u's cost over link v->u (v's estimate of that link)
+        for v in range(n):
+            entry = states[v].neighbors.get(u)
+            if entry is None or not entry.usable:
+                continue
+            nd = d + entry.etx
+            if nd < dist[v] - 1e-12:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    parents = [None] * n
+    for v in range(n):
+        if v == sink or not math.isfinite(dist[v]):
+            continue
+        best, best_cost = None, math.inf
+        for u, entry in states[v].neighbors.items():
+            if not entry.usable or not math.isfinite(dist[u]):
+                continue
+            cost = dist[u] + entry.etx
+            if cost < best_cost or (cost == best_cost and (best is None or u < best)):
+                best, best_cost = u, cost
+        parents[v] = best
+    return dist, parents
 
 
 def entry(nid, etx=1.0, cost=0.0, children=0):
@@ -132,9 +168,8 @@ def test_reference_scale_disjoint_below_minus_eight_dbm():
 
 def test_preset_tree_star_and_chain():
     star = star_simulation(desk_preset(node_count=7, shadowing_sigma=0.0)).route_states
-    chain_topo = fixed_topology([(6.0 * k, 0.0) for k in range(4)], sink=0,
-                                model=desk_preset().link_model(), tx_power_dbm=0.0)
-    chain = preset_tree(chain_topo, {1: 0, 2: 1, 3: 2})
+    chain = Simulation(desk_preset(output_power_dbm=0.0), [(6.0 * k, 0.0) for k in range(4)],
+                       parents={1: 0, 2: 1, 3: 2}).route_states
     cases = [
         (star, [0], [None] + [0] * 6, {0: set(range(1, 7))}),
         (chain, [0], [None, 0, 1, 2], {0: {1}, 1: {2}, 2: {3}}),
