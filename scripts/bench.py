@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Record the benchmark trajectory in BENCH_<label>.json, beside this repo's
+README, without touching `simbench/`.
+
+    python3 scripts/bench.py record --label 8 --name change
+    python3 scripts/bench.py record --label 8 --name parent --checkout ../parent
+    python3 scripts/bench.py pairs --label 8 --name pairs --parent ../parent --workload paper-iamac
+
+`record` runs `python3 simbench/run.py --workload W --workload-seed S` in the
+checkout (default: this one) for every workload at workload seeds 1 and 3, and
+stores under `--name` each run's final JSON line, the recorded CSV hashes, the
+Python and numpy versions, the CPU count and the checkout's `git rev-parse HEAD`
+(marked "-dirty" when its tracked files differ from that commit).
+
+`pairs` alternates ten single `simbench/worker.py` runs of one workload in the
+parent checkout and ten in this one, each side first in every other pair, and
+stores under `--name` every run's host-normalized `run_s` and the host
+slowdown it was divided by, the medians, the parent's interquartile range and
+how many pairs the change won. Run one workload seed per call.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("paper-iamac", "paper-adaptive-smac", "star-seda")
+SEEDS = (1, 3)
+PAIRS = 10
+
+
+def revision(checkout):
+    """`git rev-parse HEAD`, with "-dirty" when tracked files differ from it."""
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                         capture_output=True, text=True, check=True)
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=checkout).returncode
+    return out.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def last_json_line(cmd, checkout):
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def record(args):
+    checkout = Path(args.checkout).resolve()
+    hashes = json.loads((checkout / "simbench" / "expected.json").read_text())["hashes"]
+    runs = {}
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            line = last_json_line([sys.executable, "simbench/run.py", "--workload", workload,
+                                   "--workload-seed", str(seed)], checkout)
+            line["hash"] = hashes[workload][str(seed)]
+            runs[f"{workload}@{seed}"] = line
+            print(f"{workload} seed {seed}: failed {line['failed']}/{line['attempted']}, "
+                  f"run_s {line['metrics']['run_s']['value']:.4f}", flush=True)
+    return {
+        "git_revision": revision(checkout),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(),
+        "workloads": runs,
+    }
+
+
+def pairs(args):
+    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.checkout).resolve()}
+    cmd = [sys.executable, "simbench/worker.py", "--workload", args.workload,
+           "--workload-seed", str(args.workload_seed), "--setups", "3"]
+    runs = {"parent": [], "change": []}
+    slowdown = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        order = list(sides.items())
+        for side, checkout in order if i % 2 == 0 else order[::-1]:
+            rec = last_json_line(cmd, checkout)
+            runs[side].append(rec["run_s"])
+            slowdown[side].append(rec["slowdown"])
+        print(f"pair {i}: parent {runs['parent'][-1]:.4f}  change {runs['change'][-1]:.4f}",
+              flush=True)
+    q1, parent_median, q3 = statistics.quantiles(runs["parent"], n=4)
+    change_median = statistics.quantiles(runs["change"], n=4)[1]
+    return {
+        "workload": args.workload,
+        "workload_seed": args.workload_seed,
+        "revisions": {side: revision(checkout) for side, checkout in sides.items()},
+        "run_s": runs,
+        "slowdown": slowdown,
+        "parent_median": parent_median,
+        "parent_iqr": q3 - q1,
+        "change_median": change_median,
+        "ratio": change_median / parent_median,
+        "wins": sum(c < p for p, c in zip(runs["parent"], runs["change"])),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record")
+    par = sub.add_parser("pairs")
+    par.add_argument("--parent", required=True)
+    par.add_argument("--workload", choices=WORKLOADS, default="paper-iamac")
+    par.add_argument("--workload-seed", type=int, default=1)
+    for p in (rec, par):
+        p.add_argument("--name", required=True)
+        p.add_argument("--label", required=True)
+        p.add_argument("--checkout", default=str(ROOT))
+    args = ap.parse_args(argv)
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    bench = json.loads(path.read_text()) if path.exists() else {}
+    if args.command == "record":
+        bench[args.name] = record(args)
+    else:
+        key = f"{args.workload}@{args.workload_seed}"
+        bench.setdefault(args.name, {})[key] = result = pairs(args)
+        print(f"{key}: ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins")
+    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -199,7 +199,14 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
         engine.run_until(t0)
         for node in nodes:
             sim.wake(node.id)
-        nodes[1].queue = [sim.data_packet(1, 0, sc.payload_bytes, t0) for _ in range(supply)]
+        # the previous frame's leftovers drop; a fresh supply is born now
+        leftover = nodes[1].queue
+        if leftover:
+            ledger.record_drop(len(leftover))
+            leftover.clear()
+            ledger.queue_changed(1, 0, t0)
+        for _ in range(supply):
+            sim.inject(1, sc.payload_bytes)
         windows = [(t0, t0 + d_s)]
         if recovery == "seda":
             session = SedaSession(sim, 1, 0, windows, None, link_ber=ber)

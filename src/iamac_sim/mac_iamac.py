@@ -84,7 +84,6 @@ class IamacDriver:
         for node in self.sim.nodes:
             if self.states[node.id].active:
                 self.sim.wake(node.id)
-        self.sim.refresh_routing()
         self.sim.charge_synch_slot(self.rts_airtime)
 
     def _mid_synch_end(self, event):
@@ -117,7 +116,7 @@ class IamacDriver:
             slot, backoff = injected.pop(0)
         else:
             slot = min_slot + int(self.rng.integers(0, remaining))
-            backoff = float(self.rng.uniform(0.0, plan.max_backoff))
+            backoff = plan.max_backoff * self.rng.random()
         st.contending = True
         st.awaiting = False
         st.window_start = plan.mini_slot_start(self.cycle_start, slot)
@@ -205,7 +204,7 @@ class IamacDriver:
             st.grants = [p.src for p in st.received_rtss[:fit_cap]]
             train = len(st.grants) * self.rts_airtime
             headroom = max(plan.cts_slot - train - CTS_GUARD, 0.0)
-            timer = float(self.rng.uniform(0.0, headroom)) if headroom > 0 else 0.0
+            timer = headroom * self.rng.random() if headroom > 0 else 0.0
             self.engine.schedule(self.engine.now + timer,
                                  lambda ev, nid=node.id: self._cts_attempt(nid))
 

@@ -136,7 +136,7 @@ class SmacDriver:
         if injected:
             delay = float(injected.pop(0))
         else:
-            delay = float(self.rng.uniform(0.0, min(room, self.contention_window / 4)))
+            delay = min(room, self.contention_window / 4) * self.rng.random()
         st.pending_ev = self.engine.schedule(now + delay, lambda ev: self._attempt(nid))
 
     def _attempt(self, nid):

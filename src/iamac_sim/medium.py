@@ -4,8 +4,10 @@ per-packet reception draw.
 A reception is opened for every sense-range listener that is in listen state
 when the first bit hits the air, tracks its worst-case SINR across every
 on-air change, and resolves with a single uniform draw against the packet
-reception probability at that minimum SINR. Concurrent data transmitters in
-sense range are collected per data reception for the colliding-set metric.
+reception probability at that minimum SINR. A listener that is not in listen
+state at the last bit hears nothing of the frame; one that listens then but
+opened no reception hears it as corrupt. Concurrent data transmitters in sense
+range are collected per addressee reception for the colliding-set metric.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class Medium:
         self.active_data = set()
 
         # metrics hooks, wired by the simulation
-        self.on_data_reception_resolved = None  # fn(rec, delivered)
+        self.on_data_reception_resolved = None  # fn(rec, delivered), addressee only
         self.tx_log = None                      # list for the offline CS oracle
 
     # -- state queries ---------------------------------------------------
@@ -105,25 +107,28 @@ class Medium:
                         rec.max_other_mw = other
 
         sense_in = self.topo.sense_in
+        dst = packet.dst
         for j, p in zip(*self.sense_out[sender]):
             node = nodes[j]
             if not node.alive:
                 continue
+            node.last_rise_t = now
+            # only listening nodes hold receptions (set_radio aborts them)
+            if node.state is not LISTEN:
+                continue
             open_here = receptions[j]
-            if node.state is LISTEN:
-                rec = Reception(tx, j, p, onair[j] - p, is_data)
-                if is_data:
-                    heard = sense_in[j]
-                    for other_tx in active_data:
-                        if other_tx is not tx and other_tx.sender in heard:
-                            rec.interferers.add(other_tx.sender)
-                open_here[tx] = rec
             if is_data:
                 # this sender becomes an interferer of every data reception open at j
                 for rec in open_here.values():
-                    if rec.interferers is not None and rec.tx is not tx:
+                    if rec.interferers is not None:
                         rec.interferers.add(sender)
-            node.on_air_rise(tx)
+            # only the addressee's data reception feeds the colliding set
+            rec = open_here[tx] = Reception(tx, j, p, onair[j] - p, is_data and j == dst)
+            if rec.interferers is not None:
+                heard = sense_in[j]
+                for other_tx in active_data:
+                    if other_tx is not tx and other_tx.sender in heard:
+                        rec.interferers.add(other_tx.sender)
 
         self.engine.schedule(tx.t_end, lambda ev: self._end_transmission(tx))
         return tx.t_end
@@ -161,25 +166,24 @@ class Medium:
         random = self.rng.random
         noise_mw = self.noise_mw
         resolved = self.on_data_reception_resolved if is_data else None
+        dst = pkt.dst
         receptions = self.receptions
         for j in self.sense_out[sender][0]:
+            node = nodes[j]
+            # a listener asleep or transmitting at the last bit hears nothing,
+            # and an open reception implies listening (set_radio aborts it)
+            if node.state is not LISTEN or not node.alive:
+                continue
             open_here = receptions[j]
             rec = open_here.pop(tx, None) if open_here else None
-            node = nodes[j]
-            if not node.alive:
-                continue
             if rec is None:
                 node.on_air_resolved_corrupt(tx)
                 continue
-            delivered = False
-            if node.state is LISTEN:
-                sinr = sinr_db(rec.wanted_mw, rec.max_other_mw, noise_mw)
-                if always:
-                    delivered = True
-                else:
-                    prr = reception_prob(sinr, on_air_bytes)
-                    delivered = prr >= 1.0 or random() < prr
-            if resolved is not None:
+            sinr = sinr_db(rec.wanted_mw, rec.max_other_mw, noise_mw)
+            if not always:
+                prr = reception_prob(sinr, on_air_bytes)
+            delivered = always or prr >= 1.0 or random() < prr
+            if resolved is not None and j == dst:
                 resolved(rec, delivered)
             if delivered:
                 node.on_packet(pkt, sinr)
@@ -194,4 +198,5 @@ class Medium:
         if pb <= 0.0:
             return [False] * n_blocks
         p_block = 1.0 - (1.0 - pb) ** (8 * block_bytes)
-        return [bool(self.rng.random() < p_block) for _ in range(n_blocks)]
+        # one vector draw takes the same n_blocks doubles as a scalar loop
+        return (self.rng.random(n_blocks) < p_block).tolist()

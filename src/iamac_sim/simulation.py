@@ -83,6 +83,8 @@ class Node:
     # -- medium callbacks -----------------------------------------------------
 
     def on_air_rise(self, tx):
+        # uncalled: `Medium.transmit` writes `last_rise_t` itself; this and
+        # the MACs' `on_air_rise` stay while the benchmark's tracer wraps them
         self.last_rise_t = self.engine.now
         driver = self.sim.driver
         if driver is not None:
@@ -184,7 +186,10 @@ class Simulation:
 
     def refresh_routing(self):
         """Synch/Routing advertisement pass: costs and children counts are
-        re-announced to usable neighbors; static topologies rarely change."""
+        re-announced to usable neighbors. Nothing calls it: only
+        `select_parent` reads the advertisements, inside the bootstrap
+        `build_tree`, which sets them itself. It stays while the benchmark's
+        tracer (`simbench/tracing.py`) wraps it by name."""
         states = self.route_states
         for st in states:
             if not self.nodes[st.node].alive:
@@ -205,7 +210,6 @@ class Simulation:
             node.active_session = None
             if node.alive and node.state is SLEEP:
                 node.set_radio(LISTEN)
-        self.refresh_routing()
         self.charge_synch_slot(synch_airtime)
 
     def end_frame(self, period):
@@ -283,10 +287,8 @@ class Simulation:
     # -- metrics hooks -----------------------------------------------------------------
 
     def _data_reception_resolved(self, rec, delivered):
-        # the colliding-set metric is about the addressee's own reception,
-        # not about bystanders who merely overheard the data
-        if rec.tx.packet.dst != rec.listener:
-            return
+        # the medium reports only the addressee's own reception: the
+        # colliding-set metric is not about bystanders who overheard the data
         self.ledger.record_data_reception(rec.listener, rec.tx.sender, rec.interferers)
         if self.rx_log is not None:
             self.rx_log.append((rec.listener, rec.tx.sender,

@@ -124,3 +124,33 @@ def test_labels_are_independent():
 def test_uniform_mean_smoke():
     draws = RandomStreams(123).stream("x").random(100_000)
     assert abs(draws.mean() - 0.5) < 0.01
+
+
+# -- draw rewrites that keep the stream ------------------------------------------
+#
+# The MACs draw `b * rng.random()` where `rng.uniform(0.0, b)` stood, and Seda
+# draws its per-block corruption as one vector; both keep every value and the
+# stream position. A numpy change to either formula fails here.
+
+@settings(max_examples=200, deadline=None)
+@given(bounds=st.lists(st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
+                                 allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=50),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_scaled_random_equals_uniform_from_zero(bounds, seed):
+    a = RandomStreams(seed).stream("contention")
+    b = RandomStreams(seed).stream("contention")
+    for bound in bounds:
+        assert bound * a.random() == float(b.uniform(0.0, bound))
+    # both left the stream at the same position
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("n", [1, 7, 130])
+def test_vector_block_draws_equal_the_scalar_loop(n):
+    a = RandomStreams(5).stream("channel")
+    b = RandomStreams(5).stream("channel")
+    for p_block in (0.0, 1e-3, 0.3, 0.9, 1.0):
+        assert (a.random(n) < p_block).tolist() == [bool(b.random() < p_block)
+                                                    for _ in range(n)]
+    assert a.random() == b.random()

@@ -240,6 +240,30 @@ def test_run_csv_matches_pinned_digests():
     assert got == PINNED_RUN_CSV
 
 
+# the same runs' MAC decisions: SHA-256 of `repr(sim.trace_log)`; S-MAC's
+# trace does not depend on the recovery procedure, which IAMAC transfers use
+PINNED_TRACE_LOG = {
+    ("iamac", "arq"): "5047216f178ff2f059bb3ccd228770cec8f1cb96e3c05e70704ea6e1c0d52da5",
+    ("iamac", "seda"): "80ea79e56dba2c9fb473bc02743a54ce8e5df1fef321bdc124936ed729519d2a",
+    ("smac", "arq"): "9fe299fecdac7ad89e0f1a68b364378f665ee09e5546810543bfcfa550d9f919",
+    ("smac", "seda"): "9fe299fecdac7ad89e0f1a68b364378f665ee09e5546810543bfcfa550d9f919",
+    ("adaptive-smac", "arq"): "bca5118e4b8252fa9181a1aa1361f300842b22be57e02e512d87f694b344911c",
+    ("adaptive-smac", "seda"): "bca5118e4b8252fa9181a1aa1361f300842b22be57e02e512d87f694b344911c",
+}
+
+
+def test_trace_log_matches_pinned_digests():
+    got = {}
+    for protocol, recovery in PINNED_TRACE_LOG:
+        sc = desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
+                         protocol=protocol, recovery=recovery)
+        sim = Simulation(sc, trace=True)
+        sim.run()
+        got[protocol, recovery] = hashlib.sha256(
+            repr(sim.trace_log).encode("utf-8")).hexdigest()
+    assert got == PINNED_TRACE_LOG
+
+
 def test_cli_reports_disjoint(tmp_path):
     code = main(["run", "--preset", "paper-density", "--seed", "1",
                  "--set", "output_power_dbm=-12",

@@ -130,6 +130,69 @@ def test_colliding_set_tracks_concurrent_data_senders():
     assert 1 in wanted_2                 # and symmetrically for the later frame
 
 
+# -- who hears the end of a frame -------------------------------------------------
+
+
+def heard_by(sim, nid):
+    """Record every end-of-frame callback that reaches node `nid`, as
+    ("packet" | "corrupt", sender)."""
+    heard = []
+    node = sim.nodes[nid]
+    node.on_packet = lambda pkt, sinr: heard.append(("packet", pkt.src))
+    node.on_air_resolved_corrupt = lambda tx: heard.append(("corrupt", tx.sender))
+    return heard
+
+
+def data(src, dst):
+    return Packet(kind=PacketKind.DATA, src=src, dst=dst, length=29, header=16,
+                  payload_len=29)
+
+
+def test_listener_asleep_at_the_last_bit_hears_nothing():
+    sim = rig([(0.0, 0.0), (3.0, 0.0)])
+    heard = heard_by(sim, 0)
+    end = sim.medium.transmit(1, control(1, 0))
+    # listening at the first bit, asleep from mid-frame through the last
+    sim.engine.schedule(end * 0.5, lambda ev: sim.nodes[0].set_radio(RadioState.SLEEP))
+    sim.engine.run_until(end + 1e-9)
+    assert heard == []
+
+
+def test_listener_transmitting_at_the_last_bit_hears_nothing():
+    sim = rig([(0.0, 0.0), (3.0, 0.0)])
+    heard = heard_by(sim, 0)
+    end = sim.medium.transmit(1, control(1, 0))
+    # node 0 starts a longer frame of its own before node 1's frame ends
+    sim.engine.schedule(end * 0.5, lambda ev: sim.medium.transmit(0, data(0, 1)))
+    sim.engine.run_until(end + 1e-9)
+    assert sim.nodes[0].state is RadioState.TX
+    assert heard == []
+
+
+def test_listener_waking_mid_frame_hears_it_as_corrupt():
+    sim = rig([(0.0, 0.0), (3.0, 0.0)])
+    sim.nodes[0].state = RadioState.SLEEP
+    heard = heard_by(sim, 0)
+    end = sim.medium.transmit(1, control(1, 0))
+    # no reception opened at the first bit, listening at the last
+    sim.engine.schedule(end * 0.5, lambda ev: sim.wake(0))
+    sim.engine.run_until(end + 1e-9)
+    assert heard == [("corrupt", 1)]
+
+
+def test_data_reception_is_reported_for_the_addressee_only():
+    # every node hears every other; 1 -> 0 and 2 -> 3 overlap in time
+    sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5), (1.0, 1.0)])
+    seen = []
+    sim.medium.on_data_reception_resolved = (
+        lambda rec, delivered: seen.append(
+            (rec.listener, rec.tx.sender, set(rec.interferers))))
+    end = sim.medium.transmit(1, data(1, 0))
+    sim.engine.schedule(end * 0.5, lambda ev: sim.medium.transmit(2, data(2, 3)))
+    sim.engine.run_until(end + 1.0)
+    assert sorted(seen) == [(0, 1, {2}), (3, 2, {1})]
+
+
 # -- per-sender tables and the on-air power sum ---------------------------------
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from iamac_sim import harness
 from iamac_sim.config import Scenario
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
@@ -251,6 +252,25 @@ def test_transfer_benchmark_pinned(recovery, ber):
     """Exact per-frame figures of 60 transfer frames, recorded from the
     reference implementation; any drift in wiring or RNG use shows here."""
     assert transfer_benchmark(recovery, 1.0, ber, frames=60) == PINNED_TRANSFERS[(recovery, ber)]
+
+
+@pytest.mark.parametrize("recovery", ["arq", "seda"])
+def test_transfer_benchmark_conserves_packets(recovery, monkeypatch):
+    """Each frame's fresh supply is counted as generated, and the previous
+    frame's leftovers as dropped."""
+    sims = []
+
+    class Captured(harness.Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(harness, "Simulation", Captured)
+    transfer_benchmark(recovery, 1.0, 1e-3, frames=5)
+    result = sims[0]._result()
+    assert result["generated_packets"] > result["delivered_packets"] > 0
+    assert result["dropped_packets"] > 0
+    assert result["conserved"]
 
 
 def test_finished_session_leaves_a_newer_session_attached():
