@@ -29,6 +29,11 @@ TRENDS = {
 
 
 def _load(args):
+    """The base is picked once, by a scenario file or by --preset; --set then
+    overrides scenario fields only."""
+    if args.scenario and args.preset:
+        raise ConfigError("--preset: a scenario file picks its own base "
+                          "(use a 'preset = name' line in it)")
     if args.scenario:
         sc = load_scenario(args.scenario)
     elif args.preset:
@@ -36,8 +41,12 @@ def _load(args):
     else:
         sc = Scenario()
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+        key, eq, _ = item.partition("=")
+        if not eq or item.splitlines() != [item]:
+            raise ConfigError(f"--set expects one key=value, got {item!r}")
+        if key.strip() == "preset":
+            raise ConfigError("--set preset: --set overrides scenario fields only; "
+                              "pick the base with --preset")
         sc = parse_scenario(item + "\n", base=sc)
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
@@ -186,7 +195,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("scenario", nargs="?", help="scenario file (key = value lines)")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="base preset")
+        p.add_argument("--preset", choices=sorted(PRESETS),
+                       help="base preset (not with a scenario file)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one scenario field")

@@ -165,14 +165,9 @@ class Simulation:
         """Link estimation and tree construction before duty cycling begins."""
         sc = self.scenario
         if self.route_states is None:
-            states = estimate_links(
-                self.topo, self.streams,
-                broadcast_count=sc.broadcast_count,
-                report_rounds=sc.report_rounds,
-                control_bytes=sc.control_bytes + sc.header_bytes,
-            )
-            build_tree(states, sc.max_children)
-            self.route_states = states
+            states = estimate_links(self.topo, self.streams, sc.broadcast_count,
+                                    sc.report_rounds, sc.control_bytes + sc.header_bytes)
+            self.route_states = build_tree(states, sc.max_children)
         stranded = disjoint_nodes(self.route_states)
         allowed = sc.disjoint_tolerance * (self.topo.n - 1)
         if len(stranded) > allowed:
@@ -185,19 +180,9 @@ class Simulation:
         return self.route_states[nid].parent
 
     def refresh_routing(self):
-        """Synch/Routing advertisement pass: costs and children counts are
-        re-announced to usable neighbors. Nothing calls it: only
-        `select_parent` reads the advertisements, inside the bootstrap
-        `build_tree`, which sets them itself. It stays while the benchmark's
-        tracer (`simbench/tracing.py`) wraps it by name."""
-        states = self.route_states
-        for st in states:
-            if not self.nodes[st.node].alive:
-                continue
-            for j, entry in st.neighbors.items():
-                other = states[j]
-                entry.advertised_cost = other.my_cost
-                entry.advertised_children = len(other.children)
+        """Nothing calls this: the tree is fixed once `bootstrap_routing` has
+        run. It stays while the benchmark's tracer (`simbench/tracing.py`)
+        wraps it by name."""
 
     # -- frame boundaries ---------------------------------------------------------
 

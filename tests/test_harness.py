@@ -178,12 +178,22 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "retry_cap=-1", "output_power_dbm=4000",
                                      "noise_floor=1e300", "cs_threshold=1e300",
                                      "sampling_interval_s=1e-9", "noise_floor=-4000",
-                                     "output_power_dbm=3000"])
+                                     "output_power_dbm=3000", "preset=paper",
+                                     "seed=9\npreset=paper"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert setting.split("=")[0] in err
+
+
+def test_cli_scenario_file_with_preset_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("seed = 4\nhorizon_s = 20\n")
+    assert main(["run", str(cfg), "--preset", "desk"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "preset" in err
 
 
 def test_run_csv_is_identical_across_processes_and_hash_seeds():
@@ -313,6 +323,19 @@ def test_cli_run_writes_metrics(tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(RUN_COLUMNS)
     assert any(",frames," in ln for ln in lines)
+
+
+def test_cli_run_writes_bootstrap_tree(tmp_path):
+    assert main(["run", "--preset", "desk", "--seed", "4",
+                 "--set", "horizon_s=10", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "tree.txt").read_bytes()
+    sim = Simulation(desk_preset(seed=4))
+    sim.bootstrap_routing()
+    edges = [(st.node, st.parent) for st in sim.route_states if st.parent is not None]
+    assert len(edges) == 49
+    assert text.decode().splitlines() == [f"{child} {parent}" for child, parent in edges]
+    assert hashlib.sha256(text).hexdigest() == (
+        "7b6155f207771be6a3624edcb78b2e5f1f8afc81690088e4df1745b838945a68")
 
 
 SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]
