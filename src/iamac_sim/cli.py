@@ -29,8 +29,8 @@ TRENDS = {
 
 
 def _load(args):
-    """The base is picked once, by a scenario file or by --preset; --set then
-    overrides scenario fields only."""
+    """The base is picked once, by a scenario file or by --preset; the --set
+    items and --seed then override scenario fields together, validated once."""
     if args.scenario and args.preset:
         raise ConfigError("--preset: a scenario file picks its own base "
                           "(use a 'preset = name' line in it)")
@@ -40,6 +40,7 @@ def _load(args):
         sc = PRESETS[args.preset]()
     else:
         sc = Scenario()
+    lines = []
     for item in args.set or []:
         key, eq, _ = item.partition("=")
         if not eq or item.splitlines() != [item]:
@@ -47,10 +48,10 @@ def _load(args):
         if key.strip() == "preset":
             raise ConfigError("--set preset: --set overrides scenario fields only; "
                               "pick the base with --preset")
-        sc = parse_scenario(item + "\n", base=sc)
+        lines.append(item + "\n")
     if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
-    return sc.validate()
+        lines.append(f"seed = {args.seed}\n")
+    return parse_scenario("".join(lines), base=sc)
 
 
 def _write(path, text):

@@ -128,7 +128,8 @@ class IamacDriver:
         node = sim.nodes[nid]
         st = self.states[nid]
         st.pending_ev = None
-        if not node.alive or not st.active or not st.contending:
+        # deactivation and the end of contention cancel this; a death does not
+        if not node.alive:
             return
         if sim.medium.carrier_busy(nid) or node.last_rise_t >= st.window_start:
             # something was on the air during the sensing window: hold off and
@@ -136,9 +137,6 @@ class IamacDriver:
             st.awaiting = True
             return
         parent = sim.parent_of(nid)
-        if parent is None:
-            st.contending = False
-            return
         sc = sim.scenario
         rts = Packet(kind=PacketKind.RTS, src=nid, dst=parent,
                      length=sc.control_bytes, header=sc.header_bytes)
@@ -296,11 +294,9 @@ class IamacDriver:
         sim.sleep(parent)
 
     # -- shared handlers ----------------------------------------------------------------------
+    # (a deactivated node sleeps until the next frame's reset: none reaches them)
 
     def on_packet(self, node, pkt, sinr):
-        st = self.states[node.id]
-        if not st.active:
-            return
         if pkt.kind is PacketKind.RTS and self.phase == "rts":
             self._handle_rts(node, pkt)
         elif pkt.kind is PacketKind.CTS and self.phase == "cts":
@@ -308,8 +304,6 @@ class IamacDriver:
 
     def on_corrupt(self, node, tx):
         st = self.states[node.id]
-        if not st.active:
-            return
         if self.phase == "rts":
             if st.awaiting:
                 self._pick_contention(node.id, self._current_mini_slot() + 1)
@@ -323,8 +317,6 @@ class IamacDriver:
 
     def _deactivate(self, nid, why):
         st = self.states[nid]
-        if not st.active:
-            return
         st.active = False
         self._cancel_pending(st)
         self.sim.sleep(nid)

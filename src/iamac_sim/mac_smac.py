@@ -105,9 +105,8 @@ class SmacDriver:
         return limit
 
     def _exchange_span(self, nid):
+        # every caller holds a queue: contenders, and deferrers that have not sent since
         node = self.sim.nodes[nid]
-        if not node.queue:
-            return None
         sc = self.sim.scenario
         data_air = airtime(node.queue[0].payload_len + sc.header_bytes, sc.radio_speed)
         return (self.rts_air + self.sifs + self.rts_air + self.sifs
@@ -122,8 +121,6 @@ class SmacDriver:
             return
         self._cancel_pending(st)
         span = self._exchange_span(nid)
-        if span is None:
-            return
         # the whole exchange must finish inside this frame
         latest_start = min(self._window_limit(nid) - self.rts_air,
                            self.cycle_start + self.frame - span - 1e-3)
@@ -152,8 +149,6 @@ class SmacDriver:
             st.awaiting = True
             return
         parent = sim.parent_of(nid)
-        if parent is None:
-            return
         span = self._exchange_span(nid)
         end = self.engine.now + span
         if end > self.cycle_start + self.frame - 1e-3:
@@ -173,7 +168,8 @@ class SmacDriver:
     def _cts_timeout(self, nid):
         st = self.states[nid]
         st.pending_ev = None
-        if st.role == "tx" and not st.exchange.get("cts_seen"):
+        # a CTS cancels this timer, so it fires only when none came
+        if st.role == "tx":
             # collision or lost CTS: retry next frame
             self.sim.trace(nid, "smac-no-cts")
             self._exchange_over(nid, success=False)
@@ -211,7 +207,6 @@ class SmacDriver:
         elif kind is PacketKind.CTS:
             if pkt.dst == nid:
                 if st.role == "tx":
-                    st.exchange["cts_seen"] = True
                     self._cancel_pending(st)
                     self.engine.schedule(self.engine.now + self.sifs,
                                          lambda ev: self._send_data(nid))
@@ -259,11 +254,11 @@ class SmacDriver:
         st = self.states[nid]
         st.pending_ev = None
         if st.role == "tx":
-            self._exchange_over(nid, success=st.exchange.get("data_received", False))
+            self._exchange_over(nid, success=st.exchange["data_received"])
 
     def _rx_timeout(self, nid):
         st = self.states[nid]
-        if st.role == "rx" and not st.exchange.get("data_received"):
+        if st.role == "rx" and not st.exchange["data_received"]:
             st.pending_ev = None
             self.sim.trace(nid, "smac-rx-timeout")
             self._exchange_over(nid, success=False)
@@ -274,7 +269,7 @@ class SmacDriver:
         if st.role is None:
             return
         if st.role == "tx":
-            if success or st.exchange.get("data_received"):
+            if success or st.exchange["data_received"]:
                 # reconcile: the parent holds the packet even if the ack died
                 sim.remove_from_queue(nid, st.exchange["uid"])
         st.role = None

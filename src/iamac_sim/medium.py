@@ -18,7 +18,7 @@ from .packets import PacketKind
 
 CONTROL_KINDS = (PacketKind.SYNCH_ROUTING, PacketKind.RTS, PacketKind.CTS)
 DATA_KINDS = (PacketKind.DATA, PacketKind.SEDA_BLOCK)
-LISTEN = RadioState.LISTEN
+LISTEN, TX = RadioState.LISTEN, RadioState.TX
 
 
 def _sender_tables(rx_mw, listeners):
@@ -86,7 +86,8 @@ class Medium:
         duration = packet.airtime(self.model.radio_speed)
         tx = Transmission(sender, packet, now, now + duration, on_resolved)
         nodes = self.nodes
-        nodes[sender].radio_begin_tx(tx.t_end)
+        # no node starts a transmission while its own is still on the air
+        nodes[sender].set_radio(TX)
 
         is_data = packet.kind in DATA_KINDS
         active_data = self.active_data
@@ -154,7 +155,9 @@ class Medium:
         # the sender is receive-ready the instant its last bit leaves, so
         # same-instant responses (acks, recovery frames) can reach it
         nodes = self.nodes
-        nodes[sender].radio_maybe_end_tx()
+        node = nodes[sender]
+        if node.alive and node.state is TX:
+            node.set_radio(LISTEN)
 
         # control frames with corruption switched off always arrive; Seda
         # block bursts degrade block by block, not all-or-nothing: the

@@ -128,17 +128,16 @@ class _SessionBase:
         return self.sim.nodes[self.child].queue
 
     def _finish(self):
-        if self.done:
-            return
+        # a finished session has no timer pending and no node forwarding to it
+        self._cancel_timer()
         self.done = True
         self.result.elapsed = self.engine.now - self._t0
         for nid in (self.child, self.parent):
             node = self.sim.nodes[nid]
             if node.active_session is self:
                 node.active_session = None
-        cb, self.on_done = self.on_done, None
-        if cb is not None:
-            cb(self)
+        if self.on_done is not None:
+            self.on_done(self)
 
     def _deliver(self, pkt):
         self.result.delivered_packets += 1
@@ -180,8 +179,6 @@ class ArqSession(_SessionBase):
                 + airtime(sc.ack_len, sc.radio_speed) + sc.turnaround_s)
 
     def _next_packet(self):
-        if self.done:
-            return
         q = self._queue()
         if not q:
             self._finish()
@@ -197,8 +194,6 @@ class ArqSession(_SessionBase):
         self._send_attempt()
 
     def _send_attempt(self):
-        if self.done:
-            return
         if not (self.sim.nodes[self.child].alive and self.sim.nodes[self.parent].alive):
             self._finish()
             return
@@ -223,7 +218,7 @@ class ArqSession(_SessionBase):
         self._timeout_ev = self.engine.schedule(timeout, self._on_timeout)
 
     def on_packet(self, node, pkt, sinr):
-        if self.done or self.current is None:
+        if self.current is None:
             return
         if node == self.parent and pkt.kind is PacketKind.DATA and pkt.src == self.child:
             if pkt.uid == self.current.uid and not self.got_through:
@@ -250,8 +245,6 @@ class ArqSession(_SessionBase):
 
     def _on_timeout(self, event):
         self._timeout_ev = None
-        if self.done:
-            return
         if self.attempts <= self.sc.retry_cap:
             self._send_attempt()
         else:
@@ -286,7 +279,6 @@ class SedaSession(_SessionBase):
         self.retrans_uids = set()    # blocks that flew in a retransmission
         self.phase = "idle"          # idle | data | retrans
         self._window_end = None
-        self._rf_sent = False
 
     def start(self):
         self._next_burst()
@@ -294,8 +286,6 @@ class SedaSession(_SessionBase):
     # -- child side -----------------------------------------------------
 
     def _next_burst(self):
-        if self.done:
-            return
         if not (self.sim.nodes[self.child].alive and self.sim.nodes[self.parent].alive):
             self._finish()
             return
@@ -317,7 +307,6 @@ class SedaSession(_SessionBase):
         self.burst = list(q[:plan])
         self.delivered_uids = set()
         self.retrans_uids = set()
-        self._rf_sent = False
         self._window_end = end
         self.sim.ledger.data_packets_started += len(self.burst)
         self.phase = "data"
@@ -342,15 +331,13 @@ class SedaSession(_SessionBase):
 
     def _on_deadline(self, event):
         self._timeout_ev = None
-        if self.done:
-            return
         # data phase + silence means no recovery frame arrived: either the
         # burst was clean or nothing useful can be learned; reconcile.
         self._resolve_burst()
 
     def on_corrupt(self, node, tx):
         """The child heard garbage while waiting for the recovery report."""
-        if self.done or node != self.child or self.phase != "data":
+        if node != self.child or self.phase != "data":
             return
         if tx.sender != self.parent or tx.packet.kind is not PacketKind.RECOVERY_FRAME:
             return
@@ -379,8 +366,8 @@ class SedaSession(_SessionBase):
             elif uid not in self.delivered_uids:
                 self.delivered_uids.add(uid)
                 self._deliver(by_uid[uid])
-        if self.phase == "data" and corrupt and not self._rf_sent:
-            self._rf_sent = True
+        # the child sends one frame in the data phase, so at most one report
+        if self.phase == "data" and corrupt:
             self.result.recovery_frames += 1
             rf = Packet(kind=PacketKind.RECOVERY_FRAME, src=self.parent,
                         dst=self.child, length=self.sc.rf_overhead,
@@ -390,8 +377,6 @@ class SedaSession(_SessionBase):
     # -- shared -----------------------------------------------------------
 
     def on_packet(self, node, pkt, sinr):
-        if self.done:
-            return
         if node == self.parent and pkt.kind is PacketKind.SEDA_BLOCK and pkt.src == self.child:
             self._parent_got_frame(pkt, sinr)
         elif node == self.child and pkt.kind is PacketKind.RECOVERY_FRAME and pkt.src == self.parent:

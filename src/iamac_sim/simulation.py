@@ -33,7 +33,6 @@ class Node:
         self.last_rise_t = -1.0
         self.state = SLEEP
         self._state_since = 0.0
-        self._tx_until = -1.0
 
     # -- radio state --------------------------------------------------------
 
@@ -70,15 +69,6 @@ class Node:
             self.alive = False
             self.ledger.record_death(self.engine.now)
             self.medium.abort_receptions(self.id)
-
-    def radio_begin_tx(self, t_end):
-        if t_end > self._tx_until:
-            self._tx_until = t_end
-        self.set_radio(TX)
-
-    def radio_maybe_end_tx(self):
-        if self.alive and self.state is TX and self.engine.now >= self._tx_until - 1e-12:
-            self.set_radio(LISTEN)
 
     # -- medium callbacks -----------------------------------------------------
 
@@ -192,7 +182,6 @@ class Simulation:
         self.frame_idx += 1
         self.ledger.mark_frame_state()
         for node in self.nodes:
-            node.active_session = None
             if node.alive and node.state is SLEEP:
                 node.set_radio(LISTEN)
         self.charge_synch_slot(synch_airtime)

@@ -179,7 +179,7 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "noise_floor=1e300", "cs_threshold=1e300",
                                      "sampling_interval_s=1e-9", "noise_floor=-4000",
                                      "output_power_dbm=3000", "preset=paper",
-                                     "seed=9\npreset=paper"])
+                                     "seed=9\npreset=paper", "report_rounds=0"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
@@ -194,6 +194,24 @@ def test_cli_scenario_file_with_preset_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "preset" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_set_items_apply_together(command, tmp_path):
+    """--set items are validated once, after all of them apply: a horizon
+    shorter than the default frame is fine with the shorter frame set after it."""
+    items = ["horizon_s=0.9", "frame_s=0.4"]
+    csv = "metrics.csv" if command == "run" else "sweep.csv"
+    extra = [] if command == "run" else ["--param", "output_power_dbm", "--values", "8"]
+    outputs = []
+    for order in (items, items[::-1]):
+        out = tmp_path / "-".join(order)
+        argv = [command, "--preset", "desk", "--seed", "4", "--out", str(out)] + extra
+        for item in order:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        outputs.append((out / csv).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_run_csv_is_identical_across_processes_and_hash_seeds():
@@ -336,6 +354,20 @@ def test_cli_run_writes_bootstrap_tree(tmp_path):
     assert text.decode().splitlines() == [f"{child} {parent}" for child, parent in edges]
     assert hashlib.sha256(text).hexdigest() == (
         "7b6155f207771be6a3624edcb78b2e5f1f8afc81690088e4df1745b838945a68")
+
+
+def test_cli_run_writes_the_trace(tmp_path):
+    assert main(["run", "--preset", "desk", "--seed", "4", "--set", "horizon_s=10",
+                 "--trace", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "trace.txt").read_bytes()
+    sim = Simulation(desk_preset(seed=4, horizon_s=10.0), trace=True)
+    sim.run()
+    lines = text.decode().splitlines()
+    assert len(lines) == len(sim.trace_log) == 390
+    t, node, label, detail = sim.trace_log[0]
+    assert lines[0] == f"{t:.6f} node={node} {label} {detail}"
+    assert hashlib.sha256(text).hexdigest() == (
+        "c7ac58e5b8ebb919920acb2eb0e23872bced02615aa3ecd4c1fc829988231caf")
 
 
 SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]

@@ -7,8 +7,10 @@ import pytest
 
 from iamac_sim.config import Scenario, desk_preset, paper_preset
 from iamac_sim.energy import RadioState
+from iamac_sim.mac_iamac import IamacDriver
 from iamac_sim.medium import Medium
 from iamac_sim.packets import Packet, PacketKind
+from iamac_sim.recovery import _SessionBase
 from iamac_sim.simulation import Simulation
 
 
@@ -247,3 +249,66 @@ def test_onair_power_is_the_sum_over_live_transmissions(protocol, recovery, monk
     monkeypatch.setattr(Medium, "_end_transmission", checked_end)
     assert sim.run()["status"] == "ok"
     assert most_live >= 2
+
+
+# -- the conditions the transfer path rests on ---------------------------------------
+
+
+@pytest.mark.parametrize("protocol, recovery, overrides", [
+    ("iamac", "arq", {}),
+    ("iamac", "seda", {}),
+    ("smac", "arq", {}),
+    ("adaptive-smac", "arq", {}),
+    ("iamac", "seda", {"frame_s": 20.0, "horizon_s": 200.0}),
+    ("iamac", "seda", {"battery_mah": 0.05}),
+])
+def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeypatch):
+    """The states the MACs, the sessions and the node radio no longer guard
+    against never occur: no node starts a transmission while its own is on
+    the air, no session outlives its frame or finishes with a timer pending,
+    and no IAMAC handler sees a deactivated node."""
+    sc = desk_preset(seed=4, protocol=protocol, recovery=recovery,
+                     stop_on_first_death=False, **{"horizon_s": 60.0, **overrides})
+    sim = Simulation(sc)
+    calls = {"transmit": 0, "frames": 0, "finished": 0, "iamac": 0}
+    transmit, begin_frame = Medium.transmit, Simulation.begin_frame
+    finish = _SessionBase._finish
+    on_packet, on_corrupt = IamacDriver.on_packet, IamacDriver.on_corrupt
+
+    def checked_transmit(medium, sender, packet, on_resolved=None):
+        calls["transmit"] += 1
+        assert medium.nodes[sender].state is not RadioState.TX
+        return transmit(medium, sender, packet, on_resolved)
+
+    def checked_begin_frame(simulation, synch_airtime):
+        calls["frames"] += 1
+        assert all(node.active_session is None for node in simulation.nodes)
+        begin_frame(simulation, synch_airtime)
+
+    def checked_finish(session):
+        calls["finished"] += 1
+        assert session._timeout_ev is None or session._timeout_ev.cancelled
+        finish(session)
+
+    def checked_on_packet(driver, node, pkt, sinr):
+        calls["iamac"] += 1
+        assert driver.states[node.id].active
+        on_packet(driver, node, pkt, sinr)
+
+    def checked_on_corrupt(driver, node, tx):
+        calls["iamac"] += 1
+        assert driver.states[node.id].active
+        on_corrupt(driver, node, tx)
+
+    monkeypatch.setattr(Medium, "transmit", checked_transmit)
+    monkeypatch.setattr(Simulation, "begin_frame", checked_begin_frame)
+    monkeypatch.setattr(_SessionBase, "_finish", checked_finish)
+    monkeypatch.setattr(IamacDriver, "on_packet", checked_on_packet)
+    monkeypatch.setattr(IamacDriver, "on_corrupt", checked_on_corrupt)
+    result = sim.run()
+    assert result["status"] == "ok" and result["delivered_packets"] > 0
+    assert calls["transmit"] > 0 and calls["frames"] > 1
+    if protocol == "iamac":
+        assert calls["finished"] > 0 and calls["iamac"] > 0
+    if "battery_mah" in overrides:
+        assert sum(not node.alive for node in sim.nodes) > 40
