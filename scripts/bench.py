@@ -15,8 +15,11 @@ Python and numpy versions, the CPU count and the checkout's `git rev-parse HEAD`
 `pairs` alternates ten single `simbench/worker.py` runs of one workload in the
 parent checkout and ten in this one, each side first in every other pair, and
 stores under `--name` every run's host-normalized `run_s` and the host
-slowdown it was divided by, the medians, the parent's interquartile range and
-how many pairs the change won. Run one workload seed per call.
+slowdown it was divided by, each side's median and interquartile range and
+how many pairs the change won. Run one workload seed per call. A run whose CSV
+hash differs from its checkout's `simbench/expected.json`, whose status is not
+"ok" or that does not conserve packets stops `pairs` with a non-zero exit
+before anything is written.
 """
 
 import argparse
@@ -70,8 +73,23 @@ def record(args):
     }
 
 
+def run_fault(rec, expected_hash):
+    """Why a worker run cannot count as a timing of the right output, or None."""
+    if rec["hash"] != expected_hash:
+        return f"CSV hash {rec['hash']} is not the recorded {expected_hash}"
+    if rec["status"] != "ok":
+        return f"status {rec['status']!r}"
+    if not rec["conserved"]:
+        return "packets not conserved"
+    return None
+
+
 def pairs(args):
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.checkout).resolve()}
+    expected = {
+        side: json.loads((checkout / "simbench" / "expected.json").read_text())
+        ["hashes"][args.workload][str(args.workload_seed)]
+        for side, checkout in sides.items()}
     cmd = [sys.executable, "simbench/worker.py", "--workload", args.workload,
            "--workload-seed", str(args.workload_seed), "--setups", "3"]
     runs = {"parent": [], "change": []}
@@ -80,12 +98,15 @@ def pairs(args):
         order = list(sides.items())
         for side, checkout in order if i % 2 == 0 else order[::-1]:
             rec = last_json_line(cmd, checkout)
+            fault = run_fault(rec, expected[side])
+            if fault is not None:
+                raise SystemExit(f"pair {i}, {side} run: {fault}; nothing written")
             runs[side].append(rec["run_s"])
             slowdown[side].append(rec["slowdown"])
         print(f"pair {i}: parent {runs['parent'][-1]:.4f}  change {runs['change'][-1]:.4f}",
               flush=True)
     q1, parent_median, q3 = statistics.quantiles(runs["parent"], n=4)
-    change_median = statistics.quantiles(runs["change"], n=4)[1]
+    c1, change_median, c3 = statistics.quantiles(runs["change"], n=4)
     return {
         "workload": args.workload,
         "workload_seed": args.workload_seed,
@@ -95,6 +116,7 @@ def pairs(args):
         "parent_median": parent_median,
         "parent_iqr": q3 - q1,
         "change_median": change_median,
+        "change_iqr": c3 - c1,
         "ratio": change_median / parent_median,
         "wins": sum(c < p for p, c in zip(runs["parent"], runs["change"])),
     }

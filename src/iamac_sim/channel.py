@@ -1,6 +1,7 @@
-"""Lossy wireless medium math: log-distance path loss with shadowing,
-SNR/SINR, non-coherent FSK bit errors, packet reception probability and the
-transitional-region characterization."""
+"""Lossy wireless medium math: log-distance path loss with shadowing, SNR,
+non-coherent FSK bit errors, packet reception probability and the
+transitional-region characterization. The error model takes a linear SNR (or
+SINR); link-budget callers in dB convert with `dbm_to_mw`."""
 
 from __future__ import annotations
 
@@ -39,25 +40,24 @@ class LinkModel:
 
     # -- error model ---------------------------------------------------
 
-    def bit_error_rate(self, snr_db):
-        """Non-coherent FSK over NRZ: 0.5*exp(-snr/2 * bw_ratio), snr linear."""
-        snr_lin = 10.0 ** (snr_db / 10.0)
+    def bit_error_rate(self, snr_lin):
+        """Non-coherent FSK over NRZ: 0.5*exp(-snr/2 * bw_ratio), with `snr_lin`
+        a non-negative linear ratio, so the rate never exceeds 0.5."""
         arg = 0.5 * snr_lin * self.bandwidth_to_rate
         if arg > 700.0:
             return 0.0
-        p = 0.5 * math.exp(-arg)
-        return min(p, 0.5)
+        return 0.5 * math.exp(-arg)
 
-    def packet_reception_prob(self, snr_db, length_bytes):
+    def packet_reception_prob(self, snr_lin, length_bytes):
         if length_bytes < 1:
             raise ValueError(f"packet length must be >= 1 byte, got {length_bytes}")
-        pb = self.bit_error_rate(snr_db)
+        pb = self.bit_error_rate(snr_lin)
         if pb == 0.0:
             return 1.0
         return (1.0 - pb) ** (8 * length_bytes)
 
     def prr_from_rx_power(self, rx_dbm, length_bytes):
-        return self.packet_reception_prob(rx_dbm - self.noise_floor, length_bytes)
+        return self.packet_reception_prob(dbm_to_mw(rx_dbm - self.noise_floor), length_bytes)
 
     # -- threshold helpers ----------------------------------------------
 
@@ -71,18 +71,8 @@ class LinkModel:
 
 
 def dbm_to_mw(dbm):
+    """dBm to mW; equally, a power ratio in dB to a linear ratio."""
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw):
-    if mw <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(mw)
-
-
-def sinr_db(wanted_mw, interference_mw, noise_mw):
-    """Wanted power over noise plus summed interferer power, in dB."""
-    return mw_to_dbm(wanted_mw) - mw_to_dbm(noise_mw + interference_mw)
 
 
 # Gauss-Hermite abscissas for marginalizing N(0, sigma) shadowing.
@@ -94,11 +84,12 @@ _gh_w = _gh_w / _gh_w.sum()
 def expected_prr(model, tx_power_dbm, d, length_bytes):
     """Reception probability at distance d with shadowing marginalized out."""
     if model.shadowing_sigma == 0.0:
-        return model.packet_reception_prob(model.snr(tx_power_dbm, d), length_bytes)
+        return model.packet_reception_prob(dbm_to_mw(model.snr(tx_power_dbm, d)), length_bytes)
     total = 0.0
     for x, w in zip(_gh_x, _gh_w):
         s = model.shadowing_sigma * x
-        total += w * model.packet_reception_prob(model.snr(tx_power_dbm, d, s), length_bytes)
+        snr = dbm_to_mw(model.snr(tx_power_dbm, d, s))
+        total += w * model.packet_reception_prob(snr, length_bytes)
     return total
 
 

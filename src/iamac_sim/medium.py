@@ -2,9 +2,10 @@
 per-packet reception draw.
 
 A reception is opened for every sense-range listener that is in listen state
-when the first bit hits the air, tracks its worst-case SINR across every
-on-air change, and resolves with a single uniform draw against the packet
-reception probability at that minimum SINR. A listener that is not in listen
+when the first bit hits the air, tracks its worst-case interference across
+every on-air change, and resolves with a single uniform draw against the
+packet reception probability at the resulting minimum SINR, taken as the
+linear ratio wanted / (noise + interference). A listener that is not in listen
 state at the last bit hears nothing of the frame; one that listens then but
 opened no reception hears it as corrupt. Concurrent data transmitters in sense
 range are collected per addressee reception for the colliding-set metric.
@@ -12,7 +13,6 @@ range are collected per addressee reception for the colliding-set metric.
 
 from __future__ import annotations
 
-from .channel import sinr_db
 from .energy import RadioState
 from .packets import PacketKind
 
@@ -165,7 +165,10 @@ class Medium:
         always = kind is PacketKind.SEDA_BLOCK or (
             self.control_corruption_disabled and kind in CONTROL_KINDS)
         on_air_bytes = pkt.on_air_bytes()
-        reception_prob = self.model.packet_reception_prob
+        if on_air_bytes < 1:
+            raise ValueError(f"packet length must be >= 1 byte, got {on_air_bytes}")
+        bits = 8 * on_air_bytes
+        bit_error_rate = self.model.bit_error_rate
         random = self.rng.random
         noise_mw = self.noise_mw
         resolved = self.on_data_reception_resolved if is_data else None
@@ -182,10 +185,15 @@ class Medium:
             if rec is None:
                 node.on_air_resolved_corrupt(tx)
                 continue
-            sinr = sinr_db(rec.wanted_mw, rec.max_other_mw, noise_mw)
-            if not always:
-                prr = reception_prob(sinr, on_air_bytes)
-            delivered = always or prr >= 1.0 or random() < prr
+            sinr = rec.wanted_mw / (noise_mw + rec.max_other_mw)
+            if always:
+                delivered = True
+            else:
+                # the packet reception probability, as `packet_reception_prob`
+                # gives it: (1 - 0.0) ** bits is exactly 1.0, so a zero bit
+                # error rate delivers without a draw
+                prr = (1.0 - bit_error_rate(sinr)) ** bits
+                delivered = prr >= 1.0 or random() < prr
             if resolved is not None and j == dst:
                 resolved(rec, delivered)
             if delivered:
@@ -195,9 +203,10 @@ class Medium:
         if tx.on_resolved is not None:
             tx.on_resolved(tx)
 
-    def block_corruption_draws(self, sinr_db, n_blocks, block_bytes):
-        """Seda: independent per-block corruption at the frame's worst SINR."""
-        pb = self.model.bit_error_rate(sinr_db)
+    def block_corruption_draws(self, sinr, n_blocks, block_bytes):
+        """Seda: independent per-block corruption at the frame's worst
+        (linear) SINR."""
+        pb = self.model.bit_error_rate(sinr)
         if pb <= 0.0:
             return [False] * n_blocks
         p_block = 1.0 - (1.0 - pb) ** (8 * block_bytes)

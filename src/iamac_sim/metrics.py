@@ -62,24 +62,38 @@ class MetricsLedger:
     # -- energy ---------------------------------------------------------
 
     def account(self, node, state, duration):
-        """Charge `duration` seconds in `state`; returns the energy in mJ."""
+        """Charge `duration` seconds in `state`; returns the residual energy
+        in mJ."""
         if duration < 0:
             raise ValueError("negative duration")
-        if duration == 0.0:
-            return 0.0
-        if state is SLEEP:
-            k, rate = 0, self._sleep_rate
-        elif state is LISTEN:
-            k, rate = 1, self._listen_rate
-        else:
-            k, rate = 2, self._tx_rate
-        mj = rate * duration
-        self.state_time[node][k] += duration
-        self.state_energy[node][k] += mj
-        self.residual_mj[node] -= mj
-        return mj
+        return self.account_radio(node, state, duration, state)
+
+    def account_radio(self, node, state, elapsed, new_state):
+        """A radio change in one call: charge `elapsed` seconds in `state`
+        (none when `elapsed` is not positive), then one switch when
+        `new_state` differs from `state`. Returns the residual energy in mJ."""
+        residual = self.residual_mj[node]
+        if elapsed > 0:
+            if state is SLEEP:
+                k, rate = 0, self._sleep_rate
+            elif state is LISTEN:
+                k, rate = 1, self._listen_rate
+            else:
+                k, rate = 2, self._tx_rate
+            mj = rate * elapsed
+            self.state_time[node][k] += elapsed
+            self.state_energy[node][k] += mj
+            residual -= mj
+        if new_state is not state:
+            mj = self.table.switch_mj
+            self.switch_energy[node] += mj
+            residual -= mj
+        self.residual_mj[node] = residual
+        return residual
 
     def account_switch(self, node):
+        # uncalled: `account_radio` charges switches; this stays while the
+        # benchmark's tracer (`simbench/tracing.py`) wraps it by name
         mj = self.table.switch_mj
         self.switch_energy[node] += mj
         self.residual_mj[node] -= mj

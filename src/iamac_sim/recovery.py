@@ -218,6 +218,8 @@ class ArqSession(_SessionBase):
         self._timeout_ev = self.engine.schedule(timeout, self._on_timeout)
 
     def on_packet(self, node, pkt, sinr):
+        """A frame decoded at `node`; `sinr` (a linear ratio) is unused,
+        since an ARQ frame is received whole or not at all."""
         if self.current is None:
             return
         if node == self.parent and pkt.kind is PacketKind.DATA and pkt.src == self.child:
@@ -377,6 +379,9 @@ class SedaSession(_SessionBase):
     # -- shared -----------------------------------------------------------
 
     def on_packet(self, node, pkt, sinr):
+        """A frame decoded at `node`. The parent draws a block frame's
+        per-block corruption at `sinr`, the frame's worst-case SINR as a
+        linear ratio (not dB)."""
         if node == self.parent and pkt.kind is PacketKind.SEDA_BLOCK and pkt.src == self.child:
             self._parent_got_frame(pkt, sinr)
         elif node == self.child and pkt.kind is PacketKind.RECOVERY_FRAME and pkt.src == self.parent:

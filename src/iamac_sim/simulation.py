@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from itertools import count
 
+from .channel import dbm_to_mw
 from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
@@ -40,18 +41,15 @@ class Node:
         if not self.alive:
             return
         now = self.engine.now
-        elapsed = now - self._state_since
-        ledger = self.ledger
-        if elapsed > 0:
-            ledger.account(self.id, self.state, elapsed)
+        old = self.state
+        residual = self.ledger.account_radio(self.id, old, now - self._state_since, state)
         self._state_since = now
-        if state is not self.state:
-            was_listening = self.state is LISTEN
+        if state is not old:
             self.state = state
-            ledger.account_switch(self.id)
-            if was_listening:
+            if old is LISTEN:
                 self.medium.abort_receptions(self.id)
-        self._check_energy()
+        if residual <= 0.0:
+            self._deplete()
 
     def flush_energy(self):
         if not self.alive:
@@ -59,16 +57,16 @@ class Node:
         now = self.engine.now
         elapsed = now - self._state_since
         if elapsed > 0:
-            self.ledger.account(self.id, self.state, elapsed)
+            residual = self.ledger.account(self.id, self.state, elapsed)
             self._state_since = now
-            self._check_energy()
+            if residual <= 0.0:
+                self._deplete()
 
-    def _check_energy(self):
-        # every caller holds a live node
-        if self.ledger.residual_mj[self.id] <= 0.0:
-            self.alive = False
-            self.ledger.record_death(self.engine.now)
-            self.medium.abort_receptions(self.id)
+    def _deplete(self):
+        # the battery of this live node is empty: it dies now
+        self.alive = False
+        self.ledger.record_death(self.engine.now)
+        self.medium.abort_receptions(self.id)
 
     # -- medium callbacks -----------------------------------------------------
 
@@ -81,6 +79,9 @@ class Node:
             driver.on_air_rise(self, tx)
 
     def on_packet(self, pkt, sinr):
+        """A frame decoded here; `sinr` is its worst-case SINR over the
+        frame, as a linear ratio (not dB). Transfer frames go to the node's
+        session, everything else to the MAC driver."""
         if self.active_session is not None and pkt.kind in (
                 PacketKind.DATA, PacketKind.ACK,
                 PacketKind.SEDA_BLOCK, PacketKind.RECOVERY_FRAME):
@@ -331,7 +332,7 @@ class Simulation:
         """Zero-interference BER on the child->parent link (the nodes' own
         link-quality knowledge is assumed accurate)."""
         snr = self.topo.rx_dbm[child, parent] - self.model.noise_floor
-        return self.model.bit_error_rate(snr)
+        return self.model.bit_error_rate(dbm_to_mw(snr))
 
     def wake(self, nid):
         node = self.nodes[nid]
@@ -349,7 +350,8 @@ class Simulation:
         account = self.ledger.account
         for node in self.nodes:
             if node.alive and node.state is LISTEN:
-                account(node.id, TX, synch_airtime)
+                residual = account(node.id, TX, synch_airtime)
                 # the transmit burst replaces listen time inside the slot
                 node._state_since += synch_airtime
-                node._check_energy()
+                if residual <= 0.0:
+                    node._deplete()

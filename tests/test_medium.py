@@ -68,7 +68,9 @@ def test_clean_reception_delivers_packet():
     end = sim.medium.transmit(1, control(1, 0))
     sim.engine.run_until(end + 1e-9)
     assert got and got[0][0] == 1
-    assert got[0][1] == pytest.approx(0.0 - (55.0 + 40.0 * 0.477) + 105.0, abs=0.1)
+    # the medium hands on a linear SINR
+    assert 10.0 * math.log10(got[0][1]) == pytest.approx(0.0 - (55.0 + 40.0 * 0.477) + 105.0,
+                                                         abs=0.1)
 
 
 def test_sleeping_listener_misses_the_packet():
@@ -98,8 +100,9 @@ def test_interferer_degrades_min_sinr():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5)])
     sinrs = []
     sim.nodes[0].on_packet = lambda pkt, sinr: sinrs.append(sinr)
-    data = Packet(kind=PacketKind.DATA, src=1, dst=0, length=29, header=16,
-                  payload_len=29)
+    # a Seda block frame is handed on whatever its SINR, so the value shows
+    # even when interference would lose a whole frame
+    data = Packet(kind=PacketKind.SEDA_BLOCK, src=1, dst=0, length=29, header=16)
     end = sim.medium.transmit(1, data)
 
     def interfere(ev):
@@ -108,9 +111,8 @@ def test_interferer_degrades_min_sinr():
     sim.engine.schedule(end * 0.6, interfere)
     sim.engine.run_until(end + 1.0)
     # the wanted frame resolves at its worst-case ratio, not at clean SNR
-    if sinrs:
-        clean = sim.medium.topo.rx_dbm[1, 0] - sim.medium.model.noise_floor
-        assert sinrs[0] < clean - 3.0
+    clean = sim.medium.topo.rx_dbm[1, 0] - sim.medium.model.noise_floor
+    assert 10.0 * math.log10(sinrs[0]) < clean - 3.0
 
 
 def test_colliding_set_tracks_concurrent_data_senders():
@@ -312,3 +314,58 @@ def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeyp
         assert calls["finished"] > 0 and calls["iamac"] > 0
     if "battery_mah" in overrides:
         assert sum(not node.alive for node in sim.nodes) > 40
+
+
+# -- radio switches and the energy ledger -------------------------------------------
+
+
+def test_a_switch_that_empties_the_battery_kills_the_sender():
+    sc = Scenario(node_count=2, seed=1, shadowing_sigma=0.0, battery_mah=0.01)
+    sim = Simulation(sc, [(0.0, 0.0), (3.0, 0.0)])
+    ledger, sender = sim.ledger, sim.nodes[1]
+    for node in sim.nodes:
+        node.state = RadioState.LISTEN
+    switch_mj = sim.energy_table.switch_mj
+    listen_rate = ledger._listen_rate
+    # listen until half a switch's energy is left, with a frame arriving
+    t = (sim.energy_table.battery_mj - 0.5 * switch_mj) / listen_rate
+    sim.engine.run_until(t)
+    sim.medium.transmit(0, control(0, 1))
+    sender.flush_energy()
+    assert sender.alive and 0.0 < ledger.residual_mj[1] < switch_mj
+    assert sim.medium.receptions[1]
+
+    end = sim.medium.transmit(1, control(1, 0))
+    assert not sender.alive
+    assert ledger.first_death_time == sim.engine.now == t
+    assert not sim.medium.receptions[1]
+    spent = ledger.spent_mj(1)
+    assert ledger.switch_energy[1] == switch_mj
+    assert spent + ledger.residual_mj[1] == pytest.approx(sim.energy_table.battery_mj)
+
+    sim.engine.run_until(end + 1.0)
+    sender.set_radio(RadioState.SLEEP)
+    sender.flush_energy()
+    assert ledger.spent_mj(1) == spent
+    assert ledger.switch_energy[1] == switch_mj
+    assert spent + ledger.residual_mj[1] == pytest.approx(sim.energy_table.battery_mj)
+
+
+def test_same_state_set_radio_charges_time_and_no_switch():
+    sim = rig([(0.0, 0.0), (3.0, 0.0)])
+    ledger, node = sim.ledger, sim.nodes[0]
+    sim.medium.transmit(1, control(1, 0))
+    sim.engine.run_until(2e-3)
+    node.set_radio(RadioState.LISTEN)
+    assert ledger.state_time[0] == [0.0, 2e-3, 0.0]
+    assert ledger.state_energy[0][1] == ledger._listen_rate * 2e-3
+    assert ledger.switch_energy[0] == 0.0
+    assert ledger.residual_mj[0] == sim.energy_table.battery_mj - ledger._listen_rate * 2e-3
+    # still listening: the open reception survives
+    assert sim.medium.receptions[0]
+    # a switch later charges the time since that call, then one switch
+    sim.engine.run_until(5e-3)
+    node.set_radio(RadioState.SLEEP)
+    assert ledger.state_time[0] == [0.0, 2e-3 + 3e-3, 0.0]
+    assert ledger.switch_energy[0] == sim.energy_table.switch_mj
+    assert not sim.medium.receptions[0]

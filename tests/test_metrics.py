@@ -41,7 +41,9 @@ def test_sleep_second_energy(table):
 
 def test_zero_duration_zero_energy(table):
     ledger = MetricsLedger(1, table)
-    assert ledger.account(0, RadioState.LISTEN, 0.0) == 0.0
+    # charging nothing leaves the whole battery as the residual it returns
+    assert ledger.account(0, RadioState.LISTEN, 0.0) == table.battery_mj
+    assert ledger.spent_mj(0) == 0.0 and ledger.state_time[0] == [0.0, 0.0, 0.0]
 
 
 def test_listening_drains_more_than_sleeping(table):
