@@ -113,10 +113,14 @@ def cmd_sweep(args):
     sc = _load(args)
     if args.param not in {f.name for f in fields(Scenario)}:
         raise ConfigError(f"--param: unknown scenario field {args.param!r}")
+    if args.param == "seed":
+        raise ConfigError("--param seed: every point runs each of --seeds; list seeds there")
     values = _parse_values(args.values, "--values")
     for value in values:
         replace(sc, **{args.param: value}).validate()
     seeds = _parse_values(args.seeds, "--seeds", kinds=(int,))
+    for seed in seeds:
+        replace(sc, seed=seed).validate()
     if args.trend:
         kind, _, metric = args.trend.partition(":")
         if kind not in TRENDS:
@@ -207,7 +211,8 @@ def build_parser():
     common(p)
     p.add_argument("--name", default="run")
     p.add_argument("--trace", action="store_true",
-                   help="dump the per-frame state-transition trace")
+                   help="record the run (README: Recording a run); with --out, "
+                        "write its MAC decisions to trace.txt")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="parameter sweep")

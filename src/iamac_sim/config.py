@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 # smallest accepted value of each size (bytes), count, duration and energy
 _MINIMUM = {
-    "broadcast_count": 1, "report_rounds": 1, "max_children": 0,
+    "seed": 0, "broadcast_count": 1, "report_rounds": 1, "max_children": 0,
     "control_bytes": 1, "header_bytes": 0, "payload_bytes": 1, "ack_len": 1,
     "block_overhead": 0, "rf_overhead": 0, "retry_cap": 0,
     "synch_slot_s": 0.0, "max_backoff_s": 0.0, "sifs_s": 0.0, "gamma_s": 0.0,
@@ -51,7 +51,6 @@ class Scenario:
     output_power_dbm: float = 0.0
     stop_on_first_death: bool = True
     control_corruption_disabled: bool = False
-    collect_detail: bool = False
 
     # routing
     broadcast_count: int = 25

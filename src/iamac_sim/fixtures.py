@@ -43,7 +43,7 @@ def _fixture_scenario(n, protocol, seed=11, **overrides):
         node_count=n, area=(40.0, 10.0), protocol=protocol,
         frame_s=1.0, sampling_interval_s=1000.0, horizon_s=1.5,
         shadowing_sigma=0.0, stop_on_first_death=False,
-        smac_adaptive_err=0.0, collect_detail=True, seed=seed,
+        smac_adaptive_err=0.0, seed=seed,
     )
     return replace(base, **overrides).validate()
 
@@ -69,8 +69,8 @@ def build_fig2(protocol, seed=11):
 
 
 def cs_at(sim, node):
-    """Peak per-frame colliding-set size recorded at one receiver."""
-    return max((detail.get(node, 0) for _, detail in sim.ledger.cs_frames),
+    """Peak per-frame colliding-set size recorded at one receiver (a traced run)."""
+    return max((len(sets.get(node, ())) for _, sets in sim.ledger.cs_frames),
                default=0)
 
 

@@ -218,7 +218,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
         if k == 0:
             delivered_first = len(ledger.delivered_records)
 
-    mean_sent = ledger.data_packets_started / frames
+    mean_sent = sum(s.result.started_packets for s in sessions) / frames
     first = sessions[0]
     return {
         "mean_packets_sent": mean_sent,

@@ -244,7 +244,6 @@ class SmacDriver:
         if not node.alive or st.role is None or not node.queue:
             return
         data = replace(node.queue[0], src=nid, dst=st.peer, header=sim.scenario.header_bytes)
-        sim.ledger.data_packets_started += 1
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)

@@ -70,8 +70,8 @@ class Medium:
         self.active_data = set()
 
         # metrics hooks, wired by the simulation
-        self.on_data_reception_resolved = None  # fn(rec, delivered), addressee only
-        self.tx_log = None                      # list for the offline CS oracle
+        self.on_data_reception_resolved = None  # fn(rec), addressee only
+        self.tx_log = None                      # (sender, t_start, t_end) when traced
 
     # -- state queries ---------------------------------------------------
 
@@ -195,7 +195,7 @@ class Medium:
                 prr = (1.0 - bit_error_rate(sinr)) ** bits
                 delivered = prr >= 1.0 or random() < prr
             if resolved is not None and j == dst:
-                resolved(rec, delivered)
+                resolved(rec)
             if delivered:
                 node.on_packet(pkt, sinr)
             else:

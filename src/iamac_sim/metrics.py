@@ -11,12 +11,9 @@ SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
 
 
 class MetricsLedger:
-    def __init__(self, n_nodes, energy_table, output_power_dbm=0.0, topology=None,
-                 collect_detail=False):
+    def __init__(self, n_nodes, energy_table, output_power_dbm=0.0):
         self.n = n_nodes
         self.table = energy_table
-        self.topo = topology
-        self.collect_detail = collect_detail
 
         # per node, seconds and mJ in each state, in RadioState order:
         # SLEEP, LISTEN, TX
@@ -37,8 +34,6 @@ class MetricsLedger:
         # colliding sets: per-frame sets rebuilt at each frame boundary
         self._frame_cs = {}                  # receiver -> set of interferer ids
         self.cs_sum_per_frame = []
-        self.cs_frames = []                  # (frame_idx, {receiver: cs})  when detail
-        self.interferer_distances = []
 
         # traffic accounting (payload bytes)
         self.generated_packets = 0
@@ -52,12 +47,11 @@ class MetricsLedger:
 
         self.measure_end = 0.0
 
-        # per-frame state-time snapshots (tests)
-        self._frame_state_mark = None
-        self.frame_state_deltas = []
-
-        # criterion 3 style counters
-        self.data_packets_started = 0
+        # a traced run's per-frame record; the simulation sets both to lists:
+        # (frame_idx, {receiver: interferer ids}) per frame, and every node's
+        # state times at each frame start
+        self.cs_frames = None
+        self.frame_states = None
 
     # -- energy ---------------------------------------------------------
 
@@ -111,25 +105,25 @@ class MetricsLedger:
         return (sum(self.state_energy[node])
                 + self.switch_energy[node] + self.sample_energy[node])
 
-    # -- colliding set ----------------------------------------------------
+    # -- colliding sets and frame boundaries -------------------------------
 
     def record_data_reception(self, receiver, wanted_sender, interferers):
         if not interferers:
             return
         bucket = self._frame_cs.setdefault(receiver, set())
-        for i in interferers:
-            if i == wanted_sender or i in bucket:
-                continue
-            bucket.add(i)
-            if self.topo is not None:
-                self.interferer_distances.append(self.topo.distance(i, receiver))
+        bucket.update(i for i in interferers if i != wanted_sender)
 
     def flush_frame_cs(self, frame_idx):
         total = sum(len(s) for s in self._frame_cs.values())
         self.cs_sum_per_frame.append(total)
-        if self.collect_detail:
-            self.cs_frames.append((frame_idx, {r: len(s) for r, s in self._frame_cs.items()}))
+        if self.cs_frames is not None:
+            self.cs_frames.append((frame_idx, self._frame_cs))
         self._frame_cs = {}
+
+    def mark_frame_state(self):
+        """A frame starts: a traced run keeps every node's state times."""
+        if self.frame_states is not None:
+            self.frame_states.append([list(st) for st in self.state_time])
 
     # -- traffic -----------------------------------------------------------
 
@@ -159,22 +153,6 @@ class MetricsLedger:
         if self.measure_end <= 0:
             return 0.0
         return sum(self._queue_integral) / (self.measure_end * self.n)
-
-    # -- per-frame state bookkeeping (tests) ---------------------------------
-
-    def mark_frame_state(self):
-        if not self.collect_detail:
-            return
-        self._frame_state_mark = [list(st) for st in self.state_time]
-
-    def snap_frame_state(self):
-        if self._frame_state_mark is None:
-            return
-        self.frame_state_deltas.append([
-            {s: now - then for s, now, then in zip(RadioState, st, mark)}
-            for st, mark in zip(self.state_time, self._frame_state_mark)
-        ])
-        self._frame_state_mark = [list(st) for st in self.state_time]
 
     # -- summaries ---------------------------------------------------------
 

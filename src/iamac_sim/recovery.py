@@ -99,9 +99,10 @@ def seda_capacity(d_s, ber, sc=None):
 
 
 class TransferResult:
-    __slots__ = ("delivered_packets", "recovery_frames", "elapsed")
+    __slots__ = ("started_packets", "delivered_packets", "recovery_frames", "elapsed")
 
     def __init__(self):
+        self.started_packets = 0     # data packets sent; a retransmission adds none
         self.delivered_packets = 0
         self.recovery_frames = 0
         self.elapsed = 0.0
@@ -190,7 +191,7 @@ class ArqSession(_SessionBase):
         if start is None:
             self._finish()
             return
-        self.sim.ledger.data_packets_started += 1
+        self.result.started_packets += 1
         self._send_attempt()
 
     def _send_attempt(self):
@@ -310,7 +311,7 @@ class SedaSession(_SessionBase):
         self.delivered_uids = set()
         self.retrans_uids = set()
         self._window_end = end
-        self.sim.ledger.data_packets_started += len(self.burst)
+        self.result.started_packets += len(self.burst)
         self.phase = "data"
         self._send_frame([p.uid for p in self.burst], await_recovery=True)
 

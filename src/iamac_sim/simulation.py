@@ -123,8 +123,7 @@ class Simulation:
         self.topo = topology
         self.medium = Medium(self.engine, topology, self.streams,
                              control_corruption_disabled=scenario.control_corruption_disabled)
-        self.ledger = MetricsLedger(topology.n, self.energy_table, power, topology,
-                                    collect_detail=scenario.collect_detail)
+        self.ledger = MetricsLedger(topology.n, self.energy_table, power)
         self.nodes = [Node(self, i) for i in range(topology.n)]
         self.medium.nodes = self.nodes
         self.medium.on_data_reception_resolved = self._data_reception_resolved
@@ -140,9 +139,12 @@ class Simulation:
         self.measured_until = 0.0
         self.driver = None
         self._uids = count()
-        self.rx_log = [] if scenario.collect_detail else None
-        if scenario.collect_detail:
-            self.medium.tx_log = []
+        # a traced run also records its data transmissions, the addressees'
+        # data receptions, the per-frame colliding sets and state times
+        self.rx_log = None
+        if trace:
+            self.rx_log, self.medium.tx_log = [], []
+            self.ledger.cs_frames, self.ledger.frame_states = [], []
 
     # -- tracing ---------------------------------------------------------------
 
@@ -193,8 +195,6 @@ class Simulation:
         for node in self.nodes:
             node.flush_energy()
         self.ledger.flush_frame_cs(self.frame_idx)
-        if self.scenario.collect_detail:
-            self.ledger.snap_frame_state()
         self.measured_until = now = self.engine.now
         sc = self.scenario
         stop = sc.stop_on_first_death and self.ledger.first_death_time is not None
@@ -261,7 +261,7 @@ class Simulation:
 
     # -- metrics hooks -----------------------------------------------------------------
 
-    def _data_reception_resolved(self, rec, delivered):
+    def _data_reception_resolved(self, rec):
         # the medium reports only the addressee's own reception: the
         # colliding-set metric is not about bystanders who overheard the data
         self.ledger.record_data_reception(rec.listener, rec.tx.sender, rec.interferers)

@@ -50,9 +50,6 @@ class Topology:
 
         self.busy_thr_mw = dbm_to_mw(busy_thr)
 
-    def distance(self, a, b):
-        return self.dist[a, b]
-
     def average_neighbor_count(self):
         return float(np.mean([len(s) for s in self.sense_out]))
 

@@ -92,7 +92,9 @@ def corrupted_runs():
     for seed in SAFETY_SEEDS:
         sc = desk_preset(horizon_s=200.0, sampling_interval_s=5.0,
                          stop_on_first_death=False, seed=seed)
-        sim = Simulation(sc)
+        # traced for the per-frame colliding sets c5 reads; recording draws
+        # no random numbers, so c4 reads the same results as untraced runs
+        sim = Simulation(sc, trace=True)
         res = sim.run()
         assert res["status"] == "ok"
         runs.append((sim, res))
@@ -121,7 +123,9 @@ def test_c5_interferers_live_in_the_outer_transitional_band(corrupted_runs):
                                  sc.payload_bytes + sc.header_bytes)
     dists = []
     for sim, _ in corrupted_runs:
-        dists.extend(sim.ledger.interferer_distances)
+        for _, sets in sim.ledger.cs_frames:
+            for receiver, interferers in sets.items():
+                dists.extend(sim.topo.dist[i, receiver] for i in interferers)
     assert dists, "no interferers observed at all"
     frac = sum(1 for d in dists if d > 0.9 * end) / len(dists)
     report(5, frac >= 0.60,

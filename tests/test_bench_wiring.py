@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps simulator entry points by name; every name it
 wraps must still exist, or the traced benchmark run breaks. Every workload
-must also reproduce the CSV hash the benchmark recorded for it."""
+must also reproduce the CSV hashes the benchmark recorded for it, at the
+default and at the held-out seed."""
 
 from pathlib import Path
+
+import pytest
 
 SIMBENCH = Path(__file__).resolve().parents[1] / "simbench"
 
@@ -19,12 +22,14 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         assert owner.__dict__[attr] is orig
 
 
-def test_benchmark_workloads_reproduce_recorded_hashes(monkeypatch):
+@pytest.mark.parametrize("which", ["default", "held-out"])
+def test_benchmark_workloads_reproduce_recorded_hashes(which, monkeypatch):
     monkeypatch.syspath_prepend(str(SIMBENCH))
     import workloads
 
-    seed = workloads.DEFAULT_SEED
-    recorded = workloads.expected()["hashes"]
+    expected = workloads.expected()
+    seed = workloads.DEFAULT_SEED if which == "default" else expected["held_out_seed"]
+    recorded = expected["hashes"]
     got = {}
     for workload in workloads.WORKLOADS:
         sc = workloads.scenario(workload, seed)

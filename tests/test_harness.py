@@ -179,7 +179,8 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "noise_floor=1e300", "cs_threshold=1e300",
                                      "sampling_interval_s=1e-9", "noise_floor=-4000",
                                      "output_power_dbm=3000", "preset=paper",
-                                     "seed=9\npreset=paper", "report_rounds=0"])
+                                     "seed=9\npreset=paper", "report_rounds=0",
+                                     "seed=-1"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
@@ -281,15 +282,18 @@ PINNED_TRACE_LOG = {
 
 
 def test_trace_log_matches_pinned_digests():
-    got = {}
+    got, csv = {}, {}
     for protocol, recovery in PINNED_TRACE_LOG:
         sc = desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
                          protocol=protocol, recovery=recovery)
-        sim = Simulation(sc, trace=True)
-        sim.run()
+        _, rows, sim = run_experiment(sc, trace=True, return_sim=True)
         got[protocol, recovery] = hashlib.sha256(
             repr(sim.trace_log).encode("utf-8")).hexdigest()
+        csv[protocol, recovery] = hashlib.sha256(
+            rows_to_csv(RUN_COLUMNS, rows).encode("utf-8")).hexdigest()
     assert got == PINNED_TRACE_LOG
+    # recording never perturbs a run: the traced CSV is the untraced one
+    assert csv == {key: PINNED_RUN_CSV[key + (1.0,)] for key in PINNED_TRACE_LOG}
 
 
 def test_cli_reports_disjoint(tmp_path):
@@ -386,6 +390,8 @@ SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]
      "sideways"),
     (["analytics", "--ber-grid", "0,zz"], "zz"),
     (["analytics", "--ber-grid", "0,1.5"], "1.5"),
+    (SWEEP_DESK + ["--param", "seed", "--values", "2,7"], "--seeds"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--seeds", "1,-1"], "seed"),
 ])
 def test_cli_malformed_sweep_and_analytics_arguments(argv, named, tmp_path, capsys,
                                                      monkeypatch):

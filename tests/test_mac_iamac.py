@@ -8,7 +8,7 @@ from iamac_sim.simulation import Simulation
 
 def _detail_run(**overrides):
     base = dict(horizon_s=40.0, sampling_interval_s=5.0,
-                stop_on_first_death=False, seed=4, collect_detail=True)
+                stop_on_first_death=False, seed=4)
     base.update(overrides)
     sc = desk_preset(**base)
     sim = Simulation(sc, trace=True)

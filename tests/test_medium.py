@@ -119,7 +119,7 @@ def test_colliding_set_tracks_concurrent_data_senders():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5)])
     seen = []
     sim.medium.on_data_reception_resolved = (
-        lambda rec, delivered: seen.append(
+        lambda rec: seen.append(
             (rec.listener, rec.tx.sender, set(rec.interferers))))
     data = Packet(kind=PacketKind.DATA, src=1, dst=0, length=29, header=16,
                   payload_len=29)
@@ -189,7 +189,7 @@ def test_data_reception_is_reported_for_the_addressee_only():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5), (1.0, 1.0)])
     seen = []
     sim.medium.on_data_reception_resolved = (
-        lambda rec, delivered: seen.append(
+        lambda rec: seen.append(
             (rec.listener, rec.tx.sender, set(rec.interferers))))
     end = sim.medium.transmit(1, data(1, 0))
     sim.engine.schedule(end * 0.5, lambda ev: sim.medium.transmit(2, data(2, 3)))

@@ -108,25 +108,27 @@ def test_energy_ledger_conservation_on_a_run():
 
 def test_per_frame_state_times_sum_to_frame_duration():
     sc = desk_preset(horizon_s=20.0, sampling_interval_s=5.0, seed=4,
-                     stop_on_first_death=False, collect_detail=True)
-    sim = Simulation(sc)
-    sim.run()
-    assert sim.ledger.frame_state_deltas
-    for deltas in sim.ledger.frame_state_deltas:
-        for node_deltas in deltas:
-            assert sum(node_deltas.values()) == pytest.approx(sc.frame_s, abs=1e-9)
+                     stop_on_first_death=False)
+    sim = Simulation(sc, trace=True)
+    res = sim.run()
+    # state times at each frame start, then at the end of the last frame
+    marks = sim.ledger.frame_states + [sim.ledger.state_time]
+    assert len(marks) == res["frames"] + 1 == 21
+    for start, end in zip(marks, marks[1:]):
+        for node_start, node_end in zip(start, end):
+            spent = sum(now - then for now, then in zip(node_end, node_start))
+            assert spent == pytest.approx(sc.frame_s, abs=1e-9)
 
 
 def test_colliding_set_online_matches_offline_oracle():
     sc = desk_preset(node_count=20, area=(40.0, 40.0), horizon_s=60.0,
-                     sampling_interval_s=4.0, seed=6, stop_on_first_death=False,
-                     collect_detail=True)
-    sim = Simulation(sc)
+                     sampling_interval_s=4.0, seed=6, stop_on_first_death=False)
+    sim = Simulation(sc, trace=True)
     res = sim.run()
     assert res["status"] == "ok"
     offline = colliding_sets_offline(sim.medium.tx_log, sim.rx_log,
                                      sim.topo.sense_in)
-    online = {f: {r: c for r, c in d.items() if c > 0}
+    online = {f: {r: len(s) for r, s in d.items() if s}
               for f, d in sim.ledger.cs_frames}
     online = {f: d for f, d in online.items() if d}
     offline = {f: {r: c for r, c in d.items() if c > 0}
