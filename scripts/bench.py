@@ -14,12 +14,14 @@ Python and numpy versions, the CPU count and the checkout's `git rev-parse HEAD`
 
 `pairs` alternates ten single `simbench/worker.py` runs of one workload in the
 parent checkout and ten in this one, each side first in every other pair, and
-stores under `--name` every run's host-normalized `run_s` and the host
-slowdown it was divided by, each side's median and interquartile range and
-how many pairs the change won. Run one workload seed per call. A run whose CSV
-hash differs from its checkout's `simbench/expected.json`, whose status is not
-"ok" or that does not conserve packets stops `pairs` with a non-zero exit
-before anything is written.
+stores under `--name` every run's host-normalized `run_s`, its `setup_s` (the
+median of the run's three timed set-ups) and the host slowdown they were
+divided by. For `run_s` it stores each side's median and interquartile range
+and how many pairs the change won, at the top level as in earlier records;
+`setup_s_summary` holds the same for `setup_s`. Run one workload seed per
+call. A run whose CSV hash differs from its checkout's
+`simbench/expected.json`, whose status is not "ok" or that does not conserve
+packets stops `pairs` with a non-zero exit before anything is written.
 """
 
 import argparse
@@ -93,6 +95,7 @@ def pairs(args):
     cmd = [sys.executable, "simbench/worker.py", "--workload", args.workload,
            "--workload-seed", str(args.workload_seed), "--setups", "3"]
     runs = {"parent": [], "change": []}
+    setups = {"parent": [], "change": []}
     slowdown = {"parent": [], "change": []}
     for i in range(PAIRS):
         order = list(sides.items())
@@ -102,23 +105,35 @@ def pairs(args):
             if fault is not None:
                 raise SystemExit(f"pair {i}, {side} run: {fault}; nothing written")
             runs[side].append(rec["run_s"])
+            setups[side].append(statistics.median(rec["setup_s"]))
             slowdown[side].append(rec["slowdown"])
-        print(f"pair {i}: parent {runs['parent'][-1]:.4f}  change {runs['change'][-1]:.4f}",
-              flush=True)
-    q1, parent_median, q3 = statistics.quantiles(runs["parent"], n=4)
-    c1, change_median, c3 = statistics.quantiles(runs["change"], n=4)
+        print(f"pair {i}: run_s parent {runs['parent'][-1]:.4f} "
+              f"change {runs['change'][-1]:.4f}, setup_s parent "
+              f"{setups['parent'][-1]:.4f} change {setups['change'][-1]:.4f}", flush=True)
     return {
         "workload": args.workload,
         "workload_seed": args.workload_seed,
         "revisions": {side: revision(checkout) for side, checkout in sides.items()},
         "run_s": runs,
+        "setup_s": setups,
         "slowdown": slowdown,
+        **summary(runs),
+        "setup_s_summary": summary(setups),
+    }
+
+
+def summary(values):
+    """Each side's median and interquartile range of one metric, the ratio of
+    the medians and how many pairs the change won (lower is better)."""
+    q1, parent_median, q3 = statistics.quantiles(values["parent"], n=4)
+    c1, change_median, c3 = statistics.quantiles(values["change"], n=4)
+    return {
         "parent_median": parent_median,
         "parent_iqr": q3 - q1,
         "change_median": change_median,
         "change_iqr": c3 - c1,
         "ratio": change_median / parent_median,
-        "wins": sum(c < p for p, c in zip(runs["parent"], runs["change"])),
+        "wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
     }
 
 
@@ -143,7 +158,9 @@ def main(argv=None):
     else:
         key = f"{args.workload}@{args.workload_seed}"
         bench.setdefault(args.name, {})[key] = result = pairs(args)
-        print(f"{key}: ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins")
+        setup = result["setup_s_summary"]
+        print(f"{key}: run_s ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins; "
+              f"setup_s ratio {setup['ratio']:.3f}, {setup['wins']}/{PAIRS} wins")
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 

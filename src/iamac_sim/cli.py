@@ -64,6 +64,9 @@ def _write(path, text):
 
 
 def cmd_run(args):
+    if args.trace and not args.out:
+        raise ConfigError("--trace: the record is written to trace.txt under --out; "
+                          "give --out")
     sc = _load(args)
     result, rows, sim = run_experiment(sc, name=args.name, trace=args.trace,
                                        return_sim=True)
@@ -211,8 +214,8 @@ def build_parser():
     common(p)
     p.add_argument("--name", default="run")
     p.add_argument("--trace", action="store_true",
-                   help="record the run (README: Recording a run); with --out, "
-                        "write its MAC decisions to trace.txt")
+                   help="record the run (README: Recording a run) and write its "
+                        "MAC decisions to trace.txt under --out, which it needs")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="parameter sweep")

@@ -75,11 +75,53 @@ def _label_key(label):
     return zlib.crc32(label.encode("utf-8"))
 
 
+# doubles a Draws takes from its Generator at a time
+BLOCK = 1024
+
+
+class Draws:
+    """One stream's doubles, drawn from its Generator BLOCK at a time and
+    handed out in order. Every call returns the values the same call on the
+    Generator would (`random()`, `uniform(lo, hi)`, `random(k)`), because a
+    vector draw takes the same doubles as that many scalar draws."""
+
+    __slots__ = ("_gen", "_block", "_left")
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._block = np.empty(0)
+        self._left = []   # the block's unread doubles, next one last
+
+    def random(self):
+        left = self._left
+        if not left:
+            self._block = self._gen.random(BLOCK)
+            left = self._left = self._block[::-1].tolist()
+        return left.pop()
+
+    def uniform(self, lo, hi):
+        # numpy's own formula for a scalar uniform
+        return lo + (hi - lo) * self.random()
+
+    def take(self, k):
+        """The next k doubles as an array."""
+        left = self._left
+        start = len(self._block) - len(left)
+        if k <= len(left):
+            del left[len(left) - k:]
+            return self._block[start:start + k]
+        out = np.concatenate((self._block[start:], self._gen.random(k - len(left))))
+        left.clear()
+        return out
+
+
 class RandomStreams:
     """Labeled, reproducible random streams derived from one global seed.
 
     Draw order within a label never perturbs other labels, so adding a
-    consumer of one stream cannot change another stream's sequence.
+    consumer of one stream cannot change another stream's sequence. A label
+    is handed out in one form only: as a numpy Generator by `stream`, or as
+    block-drawn doubles by `draws`.
     """
 
     def __init__(self, seed):
@@ -87,9 +129,20 @@ class RandomStreams:
         self._streams = {}
 
     def stream(self, label):
-        gen = self._streams.get(label)
-        if gen is None:
+        return self._get(label, np.random.Generator)
+
+    def draws(self, label):
+        return self._get(label, Draws)
+
+    def _get(self, label, form):
+        got = self._streams.get(label)
+        if got is None:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_label_key(label),))
-            gen = np.random.default_rng(ss)
-            self._streams[label] = gen
-        return gen
+            got = np.random.default_rng(ss)
+            if form is Draws:
+                got = Draws(got)
+            self._streams[label] = got
+        elif not isinstance(got, form):
+            raise ValueError(f"random stream {label!r} is already handed out "
+                             f"as a {type(got).__name__}")
+        return got

@@ -157,14 +157,15 @@ def trend_interior_max(values):
     return 0 < peak < len(values) - 1
 
 
-def star_simulation(scenario, children=6, radius=6.0):
+def star_simulation(scenario, children=6, radius=6.0, trace=False):
     """A saturated single-parent star with a preset tree: the clean setting
     for buffer studies, where the transfer procedure is the bottleneck."""
     positions = [(0.0, 0.0)]
     for k in range(children):
         ang = 2.0 * math.pi * k / children
         positions.append((radius * math.cos(ang), radius * math.sin(ang)))
-    return Simulation(scenario, positions, parents={k: 0 for k in range(1, children + 1)})
+    return Simulation(scenario, positions, parents={k: 0 for k in range(1, children + 1)},
+                      trace=trace)
 
 
 # -- transfer benchmark (analytics <-> simulation consistency) ----------------------

@@ -55,8 +55,8 @@ class SmacDriver:
         self.contention_window = sc.w * sc.mini_slot_s + sc.cts_slot_s
         self.frame = sc.frame_s
         self.err = sc.smac_adaptive_err
-        self.rng = sim.streams.stream("contention")
-        self.rng_adaptive = sim.streams.stream("adaptive")
+        self.rng = sim.streams.draws("contention")
+        self.rng_adaptive = sim.streams.draws("adaptive")
         self._injected = {nid: list(v) for nid, v in sim.fixed_contention.items()}
         self.states = [SmacNodeState() for _ in range(sim.topo.n)]
         self.cycle_start = 0.0
@@ -297,7 +297,7 @@ class SmacDriver:
         st.awake_until = 0.0
         if self.adaptive:
             remaining = max(pkt.exchange_end - self.engine.now, 0.0)
-            err = float(self.rng_adaptive.uniform(-self.err, self.err))
+            err = self.rng_adaptive.uniform(-self.err, self.err)
             wake_at = self.engine.now + remaining * (1.0 + err)
             self.engine.cancel(st.wake_ev)
             st.wake_ev = self.engine.schedule(wake_at, lambda ev: self._adaptive_wake(nid))

@@ -57,7 +57,7 @@ class Medium:
         self.model = topology.model
         self.noise_mw = topology.model.noise_mw
         self.busy_thr_mw = topology.busy_thr_mw
-        self.rng = streams.stream("channel")
+        self.rng = streams.draws("channel")
         self.control_corruption_disabled = control_corruption_disabled
 
         self.influence_out = _sender_tables(topology.rx_mw, topology.influence_out)
@@ -210,5 +210,5 @@ class Medium:
         if pb <= 0.0:
             return [False] * n_blocks
         p_block = 1.0 - (1.0 - pb) ** (8 * block_bytes)
-        # one vector draw takes the same n_blocks doubles as a scalar loop
-        return (self.rng.random(n_blocks) < p_block).tolist()
+        # one vector of n_blocks doubles, the same ones a scalar loop would take
+        return (self.rng.take(n_blocks) < p_block).tolist()

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class RouteState:
@@ -36,36 +38,27 @@ def estimate_links(topology, streams, broadcast_count, report_rounds, control_by
     rng = streams.stream("bootstrap")
     n = topology.n
     model = topology.model
-    counts = [[0] * n for _ in range(n)]   # counts[i][j]: j's tally of i's probes
+    # the directed sense links, sender ascending, then in sense_out order:
+    # round by round, probes and reports draw once per link in this order
+    links = [(i, j) for i in range(n) for j in topology.sense_out[i].tolist()]
+    prr = np.array([model.prr_from_rx_power(topology.rx_dbm[i, j], control_bytes)
+                    for i, j in links])
+    n_links = len(links)
 
-    prr = {}
-    for i in range(n):
-        for j in topology.sense_out[i]:
-            prr[(i, j)] = model.prr_from_rx_power(topology.rx_dbm[i, j], control_bytes)
-
-    for _ in range(broadcast_count):
-        for i in range(n):
-            for j in topology.sense_out[i]:
-                if rng.random() < prr[(i, j)]:
-                    counts[i][j] += 1
-
-    # report rounds: j broadcasts its counts; i hearing any round learns counts[i][j]
-    heard = [[False] * n for _ in range(n)]   # heard[i][j]: i learned its count at j
-    for _ in range(report_rounds):
-        for j in range(n):
-            for i in topology.sense_out[j]:
-                # i must hear j's report (direction j -> i)
-                if rng.random() < prr[(j, i)]:
-                    heard[i][j] = True
+    # probes: the receiver's tally of the sender's broadcast_count probes
+    probe_draws = rng.random(broadcast_count * n_links).reshape(broadcast_count, n_links)
+    counts = dict(zip(links, (probe_draws < prr).sum(axis=0).tolist()))
+    # report rounds: j broadcasts its counts; link (j, i) marks that i heard
+    # j's report in some round, and so learned its count at j
+    report_draws = rng.random(report_rounds * n_links).reshape(report_rounds, n_links)
+    heard = dict(zip(links, (report_draws < prr).any(axis=0).tolist()))
 
     states = [RouteState(node=i, is_sink=(i == topology.sink)) for i in range(n)]
-    for i in range(n):
-        for j in topology.sense_out[i]:
-            forward = counts[i][j] if heard[i][j] else 0
-            reverse = counts[j][i]
-            if forward > 0 and reverse > 0:
-                states[i].etx[int(j)] = 1.0 / ((forward / broadcast_count)
-                                              * (reverse / broadcast_count))
+    for (i, j), forward in counts.items():
+        reverse = counts.get((j, i), 0)
+        if forward > 0 and reverse > 0 and heard[j, i]:
+            states[i].etx[j] = 1.0 / ((forward / broadcast_count)
+                                      * (reverse / broadcast_count))
     return states
 
 

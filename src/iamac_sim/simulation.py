@@ -206,12 +206,12 @@ class Simulation:
     # -- traffic -----------------------------------------------------------------
 
     def start_traffic(self):
-        rng = self.streams.stream("traffic")
+        rng = self.streams.draws("traffic")
         interval = self.scenario.sampling_interval_s
         for node in self.nodes:
             if node.id == self.topo.sink:
                 continue
-            first = float(rng.uniform(0.0, interval))
+            first = rng.uniform(0.0, interval)
             self.engine.schedule(first, lambda ev, nid=node.id: self._sample(nid))
 
     def _sample(self, nid):

@@ -1,5 +1,6 @@
 """`scripts/bench.py pairs` times only runs that reproduce their checkout's
-recorded output, and writes nothing when one does not."""
+recorded output, writes nothing when one does not, and summarizes `run_s`
+and `setup_s` alike."""
 
 import importlib.util
 import json
@@ -25,9 +26,10 @@ def bench(tmp_path, monkeypatch):
     return module
 
 
-def stub_runs(bench, monkeypatch, times, bad=None):
-    """Worker lines with `run_s` from `times[side]` in turn; `bad` = (side,
-    index, field, value) spoils one of them."""
+def stub_runs(bench, monkeypatch, times, bad=None, setups=None):
+    """Worker lines with `run_s` from `times[side]` in turn, and `setup_s`
+    lists from `setups[side]` when given; `bad` = (side, index, field, value)
+    spoils one of them."""
     seen = {"parent": 0, "change": 0}
 
     def last_json_line(cmd, checkout):
@@ -35,7 +37,8 @@ def stub_runs(bench, monkeypatch, times, bad=None):
         i = seen[side]
         seen[side] += 1
         rec = {"run_s": times[side][i], "slowdown": 1.0, "hash": HASH,
-               "status": "ok", "conserved": True}
+               "status": "ok", "conserved": True,
+               "setup_s": setups[side][i] if setups else [0.1, 0.1, 0.1]}
         if bad is not None and bad[:2] == (side, i):
             rec[bad[2]] = bad[3]
         return rec
@@ -59,6 +62,28 @@ def test_pairs_records_both_sides_iqr(bench, tmp_path, monkeypatch):
     assert rec["parent_iqr"] == pytest.approx(0.055)
     assert rec["change_iqr"] == pytest.approx(0.11)
     assert rec["wins"] == 10
+
+
+def test_pairs_records_setup_medians(bench, tmp_path, monkeypatch):
+    times = {"parent": [1.0] * 10, "change": [1.0] * 10}
+    # each run's three set-ups, out of order; the change wins all but pair 4
+    setups = {"parent": [[0.06, 0.05 + 0.001 * i, 0.04] for i in range(10)],
+              "change": [[0.2, 0.01, 0.011 + 0.001 * i] for i in range(10)]}
+    setups["change"][4] = [0.5, 0.5, 0.5]
+    stub_runs(bench, monkeypatch, times, setups=setups)
+    assert run_pairs(bench, tmp_path) == 0
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())["pairs"]["paper-iamac@1"]
+    assert rec["setup_s"]["parent"] == pytest.approx([0.05 + 0.001 * i for i in range(10)])
+    assert rec["setup_s"]["change"][:4] == pytest.approx([0.011, 0.012, 0.013, 0.014])
+    assert rec["setup_s"]["change"][4] == 0.5
+    got = rec["setup_s_summary"]
+    assert got["wins"] == 9
+    assert got["parent_median"] == pytest.approx(0.0545)
+    assert got["parent_iqr"] == pytest.approx(0.0055)
+    assert got["ratio"] == pytest.approx(got["change_median"] / got["parent_median"])
+    # the run_s summary keeps its top-level place
+    assert rec["run_s"] == times
+    assert rec["wins"] == 0 and rec["ratio"] == 1.0
 
 
 @pytest.mark.parametrize("bad", [

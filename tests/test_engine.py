@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iamac_sim.engine import Engine, RandomStreams
+from iamac_sim.engine import BLOCK, Engine, RandomStreams
 
 
 def test_zero_delay_fires_before_later_events():
@@ -128,9 +128,10 @@ def test_uniform_mean_smoke():
 
 # -- draw rewrites that keep the stream ------------------------------------------
 #
-# The MACs draw `b * rng.random()` where `rng.uniform(0.0, b)` stood, and Seda
-# draws its per-block corruption as one vector; both keep every value and the
-# stream position. A numpy change to either formula fails here.
+# The MACs draw `b * rng.random()` where `rng.uniform(0.0, b)` stood, Seda
+# draws its per-block corruption as one vector, and a `Draws` hands out a
+# stream's doubles from block draws; all keep every value and the stream
+# position. A numpy change to any of these formulas fails here.
 
 @settings(max_examples=200, deadline=None)
 @given(bounds=st.lists(st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
@@ -154,3 +155,43 @@ def test_vector_block_draws_equal_the_scalar_loop(n):
         assert (a.random(n) < p_block).tolist() == [bool(b.random() < p_block)
                                                     for _ in range(n)]
     assert a.random() == b.random()
+
+
+BOUND = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
+# ("random", m): m calls in a row, so sequences cross block refills
+DRAW_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("random"), st.integers(min_value=1, max_value=BLOCK + 10)),
+    st.tuples(st.just("uniform"), BOUND, BOUND),
+    st.tuples(st.just("take"), st.sampled_from([0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1,
+                                                2 * BLOCK + 5]))),
+    max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=DRAW_CALLS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_draws_equal_the_generator_calls(calls, seed):
+    draws = RandomStreams(seed).draws("channel")
+    gen = RandomStreams(seed).stream("channel")
+    for call in calls:
+        if call[0] == "random":
+            got = [draws.random() for _ in range(call[1])]
+            assert got == [gen.random() for _ in range(call[1])]
+            assert all(type(x) is float for x in got)
+        elif call[0] == "uniform":
+            lo, hi = sorted(call[1:])
+            assert draws.uniform(lo, hi) == float(gen.uniform(lo, hi))
+        else:
+            assert draws.take(call[1]).tolist() == gen.random(call[1]).tolist()
+    # both left the stream at the same position
+    assert draws.random() == gen.random()
+
+
+def test_a_label_is_handed_out_in_one_form():
+    streams = RandomStreams(3)
+    streams.stream("bootstrap")
+    with pytest.raises(ValueError, match="'bootstrap'"):
+        streams.draws("bootstrap")
+    draws = streams.draws("channel")
+    with pytest.raises(ValueError, match="'channel'"):
+        streams.stream("channel")
+    assert streams.draws("channel") is draws

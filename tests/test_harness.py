@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iamac_sim import harness
+from iamac_sim import cli, harness
 from iamac_sim.cli import main
 from iamac_sim.config import ConfigError, Scenario, parse_scenario
 from iamac_sim.harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
@@ -372,6 +372,34 @@ def test_cli_run_writes_the_trace(tmp_path):
     assert lines[0] == f"{t:.6f} node={node} {label} {detail}"
     assert hashlib.sha256(text).hexdigest() == (
         "c7ac58e5b8ebb919920acb2eb0e23872bced02615aa3ecd4c1fc829988231caf")
+
+
+def test_cli_trace_without_out_is_a_config_error(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    # the record would have nowhere to go
+    assert main(["run", "--preset", "desk", "--seed", "4", "--set", "horizon_s=10",
+                 "--trace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert "--out" in captured.err
+    assert captured.out == ""
+
+
+def test_star_simulation_records_when_traced():
+    sc = desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
+                     horizon_s=60.0, sampling_interval_s=0.08, recovery="seda",
+                     shadowing_sigma=0.0, battery_mah=2400.0, stop_on_first_death=False)
+    traced = harness.star_simulation(sc, trace=True)
+    plain = harness.star_simulation(sc)
+    assert traced.run() == plain.run()
+    assert traced.trace_log and traced.medium.tx_log and traced.rx_log
+    assert len(traced.ledger.cs_frames) == len(traced.ledger.frame_states) == 6
+    assert plain.trace_log == []
+    assert plain.medium.tx_log is plain.rx_log is None
+    assert plain.ledger.cs_frames is plain.ledger.frame_states is None
 
 
 SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]

@@ -3,9 +3,11 @@ import itertools
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from iamac_sim.config import desk_preset, paper_density_preset, paper_preset
+from iamac_sim.engine import RandomStreams
 from iamac_sim.harness import star_simulation
 from iamac_sim.routing import (RouteState, build_tree, disjoint_nodes, estimate_links,
                                tree_is_acyclic)
@@ -107,9 +109,11 @@ def two_node_etx(prr_01, draws, broadcast_count=4):
     link 0->1 has reception probability `prr_01` (1->0 is perfect); the
     bootstrap stream hands out `draws` in a cycle."""
     prr = {(0, 1): prr_01, (1, 0): 1.0}
-    topo = SimpleNamespace(n=2, sink=0, sense_out=[[1], [0]], rx_dbm=prr,
+    topo = SimpleNamespace(n=2, sink=0, sense_out=[np.array([1]), np.array([0])],
+                           rx_dbm=prr,
                            model=SimpleNamespace(prr_from_rx_power=lambda p, _: p))
-    rng = SimpleNamespace(random=itertools.cycle(draws).__next__)
+    cycle = itertools.cycle(draws)
+    rng = SimpleNamespace(random=lambda size: np.array(list(itertools.islice(cycle, size))))
     streams = SimpleNamespace(stream=lambda name: rng)
     states = estimate_links(topo, streams, broadcast_count, 1, 20)
     return states[0].etx, states[1].etx
@@ -193,6 +197,78 @@ def test_without_count_reports_no_link_is_usable():
                             sc.control_bytes + sc.header_bytes)
     assert all(st.etx == {} for st in states)
     assert len(disjoint_nodes(build_tree(states, sc.max_children))) == sc.node_count - 1
+
+
+def scalar_estimate_links(topology, streams, broadcast_count, report_rounds, control_bytes):
+    """The bootstrap estimator as one scalar draw per link and round, in
+    loop order: the oracle for `estimate_links`' two vector draws."""
+    rng = streams.stream("bootstrap")
+    n = topology.n
+    model = topology.model
+    counts = [[0] * n for _ in range(n)]   # counts[i][j]: j's tally of i's probes
+    prr = {}
+    for i in range(n):
+        for j in topology.sense_out[i]:
+            prr[(i, j)] = model.prr_from_rx_power(topology.rx_dbm[i, j], control_bytes)
+    for _ in range(broadcast_count):
+        for i in range(n):
+            for j in topology.sense_out[i]:
+                if rng.random() < prr[(i, j)]:
+                    counts[i][j] += 1
+    heard = [[False] * n for _ in range(n)]   # heard[i][j]: i learned its count at j
+    for _ in range(report_rounds):
+        for j in range(n):
+            for i in topology.sense_out[j]:
+                if rng.random() < prr[(j, i)]:
+                    heard[i][j] = True
+    states = [RouteState(node=i, is_sink=(i == topology.sink)) for i in range(n)]
+    for i in range(n):
+        for j in topology.sense_out[i]:
+            forward = counts[i][j] if heard[i][j] else 0
+            reverse = counts[j][i]
+            if forward > 0 and reverse > 0:
+                states[i].etx[int(j)] = 1.0 / ((forward / broadcast_count)
+                                              * (reverse / broadcast_count))
+    return states
+
+
+def assert_estimates_match_the_scalar_loop(sim, report_rounds=None):
+    sc = sim.scenario
+    rounds = sc.report_rounds if report_rounds is None else report_rounds
+    args = (sc.broadcast_count, rounds, sc.control_bytes + sc.header_bytes)
+    got = estimate_links(sim.topo, RandomStreams(sc.seed), *args)
+    want = scalar_estimate_links(sim.topo, RandomStreams(sc.seed), *args)
+    # same entries in the same order, each the same float
+    assert [list(st.etx.items()) for st in got] == [list(st.etx.items()) for st in want]
+    assert all(type(j) is int and type(etx) is float
+               for st in got for j, etx in st.etx.items())
+    return got
+
+
+@pytest.mark.parametrize("preset, seed", [(desk_preset, 1), (desk_preset, 2),
+                                          (desk_preset, 3), (desk_preset, 4),
+                                          (paper_preset, 1)])
+def test_vector_estimates_equal_the_scalar_loop(preset, seed):
+    states = assert_estimates_match_the_scalar_loop(Simulation(preset(seed=seed)))
+    assert any(st.etx for st in states)
+
+
+def test_vector_estimates_without_reports_equal_the_scalar_loop():
+    states = assert_estimates_match_the_scalar_loop(Simulation(desk_preset(seed=2)),
+                                                    report_rounds=0)
+    assert all(st.etx == {} for st in states)
+
+
+def test_vector_estimates_with_an_isolated_node_equal_the_scalar_loop():
+    # a line of nodes 8.75 m apart, so two hops (17.5 m) lose about half of
+    # their probes, and one node far from the rest
+    positions = [(8.75 * k, 0.0) for k in range(6)] + [(500.0, 500.0)]
+    sim = Simulation(desk_preset(seed=5, node_count=7), positions)
+    assert len(sim.topo.sense_out[6]) == 0
+    assert all(6 not in out for out in sim.topo.sense_out)
+    states = assert_estimates_match_the_scalar_loop(sim)
+    assert states[6].etx == {}
+    assert any(etx > 1.0 for st in states for etx in st.etx.values())
 
 
 def test_low_power_network_reported_disjoint():
