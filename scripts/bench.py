@@ -15,13 +15,14 @@ Python and numpy versions, the CPU count and the checkout's `git rev-parse HEAD`
 `pairs` alternates ten single `simbench/worker.py` runs of one workload in the
 parent checkout and ten in this one, each side first in every other pair, and
 stores under `--name` every run's host-normalized `run_s`, its `setup_s` (the
-median of the run's three timed set-ups) and the host slowdown they were
-divided by. For `run_s` it stores each side's median and interquartile range
-and how many pairs the change won, at the top level as in earlier records;
-`setup_s_summary` holds the same for `setup_s`. Run one workload seed per
-call. A run whose CSV hash differs from its checkout's
-`simbench/expected.json`, whose status is not "ok" or that does not conserve
-packets stops `pairs` with a non-zero exit before anything is written.
+median of the run's three timed set-ups), its `peak_rss_mb` and the host
+slowdown the times were divided by. For `run_s` it stores each side's median
+and interquartile range and how many pairs the change won, at the top level as
+in earlier records; `setup_s_summary` and `peak_rss_mb_summary` hold the same
+for `setup_s` and `peak_rss_mb`. Run one workload seed per call. A run whose
+CSV hash differs from its checkout's `simbench/expected.json`, whose status is
+not "ok" or that does not conserve packets stops `pairs` with a non-zero exit
+before anything is written.
 """
 
 import argparse
@@ -96,6 +97,7 @@ def pairs(args):
            "--workload-seed", str(args.workload_seed), "--setups", "3"]
     runs = {"parent": [], "change": []}
     setups = {"parent": [], "change": []}
+    peak_rss = {"parent": [], "change": []}
     slowdown = {"parent": [], "change": []}
     for i in range(PAIRS):
         order = list(sides.items())
@@ -106,6 +108,7 @@ def pairs(args):
                 raise SystemExit(f"pair {i}, {side} run: {fault}; nothing written")
             runs[side].append(rec["run_s"])
             setups[side].append(statistics.median(rec["setup_s"]))
+            peak_rss[side].append(rec["peak_rss_mb"])
             slowdown[side].append(rec["slowdown"])
         print(f"pair {i}: run_s parent {runs['parent'][-1]:.4f} "
               f"change {runs['change'][-1]:.4f}, setup_s parent "
@@ -116,9 +119,11 @@ def pairs(args):
         "revisions": {side: revision(checkout) for side, checkout in sides.items()},
         "run_s": runs,
         "setup_s": setups,
+        "peak_rss_mb": peak_rss,
         "slowdown": slowdown,
         **summary(runs),
         "setup_s_summary": summary(setups),
+        "peak_rss_mb_summary": summary(peak_rss),
     }
 
 
@@ -158,9 +163,10 @@ def main(argv=None):
     else:
         key = f"{args.workload}@{args.workload_seed}"
         bench.setdefault(args.name, {})[key] = result = pairs(args)
-        setup = result["setup_s_summary"]
+        setup, rss = result["setup_s_summary"], result["peak_rss_mb_summary"]
         print(f"{key}: run_s ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins; "
-              f"setup_s ratio {setup['ratio']:.3f}, {setup['wins']}/{PAIRS} wins")
+              f"setup_s ratio {setup['ratio']:.3f}, {setup['wins']}/{PAIRS} wins; "
+              f"peak_rss_mb {rss['parent_median']:.2f} -> {rss['change_median']:.2f}")
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 

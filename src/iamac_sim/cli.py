@@ -124,6 +124,8 @@ def cmd_sweep(args):
     seeds = _parse_values(args.seeds, "--seeds", kinds=(int,))
     for seed in seeds:
         replace(sc, seed=seed).validate()
+    if args.workers < 0:
+        raise ConfigError(f"--workers: must be at least 0, got {args.workers}")
     if args.trend:
         kind, _, metric = args.trend.partition(":")
         if kind not in TRENDS:

@@ -27,7 +27,6 @@ class Engine:
         self.now = 0.0
         self._heap = []
         self._seq = 0
-        self.scheduled_count = 0
         self.dispatched_count = 0
         self.cancelled_count = 0
 
@@ -36,11 +35,16 @@ class Engine:
             raise RuntimeError(
                 f"cannot schedule at {fire_time} before clock {self.now}"
             )
-        ev = Event(fire_time, self._seq, fn)
-        self._seq += 1
-        self.scheduled_count += 1
-        heapq.heappush(self._heap, (fire_time, ev.seq, ev))
+        seq = self._seq
+        ev = Event(fire_time, seq, fn)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_time, seq, ev))
         return ev
+
+    @property
+    def scheduled_count(self):
+        # every scheduled event took the next sequence number
+        return self._seq
 
     def cancel(self, event):
         """Drop a pending event; None (no timer set) is a no-op."""
@@ -54,14 +58,18 @@ class Engine:
             raise RuntimeError(f"run_until({t_end}) behind clock {self.now}")
         dispatched = 0
         heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_time
-            ev.fn(ev)
-            dispatched += 1
-            self.dispatched_count += 1
+        heappop = heapq.heappop
+        try:
+            while heap and heap[0][0] <= t_end:
+                _, _, ev = heappop(heap)
+                if ev.cancelled:
+                    continue
+                self.now = ev.fire_time
+                ev.fn(ev)
+                dispatched += 1
+        finally:
+            # a raising callback still leaves the dispatches before it counted
+            self.dispatched_count += dispatched
         self.now = t_end
         return dispatched
 

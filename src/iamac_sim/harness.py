@@ -70,7 +70,9 @@ def sweep(base, param, values, seeds, workers=0):
     """One run per (value, seed); output ordered by (value, seed) regardless
     of execution order, so concurrent and serial sweeps emit identical CSV."""
     points = [(base, param, v, s) for v in values for s in seeds]
-    if workers and workers > 1:
+    # a pool may start all its workers at once: no more than there are points
+    workers = min(workers, len(points))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_point, points))
     else:
@@ -224,7 +226,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
     return {
         "mean_packets_sent": mean_sent,
         "mean_sent_payload": mean_sent * sc.payload_bytes,
-        "mean_delivered_payload": sum(r[3] for r in ledger.delivered_records) / frames,
+        "mean_delivered_payload": ledger.delivered_payload / frames,
         "delivered_per_frame": delivered_first,
         "elapsed_first": first.result.elapsed if first.done else None,
         "recovery_frames": sum(s.result.recovery_frames for s in sessions),

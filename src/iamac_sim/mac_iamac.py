@@ -145,7 +145,7 @@ class IamacDriver:
         st.contending = False
         st.cancel_cts = True
         st.received_rtss = []
-        sim.trace(nid, "rts-tx", f"dst={parent}")
+        sim.trace(nid, "rts-tx", "dst=%s", parent)
 
     def _current_mini_slot(self):
         rel = self.engine.now - self.plan.rts_start(self.cycle_start)
@@ -158,7 +158,7 @@ class IamacDriver:
         parent = sim.parent_of(nid)
         if pkt.dst == nid:
             st.received_rtss.append(pkt)
-            sim.trace(nid, "rts-queued", f"from={pkt.src}")
+            sim.trace(nid, "rts-queued", "from=%s", pkt.src)
             if not st.sent_rts:
                 self._cancel_pending(st)
         elif parent is not None and pkt.dst == parent:
@@ -168,14 +168,15 @@ class IamacDriver:
             st.cancel_cts = True
             if st.received_rtss:
                 st.received_rtss = []
-                sim.trace(nid, "rts-queue-deleted", f"overheard={pkt.src}->{pkt.dst}")
+                sim.trace(nid, "rts-queue-deleted", "overheard=%s->%s", pkt.src, pkt.dst)
                 if node.queue and not st.sent_rts:
                     self._pick_contention(nid, self._current_mini_slot() + 1)
                     sim.trace(nid, "became-prospective-sender")
             elif st.contending and not st.sent_rts:
                 self._cancel_pending(st)
-                self._pick_contention(nid, self._current_mini_slot() + 1)
-                sim.trace(nid, "repick", f"after-slot={self._current_mini_slot()}")
+                slot = self._current_mini_slot()
+                self._pick_contention(nid, slot + 1)
+                sim.trace(nid, "repick", "after-slot=%s", slot)
             # already-transmitted contenders and idle listeners stay as they are
         else:
             self._deactivate(nid, "rts-for-other-pair")
@@ -217,7 +218,7 @@ class IamacDriver:
             self._deactivate(nid, "busy-at-cts-timer")
             return
         st.committed_rx = True
-        sim.trace(nid, "cts-train", f"grants={st.grants}")
+        sim.trace(nid, "cts-train", "grants=%s", st.grants)
         self._send_cts(nid, 0)
 
     def _send_cts(self, nid, idx):
@@ -237,7 +238,7 @@ class IamacDriver:
         st = self.states[nid]
         if pkt.dst == nid:
             st.granted = True
-            sim.trace(nid, "granted", f"by={pkt.src}")
+            sim.trace(nid, "granted", "by=%s", pkt.src)
         elif pkt.src == sim.parent_of(nid):
             pass  # a sibling's grant in my own parent's train: mine may follow
         elif st.committed_rx or st.granted:

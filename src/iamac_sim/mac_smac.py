@@ -161,7 +161,7 @@ class SmacDriver:
         st.role = "tx"
         st.peer = parent
         st.exchange = {"uid": node.queue[0].uid, "data_received": False}
-        sim.trace(nid, "smac-rts", f"dst={parent}")
+        sim.trace(nid, "smac-rts", "dst=%s", parent)
         timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
         st.pending_ev = self.engine.schedule(timeout, lambda ev: self._cts_timeout(nid))
 
@@ -198,7 +198,7 @@ class SmacDriver:
                              exchange_end=pkt.exchange_end)
                 self.engine.schedule(self.engine.now + self.sifs,
                                      lambda ev: sim.medium.transmit(nid, cts))
-                sim.trace(nid, "smac-cts", f"dst={pkt.src}")
+                sim.trace(nid, "smac-cts", "dst=%s", pkt.src)
                 # release the reservation if the data never shows up
                 st.pending_ev = self.engine.schedule(pkt.exchange_end + 2e-3,
                                                      lambda ev: self._rx_timeout(nid))
@@ -270,7 +270,7 @@ class SmacDriver:
         if st.role == "tx":
             if success or st.exchange["data_received"]:
                 # reconcile: the parent holds the packet even if the ack died
-                sim.remove_from_queue(nid, st.exchange["uid"])
+                sim.remove_from_queue(nid, (st.exchange["uid"],))
         st.role = None
         st.peer = None
         st.done_frame = not self.adaptive
@@ -301,9 +301,9 @@ class SmacDriver:
             wake_at = self.engine.now + remaining * (1.0 + err)
             self.engine.cancel(st.wake_ev)
             st.wake_ev = self.engine.schedule(wake_at, lambda ev: self._adaptive_wake(nid))
-            sim.trace(nid, "nav-sleep", f"until~{wake_at:.4f}")
+            sim.trace(nid, "nav-sleep", "until~%.4f", wake_at)
         else:
-            sim.trace(nid, "nav-sleep", f"until={pkt.exchange_end:.4f}")
+            sim.trace(nid, "nav-sleep", "until=%.4f", pkt.exchange_end)
             self.engine.cancel(st.wake_ev)
             st.wake_ev = self.engine.schedule(st.nav_until,
                                               lambda ev: self._plain_nav_wake(nid))

@@ -38,6 +38,7 @@ class MetricsLedger:
         # traffic accounting (payload bytes)
         self.generated_packets = 0
         self.delivered_records = []          # (origin, born_at, delivered_at, payload)
+        self.delivered_payload = 0           # the records' payload bytes
         self.dropped_packets = 0
 
         # queue statistics: time-weighted integral per node
@@ -134,6 +135,7 @@ class MetricsLedger:
         if delivered_at < born_at:
             raise ValueError("delivery precedes generation")
         self.delivered_records.append((origin, born_at, delivered_at, payload))
+        self.delivered_payload += payload
 
     def record_drop(self, n=1):
         self.dropped_packets += n
@@ -177,7 +179,7 @@ class MetricsLedger:
     def throughput_bps(self):
         if self.measure_end <= 0:
             return 0.0
-        return sum(p for _, _, _, p in self.delivered_records) / self.measure_end
+        return self.delivered_payload / self.measure_end
 
     def cs_stats(self):
         if not self.cs_sum_per_frame:

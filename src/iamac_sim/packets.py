@@ -22,7 +22,7 @@ def airtime(nbytes, radio_speed):
     return 8.0 * nbytes / radio_speed
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One frame on the air. `length` excludes the phy+MAC header except for
     ACKs, whose tabulated size already includes it."""
@@ -48,14 +48,7 @@ class Packet:
 
 
 def make_data_packet(uid, origin, dst, born_at, payload_len, header):
-    return Packet(
-        kind=PacketKind.DATA,
-        src=origin,
-        dst=dst,
-        length=payload_len,
-        header=header,
-        born_at=born_at,
-        origin=origin,
-        payload_len=payload_len,
-        uid=uid,
-    )
+    # positional, in field order: kind, src, dst, length, header, born_at,
+    # origin, payload_len, uid
+    return Packet(PacketKind.DATA, origin, dst, payload_len, header, born_at,
+                  origin, payload_len, uid)

@@ -258,7 +258,7 @@ class ArqSession(_SessionBase):
     def _pop_current(self, delivered):
         if self.current is None:
             return
-        self.sim.remove_from_queue(self.child, self.current.uid)
+        self.sim.remove_from_queue(self.child, (self.current.uid,))
         if not delivered:
             self.sim.ledger.record_drop()
         self.current = None
@@ -277,7 +277,7 @@ class SedaSession(_SessionBase):
         super().__init__(*args, **kwargs)
         self.link_ber = link_ber
         self.block_len = self.sc.payload_bytes + self.sc.block_overhead
-        self.burst = []
+        self.burst = {}              # uid -> packet, in queue order
         self.delivered_uids = set()
         self.retrans_uids = set()    # blocks that flew in a retransmission
         self.phase = "idle"          # idle | data | retrans
@@ -307,13 +307,13 @@ class SedaSession(_SessionBase):
         plan = seda_capacity(budget, self.link_ber, self.sc)
         if plan < 1:
             plan = 1  # a one-block frame already fits: push at least one block
-        self.burst = list(q[:plan])
+        self.burst = {p.uid: p for p in q[:plan]}
         self.delivered_uids = set()
         self.retrans_uids = set()
         self._window_end = end
         self.result.started_packets += len(self.burst)
         self.phase = "data"
-        self._send_frame([p.uid for p in self.burst], await_recovery=True)
+        self._send_frame(tuple(self.burst), await_recovery=True)
 
     def _frame_airtime(self, blocks):
         return airtime(self.sc.header_bytes + blocks * self.block_len, self.sc.radio_speed)
@@ -322,7 +322,7 @@ class SedaSession(_SessionBase):
         sc = self.sc
         frame = Packet(kind=PacketKind.SEDA_BLOCK, src=self.child, dst=self.parent,
                        length=len(uids) * self.block_len, header=sc.header_bytes,
-                       block_uids=tuple(uids))
+                       block_uids=uids)
         t_end = self.medium.transmit(self.child, frame)
         self._cancel_timer()
         if await_recovery:
@@ -344,7 +344,7 @@ class SedaSession(_SessionBase):
             return
         if tx.sender != self.parent or tx.packet.kind is not PacketKind.RECOVERY_FRAME:
             return
-        self._retransmit_or_resolve([p.uid for p in self.burst])
+        self._retransmit_or_resolve(tuple(self.burst))
 
     def _retransmit_or_resolve(self, uids):
         """Resend `uids` once if their frame fits the window, else close the burst."""
@@ -359,7 +359,6 @@ class SedaSession(_SessionBase):
     # -- parent side ------------------------------------------------------
 
     def _parent_got_frame(self, pkt, sinr):
-        by_uid = {p.uid: p for p in self.burst}
         flips = self.medium.block_corruption_draws(
             sinr, len(pkt.block_uids), self.block_len)
         corrupt = []
@@ -368,7 +367,7 @@ class SedaSession(_SessionBase):
                 corrupt.append(uid)
             elif uid not in self.delivered_uids:
                 self.delivered_uids.add(uid)
-                self._deliver(by_uid[uid])
+                self._deliver(self.burst[uid])
         # the child sends one frame in the data phase, so at most one report
         if self.phase == "data" and corrupt:
             self.result.recovery_frames += 1
@@ -392,13 +391,14 @@ class SedaSession(_SessionBase):
         """Burst over: delivered blocks leave the queue, blocks that lost
         their retransmission drop, the rest stay queued for the next frame."""
         self._cancel_timer()
-        for p in self.burst:
-            if p.uid in self.delivered_uids:
-                self.sim.remove_from_queue(self.child, p.uid)
-            elif p.uid in self.retrans_uids:
-                self.sim.remove_from_queue(self.child, p.uid)
-                self.sim.ledger.record_drop()
-        self.burst = []
+        delivered, retried = self.delivered_uids, self.retrans_uids
+        gone = [uid for uid in self.burst if uid in delivered or uid in retried]
+        self.sim.remove_from_queue(self.child, gone)
+        # every delivered uid is in the burst (the parent looked it up there)
+        lost = len(gone) - len(delivered)
+        if lost:
+            self.sim.ledger.record_drop(lost)
+        self.burst = {}
         self.phase = "idle"
         gap = self.sc.turnaround_s + 1e-6
         self.engine.schedule(self.engine.now + gap, lambda ev: self._next_burst())

@@ -148,9 +148,11 @@ class Simulation:
 
     # -- tracing ---------------------------------------------------------------
 
-    def trace(self, node, label, detail=""):
+    def trace(self, node, label, fmt="", *args):
+        """Record `label` with the detail `fmt % args`, formatted only when
+        the run is traced."""
         if self.trace_enabled:
-            self.trace_log.append((round(self.engine.now, 9), node, label, detail))
+            self.trace_log.append((round(self.engine.now, 9), node, label, fmt % args))
 
     # -- routing ----------------------------------------------------------------
 
@@ -243,14 +245,34 @@ class Simulation:
         node.queue.append(pkt)
         self.ledger.queue_changed(nid, len(node.queue), self.engine.now)
 
-    def remove_from_queue(self, nid, uid):
-        node = self.nodes[nid]
-        for i, p in enumerate(node.queue):
-            if p.uid == uid:
-                del node.queue[i]
-                self.ledger.queue_changed(nid, len(node.queue), self.engine.now)
-                return p
-        return None
+    def remove_from_queue(self, nid, uids):
+        """Remove from `nid`'s queue, for each entry of `uids`, the earliest
+        queued packet with that uid; an absent uid removes nothing. The queue
+        ends as after one removal per uid in a row. The pass stops after the
+        last match, and the ledger sees one queue change: same-instant changes
+        add nothing to the time-weighted queue length."""
+        if not uids:
+            return
+        want = {}
+        for uid in uids:
+            want[uid] = want.get(uid, 0) + 1
+        left = len(uids)
+        queue = self.nodes[nid].queue
+        kept = []
+        stop = len(queue)
+        for i, p in enumerate(queue):
+            n = want.get(p.uid)
+            if not n:
+                kept.append(p)
+                continue
+            want[p.uid] = n - 1
+            left -= 1
+            if not left:
+                stop = i + 1
+                break
+        if stop > len(kept):
+            queue[:stop] = kept
+            self.ledger.queue_changed(nid, len(queue), self.engine.now)
 
     def deliver_to(self, nid, pkt):
         if nid == self.topo.sink:
@@ -308,7 +330,7 @@ class Simulation:
                            else self.scenario.horizon_s),
             "lifetime_censored": ledger.first_death_time is None,
             "delivered_packets": len(ledger.delivered_records),
-            "delivered_payload": sum(r[3] for r in ledger.delivered_records),
+            "delivered_payload": ledger.delivered_payload,
             "throughput_bps": ledger.throughput_bps(),
             "mean_latency_s": lat["mean"] if lat else None,
             "p95_latency_s": lat["p95"] if lat else None,

@@ -1,6 +1,6 @@
 """`scripts/bench.py pairs` times only runs that reproduce their checkout's
-recorded output, writes nothing when one does not, and summarizes `run_s`
-and `setup_s` alike."""
+recorded output, writes nothing when one does not, and summarizes `run_s`,
+`setup_s` and `peak_rss_mb` alike."""
 
 import importlib.util
 import json
@@ -26,10 +26,10 @@ def bench(tmp_path, monkeypatch):
     return module
 
 
-def stub_runs(bench, monkeypatch, times, bad=None, setups=None):
+def stub_runs(bench, monkeypatch, times, bad=None, setups=None, rss=None):
     """Worker lines with `run_s` from `times[side]` in turn, and `setup_s`
-    lists from `setups[side]` when given; `bad` = (side, index, field, value)
-    spoils one of them."""
+    lists from `setups[side]` and `peak_rss_mb` from `rss[side]` when given;
+    `bad` = (side, index, field, value) spoils one of them."""
     seen = {"parent": 0, "change": 0}
 
     def last_json_line(cmd, checkout):
@@ -38,7 +38,8 @@ def stub_runs(bench, monkeypatch, times, bad=None, setups=None):
         seen[side] += 1
         rec = {"run_s": times[side][i], "slowdown": 1.0, "hash": HASH,
                "status": "ok", "conserved": True,
-               "setup_s": setups[side][i] if setups else [0.1, 0.1, 0.1]}
+               "setup_s": setups[side][i] if setups else [0.1, 0.1, 0.1],
+               "peak_rss_mb": rss[side][i] if rss else 44.0}
         if bad is not None and bad[:2] == (side, i):
             rec[bad[2]] = bad[3]
         return rec
@@ -84,6 +85,25 @@ def test_pairs_records_setup_medians(bench, tmp_path, monkeypatch):
     # the run_s summary keeps its top-level place
     assert rec["run_s"] == times
     assert rec["wins"] == 0 and rec["ratio"] == 1.0
+
+
+def test_pairs_records_peak_rss(bench, tmp_path, monkeypatch):
+    times = {"parent": [1.0] * 10, "change": [0.9] * 10}
+    rss = {"parent": [64.5 + 0.01 * i for i in range(10)],
+           "change": [64.2 + 0.02 * i for i in range(10)]}
+    rss["change"][7] = 65.0
+    stub_runs(bench, monkeypatch, times, rss=rss)
+    assert run_pairs(bench, tmp_path) == 0
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())["pairs"]["paper-iamac@1"]
+    assert rec["peak_rss_mb"] == rss
+    got = rec["peak_rss_mb_summary"]
+    assert got["wins"] == 9
+    assert got["parent_median"] == pytest.approx(64.545)
+    assert got["parent_iqr"] == pytest.approx(0.055)
+    assert got["change_median"] == pytest.approx(64.29)
+    assert got["ratio"] == pytest.approx(64.29 / 64.545)
+    # the run_s summary keeps its top-level place
+    assert rec["wins"] == 10
 
 
 @pytest.mark.parametrize("bad", [

@@ -95,9 +95,31 @@ def test_no_lost_events(spec):
     for h, cancel in handles:
         if cancel:
             e.cancel(h)
+    # two calls: each adds its own dispatches to the count
+    e.run_until(25.0)
     e.run_until(50.0)
     assert e.scheduled_count == (e.dispatched_count + e.cancelled_count
                                  + e.pending_count)
+
+
+def test_dispatches_before_a_raising_callback_are_counted():
+    e = Engine()
+
+    def boom(ev):
+        raise KeyError("callback fault")
+
+    for t in (1.0, 2.0):
+        e.schedule(t, lambda ev: None)
+    e.schedule(3.0, boom)
+    e.schedule(4.0, lambda ev: None)
+    with pytest.raises(KeyError):
+        e.run_until(10.0)
+    assert e.dispatched_count == 2
+    assert e.now == 3.0
+    # the run resumes after the fault and keeps counting
+    assert e.run_until(10.0) == 1
+    assert e.dispatched_count == 3
+    assert e.scheduled_count == 4
 
 
 def test_same_seed_same_label_identical_draws():

@@ -110,6 +110,41 @@ def test_sweep_concurrency_invisible():
     assert serial == parallel
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records `max_workers`, runs the
+    points in this process and starts none."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, values, pool_size", [
+    (64, [5.0, 10.0], 2),
+    (3, [5.0, 10.0, 20.0, 40.0], 3),
+    (8, [5.0], None),
+    (1, [5.0, 10.0], None),
+])
+def test_sweep_pool_is_no_larger_than_its_points(workers, values, pool_size, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_sweep_point", lambda point: (point[2], point[3], {
+        "status": "ok"}))
+    table, _ = sweep(Scenario(), "sampling_interval_s", values, [3], workers=workers)
+    assert sorted(table) == [(v, 3) for v in values]
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
 def test_sweep_records_disjoint_points_and_continues():
     sc = desk_preset(horizon_s=8.0, stop_on_first_death=False)
     table, rows = sweep(sc, "output_power_dbm", [-12.0, 8.0], [3])
@@ -420,6 +455,7 @@ SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]
     (["analytics", "--ber-grid", "0,1.5"], "1.5"),
     (SWEEP_DESK + ["--param", "seed", "--values", "2,7"], "--seeds"),
     (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--seeds", "1,-1"], "seed"),
+    (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--workers", "-1"], "--workers"),
 ])
 def test_cli_malformed_sweep_and_analytics_arguments(argv, named, tmp_path, capsys,
                                                      monkeypatch):

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from iamac_sim.config import desk_preset
+from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.energy import EnergyTable, RadioState
 from iamac_sim.metrics import MetricsLedger
+from iamac_sim.packets import make_data_packet
 from iamac_sim.simulation import Simulation
 
 
@@ -92,6 +94,64 @@ def test_queue_time_weighted_mean(table):
     ledger.close_queues(10.0)         # len 0 for [7,10)
     # node 0 integral = 20 over 10 s, node 1 contributes zero
     assert ledger.mean_queue_len() == pytest.approx(20.0 / (10.0 * 2))
+
+
+def remove_one_uid_at_a_time(sim, nid, uids):
+    """Oracle: the one-uid removal loop, called once per entry of `uids`."""
+    queue = sim.nodes[nid].queue
+    for uid in uids:
+        for i, p in enumerate(queue):
+            if p.uid == uid:
+                del queue[i]
+                sim.ledger.queue_changed(nid, len(queue), sim.engine.now)
+                break
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_queue_removal_matches_one_uid_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    sims = [Simulation(Scenario(node_count=2, seed=seed), [(0.0, 0.0), (5.0, 0.0)],
+                       parents={1: 0}) for _ in range(2)]
+    oracle, batched = sims
+    calls = []
+    queue_changed = batched.ledger.queue_changed
+    batched.ledger.queue_changed = lambda *args: (calls.append(args),
+                                                  queue_changed(*args))
+    t, born = 0.0, 0
+    for step in range(40):
+        # some steps share an instant with the previous one
+        t += float(rng.uniform(0.0, 2.0)) if rng.random() < 0.7 else 0.0
+        for sim in sims:
+            sim.engine.run_until(t)
+        # uids 0-7 repeat within a queue; 8 and 9 are never queued
+        for uid in rng.integers(0, 8, size=int(rng.integers(0, 4))).tolist():
+            for sim in sims:
+                sim.enqueue(1, make_data_packet(uid, 1, 0, float(born), 29, 16))
+            born += 1
+        uids = [] if step == 0 else rng.integers(0, 10, size=int(rng.integers(0, 7))).tolist()
+        before = len(oracle.nodes[1].queue)
+        remove_one_uid_at_a_time(oracle, 1, uids)
+        del calls[:]
+        batched.remove_from_queue(1, tuple(uids))
+        assert len(calls) == (len(oracle.nodes[1].queue) < before)
+        assert ([(p.uid, p.born_at) for p in batched.nodes[1].queue]
+                == [(p.uid, p.born_at) for p in oracle.nodes[1].queue])
+        for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
+            assert getattr(batched.ledger, name) == getattr(oracle.ledger, name)
+    assert oracle.ledger._queue_integral[1] > 0.0
+
+
+@pytest.mark.parametrize("protocol", ["iamac", "smac", "adaptive-smac"])
+@pytest.mark.parametrize("recovery", ["arq", "seda"])
+def test_delivered_payload_counts_every_delivery_record(protocol, recovery):
+    sc = desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
+                     protocol=protocol, recovery=recovery)
+    sim = Simulation(sc)
+    res = sim.run()
+    records = sim.ledger.delivered_records
+    assert records
+    assert sim.ledger.delivered_payload == sum(r[3] for r in records)
+    assert res["delivered_payload"] == sim.ledger.delivered_payload
 
 
 def test_energy_ledger_conservation_on_a_run():
