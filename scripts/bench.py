@@ -9,8 +9,9 @@ README, without touching `simbench/`.
 `record` runs `python3 simbench/run.py --workload W --workload-seed S` in the
 checkout (default: this one) for every workload at workload seeds 1 and 3, and
 stores under `--name` each run's final JSON line, the recorded CSV hashes, the
-Python and numpy versions, the CPU count and the checkout's `git rev-parse HEAD`
-(marked "-dirty" when its tracked files differ from that commit).
+Python and numpy versions, the CPU count, the checkout's absolute path and its
+`git rev-parse HEAD` (marked "-dirty" when its tracked files differ from that
+commit).
 
 `pairs` alternates ten single `simbench/worker.py` runs of one workload in the
 parent checkout and ten in this one, each side first in every other pair, and
@@ -19,7 +20,9 @@ median of the run's three timed set-ups), its `peak_rss_mb` and the host
 slowdown the times were divided by. For `run_s` it stores each side's median
 and interquartile range and how many pairs the change won, at the top level as
 in earlier records; `setup_s_summary` and `peak_rss_mb_summary` hold the same
-for `setup_s` and `peak_rss_mb`. Run one workload seed per call. A run whose
+for `setup_s` and `peak_rss_mb`. `checkouts` holds each side's absolute path:
+`peak_rss_mb` moves with the directory a checkout sits in, so memory compares
+fairly only between alike paths. Run one workload seed per call. A run whose
 CSV hash differs from its checkout's `simbench/expected.json`, whose status is
 not "ok" or that does not conserve packets stops `pairs` with a non-zero exit
 before anything is written.
@@ -69,6 +72,7 @@ def record(args):
                   f"run_s {line['metrics']['run_s']['value']:.4f}", flush=True)
     return {
         "git_revision": revision(checkout),
+        "checkout": str(checkout),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
@@ -117,6 +121,7 @@ def pairs(args):
         "workload": args.workload,
         "workload_seed": args.workload_seed,
         "revisions": {side: revision(checkout) for side, checkout in sides.items()},
+        "checkouts": {side: str(checkout) for side, checkout in sides.items()},
         "run_s": runs,
         "setup_s": setups,
         "peak_rss_mb": peak_rss,

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_DISTANCE_M = 1e-3  # link budgets treat closer nodes as this far apart
+
 
 @dataclass
 class LinkModel:

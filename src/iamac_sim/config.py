@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import LinkModel, dbm_to_mw
+from .channel import MIN_DISTANCE_M, LinkModel, dbm_to_mw
 from .energy import EnergyTable
 from .frames import build_frame_plan
 from .packets import airtime
@@ -32,9 +32,10 @@ _MINIMUM = {
     "switch_mj": 0.0, "sample_mj": 0.0,
 }
 
-# accepted range of each dBm level: what a low-power radio can emit or hear
+# accepted ranges: dBm levels a low-power radio can emit or hear, shadowing spread in dB
 _RANGE = {
     "output_power_dbm": (-60.0, 30.0), "noise_floor": (-200.0, 0.0),
+    "shadowing_sigma": (0.0, 100.0),
 }
 
 
@@ -134,6 +135,10 @@ class Scenario:
         # the dBm-to-mW values a run converts
         self._derive("noise_floor", lambda: model.noise_mw)
         self._derive("noise_floor, cs_threshold", lambda: dbm_to_mw(model.busy_threshold_dbm))
+        # the strongest link a run can draw: the closest distance, ten sigma of shadowing gain
+        self._derive("output_power_dbm, pl_d0, d0, path_loss_exponent, shadowing_sigma",
+                     lambda: dbm_to_mw(self.output_power_dbm - model.path_loss(
+                         MIN_DISTANCE_M, -10.0 * self.shadowing_sigma)))
         table = self._derive("sleep_ma, listen_ma, tx0_ma, voltage", self.energy_table)
         self._derive("output_power_dbm", lambda: table.tx_ma(self.output_power_dbm))
         # a sample per node faster than one data packet's airtime only

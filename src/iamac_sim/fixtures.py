@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .config import Scenario
+from .metrics import colliding_sets
 from .simulation import Simulation
 
 # node indices in the hidden-wakeup layout
@@ -70,7 +71,7 @@ def build_fig2(protocol, seed=11):
 
 def cs_at(sim, node):
     """Peak per-frame colliding-set size recorded at one receiver (a traced run)."""
-    return max((len(sets.get(node, ())) for _, sets in sim.ledger.cs_frames),
+    return max((len(sets.get(node, ())) for sets in colliding_sets(sim.data_log).values()),
                default=0)
 
 

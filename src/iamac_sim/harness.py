@@ -159,9 +159,10 @@ def trend_interior_max(values):
     return 0 < peak < len(values) - 1
 
 
-def star_simulation(scenario, children=6, radius=6.0, trace=False):
+def star_simulation(scenario, trace=False):
     """A saturated single-parent star with a preset tree: the clean setting
     for buffer studies, where the transfer procedure is the bottleneck."""
+    children, radius = 6, 6.0
     positions = [(0.0, 0.0)]
     for k in range(children):
         ang = 2.0 * math.pi * k / children

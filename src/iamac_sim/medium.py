@@ -40,11 +40,10 @@ class Transmission:
 
 
 class Reception:
-    __slots__ = ("tx", "listener", "wanted_mw", "max_other_mw", "interferers")
+    """One listener's reception of one transmission; `Medium.receptions` keys it by both."""
+    __slots__ = ("wanted_mw", "max_other_mw", "interferers")
 
-    def __init__(self, tx, listener, wanted_mw, other_mw, track_interferers):
-        self.tx = tx
-        self.listener = listener
+    def __init__(self, wanted_mw, other_mw, track_interferers):
         self.wanted_mw = wanted_mw
         self.max_other_mw = other_mw
         self.interferers = set() if track_interferers else None
@@ -69,9 +68,9 @@ class Medium:
         self.receptions = [dict() for _ in range(n)]  # listener -> {tx: Reception}
         self.active_data = set()
 
-        # metrics hooks, wired by the simulation
-        self.on_data_reception_resolved = None  # fn(rec), addressee only
-        self.tx_log = None                      # (sender, t_start, t_end) when traced
+        # fn(tx, rec), wired by the simulation: once per data frame at its last
+        # bit, with the addressee's reception or None when it resolved none
+        self.on_data_resolved = None
 
     # -- state queries ---------------------------------------------------
 
@@ -93,8 +92,6 @@ class Medium:
         active_data = self.active_data
         if is_data:
             active_data.add(tx)
-            if self.tx_log is not None:
-                self.tx_log.append((sender, now, tx.t_end))
 
         onair = self.onair_mw
         receptions = self.receptions
@@ -124,7 +121,7 @@ class Medium:
                     if rec.interferers is not None:
                         rec.interferers.add(sender)
             # only the addressee's data reception feeds the colliding set
-            rec = open_here[tx] = Reception(tx, j, p, onair[j] - p, is_data and j == dst)
+            rec = open_here[tx] = Reception(p, onair[j] - p, is_data and j == dst)
             if rec.interferers is not None:
                 heard = sense_in[j]
                 for other_tx in active_data:
@@ -171,8 +168,8 @@ class Medium:
         bit_error_rate = self.model.bit_error_rate
         random = self.rng.random
         noise_mw = self.noise_mw
-        resolved = self.on_data_reception_resolved if is_data else None
         dst = pkt.dst
+        addressee = None
         receptions = self.receptions
         for j in self.sense_out[sender][0]:
             node = nodes[j]
@@ -194,12 +191,14 @@ class Medium:
                 # error rate delivers without a draw
                 prr = (1.0 - bit_error_rate(sinr)) ** bits
                 delivered = prr >= 1.0 or random() < prr
-            if resolved is not None and j == dst:
-                resolved(rec)
+            if j == dst:
+                addressee = rec
             if delivered:
                 node.on_packet(pkt, sinr)
             else:
                 node.on_air_resolved_corrupt(tx)
+        if is_data:
+            self.on_data_resolved(tx, addressee)
         if tx.on_resolved is not None:
             tx.on_resolved(tx)
 

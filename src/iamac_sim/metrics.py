@@ -10,6 +10,18 @@ from .energy import RadioState
 SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
 
 
+def colliding_sets(data_log):
+    """`{frame: {receiver: interferer ids}}` from a traced run's
+    `Simulation.data_log`, by the rule of `MetricsLedger.record_data_reception`;
+    a frame without interferers is absent."""
+    frames = {}
+    for sender, dst, _, _, frame, interferers in data_log:
+        if interferers:
+            frames.setdefault(frame, {}).setdefault(dst, set()).update(
+                i for i in interferers if i != sender)
+    return frames
+
+
 class MetricsLedger:
     def __init__(self, n_nodes, energy_table, output_power_dbm=0.0):
         self.n = n_nodes
@@ -47,12 +59,6 @@ class MetricsLedger:
         self._queue_integral = [0.0] * n_nodes
 
         self.measure_end = 0.0
-
-        # a traced run's per-frame record; the simulation sets both to lists:
-        # (frame_idx, {receiver: interferer ids}) per frame, and every node's
-        # state times at each frame start
-        self.cs_frames = None
-        self.frame_states = None
 
     # -- energy ---------------------------------------------------------
 
@@ -114,17 +120,14 @@ class MetricsLedger:
         bucket = self._frame_cs.setdefault(receiver, set())
         bucket.update(i for i in interferers if i != wanted_sender)
 
-    def flush_frame_cs(self, frame_idx):
+    def flush_frame_cs(self):
         total = sum(len(s) for s in self._frame_cs.values())
         self.cs_sum_per_frame.append(total)
-        if self.cs_frames is not None:
-            self.cs_frames.append((frame_idx, self._frame_cs))
         self._frame_cs = {}
 
     def mark_frame_state(self):
-        """A frame starts: a traced run keeps every node's state times."""
-        if self.frame_states is not None:
-            self.frame_states.append([list(st) for st in self.state_time])
+        """Nothing calls this. It stays while the benchmark's tracer
+        (`simbench/tracing.py`) wraps it by name."""
 
     # -- traffic -----------------------------------------------------------
 
@@ -182,10 +185,7 @@ class MetricsLedger:
         return self.delivered_payload / self.measure_end
 
     def cs_stats(self):
-        if not self.cs_sum_per_frame:
+        sums = self.cs_sum_per_frame
+        if not sums:
             return {"mean_sum": 0.0, "max_sum": 0}
-        mean_sum = sum(self.cs_sum_per_frame) / len(self.cs_sum_per_frame)
-        return {
-            "mean_sum": mean_sum,
-            "max_sum": max(self.cs_sum_per_frame),
-        }
+        return {"mean_sum": sum(sums) / len(sums), "max_sum": max(sums)}

@@ -126,12 +126,14 @@ class Simulation:
         self.ledger = MetricsLedger(topology.n, self.energy_table, power)
         self.nodes = [Node(self, i) for i in range(topology.n)]
         self.medium.nodes = self.nodes
-        self.medium.on_data_reception_resolved = self._data_reception_resolved
+        self.medium.on_data_resolved = self._data_resolved
 
         self.route_states = None if parents is None else preset_tree(topology, parents)
         self.fixed_contention = dict(fixed_contention or {})
+        # the one recording switch; it may be set any time before `run`
         self.trace_enabled = trace
         self.trace_log = []
+        self.data_log = []
         self.status = "ok"
         self.stranded = []
         self.stopped = False
@@ -139,12 +141,6 @@ class Simulation:
         self.measured_until = 0.0
         self.driver = None
         self._uids = count()
-        # a traced run also records its data transmissions, the addressees'
-        # data receptions, the per-frame colliding sets and state times
-        self.rx_log = None
-        if trace:
-            self.rx_log, self.medium.tx_log = [], []
-            self.ledger.cs_frames, self.ledger.frame_states = [], []
 
     # -- tracing ---------------------------------------------------------------
 
@@ -185,7 +181,6 @@ class Simulation:
         """Open the next frame: every node wakes for the Synch/Routing slot
         and pays its beacon."""
         self.frame_idx += 1
-        self.ledger.mark_frame_state()
         for node in self.nodes:
             if node.alive and node.state is SLEEP:
                 node.set_radio(LISTEN)
@@ -196,7 +191,7 @@ class Simulation:
         seconds fits the horizon and no node death stops the run."""
         for node in self.nodes:
             node.flush_energy()
-        self.ledger.flush_frame_cs(self.frame_idx)
+        self.ledger.flush_frame_cs()
         self.measured_until = now = self.engine.now
         sc = self.scenario
         stop = sc.stop_on_first_death and self.ledger.first_death_time is not None
@@ -228,17 +223,12 @@ class Simulation:
 
     def inject(self, origin, payload_len):
         """A new data packet, born now at `origin` and queued there for its parent."""
-        pkt = self.data_packet(origin, self.parent_of(origin) or 0, payload_len,
-                               self.engine.now)
+        pkt = make_data_packet(next(self._uids), origin, self.parent_of(origin) or 0,
+                               self.engine.now, payload_len, self.scenario.header_bytes)
         self.enqueue(origin, pkt)
         self.ledger.record_generated()
 
     # -- queue plumbing -------------------------------------------------------------
-
-    def data_packet(self, origin, dst, payload_len, born_at=0.0):
-        """A new data packet from `origin`, numbered in this run's own sequence."""
-        return make_data_packet(next(self._uids), origin, dst, born_at, payload_len,
-                                self.scenario.header_bytes)
 
     def enqueue(self, nid, pkt):
         node = self.nodes[nid]
@@ -283,13 +273,13 @@ class Simulation:
 
     # -- metrics hooks -----------------------------------------------------------------
 
-    def _data_reception_resolved(self, rec):
-        # the medium reports only the addressee's own reception: the
-        # colliding-set metric is not about bystanders who overheard the data
-        self.ledger.record_data_reception(rec.listener, rec.tx.sender, rec.interferers)
-        if self.rx_log is not None:
-            self.rx_log.append((rec.listener, rec.tx.sender,
-                                rec.tx.t_start, rec.tx.t_end, self.frame_idx))
+    def _data_resolved(self, tx, rec):
+        # the addressee's own reception only: bystanders have no colliding set
+        if rec is not None:
+            self.ledger.record_data_reception(tx.packet.dst, tx.sender, rec.interferers)
+        if self.trace_enabled:
+            self.data_log.append((tx.sender, tx.packet.dst, tx.t_start, tx.t_end,
+                                  self.frame_idx, None if rec is None else rec.interferers))
 
     # -- run ----------------------------------------------------------------------------
 

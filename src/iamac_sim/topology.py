@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import dbm_to_mw
+from .channel import MIN_DISTANCE_M, dbm_to_mw
+
+INFLUENCE_MARGIN_DB = 6.0  # dB below the noise floor that still counts as interference
 
 
 class Topology:
@@ -14,8 +16,7 @@ class Topology:
     B->A independent); without `rng` there is no shadowing.
     """
 
-    def __init__(self, positions, sink, model, tx_power_dbm, rng=None,
-                 influence_margin_db=6.0):
+    def __init__(self, positions, sink, model, tx_power_dbm, rng=None):
         self.positions = np.asarray(positions, dtype=float)
         self.n = len(self.positions)
         self.sink = sink
@@ -24,7 +25,7 @@ class Topology:
         diff = self.positions[:, None, :] - self.positions[None, :, :]
         self.dist = np.sqrt((diff ** 2).sum(axis=2))
         np.fill_diagonal(self.dist, np.inf)
-        self.dist = np.maximum(self.dist, 1e-3)
+        self.dist = np.maximum(self.dist, MIN_DISTANCE_M)
 
         if rng is None:
             shadow = np.zeros((self.n, self.n))
@@ -40,7 +41,7 @@ class Topology:
 
         busy_thr = model.busy_threshold_dbm
         sense = self.rx_dbm >= busy_thr
-        influence = self.rx_dbm >= model.noise_floor - influence_margin_db
+        influence = self.rx_dbm >= model.noise_floor - INFLUENCE_MARGIN_DB
         # sense_out[i]: the j that can sense/decode i's transmissions
         self.sense_out = [np.nonzero(row)[0] for row in sense]
         # sense_in[j]: the senders i that j can sense (the transpose, as a set)

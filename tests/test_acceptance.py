@@ -14,6 +14,7 @@ from iamac_sim.fixtures import FIG6_GOLDEN, run_fig2, run_fig6
 from iamac_sim.harness import (RUN_COLUMNS, rows_to_csv, run_experiment,
                                star_simulation, transfer_benchmark,
                                trend_interior_max, trend_monotone)
+from iamac_sim.metrics import colliding_sets
 from iamac_sim.recovery import arq_capacity, rts_success_prob, seda_capacity
 from iamac_sim.simulation import Simulation
 
@@ -123,7 +124,7 @@ def test_c5_interferers_live_in_the_outer_transitional_band(corrupted_runs):
                                  sc.payload_bytes + sc.header_bytes)
     dists = []
     for sim, _ in corrupted_runs:
-        for _, sets in sim.ledger.cs_frames:
+        for sets in colliding_sets(sim.data_log).values():
             for receiver, interferers in sets.items():
                 dists.extend(sim.topo.dist[i, receiver] for i in interferers)
     assert dists, "no interferers observed at all"

@@ -1,6 +1,7 @@
 """`scripts/bench.py pairs` times only runs that reproduce their checkout's
 recorded output, writes nothing when one does not, and summarizes `run_s`,
-`setup_s` and `peak_rss_mb` alike."""
+`setup_s` and `peak_rss_mb` alike; `record` and `pairs` name the checkouts
+they ran."""
 
 import importlib.util
 import json
@@ -104,6 +105,33 @@ def test_pairs_records_peak_rss(bench, tmp_path, monkeypatch):
     assert got["ratio"] == pytest.approx(64.29 / 64.545)
     # the run_s summary keeps its top-level place
     assert rec["wins"] == 10
+
+
+def test_pairs_records_each_checkout_path(bench, tmp_path, monkeypatch):
+    stub_runs(bench, monkeypatch, {"parent": [1.0] * 10, "change": [0.9] * 10})
+    assert run_pairs(bench, tmp_path) == 0
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())["pairs"]["paper-iamac@1"]
+    assert rec["checkouts"] == {side: str((tmp_path / side).resolve())
+                                for side in ("parent", "change")}
+
+
+def test_record_stores_the_checkout_path(bench, tmp_path, monkeypatch):
+    change = tmp_path / "change"
+    (change / "simbench" / "expected.json").write_text(json.dumps(
+        {"hashes": {w: {str(s): HASH for s in bench.SEEDS} for w in bench.WORKLOADS}}))
+    ran = []
+
+    def last_json_line(cmd, checkout):
+        ran.append(checkout)
+        return {"failed": 0, "attempted": 3, "metrics": {"run_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench, "last_json_line", last_json_line)
+    assert bench.main(["record", "--label", "t", "--name", "change",
+                       "--checkout", str(change)]) == 0
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())["change"]
+    assert rec["checkout"] == str(change.resolve())
+    assert set(ran) == {change.resolve()}
+    assert len(rec["workloads"]) == len(bench.WORKLOADS) * len(bench.SEEDS)
 
 
 @pytest.mark.parametrize("bad", [

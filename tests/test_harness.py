@@ -215,7 +215,8 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "sampling_interval_s=1e-9", "noise_floor=-4000",
                                      "output_power_dbm=3000", "preset=paper",
                                      "seed=9\npreset=paper", "report_rounds=0",
-                                     "seed=-1"])
+                                     "seed=-1", "d0=1e300", "pl_d0=-1e300",
+                                     "shadowing_sigma=1e10"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
@@ -423,18 +424,33 @@ def test_cli_trace_without_out_is_a_config_error(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def star_scenario():
+    return desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
+                       horizon_s=60.0, sampling_interval_s=0.08, recovery="seda",
+                       shadowing_sigma=0.0, battery_mah=2400.0, stop_on_first_death=False)
+
+
 def test_star_simulation_records_when_traced():
-    sc = desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
-                     horizon_s=60.0, sampling_interval_s=0.08, recovery="seda",
-                     shadowing_sigma=0.0, battery_mah=2400.0, stop_on_first_death=False)
+    sc = star_scenario()
     traced = harness.star_simulation(sc, trace=True)
     plain = harness.star_simulation(sc)
-    assert traced.run() == plain.run()
-    assert traced.trace_log and traced.medium.tx_log and traced.rx_log
-    assert len(traced.ledger.cs_frames) == len(traced.ledger.frame_states) == 6
-    assert plain.trace_log == []
-    assert plain.medium.tx_log is plain.rx_log is None
-    assert plain.ledger.cs_frames is plain.ledger.frame_states is None
+    res = traced.run()
+    assert res == plain.run()
+    assert traced.trace_log and traced.data_log
+    # every data frame of the six frames, each resolved by its addressee
+    assert {f for *_, f, _ in traced.data_log} == set(range(res["frames"])) == set(range(6))
+    assert all(cs is not None for *_, cs in traced.data_log)
+    assert plain.trace_log == [] and plain.data_log == []
+
+
+def test_trace_switch_set_after_construction_records_the_same():
+    sc = star_scenario()
+    traced = harness.star_simulation(sc, trace=True)
+    late = harness.star_simulation(sc)
+    late.trace_enabled = True
+    assert late.run() == traced.run()
+    assert late.trace_log == traced.trace_log
+    assert late.data_log == traced.data_log
 
 
 SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]

@@ -6,6 +6,17 @@ from iamac_sim.mac_iamac import IamacDriver
 from iamac_sim.simulation import Simulation
 
 
+def transmissions(sim):
+    """(sender, t_start, t_end) of every data frame of a traced run."""
+    return [(sender, t0, t1) for sender, _, t0, t1, _, _ in sim.data_log]
+
+
+def receptions(sim):
+    """(addressee, sender, frame) of every data frame its addressee resolved."""
+    return [(dst, sender, f) for sender, dst, _, _, f, cs in sim.data_log
+            if cs is not None]
+
+
 def _detail_run(**overrides):
     base = dict(horizon_s=40.0, sampling_interval_s=5.0,
                 stop_on_first_death=False, seed=4)
@@ -26,10 +37,10 @@ def test_role_exclusivity_per_frame():
     sim, res = _detail_run()
     frame = sim.scenario.frame_s
     tx_frames = {}
-    for sender, t0, t1 in sim.medium.tx_log:
+    for sender, t0, t1 in transmissions(sim):
         tx_frames.setdefault(int(t0 // frame), set()).add(sender)
     rx_frames = {}
-    for listener, wanted, t0, t1, f in sim.rx_log:
+    for listener, wanted, f in receptions(sim):
         rx_frames.setdefault(f, set()).add(listener)
     for f, senders in tx_frames.items():
         assert not senders & rx_frames.get(f, set())
@@ -37,7 +48,8 @@ def test_role_exclusivity_per_frame():
 
 def test_data_moves_only_child_to_parent():
     sim, res = _detail_run()
-    for listener, wanted, t0, t1, f in sim.rx_log:
+    assert receptions(sim)
+    for listener, wanted, f in receptions(sim):
         assert sim.parent_of(wanted) == listener
 
 
@@ -53,7 +65,7 @@ def test_deactivated_node_is_silent_for_the_frame():
             f = int(t // frame)
             if node in deact.get(f, {}):
                 assert t <= deact[f][node] + 1e-12
-    for sender, t0, t1 in sim.medium.tx_log:
+    for sender, t0, t1 in transmissions(sim):
         f = int(t0 // frame)
         if sender in deact.get(f, {}):
             assert t0 <= deact[f][sender] + 1e-12
@@ -62,7 +74,7 @@ def test_deactivated_node_is_silent_for_the_frame():
 def test_same_parent_transfers_never_overlap():
     sim, res = _detail_run(sampling_interval_s=2.0)
     by_parent = {}
-    for sender, t0, t1 in sim.medium.tx_log:
+    for sender, t0, t1 in transmissions(sim):
         parent = sim.parent_of(sender)
         by_parent.setdefault(parent, []).append((t0, t1))
     for spans in by_parent.values():
@@ -161,7 +173,7 @@ def test_multi_cts_grants_are_consecutive_and_both_served():
     assert res["delivered_packets"] == 2
     # transfers run in grant order (E queued first) and never overlap
     spans = {}
-    for sender, t0, t1 in sim.medium.tx_log:
+    for sender, t0, t1 in transmissions(sim):
         spans.setdefault(sender, []).append((t0, t1))
     assert max(t1 for _, t1 in spans[FIG6_E]) <= min(t0 for t0, _ in spans[FIG6_B])
 

@@ -118,9 +118,8 @@ def test_interferer_degrades_min_sinr():
 def test_colliding_set_tracks_concurrent_data_senders():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5)])
     seen = []
-    sim.medium.on_data_reception_resolved = (
-        lambda rec: seen.append(
-            (rec.listener, rec.tx.sender, set(rec.interferers))))
+    sim.medium.on_data_resolved = (
+        lambda tx, rec: seen.append((tx.packet.dst, tx.sender, set(rec.interferers))))
     data = Packet(kind=PacketKind.DATA, src=1, dst=0, length=29, header=16,
                   payload_len=29)
     other = Packet(kind=PacketKind.DATA, src=2, dst=0, length=29, header=16,
@@ -188,13 +187,23 @@ def test_data_reception_is_reported_for_the_addressee_only():
     # every node hears every other; 1 -> 0 and 2 -> 3 overlap in time
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5), (1.0, 1.0)])
     seen = []
-    sim.medium.on_data_reception_resolved = (
-        lambda rec: seen.append(
-            (rec.listener, rec.tx.sender, set(rec.interferers))))
+    sim.medium.on_data_resolved = (
+        lambda tx, rec: seen.append((tx.packet.dst, tx.sender, set(rec.interferers))))
     end = sim.medium.transmit(1, data(1, 0))
     sim.engine.schedule(end * 0.5, lambda ev: sim.medium.transmit(2, data(2, 3)))
     sim.engine.run_until(end + 1.0)
     assert sorted(seen) == [(0, 1, {2}), (3, 2, {1})]
+
+
+def test_data_frame_its_addressee_missed_is_reported_once_without_a_reception():
+    sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5)])
+    sim.nodes[0].state = RadioState.SLEEP
+    seen = []
+    sim.medium.on_data_resolved = lambda tx, rec: seen.append((tx.sender, tx.packet.dst, rec))
+    end = sim.medium.transmit(1, data(1, 0))
+    sim.engine.run_until(end + 1.0)
+    # node 2 listens too, but only the addressee's side is reported
+    assert seen == [(1, 0, None)]
 
 
 # -- per-sender tables and the on-air power sum ---------------------------------

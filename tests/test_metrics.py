@@ -3,22 +3,23 @@ import pytest
 
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.energy import EnergyTable, RadioState
-from iamac_sim.metrics import MetricsLedger
+from iamac_sim.metrics import MetricsLedger, colliding_sets
 from iamac_sim.packets import make_data_packet
 from iamac_sim.simulation import Simulation
 
 
-def colliding_sets_offline(tx_log, rx_log, sense_in):
-    """Recompute per-frame colliding sets from logged intervals.
-
-    tx_log: (sender, t_start, t_end) for every data transmission.
-    rx_log: (receiver, wanted_sender, t_start, t_end, frame_idx) per data reception.
-    Returns {frame_idx: {receiver: cs_count}}.
+def colliding_sets_offline(data_log, sense_in):
+    """Recompute per-frame colliding sets from the logged intervals alone:
+    every data transmission's span, and each reception its addressee
+    resolved, tested for overlap. Returns {frame_idx: {receiver: cs_count}}.
     """
+    transmissions = [(sender, s0, s1) for sender, _, s0, s1, _, _ in data_log]
     frames = {}
-    for receiver, wanted, t0, t1, frame in rx_log:
+    for wanted, receiver, t0, t1, frame, interferers in data_log:
+        if interferers is None:
+            continue
         bucket = frames.setdefault(frame, {}).setdefault(receiver, set())
-        for sender, s0, s1 in tx_log:
+        for sender, s0, s1 in transmissions:
             if sender == wanted or sender == receiver:
                 continue
             if sender not in sense_in[receiver]:
@@ -169,10 +170,21 @@ def test_energy_ledger_conservation_on_a_run():
 def test_per_frame_state_times_sum_to_frame_duration():
     sc = desk_preset(horizon_s=20.0, sampling_interval_s=5.0, seed=4,
                      stop_on_first_death=False)
-    sim = Simulation(sc, trace=True)
+    sim = Simulation(sc)
+    # every node's state times at the end of each frame, after its flush
+    ends = []
+    end_frame = sim.end_frame
+
+    def snapshot_end_frame(period):
+        more = end_frame(period)
+        ends.append([list(st) for st in sim.ledger.state_time])
+        return more
+
+    sim.end_frame = snapshot_end_frame
     res = sim.run()
-    # state times at each frame start, then at the end of the last frame
-    marks = sim.ledger.frame_states + [sim.ledger.state_time]
+    assert ends[-1] == sim.ledger.state_time
+    # frame 0 starts at zero; frame k starts where frame k - 1 ended
+    marks = [[[0.0] * 3] * sim.topo.n] + ends
     assert len(marks) == res["frames"] + 1 == 21
     for start, end in zip(marks, marks[1:]):
         for node_start, node_end in zip(start, end):
@@ -181,20 +193,28 @@ def test_per_frame_state_times_sum_to_frame_duration():
 
 
 def test_colliding_set_online_matches_offline_oracle():
-    sc = desk_preset(node_count=20, area=(40.0, 40.0), horizon_s=60.0,
-                     sampling_interval_s=4.0, seed=6, stop_on_first_death=False)
-    sim = Simulation(sc, trace=True)
-    res = sim.run()
-    assert res["status"] == "ok"
-    offline = colliding_sets_offline(sim.medium.tx_log, sim.rx_log,
-                                     sim.topo.sense_in)
-    online = {f: {r: len(s) for r, s in d.items() if s}
-              for f, d in sim.ledger.cs_frames}
-    online = {f: d for f, d in online.items() if d}
-    offline = {f: {r: c for r, c in d.items() if c > 0}
-               for f, d in offline.items()}
-    offline = {f: d for f, d in offline.items() if d}
-    assert online == offline
+    # the IAMAC run's few colliding receptions have one interferer each; the
+    # adaptive S-MAC run also has receptions with two
+    runs = [dict(node_count=20, area=(40.0, 40.0), horizon_s=60.0,
+                 sampling_interval_s=4.0, seed=6),
+            dict(protocol="adaptive-smac", horizon_s=60.0, sampling_interval_s=2.0, seed=3)]
+    for overrides in runs:
+        sim = Simulation(desk_preset(stop_on_first_death=False, **overrides), trace=True)
+        res = sim.run()
+        assert res["status"] == "ok"
+        offline = colliding_sets_offline(sim.data_log, sim.topo.sense_in)
+        online = {f: {r: len(s) for r, s in d.items() if s}
+                  for f, d in colliding_sets(sim.data_log).items()}
+        online = {f: d for f, d in online.items() if d}
+        offline = {f: {r: c for r, c in d.items() if c > 0}
+                   for f, d in offline.items()}
+        offline = {f: d for f, d in offline.items() if d}
+        assert online
+        assert online == offline
+        # the ledger's per-frame sums, which `cs_mean_sum` and `cs_max_sum` read
+        assert len(sim.ledger.cs_sum_per_frame) == res["frames"]
+        assert sim.ledger.cs_sum_per_frame == [sum(offline.get(f, {}).values())
+                                               for f in range(res["frames"])]
 
 
 def test_lone_transmitter_has_empty_colliding_set():
