@@ -32,10 +32,17 @@ _MINIMUM = {
     "switch_mj": 0.0, "sample_mj": 0.0,
 }
 
-# accepted ranges: dBm levels a low-power radio can emit or hear, shadowing spread in dB
+# `Topology` builds through at most nine n x n float64 matrices at once; they
+# must fit this budget, so node_count <= 3861
+TOPOLOGY_BUDGET_BYTES = 2 ** 30
+MAX_NODES = math.isqrt(TOPOLOGY_BUDGET_BYTES // (9 * 8))
+MAX_AREA_SIDE_M = 1e6   # far beyond radio range; squared distances stay finite
+
+# accepted ranges: dBm levels a low-power radio can emit or hear, shadowing
+# spread in dB, a sink and at least one node within the topology budget
 _RANGE = {
     "output_power_dbm": (-60.0, 30.0), "noise_floor": (-200.0, 0.0),
-    "shadowing_sigma": (0.0, 100.0),
+    "shadowing_sigma": (0.0, 100.0), "node_count": (2, MAX_NODES),
 }
 
 
@@ -120,10 +127,9 @@ class Scenario:
                 raise ConfigError(f"{key}: must be > 0, got {getattr(self, key)!r}")
         if self.smac_adaptive_err > 1.0:
             raise ConfigError("smac_adaptive_err: must be <= 1")
-        if self.node_count < 2:
-            raise ConfigError("node_count: need at least a sink and one node")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ConfigError("area: dimensions must be positive")
+        if not all(0 < side <= MAX_AREA_SIDE_M for side in self.area):
+            raise ConfigError(f"area: sides must be in (0, {MAX_AREA_SIDE_M:g}] m, "
+                              f"got {self.area!r}")
         if self.protocol not in ("iamac", "smac", "adaptive-smac"):
             raise ConfigError(f"protocol: unknown value {self.protocol!r}")
         if self.recovery not in ("arq", "seda"):

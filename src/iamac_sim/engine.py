@@ -41,9 +41,20 @@ class Engine:
         heapq.heappush(self._heap, (fire_time, seq, ev))
         return ev
 
+    def reschedule(self, ev, fire_time):
+        """Re-arm a dispatched event at `fire_time`, ordered and counted as a
+        new `schedule` call at this point would be."""
+        if fire_time < self.now:
+            raise RuntimeError(f"cannot schedule at {fire_time} before clock {self.now}")
+        seq = self._seq
+        ev.fire_time = fire_time
+        ev.seq = seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_time, seq, ev))
+
     @property
     def scheduled_count(self):
-        # every scheduled event took the next sequence number
+        # every scheduled or re-armed event took the next sequence number
         return self._seq
 
     def cancel(self, event):

@@ -216,7 +216,7 @@ class SmacDriver:
             if pkt.dst == nid and st.role == "rx" and pkt.src == st.peer:
                 if not st.exchange["data_received"]:
                     st.exchange["data_received"] = True
-                    sim.deliver_to(nid, pkt)
+                    sim.deliver_to(nid, (pkt,))
                 ack = Packet(kind=PacketKind.ACK, src=nid, dst=pkt.src,
                              length=sim.scenario.ack_len, header=0)
                 self.engine.schedule(

@@ -134,10 +134,15 @@ class MetricsLedger:
     def record_generated(self):
         self.generated_packets += 1
 
-    def record_delivery(self, origin, born_at, delivered_at, payload):
-        if delivered_at < born_at:
-            raise ValueError("delivery precedes generation")
-        self.delivered_records.append((origin, born_at, delivered_at, payload))
+    def record_delivery(self, pkts, delivered_at):
+        """Packets `pkts` reached the sink at `delivered_at`, in this order."""
+        append = self.delivered_records.append
+        payload = 0
+        for p in pkts:
+            if delivered_at < p.born_at:
+                raise ValueError("delivery precedes generation")
+            append((p.origin, p.born_at, delivered_at, p.payload_len))
+            payload += p.payload_len
         self.delivered_payload += payload
 
     def record_drop(self, n=1):

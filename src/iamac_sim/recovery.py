@@ -140,9 +140,9 @@ class _SessionBase:
         if self.on_done is not None:
             self.on_done(self)
 
-    def _deliver(self, pkt):
-        self.result.delivered_packets += 1
-        self.sim.deliver_to(self.parent, pkt)
+    def _deliver(self, pkts):
+        self.result.delivered_packets += len(pkts)
+        self.sim.deliver_to(self.parent, pkts)
 
     def _fit(self, need):
         """Earliest start so that `need` seconds fit inside one window."""
@@ -226,7 +226,7 @@ class ArqSession(_SessionBase):
         if node == self.parent and pkt.kind is PacketKind.DATA and pkt.src == self.child:
             if pkt.uid == self.current.uid and not self.got_through:
                 self.got_through = True
-                self._deliver(self.current)
+                self._deliver((self.current,))
             # acknowledge every decoded data frame, duplicates included
             ack = Packet(kind=PacketKind.ACK, src=self.parent, dst=self.child,
                          length=self.sc.ack_len, header=0)
@@ -361,13 +361,15 @@ class SedaSession(_SessionBase):
     def _parent_got_frame(self, pkt, sinr):
         flips = self.medium.block_corruption_draws(
             sinr, len(pkt.block_uids), self.block_len)
-        corrupt = []
+        corrupt, got = [], []
         for uid, bad in zip(pkt.block_uids, flips):
             if bad:
                 corrupt.append(uid)
             elif uid not in self.delivered_uids:
                 self.delivered_uids.add(uid)
-                self._deliver(self.burst[uid])
+                got.append(self.burst[uid])
+        if got:
+            self._deliver(got)
         # the child sends one frame in the data phase, so at most one report
         if self.phase == "data" and corrupt:
             self.result.recovery_frames += 1

@@ -209,17 +209,15 @@ class Simulation:
             if node.id == self.topo.sink:
                 continue
             first = rng.uniform(0.0, interval)
-            self.engine.schedule(first, lambda ev, nid=node.id: self._sample(nid))
+            self.engine.schedule(first, lambda ev, nid=node.id: self._sample(ev, nid))
 
-    def _sample(self, nid):
+    def _sample(self, ev, nid):
         if self.stopped:
             return
-        node = self.nodes[nid]
-        if node.alive:
+        if self.nodes[nid].alive:
             self.inject(nid, self.scenario.payload_bytes)
             self.ledger.account_sample(nid)
-            self.engine.schedule(self.engine.now + self.scenario.sampling_interval_s,
-                                 lambda ev: self._sample(nid))
+            self.engine.reschedule(ev, self.engine.now + self.scenario.sampling_interval_s)
 
     def inject(self, origin, payload_len):
         """A new data packet, born now at `origin` and queued there for its parent."""
@@ -264,12 +262,14 @@ class Simulation:
             queue[:stop] = kept
             self.ledger.queue_changed(nid, len(queue), self.engine.now)
 
-    def deliver_to(self, nid, pkt):
+    def deliver_to(self, nid, pkts):
+        """Hand `pkts` to `nid` in order: the sink records them delivered in
+        one ledger call, any other node queues each for its parent."""
         if nid == self.topo.sink:
-            self.ledger.record_delivery(pkt.origin, pkt.born_at,
-                                        self.engine.now, pkt.payload_len)
+            self.ledger.record_delivery(pkts, self.engine.now)
         else:
-            self.enqueue(nid, pkt)
+            for pkt in pkts:
+                self.enqueue(nid, pkt)
 
     # -- metrics hooks -----------------------------------------------------------------
 

@@ -68,6 +68,71 @@ def test_periodic_event_dispatch_count():
     assert dispatched == 10
 
 
+def test_periodic_event_by_reschedule_matches_scheduling_anew():
+    # the source of test_periodic_event_dispatch_count, re-arming one event
+    e = Engine()
+    times = []
+
+    def tick(ev):
+        times.append(e.now)
+        e.reschedule(ev, e.now + 1.0)
+
+    e.schedule(1.0, tick)
+    assert e.run_until(10.0) == 10
+    assert times == [float(t) for t in range(1, 11)]
+    # the first schedule and ten re-arms, the last still pending
+    assert e.scheduled_count == 11
+    assert e.pending_count == 1
+
+
+def test_rearmed_event_takes_the_next_sequence_number():
+    e = Engine()
+    order = []
+
+    def rearm(ev):
+        order.append("rearm")
+        if len(order) == 1:
+            e.reschedule(ev, 2.0)
+            e.schedule(2.0, lambda ev: order.append("after"))
+
+    e.schedule(2.0, lambda ev: order.append("before"))
+    e.schedule(1.0, rearm)
+    e.run_until(5.0)
+    # already scheduled for 2.0 first, then the re-armed event, then later ones
+    assert order == ["rearm", "before", "rearm", "after"]
+    assert e.scheduled_count == 4
+
+
+def test_rearming_into_the_past_is_a_hard_fault():
+    e = Engine()
+    raised = []
+
+    def rearm(ev):
+        with pytest.raises(RuntimeError):
+            e.reschedule(ev, 0.5)
+        raised.append(e.now)
+
+    e.schedule(1.0, rearm)
+    e.run_until(2.0)
+    assert raised == [1.0]
+    assert e.scheduled_count == 1 and e.pending_count == 0
+
+
+def test_cancelled_rearmed_event_never_fires():
+    e = Engine()
+    fired = []
+
+    def once(ev):
+        fired.append(e.now)
+        e.reschedule(ev, 3.0)
+        e.cancel(ev)
+
+    e.schedule(1.0, once)
+    e.run_until(10.0)
+    assert fired == [1.0]
+    assert e.scheduled_count == e.dispatched_count + e.cancelled_count == 2
+
+
 def test_run_until_is_idempotent_at_same_time():
     e = Engine()
     e.schedule(1.0, lambda ev: None)

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from iamac_sim import cli, harness
 from iamac_sim.cli import main
-from iamac_sim.config import ConfigError, Scenario, parse_scenario
+from iamac_sim.config import (MAX_AREA_SIDE_M, MAX_NODES, TOPOLOGY_BUDGET_BYTES,
+                              ConfigError, Scenario, parse_scenario)
 from iamac_sim.harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
                                analytic_report, isotonic_fit, p0_table,
                                rows_to_csv, run_experiment, sweep,
@@ -55,6 +56,20 @@ def test_zero_sampling_interval_rejected():
 def test_bad_value_names_the_key():
     with pytest.raises(ConfigError, match="node_count"):
         parse_scenario("node_count = soup\n")
+
+
+def test_scenario_sizes_are_bounded_in_validate():
+    """The node count is bounded by the budget of the topology's nine n x n
+    float64 matrices, each area side so that squared distances stay finite.
+    `validate` checks both without building a topology."""
+    assert 9 * 8 * MAX_NODES ** 2 <= TOPOLOGY_BUDGET_BYTES < 9 * 8 * (MAX_NODES + 1) ** 2
+    replace(Scenario(), node_count=MAX_NODES,
+            area=(MAX_AREA_SIDE_M, MAX_AREA_SIDE_M)).validate()
+    with pytest.raises(ConfigError, match="node_count"):
+        replace(Scenario(), node_count=MAX_NODES + 1).validate()
+    for area in ((2 * MAX_AREA_SIDE_M, 1.0), (1.0, 1e200)):
+        with pytest.raises(ConfigError, match="area"):
+            replace(Scenario(), area=area).validate()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -216,7 +231,8 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "output_power_dbm=3000", "preset=paper",
                                      "seed=9\npreset=paper", "report_rounds=0",
                                      "seed=-1", "d0=1e300", "pl_d0=-1e300",
-                                     "shadowing_sigma=1e10"])
+                                     "shadowing_sigma=1e10", "area=1e200,1e200",
+                                     "node_count=100000"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err

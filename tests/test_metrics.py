@@ -84,7 +84,7 @@ def test_negative_duration_rejected(table):
 def test_delivery_before_birth_rejected(table):
     ledger = MetricsLedger(1, table)
     with pytest.raises(ValueError):
-        ledger.record_delivery(0, 10.0, 9.0, 29)
+        ledger.record_delivery([make_data_packet(0, 0, 0, 10.0, 29, 16)], 9.0)
 
 
 def test_queue_time_weighted_mean(table):
@@ -140,6 +140,45 @@ def test_queue_removal_matches_one_uid_at_a_time(seed):
         for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
             assert getattr(batched.ledger, name) == getattr(oracle.ledger, name)
     assert oracle.ledger._queue_integral[1] > 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_delivery_matches_one_packet_at_a_time(seed):
+    """`deliver_to(nid, pkts)` gives the sink the records and payload of one
+    delivery per packet, and any other node the queue and time-weighted
+    queue integral of one `enqueue` per packet."""
+    rng = np.random.default_rng(seed)
+    sims = [Simulation(Scenario(node_count=3, seed=seed),
+                       [(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)], parents={1: 0, 2: 1})
+            for _ in range(2)]
+    oracle, batched = sims
+    t, uid = 0.0, 0
+    for step in range(30):
+        t += float(rng.uniform(0.0, 2.0)) if rng.random() < 0.7 else 0.0
+        for sim in sims:
+            sim.engine.run_until(t)
+        nid = int(rng.integers(0, 2))
+        pkts = []
+        for _ in range(int(rng.integers(0, 6))):
+            born = float(rng.uniform(0.0, t))
+            pkts.append(make_data_packet(uid, 2, 1, born, int(rng.integers(1, 60)), 16))
+            uid += 1
+        for p in pkts:
+            if nid == 0:
+                oracle.deliver_to(0, (p,))
+            else:
+                oracle.enqueue(nid, p)
+        n_records = len(batched.ledger.delivered_records)
+        batched.deliver_to(nid, pkts)
+        if nid == 0:
+            assert batched.ledger.delivered_records[n_records:] == [
+                (2, p.born_at, t, p.payload_len) for p in pkts]
+    for name in ("delivered_records", "delivered_payload",
+                 "_queue_len", "_queue_last_t", "_queue_integral"):
+        assert getattr(batched.ledger, name) == getattr(oracle.ledger, name)
+    assert ([p.uid for p in batched.nodes[1].queue]
+            == [p.uid for p in oracle.nodes[1].queue])
+    assert batched.ledger.delivered_records and batched.ledger._queue_integral[1] > 0.0
 
 
 @pytest.mark.parametrize("protocol", ["iamac", "smac", "adaptive-smac"])
