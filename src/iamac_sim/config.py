@@ -113,7 +113,7 @@ class Scenario:
             parts = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in parts):
                 raise ConfigError(f"{f.name}: must be finite, got {value!r}")
-        if len(self.area) != 2:
+        if not isinstance(self.area, tuple) or len(self.area) != 2:
             raise ConfigError(f"area: need width and height, got {self.area!r}")
         for key, low in _MINIMUM.items():
             if getattr(self, key) < low:

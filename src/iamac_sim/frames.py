@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 MAX_TIME_FRAME = 12.0
+# a cycle schedules two events per Time Frame at its start, so a Super Frame
+# holds at most this many (frame_s <= 12,000 s)
+MAX_TIME_FRAMES = 1000
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ def build_frame_plan(frame_s, synch_slot=0.05, w=8, mini_slot=0.016,
     """Lay out the requested wake cycle (`frame_s` between consecutive RTS slots).
 
     Cycles of at most 12 s become a single Time Frame; anything longer becomes
-    a Super Frame of ceil(frame_s/12) equal Time Frames.
+    a Super Frame of ceil(frame_s/12) equal Time Frames, at most
+    MAX_TIME_FRAMES of them.
     """
     if w < 1:
         raise ValueError("w must be >= 1")
@@ -76,6 +80,9 @@ def build_frame_plan(frame_s, synch_slot=0.05, w=8, mini_slot=0.016,
     if active > MAX_TIME_FRAME:
         raise ValueError(f"active slots ({active:.3f} s) exceed the {MAX_TIME_FRAME} s Time Frame bound")
 
+    if frame_s > MAX_TIME_FRAMES * MAX_TIME_FRAME:
+        raise ValueError(f"frame duration {frame_s} s exceeds the Super Frame bound of "
+                         f"{MAX_TIME_FRAMES} Time Frames ({MAX_TIME_FRAMES * MAX_TIME_FRAME:g} s)")
     if frame_s <= MAX_TIME_FRAME:
         n_tf = 1
         tf = frame_s

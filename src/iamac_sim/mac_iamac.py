@@ -22,9 +22,6 @@ class IamacNodeState:
                  "sent_rts", "granted", "committed_rx", "pending_ev", "window_start", "grants")
 
     def __init__(self):
-        self.reset()
-
-    def reset(self):
         self.active = True
         self.received_rtss = []
         self.cancel_cts = False
@@ -44,28 +41,22 @@ class IamacDriver:
         self.engine = sim.engine
         sc = sim.scenario
         # a CTS is as long as an RTS
-        self.rts_airtime = airtime(sc.control_bytes + sc.header_bytes, sc.radio_speed)
-        self.plan = sc.frame_plan(self.rts_airtime)
+        self.rts_air = airtime(sc.control_bytes + sc.header_bytes, sc.radio_speed)
+        self.plan = sc.frame_plan(self.rts_air)
+        self.period = self.plan.cycle
         self.rng = sim.streams.stream("contention")
         self.states = [IamacNodeState() for _ in range(sim.topo.n)]
         self.phase = "idle"
         self.cycle_start = 0.0
-        self._injected = {nid: list(plans) for nid, plans in sim.fixed_contention.items()}
 
     # -- cycle scheduling --------------------------------------------------------
 
-    def start(self):
-        self.engine.schedule(0.0, self._cycle_begin)
-
-    def _cycle_begin(self, event):
+    def start(self, t0):
+        """Open one wake cycle at `t0`, with fresh node states."""
         plan = self.plan
-        self.cycle_start = self.engine.now
+        self.cycle_start = t0
         self.phase = "synch"
-        for st in self.states:
-            st.reset()
-        self.sim.begin_frame(self.rts_airtime)
-
-        t0 = self.cycle_start
+        self.states = [IamacNodeState() for _ in self.states]
         self.engine.schedule(plan.rts_start(t0), self._rts_begin)
         self.engine.schedule(plan.cts_start(t0), self._cts_begin)
         self.engine.schedule(plan.cts_start(t0) + plan.cts_slot, self._comm_begin)
@@ -73,18 +64,13 @@ class IamacDriver:
             if k > 0:
                 self.engine.schedule(t_synch, self._mid_synch_begin)
                 self.engine.schedule(t_synch + plan.synch_slot, self._mid_synch_end)
-        self.engine.schedule(t0 + plan.cycle, self._cycle_end)
-
-    def _cycle_end(self, event):
-        if self.sim.end_frame(self.plan.cycle):
-            self._cycle_begin(event)
 
     def _mid_synch_begin(self, event):
         # deactivated nodes stay asleep until the next frame boundary
         for node in self.sim.nodes:
             if self.states[node.id].active:
                 self.sim.wake(node.id)
-        self.sim.charge_synch_slot(self.rts_airtime)
+        self.sim.charge_synch_slot(self.rts_air)
 
     def _mid_synch_end(self, event):
         # only transfer participants stay awake once the beacon slot closes
@@ -97,7 +83,7 @@ class IamacDriver:
     def _rts_begin(self, event):
         self.phase = "rts"
         sim = self.sim
-        # every state is fresh from the frame reset: nothing has deactivated yet
+        # every state is fresh from `start`: nothing has deactivated yet
         for node in sim.nodes:
             if node.alive and node.queue and sim.parent_of(node.id) is not None:
                 self._pick_contention(node.id, min_slot=0)
@@ -111,7 +97,7 @@ class IamacDriver:
             st.awaiting = False
             self.sim.trace(nid, "contention-exhausted")
             return
-        injected = self._injected.get(nid)
+        injected = self.sim.fixed_contention.get(nid)
         if injected:
             slot, backoff = injected.pop(0)
         else:
@@ -193,7 +179,7 @@ class IamacDriver:
         self.phase = "cts"
         sim = self.sim
         plan = self.plan
-        fit_cap = max(1, int((plan.cts_slot - CTS_GUARD) / self.rts_airtime))
+        fit_cap = max(1, int((plan.cts_slot - CTS_GUARD) / self.rts_air))
         for node in sim.nodes:
             st = self.states[node.id]
             if not node.alive or not st.active:
@@ -201,7 +187,7 @@ class IamacDriver:
             if not st.received_rtss or st.cancel_cts:
                 continue
             st.grants = [p.src for p in st.received_rtss[:fit_cap]]
-            train = len(st.grants) * self.rts_airtime
+            train = len(st.grants) * self.rts_air
             headroom = max(plan.cts_slot - train - CTS_GUARD, 0.0)
             timer = headroom * self.rng.random() if headroom > 0 else 0.0
             self.engine.schedule(self.engine.now + timer,
@@ -295,7 +281,7 @@ class IamacDriver:
         sim.sleep(parent)
 
     # -- shared handlers ----------------------------------------------------------------------
-    # (a deactivated node sleeps until the next frame's reset: none reaches them)
+    # (a deactivated node sleeps until the next frame starts it afresh: none reaches them)
 
     def on_packet(self, node, pkt, sinr):
         if pkt.kind is PacketKind.RTS and self.phase == "rts":

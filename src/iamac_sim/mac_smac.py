@@ -25,9 +25,6 @@ class SmacNodeState:
                  "awake_until", "wake_ev")
 
     def __init__(self):
-        self.reset()
-
-    def reset(self):
         self.nav_until = 0.0
         self.peer = None
         self.role = None        # "tx" or "rx" while in an exchange
@@ -53,31 +50,20 @@ class SmacDriver:
         self.synch_slot = sc.synch_slot_s
         # listen budget mirrors the slotted MAC's RTS+CTS share for fairness
         self.contention_window = sc.w * sc.mini_slot_s + sc.cts_slot_s
-        self.frame = sc.frame_s
+        self.period = sc.frame_s
         self.err = sc.smac_adaptive_err
         self.rng = sim.streams.draws("contention")
         self.rng_adaptive = sim.streams.draws("adaptive")
-        self._injected = {nid: list(v) for nid, v in sim.fixed_contention.items()}
         self.states = [SmacNodeState() for _ in range(sim.topo.n)]
         self.cycle_start = 0.0
 
     # -- frame scheduling ------------------------------------------------------
 
-    def start(self):
-        self.engine.schedule(0.0, self._frame_begin)
-
-    def _frame_begin(self, event):
-        sim = self.sim
-        self.cycle_start = self.engine.now
-        sim.begin_frame(self.rts_air)
-        for st in self.states:
-            st.reset()
-        self.engine.schedule(self.cycle_start + self.synch_slot, self._contention_begin)
-        self.engine.schedule(self.cycle_start + self.frame, self._frame_end)
-
-    def _frame_end(self, event):
-        if self.sim.end_frame(self.frame):
-            self._frame_begin(event)
+    def start(self, t0):
+        """Open one frame at `t0`, with fresh node states."""
+        self.cycle_start = t0
+        self.states = [SmacNodeState() for _ in self.states]
+        self.engine.schedule(t0 + self.synch_slot, self._contention_begin)
 
     @property
     def _listen_end(self):
@@ -123,13 +109,13 @@ class SmacDriver:
         span = self._exchange_span(nid)
         # the whole exchange must finish inside this frame
         latest_start = min(self._window_limit(nid) - self.rts_air,
-                           self.cycle_start + self.frame - span - 1e-3)
+                           self.cycle_start + self.period - span - 1e-3)
         room = latest_start - now
         if room <= 0:
             return
         st.window_start = now
         st.awaiting = False
-        injected = self._injected.get(nid)
+        injected = self.sim.fixed_contention.get(nid)
         if injected:
             delay = float(injected.pop(0))
         else:
@@ -151,7 +137,7 @@ class SmacDriver:
         parent = sim.parent_of(nid)
         span = self._exchange_span(nid)
         end = self.engine.now + span
-        if end > self.cycle_start + self.frame - 1e-3:
+        if end > self.cycle_start + self.period - 1e-3:
             return
         sc = sim.scenario
         rts = Packet(kind=PacketKind.RTS, src=nid, dst=parent,

@@ -129,7 +129,9 @@ class Simulation:
         self.medium.on_data_resolved = self._data_resolved
 
         self.route_states = None if parents is None else preset_tree(topology, parents)
-        self.fixed_contention = dict(fixed_contention or {})
+        # each node's injected contention plans, popped by the MAC in order
+        self.fixed_contention = {nid: list(plans)
+                                 for nid, plans in (fixed_contention or {}).items()}
         # the one recording switch; it may be set any time before `run`
         self.trace_enabled = trace
         self.trace_log = []
@@ -175,30 +177,34 @@ class Simulation:
         run. It stays while the benchmark's tracer (`simbench/tracing.py`)
         wraps it by name."""
 
-    # -- frame boundaries ---------------------------------------------------------
+    # -- frame loop ---------------------------------------------------------------
 
-    def begin_frame(self, synch_airtime):
+    def _frame_begin(self, event):
         """Open the next frame: every node wakes for the Synch/Routing slot
-        and pays its beacon."""
+        and pays its beacon, then the MAC opens the frame's slots."""
         self.frame_idx += 1
         for node in self.nodes:
             if node.alive and node.state is SLEEP:
                 node.set_radio(LISTEN)
-        self.charge_synch_slot(synch_airtime)
+        driver = self.driver
+        self.charge_synch_slot(driver.rts_air)
+        t0 = self.engine.now
+        driver.start(t0)
+        self.engine.schedule(t0 + driver.period, self._frame_end)
 
-    def end_frame(self, period):
-        """Close the frame's accounts. True when another frame of `period`
-        seconds fits the horizon and no node death stops the run."""
+    def _frame_end(self, event):
+        """Close the frame's accounts, then open the next frame if it fits
+        the horizon and no node death stops the run."""
         for node in self.nodes:
             node.flush_energy()
         self.ledger.flush_frame_cs()
         self.measured_until = now = self.engine.now
         sc = self.scenario
         stop = sc.stop_on_first_death and self.ledger.first_death_time is not None
-        if not stop and now + period <= sc.horizon_s + 1e-9:
-            return True
-        self.stopped = True
-        return False
+        if not stop and now + self.driver.period <= sc.horizon_s + 1e-9:
+            self._frame_begin(event)
+        else:
+            self.stopped = True
 
     # -- traffic -----------------------------------------------------------------
 
@@ -300,7 +306,7 @@ class Simulation:
             raise ValueError(f"unknown protocol {sc.protocol!r}")
 
         self.start_traffic()
-        self.driver.start()
+        self.engine.schedule(0.0, self._frame_begin)
         self.engine.run_until(sc.horizon_s)
         end = self.measured_until if self.measured_until > 0 else sc.horizon_s
         self.ledger.measure_end = end

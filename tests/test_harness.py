@@ -19,6 +19,7 @@ from iamac_sim.harness import (ANALYTICS_COLUMNS, RUN_COLUMNS, SWEEP_COLUMNS,
                                rows_to_csv, run_experiment, sweep,
                                trend_interior_max, trend_monotone)
 from iamac_sim.config import desk_preset
+from iamac_sim.frames import MAX_TIME_FRAME, MAX_TIME_FRAMES
 from iamac_sim.simulation import Simulation
 
 
@@ -70,6 +71,17 @@ def test_scenario_sizes_are_bounded_in_validate():
     for area in ((2 * MAX_AREA_SIDE_M, 1.0), (1.0, 1e200)):
         with pytest.raises(ConfigError, match="area"):
             replace(Scenario(), area=area).validate()
+
+
+def test_super_frame_length_is_bounded_in_validate():
+    """A cycle schedules two events per Time Frame at its start, so the
+    Super Frame's Time Frame count is bounded; `validate` only builds the
+    plan, nothing runs."""
+    longest = MAX_TIME_FRAMES * MAX_TIME_FRAME
+    sc = parse_scenario(f"frame_s = {longest}\nhorizon_s = {2 * longest}\n")
+    assert sc.frame_plan(None).n_time_frames == MAX_TIME_FRAMES
+    with pytest.raises(ConfigError, match="frame_s"):
+        parse_scenario("frame_s = 1e9\nhorizon_s = 2e9\n")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -488,6 +500,7 @@ SWEEP_DESK = ["sweep", "--preset", "desk", "--set", "horizon_s=20"]
     (SWEEP_DESK + ["--param", "seed", "--values", "2,7"], "--seeds"),
     (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--seeds", "1,-1"], "seed"),
     (SWEEP_DESK + ["--param", "frame_s", "--values", "1,2", "--workers", "-1"], "--workers"),
+    (SWEEP_DESK + ["--param", "area", "--values", "5"], "area"),
 ])
 def test_cli_malformed_sweep_and_analytics_arguments(argv, named, tmp_path, capsys,
                                                      monkeypatch):

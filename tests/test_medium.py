@@ -282,7 +282,7 @@ def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeyp
                      stop_on_first_death=False, **{"horizon_s": 60.0, **overrides})
     sim = Simulation(sc)
     calls = {"transmit": 0, "frames": 0, "finished": 0, "iamac": 0}
-    transmit, begin_frame = Medium.transmit, Simulation.begin_frame
+    transmit, frame_begin = Medium.transmit, Simulation._frame_begin
     finish = _SessionBase._finish
     on_packet, on_corrupt = IamacDriver.on_packet, IamacDriver.on_corrupt
 
@@ -291,10 +291,10 @@ def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeyp
         assert medium.nodes[sender].state is not RadioState.TX
         return transmit(medium, sender, packet, on_resolved)
 
-    def checked_begin_frame(simulation, synch_airtime):
+    def checked_frame_begin(simulation, event):
         calls["frames"] += 1
         assert all(node.active_session is None for node in simulation.nodes)
-        begin_frame(simulation, synch_airtime)
+        frame_begin(simulation, event)
 
     def checked_finish(session):
         calls["finished"] += 1
@@ -312,7 +312,7 @@ def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeyp
         on_corrupt(driver, node, tx)
 
     monkeypatch.setattr(Medium, "transmit", checked_transmit)
-    monkeypatch.setattr(Simulation, "begin_frame", checked_begin_frame)
+    monkeypatch.setattr(Simulation, "_frame_begin", checked_frame_begin)
     monkeypatch.setattr(_SessionBase, "_finish", checked_finish)
     monkeypatch.setattr(IamacDriver, "on_packet", checked_on_packet)
     monkeypatch.setattr(IamacDriver, "on_corrupt", checked_on_corrupt)

@@ -212,14 +212,15 @@ def test_per_frame_state_times_sum_to_frame_duration():
     sim = Simulation(sc)
     # every node's state times at the end of each frame, after its flush
     ends = []
-    end_frame = sim.end_frame
+    flush_frame_cs = sim.ledger.flush_frame_cs
 
-    def snapshot_end_frame(period):
-        more = end_frame(period)
+    # called once per frame end, after the nodes' flush and before the next
+    # frame's beacon is charged
+    def snapshot_flush_frame_cs():
+        flush_frame_cs()
         ends.append([list(st) for st in sim.ledger.state_time])
-        return more
 
-    sim.end_frame = snapshot_end_frame
+    sim.ledger.flush_frame_cs = snapshot_flush_frame_cs
     res = sim.run()
     assert ends[-1] == sim.ledger.state_time
     # frame 0 starts at zero; frame k starts where frame k - 1 ended
@@ -229,6 +230,33 @@ def test_per_frame_state_times_sum_to_frame_duration():
         for node_start, node_end in zip(start, end):
             spent = sum(now - then for now, then in zip(node_end, node_start))
             assert spent == pytest.approx(sc.frame_s, abs=1e-9)
+
+
+@pytest.mark.parametrize("protocol, frame_s, horizon_s, frames, share", [
+    ("iamac", 1.0, 60.0, 60, 0.228),
+    ("smac", 1.0, 60.0, 60, 0.228),
+    ("adaptive-smac", 1.0, 60.0, 60, 0.228),
+    ("iamac", 30.0, 90.0, 3, 0.328 / 30),
+])
+def test_idle_duty_cycle_is_the_frame_plans_awake_share(protocol, frame_s, horizon_s,
+                                                        frames, share):
+    """With no traffic, every node is awake for exactly the frame's common
+    slots: IAMAC's Synch slot of each Time Frame plus its RTS and CTS slots,
+    S-MAC's Synch slot plus its listen period."""
+    sc = desk_preset(seed=4, protocol=protocol, frame_s=frame_s, horizon_s=horizon_s,
+                     sampling_interval_s=1e9, stop_on_first_death=False)
+    if protocol == "iamac":
+        plan = sc.frame_plan(None)
+        awake = (plan.n_time_frames * plan.synch_slot + plan.rts_slot
+                 + plan.cts_slot) / plan.cycle
+    else:
+        awake = (sc.synch_slot_s + sc.w * sc.mini_slot_s + sc.cts_slot_s) / sc.frame_s
+    assert awake == pytest.approx(share, abs=1e-12)
+    sim = Simulation(sc)
+    res = sim.run()
+    assert res["status"] == "ok" and res["frames"] == frames
+    for node in range(sim.topo.n):
+        assert sim.ledger.duty_cycle(node) == pytest.approx(awake, abs=1e-12)
 
 
 def test_colliding_set_online_matches_offline_oracle():
