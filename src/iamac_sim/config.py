@@ -22,11 +22,9 @@ class ConfigError(ValueError):
     pass
 
 
-# smallest accepted value of each size (bytes), count, duration and energy
+# smallest accepted value of each count, duration and energy
 _MINIMUM = {
-    "seed": 0, "broadcast_count": 1, "report_rounds": 1, "max_children": 0,
-    "control_bytes": 1, "header_bytes": 0, "payload_bytes": 1, "ack_len": 1,
-    "block_overhead": 0, "rf_overhead": 0, "retry_cap": 0,
+    "seed": 0, "max_children": 0, "retry_cap": 0,
     "synch_slot_s": 0.0, "max_backoff_s": 0.0, "sifs_s": 0.0, "gamma_s": 0.0,
     "turnaround_s": 0.0, "smac_adaptive_err": 0.0, "disjoint_tolerance": 0.0,
     "switch_mj": 0.0, "sample_mj": 0.0,
@@ -37,12 +35,19 @@ _MINIMUM = {
 TOPOLOGY_BUDGET_BYTES = 2 ** 30
 MAX_NODES = math.isqrt(TOPOLOGY_BUDGET_BYTES // (9 * 8))
 MAX_AREA_SIDE_M = 1e6   # far beyond radio range; squared distances stay finite
+MAX_FRAME_BYTES = 65535  # a 16-bit length field; bit counts stay far below float range
 
 # accepted ranges: dBm levels a low-power radio can emit or hear, shadowing
-# spread in dB, a sink and at least one node within the topology budget
+# spread in dB, a sink and at least one node within the topology budget,
+# bootstrap rounds (the bootstrap draws one double per round and directed
+# link), and frame sizes in bytes
 _RANGE = {
     "output_power_dbm": (-60.0, 30.0), "noise_floor": (-200.0, 0.0),
     "shadowing_sigma": (0.0, 100.0), "node_count": (2, MAX_NODES),
+    "broadcast_count": (1, 1000), "report_rounds": (1, 1000),
+    "control_bytes": (1, MAX_FRAME_BYTES), "header_bytes": (0, MAX_FRAME_BYTES),
+    "payload_bytes": (1, MAX_FRAME_BYTES), "ack_len": (1, MAX_FRAME_BYTES),
+    "block_overhead": (0, MAX_FRAME_BYTES), "rf_overhead": (0, MAX_FRAME_BYTES),
 }
 
 
@@ -155,14 +160,13 @@ class Scenario:
         if self.sampling_interval_s < data_airtime:
             raise ConfigError(f"sampling_interval_s: must be >= one data packet airtime "
                               f"({data_airtime:.6g} s), got {self.sampling_interval_s!r}")
-        rts_air = self._derive("control_bytes, header_bytes, radio_speed",
-                               lambda: airtime(self.control_bytes + self.header_bytes,
-                                               self.radio_speed))
+        control_air = self._derive("control_bytes, header_bytes, radio_speed",
+                                   lambda: self.control_air)
         self._derive("frame_s, synch_slot_s, w, mini_slot_s, cts_slot_s, max_backoff_s",
-                     lambda: self.frame_plan(rts_air))
-        if self.cts_slot_s <= rts_air + 0.002:
-            raise ConfigError(
-                f"cts_slot_s: must exceed one grant airtime plus guard ({rts_air + 0.002:.4f} s)")
+                     self.frame_plan)
+        if self.cts_slot_s <= control_air + 0.002:
+            raise ConfigError(f"cts_slot_s: must exceed one grant airtime plus guard "
+                              f"({control_air + 0.002:.4f} s)")
         return self
 
     @staticmethod
@@ -185,11 +189,16 @@ class Scenario:
             radio_speed=self.radio_speed, cs_threshold=self.cs_threshold,
         )
 
-    def frame_plan(self, rts_airtime):
+    @property
+    def control_air(self):
+        """Airtime of one RTS, CTS or Synch beacon: all three are control frames."""
+        return airtime(self.control_bytes + self.header_bytes, self.radio_speed)
+
+    def frame_plan(self):
         return build_frame_plan(
             self.frame_s, synch_slot=self.synch_slot_s, w=self.w,
             mini_slot=self.mini_slot_s, cts_slot=self.cts_slot_s,
-            max_backoff=self.max_backoff_s, rts_airtime=rts_airtime,
+            max_backoff=self.max_backoff_s, rts_airtime=self.control_air,
         )
 
     def energy_table(self):

@@ -18,14 +18,13 @@ CTS_GUARD = 0.001
 
 
 class IamacNodeState:
-    __slots__ = ("active", "received_rtss", "cancel_cts", "contending", "awaiting",
-                 "sent_rts", "granted", "committed_rx", "pending_ev", "window_start", "grants")
+    __slots__ = ("active", "received_rtss", "cancel_cts", "awaiting", "sent_rts",
+                 "granted", "committed_rx", "pending_ev", "window_start", "grants")
 
     def __init__(self):
         self.active = True
         self.received_rtss = []
         self.cancel_cts = False
-        self.contending = False
         self.awaiting = False
         self.sent_rts = False
         self.granted = False
@@ -41,8 +40,8 @@ class IamacDriver:
         self.engine = sim.engine
         sc = sim.scenario
         # a CTS is as long as an RTS
-        self.rts_air = airtime(sc.control_bytes + sc.header_bytes, sc.radio_speed)
-        self.plan = sc.frame_plan(self.rts_air)
+        self.rts_air = sc.control_air
+        self.plan = sc.frame_plan()
         self.period = self.plan.cycle
         self.rng = sim.streams.stream("contention")
         self.states = [IamacNodeState() for _ in range(sim.topo.n)]
@@ -70,7 +69,7 @@ class IamacDriver:
         for node in self.sim.nodes:
             if self.states[node.id].active:
                 self.sim.wake(node.id)
-        self.sim.charge_synch_slot(self.rts_air)
+        self.sim.charge_synch_slot()
 
     def _mid_synch_end(self, event):
         # only transfer participants stay awake once the beacon slot closes
@@ -93,7 +92,6 @@ class IamacDriver:
         plan = self.plan
         remaining = plan.w - min_slot
         if remaining <= 0:
-            st.contending = False
             st.awaiting = False
             self.sim.trace(nid, "contention-exhausted")
             return
@@ -103,7 +101,6 @@ class IamacDriver:
         else:
             slot = min_slot + int(self.rng.integers(0, remaining))
             backoff = plan.max_backoff * self.rng.random()
-        st.contending = True
         st.awaiting = False
         st.window_start = plan.mini_slot_start(self.cycle_start, slot)
         st.pending_ev = self.engine.schedule(st.window_start + backoff,
@@ -117,7 +114,7 @@ class IamacDriver:
         # deactivation and the end of contention cancel this; a death does not
         if not node.alive:
             return
-        if sim.medium.carrier_busy(nid) or node.last_rise_t >= st.window_start:
+        if sim.medium.sensed_since(nid, st.window_start):
             # something was on the air during the sensing window: hold off and
             # act on whatever that packet turns out to be
             st.awaiting = True
@@ -128,7 +125,6 @@ class IamacDriver:
                      length=sc.control_bytes, header=sc.header_bytes)
         sim.medium.transmit(nid, rts)
         st.sent_rts = True
-        st.contending = False
         st.cancel_cts = True
         st.received_rtss = []
         sim.trace(nid, "rts-tx", "dst=%s", parent)
@@ -158,7 +154,8 @@ class IamacDriver:
                 if node.queue and not st.sent_rts:
                     self._pick_contention(nid, self._current_mini_slot() + 1)
                     sim.trace(nid, "became-prospective-sender")
-            elif st.contending and not st.sent_rts:
+            elif st.pending_ev is not None or st.awaiting:
+                # still contending, so no RTS sent yet
                 self._cancel_pending(st)
                 slot = self._current_mini_slot()
                 self._pick_contention(nid, slot + 1)
@@ -170,7 +167,6 @@ class IamacDriver:
     def _cancel_pending(self, st):
         self.engine.cancel(st.pending_ev)
         st.pending_ev = None
-        st.contending = False
         st.awaiting = False
 
     # -- CTS slot -----------------------------------------------------------------------

@@ -44,7 +44,7 @@ class SmacDriver:
         self.adaptive = adaptive
         sc = sim.scenario
         # a CTS is as long as an RTS
-        self.rts_air = airtime(sc.control_bytes + sc.header_bytes, sc.radio_speed)
+        self.rts_air = sc.control_air
         self.ack_air = airtime(sc.ack_len, sc.radio_speed)
         self.sifs = sc.sifs_s
         self.synch_slot = sc.synch_slot_s
@@ -82,14 +82,6 @@ class SmacDriver:
 
     # -- contention -----------------------------------------------------------------
 
-    def _window_limit(self, nid):
-        """Transmission attempts must finish inside the node's awake span."""
-        limit = self._listen_end
-        st = self.states[nid]
-        if st.awake_until > self.engine.now:
-            limit = max(limit, st.awake_until)
-        return limit
-
     def _exchange_span(self, nid):
         # every caller holds a queue: contenders, and deferrers that have not sent since
         node = self.sim.nodes[nid]
@@ -107,8 +99,9 @@ class SmacDriver:
             return
         self._cancel_pending(st)
         span = self._exchange_span(nid)
-        # the whole exchange must finish inside this frame
-        latest_start = min(self._window_limit(nid) - self.rts_air,
+        # the RTS must end inside the node's awake span, and the whole
+        # exchange inside this frame
+        latest_start = min(max(self._listen_end, st.awake_until) - self.rts_air,
                            self.cycle_start + self.period - span - 1e-3)
         room = latest_start - now
         if room <= 0:
@@ -131,7 +124,7 @@ class SmacDriver:
                 or not node.queue or node.state is not RadioState.LISTEN):
             return
         assert self.engine.now >= st.nav_until, "transmission during NAV"
-        if sim.medium.carrier_busy(nid) or node.last_rise_t >= st.window_start:
+        if sim.medium.sensed_since(nid, st.window_start):
             st.awaiting = True
             return
         parent = sim.parent_of(nid)
@@ -149,16 +142,17 @@ class SmacDriver:
         st.exchange = {"uid": node.queue[0].uid, "data_received": False}
         sim.trace(nid, "smac-rts", "dst=%s", parent)
         timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
-        st.pending_ev = self.engine.schedule(timeout, lambda ev: self._cts_timeout(nid))
+        st.pending_ev = self.engine.schedule(
+            timeout, lambda ev: self._tx_timeout(nid, "smac-no-cts"))
 
-    def _cts_timeout(self, nid):
+    def _tx_timeout(self, nid, label=None):
         st = self.states[nid]
         st.pending_ev = None
-        # a CTS cancels this timer, so it fires only when none came
+        # a CTS or an ACK cancels this timer, so it fires only when none came
         if st.role == "tx":
-            # collision or lost CTS: retry next frame
-            self.sim.trace(nid, "smac-no-cts")
-            self._exchange_over(nid, success=False)
+            if label is not None:
+                self.sim.trace(nid, label)
+            self._exchange_over(nid)
 
     # -- packet handling -------------------------------------------------------------
 
@@ -198,8 +192,8 @@ class SmacDriver:
                                          lambda ev: self._send_data(nid))
             else:
                 self._overheard(nid, pkt)
-        elif kind is PacketKind.DATA:
-            if pkt.dst == nid and st.role == "rx" and pkt.src == st.peer:
+        elif kind is PacketKind.DATA and pkt.dst == nid:
+            if st.role == "rx" and pkt.src == st.peer:
                 if not st.exchange["data_received"]:
                     st.exchange["data_received"] = True
                     sim.deliver_to(nid, (pkt,))
@@ -208,18 +202,12 @@ class SmacDriver:
                 self.engine.schedule(
                     self.engine.now + self.sifs,
                     lambda ev: sim.medium.transmit(
-                        nid, ack, on_resolved=lambda tx: self._exchange_over(nid, True)))
-        elif kind is PacketKind.ACK:
-            if pkt.dst == nid and st.role == "tx":
-                self._cancel_pending(st)
-                self._exchange_over(nid, success=True)
-            elif st.awaiting and st.role is None:
-                st.awaiting = False
-                self._backoff(nid)
-
-        if kind is PacketKind.DATA and pkt.dst != nid \
-                and st.awaiting and st.role is None:
-            # overheard someone else's data while deferring: contend again
+                        nid, ack, on_resolved=lambda tx: self._exchange_over(nid)))
+        elif kind is PacketKind.ACK and pkt.dst == nid and st.role == "tx":
+            self._cancel_pending(st)
+            self._exchange_over(nid)
+        elif st.awaiting and st.role is None:
+            # overheard someone else's data or ack while deferring: contend again
             st.awaiting = False
             self._backoff(nid)
 
@@ -233,30 +221,26 @@ class SmacDriver:
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)
-        st.pending_ev = self.engine.schedule(ack_deadline, lambda ev: self._ack_timeout(nid))
-
-    def _ack_timeout(self, nid):
-        st = self.states[nid]
-        st.pending_ev = None
-        if st.role == "tx":
-            self._exchange_over(nid, success=st.exchange["data_received"])
+        st.pending_ev = self.engine.schedule(ack_deadline, lambda ev: self._tx_timeout(nid))
 
     def _rx_timeout(self, nid):
         st = self.states[nid]
         if st.role == "rx" and not st.exchange["data_received"]:
             st.pending_ev = None
             self.sim.trace(nid, "smac-rx-timeout")
-            self._exchange_over(nid, success=False)
+            self._exchange_over(nid)
 
-    def _exchange_over(self, nid, success):
+    def _exchange_over(self, nid):
+        """The exchange ends at the ACK, at the sender's CTS or ACK timeout,
+        or at the receiver's data timeout."""
         sim = self.sim
         st = self.states[nid]
         if st.role is None:
             return
-        if st.role == "tx":
-            if success or st.exchange["data_received"]:
-                # reconcile: the parent holds the packet even if the ack died
-                sim.remove_from_queue(nid, (st.exchange["uid"],))
+        # the receiver marks the data before it acks: the packet leaves the
+        # sender's queue iff its parent holds it, even if the ack died
+        if st.role == "tx" and st.exchange["data_received"]:
+            sim.remove_from_queue(nid, (st.exchange["uid"],))
         st.role = None
         st.peer = None
         st.done_frame = not self.adaptive
@@ -285,35 +269,28 @@ class SmacDriver:
             remaining = max(pkt.exchange_end - self.engine.now, 0.0)
             err = self.rng_adaptive.uniform(-self.err, self.err)
             wake_at = self.engine.now + remaining * (1.0 + err)
-            self.engine.cancel(st.wake_ev)
-            st.wake_ev = self.engine.schedule(wake_at, lambda ev: self._adaptive_wake(nid))
             sim.trace(nid, "nav-sleep", "until~%.4f", wake_at)
         else:
+            wake_at = st.nav_until
             sim.trace(nid, "nav-sleep", "until=%.4f", pkt.exchange_end)
-            self.engine.cancel(st.wake_ev)
-            st.wake_ev = self.engine.schedule(st.nav_until,
-                                              lambda ev: self._plain_nav_wake(nid))
+        self.engine.cancel(st.wake_ev)
+        st.wake_ev = self.engine.schedule(wake_at, lambda ev: self._nav_wake(nid))
         sim.sleep(nid)
 
-    def _plain_nav_wake(self, nid):
-        st = self.states[nid]
-        st.wake_ev = None
-        if not self.sim.nodes[nid].alive or st.role is not None:
-            return
-        if self.engine.now < self._listen_end:
-            self.sim.wake(nid)   # listen out the rest of the common period
-        # otherwise stay asleep until the next frame
-
-    def _adaptive_wake(self, nid):
+    def _nav_wake(self, nid):
         sim = self.sim
         st = self.states[nid]
         st.wake_ev = None
-        node = sim.nodes[nid]
-        if not node.alive or st.role is not None:
+        if not sim.nodes[nid].alive or st.role is not None:
             return
-        sim.wake(nid)
-        sim.trace(nid, "adaptive-wake")
-        self._stay_awake(nid)
+        if self.adaptive:
+            # wake at the estimated exchange end and contend at once
+            sim.wake(nid)
+            sim.trace(nid, "adaptive-wake")
+            self._stay_awake(nid)
+        elif self.engine.now < self._listen_end:
+            sim.wake(nid)   # listen out the rest of the common period
+        # otherwise stay asleep until the next frame
 
     def _stay_awake(self, nid):
         st = self.states[nid]

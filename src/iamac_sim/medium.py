@@ -77,6 +77,10 @@ class Medium:
     def carrier_busy(self, node):
         return self.onair_mw[node] > self.busy_thr_mw
 
+    def sensed_since(self, node, t):
+        """Whether `node` senses a carrier now, or heard a first bit at or after `t`."""
+        return self.carrier_busy(node) or self.nodes[node].last_rise_t >= t
+
     # -- transmission lifecycle -------------------------------------------
 
     def transmit(self, sender, packet, on_resolved=None):

@@ -195,12 +195,10 @@ class ArqSession(_SessionBase):
         self._send_attempt()
 
     def _send_attempt(self):
-        if not (self.sim.nodes[self.child].alive and self.sim.nodes[self.parent].alive):
-            self._finish()
-            return
+        nodes = self.sim.nodes
         start, _ = self._fit(self._cycle_time())
-        if start is None:
-            # no room for another cycle: reconcile and stop
+        if start is None or not (nodes[self.child].alive and nodes[self.parent].alive):
+            # no room for another cycle, or a node died: reconcile and stop
             if self.got_through:
                 self._pop_current(delivered=True)
             self._finish()

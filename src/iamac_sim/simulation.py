@@ -187,7 +187,7 @@ class Simulation:
             if node.alive and node.state is SLEEP:
                 node.set_radio(LISTEN)
         driver = self.driver
-        self.charge_synch_slot(driver.rts_air)
+        self.charge_synch_slot()
         t0 = self.engine.now
         driver.start(t0)
         self.engine.schedule(t0 + driver.period, self._frame_end)
@@ -362,9 +362,10 @@ class Simulation:
         if node.alive and node.state is not SLEEP:
             node.set_radio(SLEEP)
 
-    def charge_synch_slot(self, synch_airtime):
+    def charge_synch_slot(self):
         """Synchronization beacons are modeled as airtime and energy only:
         every awake node pays one transmit burst, receptions are abstract."""
+        synch_airtime = self.scenario.control_air
         account = self.ledger.account
         for node in self.nodes:
             if node.alive and node.state is LISTEN:

@@ -1,6 +1,8 @@
 import pytest
 
 from iamac_sim.config import Scenario, desk_preset
+from iamac_sim.mac_smac import SmacDriver
+from iamac_sim.packets import PacketKind, airtime
 from iamac_sim.simulation import Simulation
 
 def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
@@ -94,6 +96,52 @@ def test_smac_exchange_carries_one_packet_per_frame():
     times = sorted(d for _, _, d, _ in sim.ledger.delivered_records)
     frames = [int(t // sim.scenario.frame_s) for t in times]
     assert len(set(frames)) == 4  # one per frame, never two
+
+
+@pytest.mark.parametrize("protocol", ["smac", "adaptive-smac"])
+def test_smac_sender_releases_a_delivered_packet_whose_ack_is_lost(protocol, monkeypatch):
+    """The sender's packet leaves its queue iff the data arrived: with every
+    ACK lost at node 1, its ACK timeout still removes the delivered packet,
+    so it is neither sent again nor delivered twice."""
+    on_packet = SmacDriver.on_packet
+
+    def deaf_to_acks(self, node, pkt, sinr):
+        if not (node.id == 1 and pkt.kind is PacketKind.ACK):
+            on_packet(self, node, pkt, sinr)
+
+    monkeypatch.setattr(SmacDriver, "on_packet", deaf_to_acks)
+    sim = chain_sim(protocol, hops=1, horizon_s=6.0)
+    sim.trace_enabled = True
+    sim.inject(1, 29)
+    res = sim.run()
+    assert (res["delivered_packets"], res["queued_packets"]) == (1, 0)
+    assert res["conserved"]
+    assert [node for _, node, label, _ in sim.trace_log if label == "smac-rts"] == [1]
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("hops", [1, 2, 3, 4])
+def test_one_packet_down_a_clean_line_arrives_when_each_rule_says(hops, seed):
+    """Analytic anchor: one packet injected at the far end of a clean line.
+    IAMAC moves it one hop per frame, and the last hop ends one data airtime
+    into the Sleep/Communication slot; plain S-MAC moves it one hop per frame;
+    adaptive S-MAC carries it up to three hops within the first frame."""
+    arrival = {}
+    for protocol in ("iamac", "smac", "adaptive-smac"):
+        sim = chain_sim(protocol, hops=hops, seed=seed)
+        sim.inject(hops, 29)
+        res = sim.run()
+        assert res["delivered_packets"] == 1 and res["conserved"]
+        arrival[protocol] = sim.ledger.delivered_records[0][2]
+    sc = sim.scenario
+    comm_start = sc.synch_slot_s + sc.w * sc.mini_slot_s + sc.cts_slot_s
+    expected = ((hops - 1) * sc.frame_s + comm_start
+                + airtime(29 + sc.header_bytes, sc.radio_speed))
+    # measured to 0 error; the bound is the trace's resolution
+    assert arrival["iamac"] == pytest.approx(expected, rel=0, abs=1e-9)
+    assert int(arrival["smac"] // sc.frame_s) == hops - 1
+    if hops <= 3:
+        assert arrival["adaptive-smac"] < sc.frame_s
 
 
 @pytest.mark.xfail(strict=True, reason="a new frame resets S-MAC node state without "

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -79,7 +80,7 @@ def test_super_frame_length_is_bounded_in_validate():
     plan, nothing runs."""
     longest = MAX_TIME_FRAMES * MAX_TIME_FRAME
     sc = parse_scenario(f"frame_s = {longest}\nhorizon_s = {2 * longest}\n")
-    assert sc.frame_plan(None).n_time_frames == MAX_TIME_FRAMES
+    assert sc.frame_plan().n_time_frames == MAX_TIME_FRAMES
     with pytest.raises(ConfigError, match="frame_s"):
         parse_scenario("frame_s = 1e9\nhorizon_s = 2e9\n")
 
@@ -89,11 +90,26 @@ def test_super_frame_length_is_bounded_in_validate():
        value=st.one_of(st.text(), st.integers(-10**400, 10**400).map(str),
                          st.floats().map(str)))
 def test_any_value_of_a_known_key_gives_a_scenario_or_config_error(key, value):
+    """An accepted value also runs. Set on a small connected network (8 nodes
+    on the reference area are always disjoint) and capped at 8 nodes and two
+    frames and a half, it builds and runs under the suite's
+    warnings-as-errors, and ends ok or disjoint with its packets conserved."""
     try:
         sc = parse_scenario(f"{key} = {value}\n")
     except ConfigError:
         return
     assert isinstance(sc, Scenario)
+    small = desk_preset(node_count=8, area=(20.0, 20.0), sampling_interval_s=0.1,
+                        horizon_s=2.5 * MAX_TIME_FRAMES * MAX_TIME_FRAME)
+    try:
+        sc = parse_scenario(f"{key} = {value}\n", base=small)
+    except ConfigError:
+        return
+    sc = replace(sc, node_count=min(sc.node_count, 8),
+                 horizon_s=min(sc.horizon_s, 2.5 * sc.frame_s)).validate()
+    res = Simulation(sc).run()
+    assert res["status"] in ("ok", "disjoint")
+    assert res["conserved"]
 
 
 def test_preset_then_overrides():
@@ -244,7 +260,8 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "seed=9\npreset=paper", "report_rounds=0",
                                      "seed=-1", "d0=1e300", "pl_d0=-1e300",
                                      "shadowing_sigma=1e10", "area=1e200,1e200",
-                                     "node_count=100000"])
+                                     "node_count=100000", "broadcast_count=1001",
+                                     "report_rounds=1000000000", "rf_overhead=65536"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err
@@ -532,6 +549,15 @@ def test_cli_sweep_trend_gate(tmp_path):
                  "--trend", "decreasing:mean_duty_cycle",
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_script_imports_against_the_current_api(path):
+    """Each script's imports resolve; its `main` guard keeps anything from running."""
+    runpy.run_path(str(path), run_name="smoke")
 
 
 # -- performance budget ----------------------------------------------------------------

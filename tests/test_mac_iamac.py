@@ -133,7 +133,7 @@ def test_repick_with_no_remaining_slots_defers_to_next_frame():
     driver = IamacDriver(sim)
     st = driver.states[3]
     driver._pick_contention(3, min_slot=driver.plan.w)
-    assert not st.contending
+    assert st.pending_ev is None and not st.awaiting
 
 
 def test_singleton_remaining_slot_is_forced():

@@ -246,7 +246,7 @@ def test_idle_duty_cycle_is_the_frame_plans_awake_share(protocol, frame_s, horiz
     sc = desk_preset(seed=4, protocol=protocol, frame_s=frame_s, horizon_s=horizon_s,
                      sampling_interval_s=1e9, stop_on_first_death=False)
     if protocol == "iamac":
-        plan = sc.frame_plan(None)
+        plan = sc.frame_plan()
         awake = (plan.n_time_frames * plan.synch_slot + plan.rts_slot
                  + plan.cts_slot) / plan.cycle
     else:

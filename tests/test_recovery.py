@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iamac_sim import harness
-from iamac_sim.config import Scenario
+from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
 from iamac_sim.packets import airtime
@@ -285,3 +285,13 @@ def test_finished_session_leaves_a_newer_session_attached():
     assert old.done and not new.done
     # detached before its callback, and only where it was still attached
     assert seen == [[None, new, new]]
+
+
+def test_arq_reconciles_when_a_node_dies_mid_session():
+    """A child that dies at its data frame's last bit, after its parent
+    decoded the frame, must not keep the delivered packet queued."""
+    sc = desk_preset(node_count=8, area=(20.0, 20.0), recovery="arq",
+                     sampling_interval_s=0.1, frame_s=100.0, horizon_s=200.5, seed=1)
+    res = Simulation(sc).run()
+    assert not res["lifetime_censored"]
+    assert res["conserved"]
