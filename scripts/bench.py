@@ -20,7 +20,9 @@ median of the run's three timed set-ups), its `peak_rss_mb` and the host
 slowdown the times were divided by. For `run_s` it stores each side's median
 and interquartile range and how many pairs the change won, at the top level as
 in earlier records; `setup_s_summary` and `peak_rss_mb_summary` hold the same
-for `setup_s` and `peak_rss_mb`. `checkouts` holds each side's absolute path:
+for `setup_s` and `peak_rss_mb`. The closing line prints each ratio and win
+count, and the parent's and the change's IQR of `setup_s` and `peak_rss_mb`.
+`checkouts` holds each side's absolute path:
 `peak_rss_mb` moves with the directory a checkout sits in, so memory compares
 fairly only between alike paths. Run one workload seed per call. A run whose
 CSV hash differs from its checkout's `simbench/expected.json`, whose status is
@@ -170,8 +172,10 @@ def main(argv=None):
         bench.setdefault(args.name, {})[key] = result = pairs(args)
         setup, rss = result["setup_s_summary"], result["peak_rss_mb_summary"]
         print(f"{key}: run_s ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins; "
-              f"setup_s ratio {setup['ratio']:.3f}, {setup['wins']}/{PAIRS} wins; "
-              f"peak_rss_mb {rss['parent_median']:.2f} -> {rss['change_median']:.2f}")
+              f"setup_s ratio {setup['ratio']:.3f}, {setup['wins']}/{PAIRS} wins, "
+              f"IQR {setup['parent_iqr']:.5f} -> {setup['change_iqr']:.5f}; "
+              f"peak_rss_mb {rss['parent_median']:.2f} -> {rss['change_median']:.2f}, "
+              f"IQR {rss['parent_iqr']:.3f} -> {rss['change_iqr']:.3f}")
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -30,8 +30,9 @@ _MINIMUM = {
     "switch_mj": 0.0, "sample_mj": 0.0,
 }
 
-# `Topology` builds through at most nine n x n float64 matrices at once; they
-# must fit this budget, so node_count <= 3861
+# a set-up (`Simulation` plus `bootstrap_routing`) peaks below the memory of
+# nine n x n float64 matrices (about seven, at 300 and 600 nodes on the
+# reference area); nine must fit this budget, so node_count <= 3861
 TOPOLOGY_BUDGET_BYTES = 2 ** 30
 MAX_NODES = math.isqrt(TOPOLOGY_BUDGET_BYTES // (9 * 8))
 MAX_AREA_SIDE_M = 1e6   # far beyond radio range; squared distances stay finite

@@ -9,6 +9,16 @@ from .channel import MIN_DISTANCE_M, dbm_to_mw
 INFLUENCE_MARGIN_DB = 6.0  # dB below the noise floor that still counts as interference
 
 
+def _rows(mask):
+    """The column indices of a square mask's True entries, row by row and
+    ascending within a row, from one `nonzero` over the flattened mask; and
+    each row's (start, end) slice bounds into them."""
+    n = len(mask)
+    flat = mask.ravel().nonzero()[0]
+    ends = flat.searchsorted(np.arange(n, n * n + 1, n)).tolist()
+    return np.remainder(flat, n, out=flat), zip([0] + ends, ends)
+
+
 class Topology:
     """Positions plus frozen per-ordered-pair shadowing and received powers.
 
@@ -18,36 +28,55 @@ class Topology:
 
     def __init__(self, positions, sink, model, tx_power_dbm, rng=None):
         self.positions = np.asarray(positions, dtype=float)
-        self.n = len(self.positions)
+        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
+            raise ValueError(f"positions must be shaped (n, 2), got {self.positions.shape}")
+        self.n = n = len(self.positions)
         self.sink = sink
         self.model = model
 
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        self.dist = np.sqrt((diff ** 2).sum(axis=2))
-        np.fill_diagonal(self.dist, np.inf)
-        self.dist = np.maximum(self.dist, MIN_DISTANCE_M)
+        # dist[i, j] = sqrt(dx*dx + dy*dy), dx = x[i] - x[j], built in place;
+        # each temporary goes before the next n x n array is allocated, so at
+        # most three n x n float64 arrays are alive at once
+        x, y = self.positions.T
+        dist = np.subtract.outer(x, x)
+        dist *= dist
+        dy = np.subtract.outer(y, y)
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        np.fill_diagonal(dist, np.inf)
+        self.dist = np.maximum(dist, MIN_DISTANCE_M, out=dist)
 
         if rng is None:
-            shadow = np.zeros((self.n, self.n))
+            shadow = np.zeros((n, n))
         else:
-            shadow = rng.normal(0.0, model.shadowing_sigma, size=(self.n, self.n))
+            shadow = rng.normal(0.0, model.shadowing_sigma, size=(n, n))
         np.fill_diagonal(shadow, 0.0)
 
-        pl = (model.pl_d0
-              + 10.0 * model.path_loss_exponent * np.log10(self.dist / model.d0)
-              + shadow)
-        self.rx_dbm = tx_power_dbm - pl          # rx_dbm[i, j]: i transmits, heard at j
-        self.rx_mw = np.power(10.0, self.rx_dbm / 10.0)
+        # rx_dbm[i, j]: i transmits, heard at j; tx - (pl_d0 + 10*ple*log10(d/d0) + shadow)
+        rx = self.dist / model.d0
+        np.log10(rx, out=rx)
+        rx *= 10.0 * model.path_loss_exponent
+        rx += model.pl_d0
+        rx += shadow
+        del shadow
+        self.rx_dbm = np.subtract(tx_power_dbm, rx, out=rx)
+        self.rx_mw = self.rx_dbm / 10.0
+        np.power(10.0, self.rx_mw, out=self.rx_mw)
 
         busy_thr = model.busy_threshold_dbm
         sense = self.rx_dbm >= busy_thr
-        influence = self.rx_dbm >= model.noise_floor - INFLUENCE_MARGIN_DB
         # sense_out[i]: the j that can sense/decode i's transmissions
-        self.sense_out = [np.nonzero(row)[0] for row in sense]
+        receivers, bounds = _rows(sense)
+        self.sense_out = [receivers[start:end] for start, end in bounds]
         # sense_in[j]: the senders i that j can sense (the transpose, as a set)
-        self.sense_in = [set(np.nonzero(col)[0].tolist()) for col in sense.T]
+        senders, bounds = _rows(sense.T)
+        senders = senders.tolist()
+        self.sense_in = [set(senders[start:end]) for start, end in bounds]
         # influence_out[i]: the j where i's power is non-negligible (SINR bookkeeping)
-        self.influence_out = [np.nonzero(row)[0] for row in influence]
+        heard, bounds = _rows(self.rx_dbm >= model.noise_floor - INFLUENCE_MARGIN_DB)
+        self.influence_out = [heard[start:end] for start, end in bounds]
 
         self.busy_thr_mw = dbm_to_mw(busy_thr)
 

@@ -66,7 +66,7 @@ def test_pairs_records_both_sides_iqr(bench, tmp_path, monkeypatch):
     assert rec["wins"] == 10
 
 
-def test_pairs_records_setup_medians(bench, tmp_path, monkeypatch):
+def test_pairs_records_setup_medians(bench, tmp_path, monkeypatch, capsys):
     times = {"parent": [1.0] * 10, "change": [1.0] * 10}
     # each run's three set-ups, out of order; the change wins all but pair 4
     setups = {"parent": [[0.06, 0.05 + 0.001 * i, 0.04] for i in range(10)],
@@ -83,12 +83,15 @@ def test_pairs_records_setup_medians(bench, tmp_path, monkeypatch):
     assert got["parent_median"] == pytest.approx(0.0545)
     assert got["parent_iqr"] == pytest.approx(0.0055)
     assert got["ratio"] == pytest.approx(got["change_median"] / got["parent_median"])
+    # the closing line shows both sides' interquartile ranges
+    assert (f"IQR 0.00550 -> {got['change_iqr']:.5f}; peak_rss_mb"
+            in capsys.readouterr().out.splitlines()[-1])
     # the run_s summary keeps its top-level place
     assert rec["run_s"] == times
     assert rec["wins"] == 0 and rec["ratio"] == 1.0
 
 
-def test_pairs_records_peak_rss(bench, tmp_path, monkeypatch):
+def test_pairs_records_peak_rss(bench, tmp_path, monkeypatch, capsys):
     times = {"parent": [1.0] * 10, "change": [0.9] * 10}
     rss = {"parent": [64.5 + 0.01 * i for i in range(10)],
            "change": [64.2 + 0.02 * i for i in range(10)]}
@@ -103,6 +106,8 @@ def test_pairs_records_peak_rss(bench, tmp_path, monkeypatch):
     assert got["parent_iqr"] == pytest.approx(0.055)
     assert got["change_median"] == pytest.approx(64.29)
     assert got["ratio"] == pytest.approx(64.29 / 64.545)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        f"peak_rss_mb 64.55 -> 64.29, IQR 0.055 -> {got['change_iqr']:.3f}")
     # the run_s summary keeps its top-level place
     assert rec["wins"] == 10
 

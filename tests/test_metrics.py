@@ -259,6 +259,85 @@ def test_idle_duty_cycle_is_the_frame_plans_awake_share(protocol, frame_s, horiz
         assert sim.ledger.duty_cycle(node) == pytest.approx(awake, abs=1e-12)
 
 
+def idle_cycle_charges(sc):
+    """The ledger's charges to every node over one wake cycle without
+    traffic, as (seconds into the cycle, sleep, listen, transmit, switch mJ).
+    Each Time Frame's Synch slot wakes the node (one switch, after the sleep
+    since its last span) and charges one beacon burst in transmit; the node
+    sleeps again (the listen time, then one switch) when its awake span
+    closes, and the cycle's end flushes the last sleep. IAMAC's first span is
+    its Synch, RTS and CTS slots, a later Time Frame's its Synch slot alone;
+    S-MAC's span is its Synch slot plus its listen period."""
+    table = sc.energy_table()
+    volts = table.voltage
+    if sc.protocol == "iamac":
+        plan = sc.frame_plan()
+        spans = ([plan.synch_slot + plan.rts_slot + plan.cts_slot]
+                 + [plan.synch_slot] * (plan.n_time_frames - 1))
+        time_frame = plan.time_frame
+    else:
+        spans = [sc.synch_slot_s + sc.w * sc.mini_slot_s + sc.cts_slot_s]
+        time_frame = sc.frame_s
+    sleep_mw = table.sleep_ma * volts
+    listen_mw = table.listen_ma * volts
+    tx_mw = table.tx_ma(sc.output_power_dbm) * volts
+    burst = sc.control_air
+    charges = []
+    slept = 0.0
+    for k, span in enumerate(spans):
+        charges.append((k * time_frame, sleep_mw * slept, 0.0, tx_mw * burst, table.switch_mj))
+        charges.append((k * time_frame + span, 0.0, listen_mw * (span - burst), 0.0,
+                        table.switch_mj))
+        slept = time_frame - span
+    charges.append((len(spans) * time_frame, sleep_mw * slept, 0.0, 0.0, 0.0))
+    return charges
+
+
+IDLE_CYCLES = [("iamac", 1.0), ("smac", 1.0), ("adaptive-smac", 1.0), ("iamac", 30.0)]
+
+
+@pytest.mark.parametrize("protocol, frame_s", IDLE_CYCLES)
+def test_idle_energy_per_frame_is_the_closed_form(protocol, frame_s):
+    frames = 5
+    sc = desk_preset(seed=4, protocol=protocol, frame_s=frame_s, horizon_s=frames * frame_s,
+                     sampling_interval_s=1e9, stop_on_first_death=False)
+    charges = idle_cycle_charges(sc)
+    # per frame: sleep, listen and transmit mJ, in the ledger's state order, then switches
+    per_frame = [sum(charge[k] for charge in charges) for k in (1, 2, 3, 4)]
+    sim = Simulation(sc)
+    res = sim.run()
+    assert res["status"] == "ok" and res["frames"] == frames
+    ledger = sim.ledger
+    for node in range(sim.topo.n):
+        got = ledger.state_energy[node] + [ledger.switch_energy[node]]
+        assert got == pytest.approx([frames * mj for mj in per_frame], rel=1e-12)
+        assert ledger.spent_mj(node) == pytest.approx(frames * sum(per_frame), rel=1e-12)
+
+
+@pytest.mark.parametrize("protocol, frame_s", IDLE_CYCLES)
+def test_idle_first_death_is_the_closed_form_time(protocol, frame_s):
+    """A battery of 3.5 frames' idle energy empties in frame 3, at the first
+    charge that takes the running total past it."""
+    base = desk_preset(seed=4, protocol=protocol, frame_s=frame_s, sampling_interval_s=1e9)
+    charges = idle_cycle_charges(base)
+    battery_mj = 3.5 * sum(sum(charge[1:]) for charge in charges)
+    spent = 0.0
+    death = None
+    for frame in range(4):
+        for t, *mj in charges:
+            spent += sum(mj)
+            if death is None and spent >= battery_mj:
+                death = frame * frame_s + t
+    assert 3 * frame_s < death < 4 * frame_s
+    sc = desk_preset(seed=4, protocol=protocol, frame_s=frame_s, sampling_interval_s=1e9,
+                     horizon_s=6 * frame_s,
+                     battery_mah=battery_mj / (3600.0 * base.energy_table().voltage))
+    res = Simulation(sc).run()
+    assert res["status"] == "ok" and not res["lifetime_censored"]
+    assert res["frames"] == 4
+    assert res["lifetime_s"] == pytest.approx(death, abs=1e-9)
+
+
 def test_colliding_set_online_matches_offline_oracle():
     # the IAMAC run's few colliding receptions have one interferer each; the
     # adaptive S-MAC run also has receptions with two

@@ -52,10 +52,11 @@ def shortest_path_oracle(states, sink):
     return dist, parents
 
 
-def tree(links, max_children):
+def tree(links, max_children, sinks=(0,)):
     """`build_tree` over hand-made ETX maps (node -> {neighbor: etx}, the
-    highest node a key), node 0 the sink; the (parent, cost) of every node."""
-    states = [RouteState(node=i, is_sink=(i == 0), etx=dict(links.get(i, {})))
+    highest node a key), node 0 the sink unless `sinks` says otherwise; the
+    (parent, cost) of every node."""
+    states = [RouteState(node=i, is_sink=(i in sinks), etx=dict(links.get(i, {})))
               for i in range(max(links) + 1)]
     return [(st.parent, st.my_cost) for st in build_tree(states, max_children)]
 
@@ -97,6 +98,19 @@ def test_build_tree_parent_at_cap_is_kept():
     assert tree(links, 2) == [(None, 0.0), (2, 4.0), (3, 2.0), (0, 1.0), (2, 5.0)]
 
 
+def test_build_tree_re_evaluates_the_holders_of_a_parent_that_fills():
+    # cap 1, sinks 0, 6 and 9. In sweep 2 node 7 drops to 3 - 1e-13 and
+    # node 10 stays on node 5 at 4.0 (7 is cheaper by less than 1e-12 and
+    # has the higher id). In sweep 3 node 2 takes node 7's one place, so node
+    # 10 looks again: node 3 ties node 5 at 4.0 and has the lower id
+    links = {1: {0: 1.0}, 2: {7: 1.0 + 1e-13, 10: 1.0}, 3: {1: 2.0}, 4: {9: 1.0},
+             5: {6: 2.0}, 7: {3: 1.0, 8: 1.0 - 1e-13}, 8: {4: 1.0},
+             10: {3: 1.0, 5: 2.0, 7: 1.0}}
+    got = tree(links, 1, sinks=(0, 6, 9))
+    assert got[2][0] == 7 and got[7] == (8, 2.0 + (1.0 - 1e-13))
+    assert got[10] == (3, 4.0)
+
+
 def _bootstrap(sc):
     sim = Simulation(sc)
     states = estimate_links(sim.topo, sim.streams, sc.broadcast_count,
@@ -108,7 +122,7 @@ def two_node_etx(prr_01, draws, broadcast_count=4):
     """ETX of nodes 0 and 1 from `estimate_links` on a two-node network whose
     link 0->1 has reception probability `prr_01` (1->0 is perfect); the
     bootstrap stream hands out `draws` in a cycle."""
-    prr = {(0, 1): prr_01, (1, 0): 1.0}
+    prr = np.array([[np.nan, prr_01], [1.0, np.nan]])   # the diagonal is no link
     topo = SimpleNamespace(n=2, sink=0, sense_out=[np.array([1]), np.array([0])],
                            rx_dbm=prr,
                            model=SimpleNamespace(prr_from_rx_power=lambda p, _: p))
@@ -201,7 +215,7 @@ def test_without_count_reports_no_link_is_usable():
 
 def scalar_estimate_links(topology, streams, broadcast_count, report_rounds, control_bytes):
     """The bootstrap estimator as one scalar draw per link and round, in
-    loop order: the oracle for `estimate_links`' two vector draws."""
+    loop order: the oracle for `estimate_links`' one vector draw per round."""
     rng = streams.stream("bootstrap")
     n = topology.n
     model = topology.model
@@ -259,11 +273,16 @@ def test_vector_estimates_without_reports_equal_the_scalar_loop():
     assert all(st.etx == {} for st in states)
 
 
+def isolated_node_line():
+    """The 8.75 m line of six nodes plus one node far from the rest."""
+    positions = [(8.75 * k, 0.0) for k in range(6)] + [(500.0, 500.0)]
+    return Simulation(desk_preset(seed=5, node_count=7), positions)
+
+
 def test_vector_estimates_with_an_isolated_node_equal_the_scalar_loop():
     # a line of nodes 8.75 m apart, so two hops (17.5 m) lose about half of
     # their probes, and one node far from the rest
-    positions = [(8.75 * k, 0.0) for k in range(6)] + [(500.0, 500.0)]
-    sim = Simulation(desk_preset(seed=5, node_count=7), positions)
+    sim = isolated_node_line()
     assert len(sim.topo.sense_out[6]) == 0
     assert all(6 not in out for out in sim.topo.sense_out)
     states = assert_estimates_match_the_scalar_loop(sim)
@@ -321,3 +340,65 @@ def test_bootstrap_trees_match_pinned_digests():
         tree = repr([(st.parent, st.my_cost) for st in sim.route_states])
         got[name, seed, cap] = hashlib.sha256(tree.encode("utf-8")).hexdigest()
     assert got == PINNED_BOOTSTRAP_TREES
+
+
+def full_sweep_build_tree(states, max_children):
+    """`build_tree` as full sweeps, every non-sink node evaluated in id order
+    each sweep: the oracle for its stale-only re-evaluation."""
+    n = len(states)
+    children_count = [0] * n
+    for _ in range(n + 2):
+        changed = False
+        for st in states:
+            if st.is_sink:
+                continue
+            new_parent = None
+            new_cost = math.inf
+            for j, etx in st.etx.items():
+                cost_j = states[j].my_cost
+                if not math.isfinite(cost_j):
+                    continue
+                if max_children > 0 and children_count[j] - (j == st.parent) >= max_children:
+                    continue
+                cost = cost_j + etx
+                if cost < new_cost or (cost == new_cost and j < new_parent):
+                    new_parent = j
+                    new_cost = cost
+            if new_parent is None:
+                continue
+            better = new_cost < st.my_cost - 1e-12
+            tie_lower = (abs(new_cost - st.my_cost) <= 1e-12
+                         and st.parent is not None and new_parent < st.parent)
+            if better or tie_lower:
+                if st.parent is not None:
+                    children_count[st.parent] -= 1
+                st.parent = new_parent
+                st.my_cost = new_cost
+                children_count[new_parent] += 1
+                changed = True
+        if not changed:
+            break
+    return states
+
+
+@pytest.mark.parametrize("preset, seed, node_count", [
+    (desk_preset, 1, 50), (desk_preset, 2, 50), (desk_preset, 3, 50), (desk_preset, 4, 50),
+    (paper_preset, 1, 200), (paper_preset, 3, 200), (paper_preset, 2, 400),
+    (isolated_node_line, None, 7),
+])
+def test_stale_only_tree_equals_full_sweeps(preset, seed, node_count):
+    # at `desk` seed 2 the sink has no usable link and nothing is routed
+    if preset is isolated_node_line:
+        sim = isolated_node_line()
+    else:
+        sim = Simulation(preset(seed=seed, node_count=node_count))
+    sc = sim.scenario
+    links = estimate_links(sim.topo, sim.streams, sc.broadcast_count, sc.report_rounds,
+                           sc.control_bytes + sc.header_bytes)
+    for cap in (0, 1, 2, 8):
+        got, want = ([RouteState(node=st.node, is_sink=st.is_sink, etx=st.etx)
+                      for st in links] for _ in range(2))
+        build_tree(got, cap)
+        full_sweep_build_tree(want, cap)
+        assert [(st.parent, st.my_cost) for st in got] == \
+            [(st.parent, st.my_cost) for st in want]
