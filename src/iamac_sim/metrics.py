@@ -4,10 +4,18 @@ throughput, duty cycle and queue statistics."""
 from __future__ import annotations
 
 import math
+from array import array
+
+import numpy as np
 
 from .energy import RadioState
 
 SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
+
+# numpy's sort pages in about 256 KiB of its code on first use; a sorted list
+# of Python floats costs 32 B per latency, so below this many latencies the
+# list is the smaller peak
+NUMPY_SORT_FROM = 8192
 
 
 def colliding_sets(data_log):
@@ -20,6 +28,36 @@ def colliding_sets(data_log):
             frames.setdefault(frame, {}).setdefault(dst, set()).update(
                 i for i in interferers if i != sender)
     return frames
+
+
+class DeliveryRecords:
+    """A read-only view of the sink's delivery columns as one
+    `(origin, born_at, delivered_at, payload)` tuple per delivered packet,
+    built on read: `len` is O(1), an index or a slice builds only the tuples
+    it returns."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(*(c[i] for c in self._columns)))
+        return tuple(c[i] for c in self._columns)
+
+    def __iter__(self):
+        return zip(*self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, DeliveryRecords):
+            return self._columns == other._columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 class MetricsLedger:
@@ -49,7 +87,14 @@ class MetricsLedger:
 
         # traffic accounting (payload bytes)
         self.generated_packets = 0
-        self.delivered_records = []          # (origin, born_at, delivered_at, payload)
+        # one entry per packet the sink received, in delivery order: 32 B,
+        # and no Python object, per packet
+        self._origins = array("l")
+        self._born = array("d")
+        self._delivered = array("d")
+        self._payloads = array("l")
+        self.delivered_records = DeliveryRecords(
+            (self._origins, self._born, self._delivered, self._payloads))
         self.delivered_payload = 0           # the records' payload bytes
         self.dropped_packets = 0
 
@@ -135,13 +180,19 @@ class MetricsLedger:
         self.generated_packets += 1
 
     def record_delivery(self, pkts, delivered_at):
-        """Packets `pkts` reached the sink at `delivered_at`, in this order."""
-        append = self.delivered_records.append
-        payload = 0
+        """Packets `pkts` reached the sink at `delivered_at`, in this order.
+        A packet born after `delivered_at` raises before any is recorded."""
         for p in pkts:
             if delivered_at < p.born_at:
                 raise ValueError("delivery precedes generation")
-            append((p.origin, p.born_at, delivered_at, p.payload_len))
+        origin, born = self._origins.append, self._born.append
+        delivered, payload_len = self._delivered.append, self._payloads.append
+        payload = 0
+        for p in pkts:
+            origin(p.origin)
+            born(p.born_at)
+            delivered(delivered_at)
+            payload_len(p.payload_len)
             payload += p.payload_len
         self.delivered_payload += payload
 
@@ -177,12 +228,21 @@ class MetricsLedger:
         return sum(self.duty_cycle(i) for i in range(self.n)) / self.n
 
     def latency_stats(self):
-        if not self.delivered_records:
+        n = len(self._born)
+        if not n:
             return None
-        lats = sorted(d - b for _, b, d, _ in self.delivered_records)
-        mean = sum(lats) / len(lats)
-        p95 = lats[min(len(lats) - 1, int(math.ceil(0.95 * len(lats))) - 1)]
-        return {"mean": mean, "p95": p95, "count": len(lats)}
+        lats = np.frombuffer(self._delivered) - np.frombuffer(self._born)
+        if n < NUMPY_SORT_FROM:
+            lats = lats.tolist()
+            lats.sort()
+        else:
+            lats.sort()
+            lats = memoryview(lats)
+        # either way `sum` adds exact Python floats in sorted order, as over
+        # a sorted list: the same rounding (compensated from Python 3.12 on)
+        mean = sum(lats) / n
+        p95 = lats[min(n - 1, int(math.ceil(0.95 * n)) - 1)]
+        return {"mean": mean, "p95": p95, "count": n}
 
     def throughput_bps(self):
         if self.measure_end <= 0:

@@ -120,6 +120,30 @@ def test_smac_sender_releases_a_delivered_packet_whose_ack_is_lost(protocol, mon
 
 
 @pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("protocol", ["smac", "adaptive-smac"])
+def test_one_packet_over_a_clean_link_arrives_at_the_frame_plans_instant(protocol, seed):
+    """Analytic anchor: node 1's one packet, with its contention injected as a
+    mini slot and a backoff, reaches the sink after the synch slot, `slot`
+    mini slots and the backoff, then the RTS, a SIFS, the CTS, a SIFS and the
+    data airtime."""
+    for slot, backoff in [(0, 0.001), (3, 0.0007), ("last", "max")]:
+        sim = chain_sim(protocol, hops=1, seed=seed)
+        sc = sim.scenario
+        plan = sc.frame_plan()
+        slot = plan.w - 1 if slot == "last" else slot
+        backoff = plan.max_backoff if backoff == "max" else backoff
+        # S-MAC's injected plan is the delay from the end of the synch slot
+        sim.fixed_contention[1] = [slot * plan.mini_slot + backoff]
+        sim.inject(1, 29)
+        res = sim.run()
+        assert res["delivered_packets"] == 1 and res["conserved"]
+        expected = (plan.mini_slot_start(0.0, slot) + backoff
+                    + sc.control_air + sc.sifs_s + sc.control_air + sc.sifs_s
+                    + airtime(29 + sc.header_bytes, sc.radio_speed))
+        assert sim.ledger.delivered_records[0][2] == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
 @pytest.mark.parametrize("hops", [1, 2, 3, 4])
 def test_one_packet_down_a_clean_line_arrives_when_each_rule_says(hops, seed):
     """Analytic anchor: one packet injected at the far end of a clean line.

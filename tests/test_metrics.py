@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from iamac_sim import metrics
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.energy import EnergyTable, RadioState
 from iamac_sim.metrics import MetricsLedger, colliding_sets
@@ -85,6 +89,115 @@ def test_delivery_before_birth_rejected(table):
     ledger = MetricsLedger(1, table)
     with pytest.raises(ValueError):
         ledger.record_delivery([make_data_packet(0, 0, 0, 10.0, 29, 16)], 9.0)
+
+
+def test_a_batch_with_one_packet_born_after_delivery_records_none_of_it(table):
+    ledger = MetricsLedger(3, table)
+    ledger.record_delivery([make_data_packet(0, 1, 0, 1.0, 29, 16)], 2.0)
+    kept = (list(ledger.delivered_records), ledger.delivered_payload)
+    batch = [make_data_packet(1, 2, 0, 2.5, 31, 16), make_data_packet(2, 1, 0, 3.0, 29, 16),
+             make_data_packet(3, 2, 0, 4.5, 40, 16), make_data_packet(4, 1, 0, 3.5, 29, 16)]
+    with pytest.raises(ValueError, match="delivery precedes generation"):
+        ledger.record_delivery(batch, 4.0)
+    assert (list(ledger.delivered_records), ledger.delivered_payload) == kept
+    columns = (ledger._origins, ledger._born, ledger._delivered, ledger._payloads)
+    assert [len(c) for c in columns] == [1, 1, 1, 1]
+    ledger.record_delivery(batch[:2], 4.0)
+    assert ledger.delivered_payload == 29 + 31 + 29 and len(ledger.delivered_records) == 3
+
+
+class TupleLedger:
+    """The sink's deliveries as one tuple per packet, the ledger's layout
+    before its columns: the oracle for the records and `latency_stats`."""
+
+    def __init__(self):
+        self.records = []
+
+    def record_delivery(self, pkts, delivered_at):
+        for p in pkts:
+            self.records.append((p.origin, p.born_at, delivered_at, p.payload_len))
+
+    def latency_stats(self):
+        if not self.records:
+            return None
+        lats = sorted(d - b for _, b, d, _ in self.records)
+        mean = sum(lats) / len(lats)
+        p95 = lats[min(len(lats) - 1, int(math.ceil(0.95 * len(lats))) - 1)]
+        return {"mean": mean, "p95": p95, "count": len(lats)}
+
+
+def delivery_batches(case, rng):
+    """`(pkts, delivered_at)` batches: latencies over nine decades, so that
+    the float sum depends on its order; several batches share a
+    `delivered_at`."""
+    if case == "none":
+        return []
+    if case == "single":
+        return [([make_data_packet(0, 3, 0, 0.25, 29, 16)], 1.0 / 3.0)]
+    batches, t, uid = [], 1e3, 0
+    for _ in range(400):
+        if rng.random() < 0.6:
+            t += float(rng.uniform(0.0, 5.0))
+        pkts = []
+        for _ in range(int(rng.integers(1, 8))):
+            lat = 0.75 if case == "equal" else float(10.0 ** rng.uniform(-6.0, 3.0))
+            pkts.append(make_data_packet(uid, int(rng.integers(1, 7)), 0, t - lat,
+                                         int(rng.integers(1, 60)), 16))
+            uid += 1
+        batches.append((pkts, t))
+    return batches
+
+
+@pytest.mark.parametrize("numpy_sort_from", [0, 10**9])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["random", "equal", "single", "none"])
+def test_latency_stats_equal_the_tuple_formula_bit_for_bit(table, case, seed,
+                                                          numpy_sort_from, monkeypatch):
+    # both sorts: numpy's in place, and a list of Python floats
+    monkeypatch.setattr(metrics, "NUMPY_SORT_FROM", numpy_sort_from)
+    rng = np.random.default_rng(seed)
+    ledger, oracle = MetricsLedger(7, table), TupleLedger()
+    for pkts, t in delivery_batches(case, rng):
+        ledger.record_delivery(pkts, t)
+        oracle.record_delivery(pkts, t)
+    got, want = ledger.latency_stats(), oracle.latency_stats()
+    if case == "none":
+        assert got is None and want is None
+    else:
+        assert got["count"] == want["count"] == len(oracle.records)
+        assert [got["mean"].hex(), got["p95"].hex()] == [want["mean"].hex(), want["p95"].hex()]
+        assert type(got["mean"]) is type(got["p95"]) is float
+    records = ledger.delivered_records
+    assert list(records) == oracle.records and records == oracle.records
+    assert len(records) == len(oracle.records)
+    if oracle.records:
+        assert records[0] == oracle.records[0] and records[-1] == oracle.records[-1]
+        assert records[3:-2] == oracle.records[3:-2]
+    with pytest.raises(IndexError):
+        records[len(oracle.records)]
+
+
+def test_delivery_records_hold_at_most_40_bytes_per_delivery(table):
+    """Each record outlives its packet; 100,000 of them, born at distinct
+    instants, must hold at most 40 B each in the ledger."""
+    n, batch = 100_000, 50
+    ledger = MetricsLedger(7, table)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, n, batch):
+            pkts = [make_data_packet(uid, uid % 6 + 1, 0, uid * 1e-3 + 0.1, 29, 16)
+                    for uid in range(start, start + batch)]
+            ledger.record_delivery(pkts, start * 1e-3 + 1.0)
+        del pkts
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(ledger.delivered_records) == n
+    assert held <= 40 * n
 
 
 def test_queue_time_weighted_mean(table):
