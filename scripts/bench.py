@@ -20,8 +20,11 @@ median of the run's three timed set-ups), its `peak_rss_mb` and the host
 slowdown the times were divided by. For `run_s` it stores each side's median
 and interquartile range and how many pairs the change won, at the top level as
 in earlier records; `setup_s_summary` and `peak_rss_mb_summary` hold the same
-for `setup_s` and `peak_rss_mb`. The closing line prints each ratio and win
-count, and the parent's and the change's IQR of `setup_s` and `peak_rss_mb`.
+for `setup_s` and `peak_rss_mb`. Each summary's `claim_holds` says whether
+the change claims a gain on that metric: it won at least CLAIM_WINS of the
+pairs and its median beats the parent's by more than the parent's IQR. The
+closing line prints each claim, ratio and win count, and the parent's and the
+change's IQR of `setup_s` and `peak_rss_mb`.
 `checkouts` holds each side's absolute path:
 `peak_rss_mb` moves with the directory a checkout sits in, so memory compares
 fairly only between alike paths. Run one workload seed per call. A run whose
@@ -45,6 +48,8 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("paper-iamac", "paper-adaptive-smac", "star-seda")
 SEEDS = (1, 3)
 PAIRS = 10
+# pairs the change must win, of PAIRS, before it may claim a gain
+CLAIM_WINS = 9
 
 
 def revision(checkout):
@@ -136,16 +141,19 @@ def pairs(args):
 
 def summary(values):
     """Each side's median and interquartile range of one metric, the ratio of
-    the medians and how many pairs the change won (lower is better)."""
+    the medians, how many pairs the change won (lower is better) and whether
+    that is a gain to claim."""
     q1, parent_median, q3 = statistics.quantiles(values["parent"], n=4)
     c1, change_median, c3 = statistics.quantiles(values["change"], n=4)
+    wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
     return {
         "parent_median": parent_median,
         "parent_iqr": q3 - q1,
         "change_median": change_median,
         "change_iqr": c3 - c1,
         "ratio": change_median / parent_median,
-        "wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        "wins": wins,
+        "claim_holds": wins >= CLAIM_WINS and parent_median - change_median > q3 - q1,
     }
 
 
@@ -171,7 +179,11 @@ def main(argv=None):
         key = f"{args.workload}@{args.workload_seed}"
         bench.setdefault(args.name, {})[key] = result = pairs(args)
         setup, rss = result["setup_s_summary"], result["peak_rss_mb_summary"]
-        print(f"{key}: run_s ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins; "
+        claims = ", ".join(f"{metric} {'yes' if got['claim_holds'] else 'no'}"
+                           for metric, got in (("run_s", result), ("setup_s", setup),
+                                               ("peak_rss_mb", rss)))
+        print(f"{key}: claim holds: {claims}; "
+              f"run_s ratio {result['ratio']:.3f}, {result['wins']}/{PAIRS} wins; "
               f"setup_s ratio {setup['ratio']:.3f}, {setup['wins']}/{PAIRS} wins, "
               f"IQR {setup['parent_iqr']:.5f} -> {setup['change_iqr']:.5f}; "
               f"peak_rss_mb {rss['parent_median']:.2f} -> {rss['change_median']:.2f}, "

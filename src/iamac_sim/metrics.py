@@ -144,7 +144,15 @@ class MetricsLedger:
         self.switch_energy[node] += mj
         self.residual_mj[node] -= mj
 
-    def account_sample(self, node):
+    def account_sample(self, node, queue_len, t):
+        """The ledger side of one sample taken at `t` by `node`, whose queue
+        now holds `queue_len` packets: the queue change, one generated packet
+        and the sample's energy, as `queue_changed`, `record_generated` and
+        the sample charge would book them one by one."""
+        self._queue_integral[node] += self._queue_len[node] * (t - self._queue_last_t[node])
+        self._queue_len[node] = queue_len
+        self._queue_last_t[node] = t
+        self.generated_packets += 1
         mj = self.table.sample_mj
         self.sample_energy[node] += mj
         self.residual_mj[node] -= mj

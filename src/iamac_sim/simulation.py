@@ -4,18 +4,23 @@ independent runs share nothing."""
 
 from __future__ import annotations
 
+import math
 from itertools import count
+from numbers import Integral, Real
 
 from .channel import dbm_to_mw
+from .config import ConfigError
 from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
 from .metrics import MetricsLedger
-from .packets import PacketKind, make_data_packet
+from .packets import Packet, PacketKind, make_data_packet
 from .routing import build_tree, disjoint_nodes, estimate_links, preset_tree, tree_is_acyclic
 from .topology import Topology, random_topology
 
 SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
+# an Enum member read through its class costs about 0.1 us, once per sample
+DATA = PacketKind.DATA
 
 
 class Node:
@@ -68,6 +73,26 @@ class Node:
         self.ledger.record_death(self.engine.now)
         self.medium.abort_receptions(self.id)
 
+    # -- traffic --------------------------------------------------------------
+
+    def sample(self, ev):
+        """One sample while the run goes on and the node lives: the packet
+        `Simulation.inject` would queue, its ledger side in one call, and the
+        sampling event re-armed."""
+        sim = self.sim
+        if sim.stopped or not self.alive:
+            return
+        sc = sim.scenario
+        nid = self.id
+        now = self.engine.now
+        queue = self.queue
+        payload = sc.payload_bytes
+        # `make_data_packet` built in place, in its field order
+        queue.append(Packet(DATA, nid, sim.route_states[nid].parent or 0, payload,
+                            sc.header_bytes, now, nid, payload, next(sim._uids)))
+        self.ledger.account_sample(nid, len(queue), now)
+        self.engine.reschedule(ev, now + sc.sampling_interval_s)
+
     # -- medium callbacks -----------------------------------------------------
 
     def on_air_rise(self, tx):
@@ -98,6 +123,27 @@ class Node:
         driver = self.sim.driver
         if driver is not None:
             driver.on_corrupt(self, tx)
+
+
+def _is_time(x):
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
+
+
+def _contention_fault(protocol, w, plan):
+    """Why `plan` is not one injected contention plan under `protocol`, or
+    None: IAMAC takes a `(slot, backoff)` pair, with an int slot in `[0, w)`;
+    S-MAC and adaptive S-MAC take a delay. Times are finite seconds >= 0."""
+    if protocol == "iamac":
+        if not isinstance(plan, (tuple, list)) or len(plan) != 2:
+            return f"IAMAC takes (slot, backoff) pairs, got {plan!r}"
+        slot, backoff = plan
+        if not isinstance(slot, Integral) or isinstance(slot, bool) or not 0 <= slot < w:
+            return f"slot {slot!r} is not an int in [0, {w})"
+        if not _is_time(backoff):
+            return f"backoff {backoff!r} is not a time in seconds >= 0"
+    elif not _is_time(plan):
+        return f"S-MAC takes a delay in seconds >= 0, got {plan!r}"
+    return None
 
 
 class Simulation:
@@ -132,6 +178,11 @@ class Simulation:
         # each node's injected contention plans, popped by the MAC in order
         self.fixed_contention = {nid: list(plans)
                                  for nid, plans in (fixed_contention or {}).items()}
+        for nid, plans in self.fixed_contention.items():
+            for plan in plans:
+                why = _contention_fault(scenario.protocol, scenario.w, plan)
+                if why is not None:
+                    raise ConfigError(f"fixed_contention: node {nid}: {why}")
         # the one recording switch; it may be set any time before `run`
         self.trace_enabled = trace
         self.trace_log = []
@@ -215,15 +266,7 @@ class Simulation:
             if node.id == self.topo.sink:
                 continue
             first = rng.uniform(0.0, interval)
-            self.engine.schedule(first, lambda ev, nid=node.id: self._sample(ev, nid))
-
-    def _sample(self, ev, nid):
-        if self.stopped:
-            return
-        if self.nodes[nid].alive:
-            self.inject(nid, self.scenario.payload_bytes)
-            self.ledger.account_sample(nid)
-            self.engine.reschedule(ev, self.engine.now + self.scenario.sampling_interval_s)
+            self.engine.schedule(first, node.sample)
 
     def inject(self, origin, payload_len):
         """A new data packet, born now at `origin` and queued there for its parent."""

@@ -1,12 +1,12 @@
 import pytest
 
-from iamac_sim.config import Scenario, desk_preset
+from iamac_sim.config import ConfigError, Scenario, desk_preset
 from iamac_sim.mac_smac import SmacDriver
 from iamac_sim.packets import PacketKind, airtime
 from iamac_sim.simulation import Simulation
 
 def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
-              sampling=1000.0):
+              sampling=1000.0, fixed_contention=None):
     """A->B->C->D line, data flows toward node 0."""
     n = hops + 1
     positions = [(6.0 * k, 0.0) for k in range(n)]
@@ -15,7 +15,8 @@ def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
                   horizon_s=horizon_s, shadowing_sigma=0.0,
                   stop_on_first_death=False, smac_adaptive_err=0.0,
                   seed=seed).validate()
-    return Simulation(sc, positions, parents={k: k - 1 for k in range(1, n)})
+    return Simulation(sc, positions, parents={k: k - 1 for k in range(1, n)},
+                      fixed_contention=fixed_contention)
 
 
 def test_injected_packets_are_counted_and_conserved():
@@ -141,6 +142,37 @@ def test_one_packet_over_a_clean_link_arrives_at_the_frame_plans_instant(protoco
                     + sc.control_air + sc.sifs_s + sc.control_air + sc.sifs_s
                     + airtime(29 + sc.header_bytes, sc.radio_speed))
         assert sim.ledger.delivered_records[0][2] == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("protocol, plan", [
+    ("smac", (3, 0.001)),                # an IAMAC (slot, backoff) pair
+    ("adaptive-smac", (0, 0.0)),
+    ("smac", -0.001),
+    ("adaptive-smac", float("nan")),
+    ("smac", True),
+    ("iamac", 0.001),                    # an S-MAC delay
+    ("iamac", (8, 0.001)),               # slot beyond w - 1 = 7
+    ("iamac", (-1, 0.001)),
+    ("iamac", (2.0, 0.001)),
+    ("iamac", (2, -0.001)),
+    ("iamac", (2, float("inf"))),
+    ("iamac", (2, 0.001, 0.0)),
+])
+def test_a_contention_plan_of_the_wrong_shape_is_a_config_error(protocol, plan):
+    """A plan the MAC cannot read is refused when the run is built, naming the
+    node, not with a TypeError inside the run."""
+    with pytest.raises(ConfigError, match=r"fixed_contention: node 1: "):
+        chain_sim(protocol, hops=1, fixed_contention={1: [plan]})
+
+
+@pytest.mark.parametrize("protocol, plans", [
+    ("smac", [0.0, 0.001, 1]),
+    ("adaptive-smac", [0.032]),
+    ("iamac", [(0, 0.0), (7, 0.0012), [3, 0]]),
+])
+def test_a_contention_plan_of_the_right_shape_is_taken(protocol, plans):
+    sim = chain_sim(protocol, hops=1, fixed_contention={1: plans})
+    assert sim.fixed_contention == {1: plans}
 
 
 @pytest.mark.parametrize("seed", [2, 3])

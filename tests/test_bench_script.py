@@ -151,3 +151,37 @@ def test_pairs_refuses_a_run_with_the_wrong_output(bench, tmp_path, monkeypatch,
         run_pairs(bench, tmp_path)
     assert exc.value.code not in (0, None)
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("case, holds", [
+    ("ten wins, far beyond the parent's IQR", True),
+    ("nine wins, beyond the IQR", True),
+    ("eight wins", False),
+    ("ten wins inside the IQR", False),
+])
+def test_pairs_claims_a_gain_only_by_the_win_and_spread_rule(bench, tmp_path, monkeypatch,
+                                                              capsys, case, holds):
+    """A gain holds when the change wins at least 9 of 10 pairs and its median
+    beats the parent's by more than the parent's interquartile range."""
+    parent = [1.0 + 0.01 * i for i in range(10)]          # IQR 0.055
+    if case.startswith("ten wins, far"):
+        change = [p - 0.2 for p in parent]
+    elif case.startswith("nine"):
+        change = [p - 0.2 for p in parent]
+        change[3] = parent[3] + 0.01
+    elif case.startswith("eight"):
+        change = [p - 0.2 for p in parent]
+        change[3], change[6] = parent[3] + 0.01, parent[6]
+    else:
+        change = [p - 0.05 for p in parent]
+    stub_runs(bench, monkeypatch, {"parent": parent, "change": change},
+              rss={"parent": parent, "change": change})
+    assert run_pairs(bench, tmp_path) == 0
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())["pairs"]["paper-iamac@1"]
+    assert rec["claim_holds"] is holds
+    assert rec["peak_rss_mb_summary"]["claim_holds"] is holds
+    # the set-ups are all equal: no win, no gain
+    assert rec["setup_s_summary"]["claim_holds"] is False
+    answer = "yes" if holds else "no"
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        f"paper-iamac@1: claim holds: run_s {answer}, setup_s no, peak_rss_mb {answer}; ")

@@ -1,8 +1,14 @@
+import math
+from collections import Counter
+
 import numpy as np
+import pytest
 
 from iamac_sim.config import desk_preset
 from iamac_sim.fixtures import build_fig6, FIG6_B, FIG6_C, FIG6_E
 from iamac_sim.mac_iamac import IamacDriver
+from iamac_sim.packets import PacketKind
+from iamac_sim.recovery import rts_success_prob
 from iamac_sim.simulation import Simulation
 
 
@@ -193,3 +199,66 @@ def test_delivery_times_fall_inside_comm_windows():
     for origin, born, delivered, payload in sim.ledger.delivered_records:
         offset = delivered % frame
         assert offset >= active - 1e-9
+
+
+def star_rts_per_frame(n, radius, seed, horizon_s):
+    """Per frame, the RTSs the n children of a placed IAMAC star sent and the
+    RTSs its parent decoded: saturated children at `radius` m on a circle
+    around the parent, 8 dBm, no shadowing, w = 8."""
+    sc = desk_preset(node_count=n + 1, seed=seed, shadowing_sigma=0.0,
+                     sampling_interval_s=0.05, horizon_s=horizon_s, battery_mah=2400.0,
+                     stop_on_first_death=False)
+    assert (sc.protocol, sc.w, sc.output_power_dbm) == ("iamac", 8, 8.0)
+    positions = [(0.0, 0.0)] + [(radius * math.cos(2.0 * math.pi * k / n),
+                                 radius * math.sin(2.0 * math.pi * k / n))
+                                for k in range(n)]
+    sim = Simulation(sc, positions, parents={k: 0 for k in range(1, n + 1)})
+    sent, decoded = Counter(), Counter()
+    transmit, on_packet = sim.medium.transmit, sim.nodes[0].on_packet
+
+    def counting_transmit(sender, packet, on_resolved=None):
+        if packet.kind is PacketKind.RTS:
+            sent[sim.frame_idx] += 1
+        return transmit(sender, packet, on_resolved)
+
+    def counting_on_packet(pkt, sinr):
+        if pkt.kind is PacketKind.RTS:
+            decoded[sim.frame_idx] += 1
+        on_packet(pkt, sinr)
+
+    sim.medium.transmit = counting_transmit
+    sim.nodes[0].on_packet = counting_on_packet
+    sim.run()
+    return sim, sent, decoded
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hidden_contention_follows_the_distinct_slot_form(n):
+    """Children hidden from each other collide only on the same mini slot:
+    the frame plan's slots are longer than the largest backoff plus an RTS.
+    So where all n sent, all n RTSs get through with the distinct-slot
+    probability; at n = 3 the printed form is half of it."""
+    full = all_decoded = 0
+    for seed in (1, 2, 3):
+        sim, sent, decoded = star_rts_per_frame(n, 14.5, seed, horizon_s=150.0)
+        children = range(1, n + 1)
+        assert all(set(sim.topo.sense_out[c]).isdisjoint(children) for c in children)
+        full += sum(1 for k in sent.values() if k == n)
+        all_decoded += sum(1 for f, k in sent.items() if k == n and decoded[f] == n)
+    assert full > 300
+    share = all_decoded / full
+    p = rts_success_prob(n, 8, "distinct-slot")
+    assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / full)
+    if n == 3:
+        p = rts_success_prob(n, 8, "paper")
+        assert abs(share - p) > 4.0 * math.sqrt(p * (1.0 - p) / full)
+
+
+def test_sensing_children_get_every_rts_through():
+    """Children in each other's sense range defer to the first RTS they hear,
+    so the parent decodes every RTS sent."""
+    sim, sent, decoded = star_rts_per_frame(3, 9.0, seed=1, horizon_s=150.0)
+    children = range(1, 4)
+    assert all(set(children) - {c} <= set(sim.topo.sense_out[c]) for c in children)
+    assert sum(sent.values()) > 150
+    assert decoded == sent

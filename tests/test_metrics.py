@@ -1,5 +1,7 @@
+import hashlib
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from iamac_sim import metrics
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.energy import EnergyTable, RadioState
+from iamac_sim.harness import star_simulation
 from iamac_sim.metrics import MetricsLedger, colliding_sets
 from iamac_sim.packets import make_data_packet
 from iamac_sim.simulation import Simulation
@@ -208,6 +211,68 @@ def test_queue_time_weighted_mean(table):
     ledger.close_queues(10.0)         # len 0 for [7,10)
     # node 0 integral = 20 over 10 s, node 1 contributes zero
     assert ledger.mean_queue_len() == pytest.approx(20.0 / (10.0 * 2))
+
+
+def ledger_digest(ledger):
+    """SHA-256 over each node's sample energy, residual energy and queue
+    integral, as exact hex floats, and the generated packet count: the
+    ledger floats a run's CSV shows only through sums or not at all."""
+    h = hashlib.sha256()
+    for node in range(ledger.n):
+        h.update(" ".join(v.hex() for v in (ledger.sample_energy[node], ledger.residual_mj[node],
+                                             ledger._queue_integral[node])).encode() + b"\n")
+    h.update(str(ledger.generated_packets).encode())
+    return h.hexdigest()
+
+
+# digests of two runs, recorded when each sample still went through `inject`,
+# `record_generated`, `queue_changed` and a separate sample charge
+PINNED_LEDGER = {
+    "star-seda-200s": (15000, "91a2fff734723254a58ebd6e8c277f4458803d757235a038dc0b114876dc595f"),
+    "desk-4": (294, "198d03c5a42d7faccac3db4f84266f8dfc8b40f7c0084241cb602497dde732aa"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_LEDGER))
+def test_sampling_books_the_pinned_ledger_floats(run):
+    if run == "star-seda-200s":
+        # the benchmark's saturated star, cut to 200 s: no battery depletes
+        sc = desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
+                         horizon_s=200.0, sampling_interval_s=0.08, recovery="seda",
+                         shadowing_sigma=0.0, battery_mah=2400.0,
+                         stop_on_first_death=False)
+        sim = star_simulation(sc)
+    else:
+        sim = Simulation(desk_preset(seed=4, horizon_s=120.0, stop_on_first_death=False))
+    sim.run()
+    assert (sim.ledger.generated_packets, ledger_digest(sim.ledger)) == PINNED_LEDGER[run]
+
+
+def test_a_sampled_packet_is_the_packet_inject_builds():
+    """Sampling builds its packet in place and books it in one ledger call;
+    injecting at each sample's instant on a twin run gives the same packets,
+    field for field, and the same queue accounts. Node 3 is a root, so its
+    packets are addressed to node 0."""
+    sc = Scenario(node_count=4, seed=5, sampling_interval_s=0.05, horizon_s=12.0,
+                  shadowing_sigma=0.0, stop_on_first_death=False).validate()
+    positions = [(0.0, 0.0), (6.0, 0.0), (12.0, 0.0), (0.0, 6.0)]
+    sampled, injected = (Simulation(sc, positions, parents={1: 0, 2: 1}) for _ in range(2))
+    for sim in (sampled, injected):
+        sim.bootstrap_routing()
+    sampled.start_traffic()
+    sampled.engine.run_until(2.0)
+    packets = sorted((p for node in sampled.nodes for p in node.queue), key=lambda p: p.uid)
+    assert {p.dst for p in packets} == {0, 1} and len(packets) > 100
+    for p in packets:
+        injected.engine.schedule(p.born_at, lambda ev, origin=p.origin:
+                                 injected.inject(origin, sc.payload_bytes))
+    injected.engine.run_until(2.0)
+    for mine, theirs in zip(sampled.nodes, injected.nodes):
+        assert [astuple(p) for p in mine.queue] == [astuple(p) for p in theirs.queue]
+    for name in ("generated_packets", "_queue_len", "_queue_last_t", "_queue_integral"):
+        assert getattr(sampled.ledger, name) == getattr(injected.ledger, name)
+    # only the sample pays its energy
+    assert sampled.ledger.sample_energy[1] > 0.0 == injected.ledger.sample_energy[1]
 
 
 def remove_one_uid_at_a_time(sim, nid, uids):
