@@ -5,10 +5,9 @@ SINR); link-budget callers in dB convert with `dbm_to_mw`."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 MIN_DISTANCE_M = 1e-3  # link budgets treat closer nodes as this far apart
 
@@ -79,8 +78,15 @@ def dbm_to_mw(dbm):
 
 # Gauss-Hermite abscissas for marginalizing N(0, sigma) shadowing.
 _GH_POINTS = 33
-_gh_x, _gh_w = np.polynomial.hermite_e.hermegauss(_GH_POINTS)
-_gh_w = _gh_w / _gh_w.sum()
+
+
+@functools.cache
+def _gauss_hermite():
+    # computed on first use: importing numpy.polynomial costs about 2 MiB
+    import numpy.polynomial.hermite_e
+
+    x, w = numpy.polynomial.hermite_e.hermegauss(_GH_POINTS)
+    return x, w / w.sum()
 
 
 def expected_prr(model, tx_power_dbm, d, length_bytes):
@@ -88,7 +94,7 @@ def expected_prr(model, tx_power_dbm, d, length_bytes):
     if model.shadowing_sigma == 0.0:
         return model.packet_reception_prob(dbm_to_mw(model.snr(tx_power_dbm, d)), length_bytes)
     total = 0.0
-    for x, w in zip(_gh_x, _gh_w):
+    for x, w in zip(*_gauss_hermite()):
         s = model.shadowing_sigma * x
         snr = dbm_to_mw(model.snr(tx_power_dbm, d, s))
         total += w * model.packet_reception_prob(snr, length_bytes)

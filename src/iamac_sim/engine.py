@@ -94,28 +94,43 @@ def _label_key(label):
     return zlib.crc32(label.encode("utf-8"))
 
 
-# doubles a Draws takes from its Generator at a time
+# words a Draws takes from its bit generator at a time
 BLOCK = 1024
+# PCG64's next_double: the top 53 bits of a word, scaled to [0, 1)
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+
+def _doubles(words):
+    return (words >> 11) * _DOUBLE_SCALE
 
 
 class Draws:
-    """One stream's doubles, drawn from its Generator BLOCK at a time and
-    handed out in order. Every call returns the values the same call on the
-    Generator would (`random()`, `uniform(lo, hi)`, `random(k)`), because a
-    vector draw takes the same doubles as that many scalar draws."""
+    """One stream's draws, taken from its bit generator as raw 64-bit words
+    BLOCK at a time and handed out in order. Every call returns the values the
+    same call on a Generator over that bit generator would (`random()`,
+    `uniform(lo, hi)`, `random(k)`, `integers(lo, hi)`), because a vector draw
+    takes the same words as that many scalar draws and a double is the top 53
+    bits of one word."""
 
-    __slots__ = ("_gen", "_block", "_left")
+    __slots__ = ("_bitgen", "_raw", "_block", "_left", "_half")
 
-    def __init__(self, gen):
-        self._gen = gen
+    def __init__(self, bitgen):
+        self._bitgen = bitgen
+        self._raw = np.empty(0, dtype=np.uint64)
         self._block = np.empty(0)
-        self._left = []   # the block's unread doubles, next one last
+        self._left = []    # the block's unread doubles, next one last
+        self._half = None  # upper half of the word the last integers() split
+
+    def _refill(self):
+        self._raw = self._bitgen.random_raw(BLOCK)
+        self._block = _doubles(self._raw)
+        self._left = self._block[::-1].tolist()
+        return self._left
 
     def random(self):
         left = self._left
         if not left:
-            self._block = self._gen.random(BLOCK)
-            left = self._left = self._block[::-1].tolist()
+            left = self._refill()
         return left.pop()
 
     def uniform(self, lo, hi):
@@ -129,9 +144,40 @@ class Draws:
         if k <= len(left):
             del left[len(left) - k:]
             return self._block[start:start + k]
-        out = np.concatenate((self._block[start:], self._gen.random(k - len(left))))
+        out = np.concatenate((self._block[start:],
+                              _doubles(self._bitgen.random_raw(k - len(left)))))
         left.clear()
         return out
+
+    def integers(self, lo, hi):
+        """`Generator.integers(lo, hi)` as a Python int, for 1 <= hi - lo < 2**32.
+
+        numpy draws it by Lemire's multiply-shift rejection over 32-bit
+        draws, and PCG64 makes a 32-bit draw from the low half of a fresh word
+        while it keeps the upper half for the next 32-bit draw. Doubles never
+        touch that kept half, so it waits here across any `random`, `uniform`,
+        `take` and block refill. A span of 1 draws nothing."""
+        span = hi - lo
+        if not 1 <= span < 0x100000000:
+            raise ValueError(f"integers({lo}, {hi}): span must be in [1, 2**32)")
+        if span == 1:
+            return lo
+        # numpy's threshold (UINT32_MAX - (span - 1)) % span
+        threshold = 0x100000000 % span
+        while True:
+            u32 = self._half
+            if u32 is None:
+                left = self._left
+                if not left:
+                    left = self._refill()
+                left.pop()
+                word = int(self._raw[len(self._raw) - len(left) - 1])
+                u32, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._half = None
+            m = u32 * span
+            if m & 0xFFFFFFFF >= threshold:
+                return lo + (m >> 32)
 
 
 class RandomStreams:
@@ -140,7 +186,7 @@ class RandomStreams:
     Draw order within a label never perturbs other labels, so adding a
     consumer of one stream cannot change another stream's sequence. A label
     is handed out in one form only: as a numpy Generator by `stream`, or as
-    block-drawn doubles by `draws`.
+    block-drawn words by `draws`.
     """
 
     def __init__(self, seed):
@@ -157,9 +203,8 @@ class RandomStreams:
         got = self._streams.get(label)
         if got is None:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_label_key(label),))
-            got = np.random.default_rng(ss)
-            if form is Draws:
-                got = Draws(got)
+            bitgen = np.random.PCG64(ss)
+            got = Draws(bitgen) if form is Draws else np.random.Generator(bitgen)
             self._streams[label] = got
         elif not isinstance(got, form):
             raise ValueError(f"random stream {label!r} is already handed out "

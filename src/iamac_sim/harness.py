@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import Scenario
@@ -73,6 +72,9 @@ def sweep(base, param, values, seeds, workers=0):
     # a pool may start all its workers at once: no more than there are points
     workers = min(workers, len(points))
     if workers > 1:
+        # imported here, so runs that start no pool do not load it (about 1 MiB)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_point, points))
     else:

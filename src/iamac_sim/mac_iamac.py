@@ -43,7 +43,7 @@ class IamacDriver:
         self.rts_air = sc.control_air
         self.plan = sc.frame_plan()
         self.period = self.plan.cycle
-        self.rng = sim.streams.stream("contention")
+        self.rng = sim.streams.draws("contention")
         self.states = [IamacNodeState() for _ in range(sim.topo.n)]
         self.phase = "idle"
         self.cycle_start = 0.0
@@ -99,7 +99,7 @@ class IamacDriver:
         if injected:
             slot, backoff = injected.pop(0)
         else:
-            slot = min_slot + int(self.rng.integers(0, remaining))
+            slot = min_slot + self.rng.integers(0, remaining)
             backoff = plan.max_backoff * self.rng.random()
         st.awaiting = False
         st.window_start = plan.mini_slot_start(self.cycle_start, slot)
@@ -121,8 +121,8 @@ class IamacDriver:
             return
         parent = sim.parent_of(nid)
         sc = sim.scenario
-        rts = Packet(kind=PacketKind.RTS, src=nid, dst=parent,
-                     length=sc.control_bytes, header=sc.header_bytes)
+        # positional, in field order: kind, src, dst, length, header
+        rts = Packet(PacketKind.RTS, nid, parent, sc.control_bytes, sc.header_bytes)
         sim.medium.transmit(nid, rts)
         st.sent_rts = True
         st.cancel_cts = True
@@ -209,8 +209,7 @@ class IamacDriver:
         if not node.alive or idx >= len(st.grants):
             return
         sc = self.sim.scenario
-        cts = Packet(kind=PacketKind.CTS, src=nid, dst=st.grants[idx],
-                     length=sc.control_bytes, header=sc.header_bytes)
+        cts = Packet(PacketKind.CTS, nid, st.grants[idx], sc.control_bytes, sc.header_bytes)
         self.sim.medium.transmit(nid, cts,
                                  on_resolved=lambda tx: self._send_cts(nid, idx + 1))
 

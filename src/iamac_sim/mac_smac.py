@@ -13,10 +13,8 @@ reception elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .energy import RadioState
-from .packets import Packet, PacketKind, airtime
+from .packets import Packet, PacketKind, airtime, readdressed
 
 
 class SmacNodeState:
@@ -217,7 +215,7 @@ class SmacDriver:
         st = self.states[nid]
         if not node.alive or st.role is None or not node.queue:
             return
-        data = replace(node.queue[0], src=nid, dst=st.peer, header=sim.scenario.header_bytes)
+        data = readdressed(node.queue[0], nid, st.peer, sim.scenario.header_bytes)
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)

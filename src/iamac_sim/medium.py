@@ -39,16 +39,6 @@ class Transmission:
         self.on_resolved = on_resolved
 
 
-class Reception:
-    """One listener's reception of one transmission; `Medium.receptions` keys it by both."""
-    __slots__ = ("wanted_mw", "max_other_mw", "interferers")
-
-    def __init__(self, wanted_mw, other_mw, track_interferers):
-        self.wanted_mw = wanted_mw
-        self.max_other_mw = other_mw
-        self.interferers = set() if track_interferers else None
-
-
 class Medium:
     def __init__(self, engine, topology, streams, control_corruption_disabled=False):
         self.engine = engine
@@ -65,11 +55,16 @@ class Medium:
         n = topology.n
         self.nodes = [None] * n          # wired by the simulation
         self.onair_mw = [0.0] * n        # summed on-air power present at each node
-        self.receptions = [dict() for _ in range(n)]  # listener -> {tx: Reception}
+        # listener -> {tx: [wanted_mw, max_other_mw, interferers]}: one open
+        # reception's received power, its worst-case interference so far, and
+        # for the addressee of a data frame the set of concurrent data senders
+        # it heard (None otherwise)
+        self.receptions = [dict() for _ in range(n)]
         self.active_data = set()
 
-        # fn(tx, rec), wired by the simulation: once per data frame at its last
-        # bit, with the addressee's reception or None when it resolved none
+        # fn(tx, interferers), wired by the simulation: once per data frame at
+        # its last bit, with the addressee's interferer set or None when the
+        # addressee resolved no reception
         self.on_data_resolved = None
 
     # -- state queries ---------------------------------------------------
@@ -104,9 +99,9 @@ class Medium:
             open_here = receptions[j]
             if open_here:
                 for rec in open_here.values():
-                    other = total - rec.wanted_mw
-                    if other > rec.max_other_mw:
-                        rec.max_other_mw = other
+                    other = total - rec[0]
+                    if other > rec[1]:
+                        rec[1] = other
 
         sense_in = self.topo.sense_in
         dst = packet.dst
@@ -122,15 +117,15 @@ class Medium:
             if is_data:
                 # this sender becomes an interferer of every data reception open at j
                 for rec in open_here.values():
-                    if rec.interferers is not None:
-                        rec.interferers.add(sender)
+                    if rec[2] is not None:
+                        rec[2].add(sender)
             # only the addressee's data reception feeds the colliding set
-            rec = open_here[tx] = Reception(p, onair[j] - p, is_data and j == dst)
-            if rec.interferers is not None:
+            interferers = None
+            if is_data and j == dst:
                 heard = sense_in[j]
-                for other_tx in active_data:
-                    if other_tx is not tx and other_tx.sender in heard:
-                        rec.interferers.add(other_tx.sender)
+                interferers = {other_tx.sender for other_tx in active_data
+                               if other_tx is not tx and other_tx.sender in heard}
+            open_here[tx] = [p, onair[j] - p, interferers]
 
         self.engine.schedule(tx.t_end, lambda ev: self._end_transmission(tx))
         return tx.t_end
@@ -173,7 +168,7 @@ class Medium:
         random = self.rng.random
         noise_mw = self.noise_mw
         dst = pkt.dst
-        addressee = None
+        interferers = None
         receptions = self.receptions
         for j in self.sense_out[sender][0]:
             node = nodes[j]
@@ -186,7 +181,7 @@ class Medium:
             if rec is None:
                 node.on_air_resolved_corrupt(tx)
                 continue
-            sinr = rec.wanted_mw / (noise_mw + rec.max_other_mw)
+            sinr = rec[0] / (noise_mw + rec[1])
             if always:
                 delivered = True
             else:
@@ -196,13 +191,13 @@ class Medium:
                 prr = (1.0 - bit_error_rate(sinr)) ** bits
                 delivered = prr >= 1.0 or random() < prr
             if j == dst:
-                addressee = rec
+                interferers = rec[2]
             if delivered:
                 node.on_packet(pkt, sinr)
             else:
                 node.on_air_resolved_corrupt(tx)
         if is_data:
-            self.on_data_resolved(tx, addressee)
+            self.on_data_resolved(tx, interferers)
         if tx.on_resolved is not None:
             tx.on_resolved(tx)
 

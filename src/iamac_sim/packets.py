@@ -52,3 +52,10 @@ def make_data_packet(uid, origin, dst, born_at, payload_len, header):
     # origin, payload_len, uid
     return Packet(PacketKind.DATA, origin, dst, payload_len, header, born_at,
                   origin, payload_len, uid)
+
+
+def readdressed(pkt, src, dst, header):
+    """`pkt` as `dataclasses.replace(pkt, src=src, dst=dst, header=header)`
+    gives it, built positionally in field order."""
+    return Packet(pkt.kind, src, dst, pkt.length, header, pkt.born_at, pkt.origin,
+                  pkt.payload_len, pkt.uid, pkt.exchange_end, pkt.block_uids)

@@ -9,10 +9,9 @@ lossy medium; their agreement with the closed forms is an acceptance gate.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .config import Scenario
-from .packets import Packet, PacketKind, airtime
+from .packets import Packet, PacketKind, airtime, readdressed
 
 
 # -- contention analytics ---------------------------------------------------
@@ -208,8 +207,7 @@ class ArqSession(_SessionBase):
             return
         self.attempts += 1
         sc = self.sc
-        data = replace(self.current, src=self.child, dst=self.parent,
-                       header=sc.header_bytes)
+        data = readdressed(self.current, self.child, self.parent, sc.header_bytes)
         t_end = self.medium.transmit(self.child, data)
         # the instant-ack case resolves exactly at t_end + ack airtime; the
         # 1 us slack keeps the timeout strictly after that resolution

@@ -322,13 +322,13 @@ class Simulation:
 
     # -- metrics hooks -----------------------------------------------------------------
 
-    def _data_resolved(self, tx, rec):
+    def _data_resolved(self, tx, interferers):
         # the addressee's own reception only: bystanders have no colliding set
-        if rec is not None:
-            self.ledger.record_data_reception(tx.packet.dst, tx.sender, rec.interferers)
+        if interferers is not None:
+            self.ledger.record_data_reception(tx.packet.dst, tx.sender, interferers)
         if self.trace_enabled:
             self.data_log.append((tx.sender, tx.packet.dst, tx.t_start, tx.t_end,
-                                  self.frame_idx, None if rec is None else rec.interferers))
+                                  self.frame_idx, interferers))
 
     # -- run ----------------------------------------------------------------------------
 

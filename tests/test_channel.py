@@ -106,7 +106,8 @@ def resolved_sinr_db(wanted_mw, interference_mw):
     frame = Packet(kind=PacketKind.SEDA_BLOCK, src=1, dst=0, length=29, header=16)
     end = sim.medium.transmit(1, frame)
     (rec,) = sim.medium.receptions[0].values()
-    rec.wanted_mw, rec.max_other_mw = wanted_mw, interference_mw
+    # [wanted_mw, max_other_mw, interferers]
+    rec[0], rec[1] = wanted_mw, interference_mw
     sim.engine.run_until(end + 1e-9)
     (sinr,) = got
     return 10.0 * math.log10(sinr)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iamac_sim.engine import BLOCK, Engine, RandomStreams
@@ -217,8 +217,9 @@ def test_uniform_mean_smoke():
 #
 # The MACs draw `b * rng.random()` where `rng.uniform(0.0, b)` stood, Seda
 # draws its per-block corruption as one vector, and a `Draws` hands out a
-# stream's doubles from block draws; all keep every value and the stream
-# position. A numpy change to any of these formulas fails here.
+# stream's doubles and bounded integers from block-drawn raw words; all keep
+# every value and the stream position. A numpy change to any of these
+# formulas fails here.
 
 @settings(max_examples=200, deadline=None)
 @given(bounds=st.lists(st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
@@ -246,12 +247,12 @@ def test_vector_block_draws_equal_the_scalar_loop(n):
 
 BOUND = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
 # ("random", m): m calls in a row, so sequences cross block refills
-DRAW_CALLS = st.lists(st.one_of(
+DRAW_CALL = st.one_of(
     st.tuples(st.just("random"), st.integers(min_value=1, max_value=BLOCK + 10)),
     st.tuples(st.just("uniform"), BOUND, BOUND),
     st.tuples(st.just("take"), st.sampled_from([0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1,
-                                                2 * BLOCK + 5]))),
-    max_size=12)
+                                                2 * BLOCK + 5])))
+DRAW_CALLS = st.lists(DRAW_CALL, max_size=12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,6 +272,53 @@ def test_block_draws_equal_the_generator_calls(calls, seed):
             assert draws.take(call[1]).tolist() == gen.random(call[1]).tolist()
     # both left the stream at the same position
     assert draws.random() == gen.random()
+
+
+SPANS = [1, 2, 3, 8, 1000, 2**31 + 7, 2**32 - 1]
+# ("integers", lo, span, m): m calls of integers(lo, lo + span) in a row; an
+# odd m leaves the upper half of a word pending
+MIXED_CALLS = st.lists(st.one_of(
+    DRAW_CALL,
+    st.tuples(st.just("integers"), st.integers(min_value=-10**6, max_value=10**6),
+              st.sampled_from(SPANS), st.integers(min_value=1, max_value=9))),
+    max_size=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=MIXED_CALLS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+# a half word pending at a refill: the block's last word is split, the next
+# double refills, and the kept half feeds the next integers() call
+@example(calls=[("random", BLOCK - 1), ("integers", 0, 8, 1), ("random", 1),
+                ("integers", 0, 8, 1), ("take", BLOCK), ("integers", 5, 1000, 3)],
+         seed=7)
+# the same through `take` across the refill, with rejections on a 2**31 + 7 span
+@example(calls=[("take", BLOCK - 1), ("integers", 0, 2**31 + 7, 3),
+                ("take", BLOCK + 1), ("integers", -3, 2**32 - 1, 5)], seed=11)
+def test_block_integers_equal_the_generator_calls(calls, seed):
+    draws = RandomStreams(seed).draws("contention")
+    gen = RandomStreams(seed).stream("contention")
+    for call in calls:
+        if call[0] == "integers":
+            _, lo, span, m = call
+            got = [draws.integers(lo, lo + span) for _ in range(m)]
+            assert got == [gen.integers(lo, lo + span) for _ in range(m)]
+            assert all(type(x) is int for x in got)
+        elif call[0] == "random":
+            assert [draws.random() for _ in range(call[1])] == gen.random(call[1]).tolist()
+        elif call[0] == "uniform":
+            lo, hi = sorted(call[1:])
+            assert draws.uniform(lo, hi) == float(gen.uniform(lo, hi))
+        else:
+            assert draws.take(call[1]).tolist() == gen.random(call[1]).tolist()
+    # both left the stream, and any pending half word, at the same place
+    assert draws.integers(0, 1000) == gen.integers(0, 1000)
+    assert draws.random() == gen.random()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (5, 3), (0, 2**32), (-1, 2**32)])
+def test_block_integers_refuse_a_span_outside_32_bits(lo, hi):
+    with pytest.raises(ValueError, match="span"):
+        RandomStreams(1).draws("contention").integers(lo, hi)
 
 
 def test_a_label_is_handed_out_in_one_form():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 import runpy
@@ -180,12 +181,28 @@ class RecordingPool:
 ])
 def test_sweep_pool_is_no_larger_than_its_points(workers, values, pool_size, monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # `sweep` looks the pool up in concurrent.futures only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_sweep_point", lambda point: (point[2], point[3], {
         "status": "ok"}))
     table, _ = sweep(Scenario(), "sampling_interval_s", values, [3], workers=workers)
     assert sorted(table) == [(v, 3) for v in values]
     assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_importing_the_package_loads_no_pool_and_no_polynomial_module():
+    """The Gauss-Hermite nodes and the process pool are loaded when first
+    used, not at import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "import iamac_sim, iamac_sim.harness, iamac_sim.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('numpy.polynomial', 'concurrent.futures'))))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_records_disjoint_points_and_continues():

@@ -119,7 +119,7 @@ def test_colliding_set_tracks_concurrent_data_senders():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5)])
     seen = []
     sim.medium.on_data_resolved = (
-        lambda tx, rec: seen.append((tx.packet.dst, tx.sender, set(rec.interferers))))
+        lambda tx, interferers: seen.append((tx.packet.dst, tx.sender, set(interferers))))
     data = Packet(kind=PacketKind.DATA, src=1, dst=0, length=29, header=16,
                   payload_len=29)
     other = Packet(kind=PacketKind.DATA, src=2, dst=0, length=29, header=16,
@@ -188,7 +188,7 @@ def test_data_reception_is_reported_for_the_addressee_only():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5), (1.0, 1.0)])
     seen = []
     sim.medium.on_data_resolved = (
-        lambda tx, rec: seen.append((tx.packet.dst, tx.sender, set(rec.interferers))))
+        lambda tx, interferers: seen.append((tx.packet.dst, tx.sender, set(interferers))))
     end = sim.medium.transmit(1, data(1, 0))
     sim.engine.schedule(end * 0.5, lambda ev: sim.medium.transmit(2, data(2, 3)))
     sim.engine.run_until(end + 1.0)
@@ -199,7 +199,8 @@ def test_data_frame_its_addressee_missed_is_reported_once_without_a_reception():
     sim = rig([(0.0, 0.0), (3.0, 0.0), (4.0, 0.5)])
     sim.nodes[0].state = RadioState.SLEEP
     seen = []
-    sim.medium.on_data_resolved = lambda tx, rec: seen.append((tx.sender, tx.packet.dst, rec))
+    sim.medium.on_data_resolved = (
+        lambda tx, interferers: seen.append((tx.sender, tx.packet.dst, interferers)))
     end = sim.medium.transmit(1, data(1, 0))
     sim.engine.run_until(end + 1.0)
     # node 2 listens too, but only the addressee's side is reported

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,22 @@ from iamac_sim import harness
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
-from iamac_sim.packets import airtime
+from iamac_sim.packets import Packet, PacketKind, airtime, readdressed
 from iamac_sim.recovery import ArqSession, arq_capacity, rts_success_prob, seda_capacity
 from iamac_sim.simulation import Simulation
+
+
+# -- frame copies ---------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(PacketKind))
+def test_readdressed_equals_dataclasses_replace(kind):
+    pkt = Packet(kind, src=4, dst=9, length=29, header=11, born_at=3.25, origin=2,
+                 payload_len=27, uid=41, exchange_end=7.5, block_uids=(41, 42))
+    # every field away from its default, so a field the copy drops shows
+    assert all(getattr(pkt, f.name) != f.default for f in fields(Packet))
+    got = readdressed(pkt, 5, 1, 16)
+    assert got == replace(pkt, src=5, dst=1, header=16)
+    assert got is not pkt and (pkt.src, pkt.dst, pkt.header) == (4, 9, 11)
 
 
 # -- contention probability ----------------------------------------------------
