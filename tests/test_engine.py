@@ -291,9 +291,10 @@ MIXED_CALLS = st.lists(st.one_of(
 @example(calls=[("random", BLOCK - 1), ("integers", 0, 8, 1), ("random", 1),
                 ("integers", 0, 8, 1), ("take", BLOCK), ("integers", 5, 1000, 3)],
          seed=7)
-# the same through `take` across the refill, with rejections on a 2**31 + 7 span
-@example(calls=[("take", BLOCK - 1), ("integers", 0, 2**31 + 7, 3),
-                ("take", BLOCK + 1), ("integers", -3, 2**32 - 1, 5)], seed=11)
+# the same with a `take` that runs past the block's end, then rejections on
+# a 2**31 + 7 span
+@example(calls=[("random", BLOCK - 1), ("integers", 0, 8, 1), ("take", 3),
+                ("integers", 0, 8, 1), ("integers", -3, 2**31 + 7, 9)], seed=11)
 def test_block_integers_equal_the_generator_calls(calls, seed):
     draws = RandomStreams(seed).draws("contention")
     gen = RandomStreams(seed).stream("contention")
