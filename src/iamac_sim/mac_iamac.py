@@ -93,7 +93,8 @@ class IamacDriver:
         remaining = plan.w - min_slot
         if remaining <= 0:
             st.awaiting = False
-            self.sim.trace(nid, "contention-exhausted")
+            if self.sim.trace_enabled:
+                self.sim.trace(nid, "contention-exhausted")
             return
         injected = self.sim.fixed_contention.get(nid)
         if injected:
@@ -127,7 +128,8 @@ class IamacDriver:
         st.sent_rts = True
         st.cancel_cts = True
         st.received_rtss = []
-        sim.trace(nid, "rts-tx", "dst=%s", parent)
+        if sim.trace_enabled:
+            sim.trace(nid, "rts-tx", "dst=%s", parent)
 
     def _current_mini_slot(self):
         rel = self.engine.now - self.plan.rts_start(self.cycle_start)
@@ -140,7 +142,8 @@ class IamacDriver:
         parent = sim.parent_of(nid)
         if pkt.dst == nid:
             st.received_rtss.append(pkt)
-            sim.trace(nid, "rts-queued", "from=%s", pkt.src)
+            if sim.trace_enabled:
+                sim.trace(nid, "rts-queued", "from=%s", pkt.src)
             if not st.sent_rts:
                 self._cancel_pending(st)
         elif parent is not None and pkt.dst == parent:
@@ -150,16 +153,20 @@ class IamacDriver:
             st.cancel_cts = True
             if st.received_rtss:
                 st.received_rtss = []
-                sim.trace(nid, "rts-queue-deleted", "overheard=%s->%s", pkt.src, pkt.dst)
+                if sim.trace_enabled:
+                    sim.trace(nid, "rts-queue-deleted", "overheard=%s->%s",
+                              pkt.src, pkt.dst)
                 if node.queue and not st.sent_rts:
                     self._pick_contention(nid, self._current_mini_slot() + 1)
-                    sim.trace(nid, "became-prospective-sender")
+                    if sim.trace_enabled:
+                        sim.trace(nid, "became-prospective-sender")
             elif st.pending_ev is not None or st.awaiting:
                 # still contending, so no RTS sent yet
                 self._cancel_pending(st)
                 slot = self._current_mini_slot()
                 self._pick_contention(nid, slot + 1)
-                sim.trace(nid, "repick", "after-slot=%s", slot)
+                if sim.trace_enabled:
+                    sim.trace(nid, "repick", "after-slot=%s", slot)
             # already-transmitted contenders and idle listeners stay as they are
         else:
             self._deactivate(nid, "rts-for-other-pair")
@@ -196,11 +203,13 @@ class IamacDriver:
         if not node.alive or not st.active or st.cancel_cts:
             return
         if sim.medium.carrier_busy(nid):
-            sim.trace(nid, "cts-suppressed-busy")
+            if sim.trace_enabled:
+                sim.trace(nid, "cts-suppressed-busy")
             self._deactivate(nid, "busy-at-cts-timer")
             return
         st.committed_rx = True
-        sim.trace(nid, "cts-train", "grants=%s", st.grants)
+        if sim.trace_enabled:
+            sim.trace(nid, "cts-train", "grants=%s", st.grants)
         self._send_cts(nid, 0)
 
     def _send_cts(self, nid, idx):
@@ -219,7 +228,8 @@ class IamacDriver:
         st = self.states[nid]
         if pkt.dst == nid:
             st.granted = True
-            sim.trace(nid, "granted", "by=%s", pkt.src)
+            if sim.trace_enabled:
+                sim.trace(nid, "granted", "by=%s", pkt.src)
         elif pkt.src == sim.parent_of(nid):
             pass  # a sibling's grant in my own parent's train: mine may follow
         elif st.committed_rx or st.granted:
@@ -289,7 +299,8 @@ class IamacDriver:
         if self.phase == "rts":
             if st.awaiting:
                 self._pick_contention(node.id, self._current_mini_slot() + 1)
-                self.sim.trace(node.id, "repick-undecodable")
+                if self.sim.trace_enabled:
+                    self.sim.trace(node.id, "repick-undecodable")
         elif self.phase == "cts":
             if not (st.committed_rx or st.granted):
                 self._deactivate(node.id, "undecodable-in-cts")
@@ -302,5 +313,6 @@ class IamacDriver:
         st.active = False
         self._cancel_pending(st)
         self.sim.sleep(nid)
-        self.sim.trace(nid, "deactivated", why)
+        if self.sim.trace_enabled:
+            self.sim.trace(nid, "deactivated", why)
 

@@ -9,12 +9,22 @@ estimated exchange end, where they may contend immediately and forward packets
 several hops within one frame; it also wakes the just-finished participants,
 which is exactly what lets a hidden wake-up interfere with an ongoing
 reception elsewhere.
+
+Every timer is a `functools.partial` over a bound method that takes
+`(nid, ev)`, with any further bound arguments between the two, so an event
+reaches its handler without a forwarding frame of its own.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .energy import RadioState
 from .packets import Packet, PacketKind, airtime, readdressed
+
+# an Enum member read through its class costs a lookup on every event
+RTS, CTS, DATA, ACK = PacketKind.RTS, PacketKind.CTS, PacketKind.DATA, PacketKind.ACK
+SLEEP, LISTEN = RadioState.SLEEP, RadioState.LISTEN
 
 
 class SmacNodeState:
@@ -45,6 +55,9 @@ class SmacDriver:
         self.rts_air = sc.control_air
         self.ack_air = airtime(sc.ack_len, sc.radio_speed)
         self.sifs = sc.sifs_s
+        # RTS, SIFS, CTS, SIFS: every exchange's span starts with these, summed
+        # in the order `_exchange_span` adds them
+        self.span_head = self.rts_air + self.sifs + self.rts_air + self.sifs
         self.synch_slot = sc.synch_slot_s
         # listen budget mirrors the slotted MAC's RTS+CTS share for fairness
         self.contention_window = sc.w * sc.mini_slot_s + sc.cts_slot_s
@@ -52,31 +65,32 @@ class SmacDriver:
         self.err = sc.smac_adaptive_err
         self.rng = sim.streams.draws("contention")
         self.rng_adaptive = sim.streams.draws("adaptive")
+        # the tree is fixed once routing has bootstrapped, before the driver
+        self.parents = [st.parent for st in sim.route_states]
         self.states = [SmacNodeState() for _ in range(sim.topo.n)]
         self.cycle_start = 0.0
+        self._listen_end = self.synch_slot + self.contention_window
 
     # -- frame scheduling ------------------------------------------------------
 
     def start(self, t0):
         """Open one frame at `t0`, with fresh node states."""
         self.cycle_start = t0
+        self._listen_end = t0 + self.synch_slot + self.contention_window
         self.states = [SmacNodeState() for _ in self.states]
         self.engine.schedule(t0 + self.synch_slot, self._contention_begin)
 
-    @property
-    def _listen_end(self):
-        return self.cycle_start + self.synch_slot + self.contention_window
-
     def _contention_begin(self, event):
+        parents = self.parents
         for node in self.sim.nodes:
-            if node.alive and node.queue and self.sim.parent_of(node.id) is not None:
+            if node.alive and node.queue and parents[node.id] is not None:
                 self._backoff(node.id)
         # nodes beyond the contention outcome sleep when the listen period ends
         self.engine.schedule(self._listen_end, self._listen_over)
 
     def _listen_over(self, event):
         for node in self.sim.nodes:
-            self._awake_expiry(node.id)
+            self._awake_expiry(node.id, event)
 
     # -- contention -----------------------------------------------------------------
 
@@ -85,8 +99,7 @@ class SmacDriver:
         node = self.sim.nodes[nid]
         sc = self.sim.scenario
         data_air = airtime(node.queue[0].payload_len + sc.header_bytes, sc.radio_speed)
-        return (self.rts_air + self.sifs + self.rts_air + self.sifs
-                + data_air + self.sifs + self.ack_air)
+        return self.span_head + data_air + self.sifs + self.ack_air
 
     def _backoff(self, nid):
         st = self.states[nid]
@@ -99,7 +112,9 @@ class SmacDriver:
         span = self._exchange_span(nid)
         # the RTS must end inside the node's awake span, and the whole
         # exchange inside this frame
-        latest_start = min(max(self._listen_end, st.awake_until) - self.rts_air,
+        listen_end = self._listen_end
+        awake_end = st.awake_until if st.awake_until > listen_end else listen_end
+        latest_start = min(awake_end - self.rts_air,
                            self.cycle_start + self.period - span - 1e-3)
         room = latest_start - now
         if room <= 0:
@@ -111,44 +126,46 @@ class SmacDriver:
             delay = float(injected.pop(0))
         else:
             delay = min(room, self.contention_window / 4) * self.rng.random()
-        st.pending_ev = self.engine.schedule(now + delay, lambda ev: self._attempt(nid))
+        st.pending_ev = self.engine.schedule(now + delay, partial(self._attempt, nid))
 
-    def _attempt(self, nid):
+    def _attempt(self, nid, ev):
         sim = self.sim
         node = sim.nodes[nid]
         st = self.states[nid]
         st.pending_ev = None
         if (not node.alive or st.role is not None or st.done_frame
-                or not node.queue or node.state is not RadioState.LISTEN):
+                or not node.queue or node.state is not LISTEN):
             return
         assert self.engine.now >= st.nav_until, "transmission during NAV"
         if sim.medium.sensed_since(nid, st.window_start):
             st.awaiting = True
             return
-        parent = sim.parent_of(nid)
+        parent = self.parents[nid]
         span = self._exchange_span(nid)
         end = self.engine.now + span
         if end > self.cycle_start + self.period - 1e-3:
             return
         sc = sim.scenario
-        rts = Packet(kind=PacketKind.RTS, src=nid, dst=parent,
-                     length=sc.control_bytes, header=sc.header_bytes,
-                     exchange_end=end)
+        # positional, in field order: kind, src, dst, length, header, born_at,
+        # origin, payload_len, uid, exchange_end
+        rts = Packet(RTS, nid, parent, sc.control_bytes, sc.header_bytes,
+                     0.0, -1, 0, -1, end)
         sim.medium.transmit(nid, rts)
         st.role = "tx"
         st.peer = parent
         st.exchange = {"uid": node.queue[0].uid, "data_received": False}
-        sim.trace(nid, "smac-rts", "dst=%s", parent)
+        if sim.trace_enabled:
+            sim.trace(nid, "smac-rts", "dst=%s", parent)
         timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
         st.pending_ev = self.engine.schedule(
-            timeout, lambda ev: self._tx_timeout(nid, "smac-no-cts"))
+            timeout, partial(self._tx_timeout, nid, "smac-no-cts"))
 
-    def _tx_timeout(self, nid, label=None):
+    def _tx_timeout(self, nid, label, ev):
         st = self.states[nid]
         st.pending_ev = None
         # a CTS or an ACK cancels this timer, so it fires only when none came
         if st.role == "tx":
-            if label is not None:
+            if label is not None and self.sim.trace_enabled:
                 self.sim.trace(nid, label)
             self._exchange_over(nid)
 
@@ -160,7 +177,7 @@ class SmacDriver:
         sim = self.sim
         kind = pkt.kind
 
-        if kind is PacketKind.RTS:
+        if kind is RTS:
             if pkt.dst == nid:
                 if st.role is not None or st.done_frame or self.engine.now < st.nav_until:
                     return
@@ -170,38 +187,36 @@ class SmacDriver:
                 # the sender holds this exchange until its CTS timeout, which
                 # falls after its RTS ends
                 st.exchange = self.states[pkt.src].exchange
-                cts = Packet(kind=PacketKind.CTS, src=nid, dst=pkt.src,
-                             length=sim.scenario.control_bytes,
-                             header=sim.scenario.header_bytes,
-                             exchange_end=pkt.exchange_end)
+                sc = sim.scenario
+                cts = Packet(CTS, nid, pkt.src, sc.control_bytes, sc.header_bytes,
+                             0.0, -1, 0, -1, pkt.exchange_end)
                 self.engine.schedule(self.engine.now + self.sifs,
-                                     lambda ev: sim.medium.transmit(nid, cts))
-                sim.trace(nid, "smac-cts", "dst=%s", pkt.src)
+                                     partial(self._transmit, nid, cts, None))
+                if sim.trace_enabled:
+                    sim.trace(nid, "smac-cts", "dst=%s", pkt.src)
                 # release the reservation if the data never shows up
                 st.pending_ev = self.engine.schedule(pkt.exchange_end + 2e-3,
-                                                     lambda ev: self._rx_timeout(nid))
+                                                     partial(self._rx_timeout, nid))
             else:
                 self._overheard(nid, pkt)
-        elif kind is PacketKind.CTS:
+        elif kind is CTS:
             if pkt.dst == nid:
                 if st.role == "tx":
                     self._cancel_pending(st)
                     self.engine.schedule(self.engine.now + self.sifs,
-                                         lambda ev: self._send_data(nid))
+                                         partial(self._send_data, nid))
             else:
                 self._overheard(nid, pkt)
-        elif kind is PacketKind.DATA and pkt.dst == nid:
+        elif kind is DATA and pkt.dst == nid:
             if st.role == "rx" and pkt.src == st.peer:
                 if not st.exchange["data_received"]:
                     st.exchange["data_received"] = True
                     sim.deliver_to(nid, (pkt,))
-                ack = Packet(kind=PacketKind.ACK, src=nid, dst=pkt.src,
-                             length=sim.scenario.ack_len, header=0)
+                ack = Packet(ACK, nid, pkt.src, sim.scenario.ack_len, 0)
                 self.engine.schedule(
                     self.engine.now + self.sifs,
-                    lambda ev: sim.medium.transmit(
-                        nid, ack, on_resolved=lambda tx: self._exchange_over(nid)))
-        elif kind is PacketKind.ACK and pkt.dst == nid and st.role == "tx":
+                    partial(self._transmit, nid, ack, partial(self._exchange_over, nid)))
+        elif kind is ACK and pkt.dst == nid and st.role == "tx":
             self._cancel_pending(st)
             self._exchange_over(nid)
         elif st.awaiting and st.role is None:
@@ -209,7 +224,10 @@ class SmacDriver:
             st.awaiting = False
             self._backoff(nid)
 
-    def _send_data(self, nid):
+    def _transmit(self, nid, pkt, on_resolved, ev):
+        self.sim.medium.transmit(nid, pkt, on_resolved)
+
+    def _send_data(self, nid, ev):
         sim = self.sim
         node = sim.nodes[nid]
         st = self.states[nid]
@@ -219,18 +237,21 @@ class SmacDriver:
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)
-        st.pending_ev = self.engine.schedule(ack_deadline, lambda ev: self._tx_timeout(nid))
+        st.pending_ev = self.engine.schedule(ack_deadline,
+                                             partial(self._tx_timeout, nid, None))
 
-    def _rx_timeout(self, nid):
+    def _rx_timeout(self, nid, ev):
         st = self.states[nid]
         if st.role == "rx" and not st.exchange["data_received"]:
             st.pending_ev = None
-            self.sim.trace(nid, "smac-rx-timeout")
+            if self.sim.trace_enabled:
+                self.sim.trace(nid, "smac-rx-timeout")
             self._exchange_over(nid)
 
-    def _exchange_over(self, nid):
+    def _exchange_over(self, nid, tx=None):
         """The exchange ends at the ACK, at the sender's CTS or ACK timeout,
-        or at the receiver's data timeout."""
+        or at the receiver's data timeout. An ACK's end calls this with its
+        transmission `tx`."""
         sim = self.sim
         st = self.states[nid]
         if st.role is None:
@@ -249,8 +270,9 @@ class SmacDriver:
             sim.sleep(nid)
 
     def _cancel_pending(self, st):
-        self.engine.cancel(st.pending_ev)
-        st.pending_ev = None
+        if st.pending_ev is not None:
+            self.engine.cancel(st.pending_ev)
+            st.pending_ev = None
 
     # -- overhearing and adaptive wakeups ------------------------------------------------
 
@@ -260,31 +282,44 @@ class SmacDriver:
         st = self.states[nid]
         if st.role is not None:
             return
-        st.nav_until = max(st.nav_until, pkt.exchange_end)
+        exchange_end = pkt.exchange_end
+        if exchange_end > st.nav_until:
+            st.nav_until = exchange_end
         self._cancel_pending(st)
         st.awake_until = 0.0
+        now = self.engine.now
         if self.adaptive:
-            remaining = max(pkt.exchange_end - self.engine.now, 0.0)
+            remaining = exchange_end - now
+            if remaining < 0.0:
+                remaining = 0.0
             err = self.rng_adaptive.uniform(-self.err, self.err)
-            wake_at = self.engine.now + remaining * (1.0 + err)
-            sim.trace(nid, "nav-sleep", "until~%.4f", wake_at)
+            wake_at = now + remaining * (1.0 + err)
+            if sim.trace_enabled:
+                sim.trace(nid, "nav-sleep", "until~%.4f", wake_at)
         else:
             wake_at = st.nav_until
-            sim.trace(nid, "nav-sleep", "until=%.4f", pkt.exchange_end)
-        self.engine.cancel(st.wake_ev)
-        st.wake_ev = self.engine.schedule(wake_at, lambda ev: self._nav_wake(nid))
-        sim.sleep(nid)
+            if sim.trace_enabled:
+                sim.trace(nid, "nav-sleep", "until=%.4f", exchange_end)
+        if st.wake_ev is not None:
+            self.engine.cancel(st.wake_ev)
+        st.wake_ev = self.engine.schedule(wake_at, partial(self._nav_wake, nid))
+        node = sim.nodes[nid]
+        if node.alive and node.state is not SLEEP:
+            node.set_radio(SLEEP)
 
-    def _nav_wake(self, nid):
+    def _nav_wake(self, nid, ev):
         sim = self.sim
         st = self.states[nid]
         st.wake_ev = None
-        if not sim.nodes[nid].alive or st.role is not None:
+        node = sim.nodes[nid]
+        if not node.alive or st.role is not None:
             return
         if self.adaptive:
             # wake at the estimated exchange end and contend at once
-            sim.wake(nid)
-            sim.trace(nid, "adaptive-wake")
+            if node.state is SLEEP:
+                node.set_radio(LISTEN)
+            if sim.trace_enabled:
+                sim.trace(nid, "adaptive-wake")
             self._stay_awake(nid)
         elif self.engine.now < self._listen_end:
             sim.wake(nid)   # listen out the rest of the common period
@@ -292,24 +327,26 @@ class SmacDriver:
 
     def _stay_awake(self, nid):
         st = self.states[nid]
-        st.awake_until = max(st.awake_until, self.engine.now + self.contention_window)
-        self.engine.schedule(st.awake_until, lambda ev: self._awake_expiry(nid))
-        if self.sim.nodes[nid].queue and self.sim.parent_of(nid) is not None:
+        awake_until = self.engine.now + self.contention_window
+        if awake_until > st.awake_until:
+            st.awake_until = awake_until
+        self.engine.schedule(st.awake_until, partial(self._awake_expiry, nid))
+        if self.sim.nodes[nid].queue and self.parents[nid] is not None:
             self._backoff(nid)
 
-    def _awake_expiry(self, nid):
+    def _awake_expiry(self, nid, ev):
         st = self.states[nid]
         node = self.sim.nodes[nid]
-        if (node.alive and st.role is None and self.engine.now >= st.awake_until
-                and node.state is RadioState.LISTEN
-                and self.engine.now >= self._listen_end):
-            self.sim.sleep(nid)
+        now = self.engine.now
+        if (node.alive and st.role is None and now >= st.awake_until
+                and node.state is LISTEN and now >= self._listen_end):
+            node.set_radio(SLEEP)
 
     def on_corrupt(self, node, tx):
         st = self.states[node.id]
         if not node.alive or st.role is not None:
             return
-        if st.awaiting and node.state is RadioState.LISTEN:
+        if st.awaiting and node.state is LISTEN:
             st.awaiting = False
             self._backoff(node.id)
 

@@ -394,6 +394,47 @@ def test_trace_log_matches_pinned_digests():
     assert csv == {key: PINNED_RUN_CSV[key + (1.0,)] for key in PINNED_TRACE_LOG}
 
 
+def test_an_untraced_run_makes_no_trace_call():
+    """Every call site checks `trace_enabled` before it calls `trace`, so an
+    untraced run never enters it; the pinned trace logs show that a traced
+    run still records every entry."""
+    calls = {}
+    for protocol, recovery in PINNED_TRACE_LOG:
+        sc = desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
+                         protocol=protocol, recovery=recovery)
+        sim = Simulation(sc)
+        counted = []
+
+        def trace(*args, _trace=sim.trace, _counted=counted):
+            _counted.append(args)
+            _trace(*args)
+
+        sim.trace = trace
+        sim.run()
+        calls[protocol, recovery] = len(counted)
+    assert calls == dict.fromkeys(PINNED_TRACE_LOG, 0)
+
+
+# the same runs' engine counts (scheduled, dispatched, cancelled) under the
+# default recovery: a change that keeps them dispatches the same events
+PINNED_ENGINE_COUNTS = {
+    "iamac": (3915, 2733, 1133),
+    "smac": (8386, 7178, 1159),
+    "adaptive-smac": (36916, 34742, 2094),
+}
+
+
+def test_engine_counts_match_pinned():
+    got = {}
+    for protocol in PINNED_ENGINE_COUNTS:
+        sim = Simulation(desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
+                                     protocol=protocol))
+        sim.run()
+        eng = sim.engine
+        got[protocol] = (eng.scheduled_count, eng.dispatched_count, eng.cancelled_count)
+    assert got == PINNED_ENGINE_COUNTS
+
+
 def test_cli_reports_disjoint(tmp_path):
     code = main(["run", "--preset", "paper-density", "--seed", "1",
                  "--set", "output_power_dbm=-12",
