@@ -189,20 +189,24 @@ class MetricsLedger:
 
     def record_delivery(self, pkts, delivered_at):
         """Packets `pkts` reached the sink at `delivered_at`, in this order.
-        A packet born after `delivered_at` raises before any is recorded."""
-        for p in pkts:
-            if delivered_at < p.born_at:
-                raise ValueError("delivery precedes generation")
-        origin, born = self._origins.append, self._born.append
-        delivered, payload_len = self._delivered.append, self._payloads.append
-        payload = 0
-        for p in pkts:
-            origin(p.origin)
-            born(p.born_at)
-            delivered(delivered_at)
-            payload_len(p.payload_len)
-            payload += p.payload_len
-        self.delivered_payload += payload
+        Each column is built whole and then appended once, so a batch that
+        raises (a packet born after `delivered_at`, a value its column cannot
+        hold) records none of its packets."""
+        if not pkts:
+            return
+        born = [p.born_at for p in pkts]
+        if max(born) > delivered_at:
+            raise ValueError("delivery precedes generation")
+        payloads = [p.payload_len for p in pkts]
+        origin_col = array("l", [p.origin for p in pkts])
+        born_col = array("d", born)
+        delivered_col = array("d", (delivered_at,)) * len(born)
+        payload_col = array("l", payloads)
+        self._origins += origin_col
+        self._born += born_col
+        self._delivered += delivered_col
+        self._payloads += payload_col
+        self.delivered_payload += sum(payloads)
 
     def record_drop(self, n=1):
         self.dropped_packets += n

@@ -285,16 +285,23 @@ class Simulation:
     def remove_from_queue(self, nid, uids):
         """Remove from `nid`'s queue, for each entry of `uids`, the earliest
         queued packet with that uid; an absent uid removes nothing. The queue
-        ends as after one removal per uid in a row. The pass stops after the
-        last match, and the ledger sees one queue change: same-instant changes
-        add nothing to the time-weighted queue length."""
+        ends as after one removal per uid in a row, and the ledger sees one
+        queue change: same-instant changes add nothing to the time-weighted
+        queue length. When the queue's head holds `uids` in order, duplicates
+        included, that head is the earliest packet for each entry and goes in
+        one slice; otherwise one pass stops after the last match."""
         if not uids:
+            return
+        queue = self.nodes[nid].queue
+        k = len(uids)
+        if [p.uid for p in queue[:k]] == list(uids):
+            del queue[:k]
+            self.ledger.queue_changed(nid, len(queue), self.engine.now)
             return
         want = {}
         for uid in uids:
             want[uid] = want.get(uid, 0) + 1
-        left = len(uids)
-        queue = self.nodes[nid].queue
+        left = k
         kept = []
         stop = len(queue)
         for i, p in enumerate(queue):
@@ -313,12 +320,15 @@ class Simulation:
 
     def deliver_to(self, nid, pkts):
         """Hand `pkts` to `nid` in order: the sink records them delivered in
-        one ledger call, any other node queues each for its parent."""
+        one ledger call; any other node queues them for its parent with one
+        queue change, as same-instant changes add nothing to the time-weighted
+        queue length. An empty batch changes nothing."""
         if nid == self.topo.sink:
             self.ledger.record_delivery(pkts, self.engine.now)
-        else:
-            for pkt in pkts:
-                self.enqueue(nid, pkt)
+        elif pkts:
+            queue = self.nodes[nid].queue
+            queue.extend(pkts)
+            self.ledger.queue_changed(nid, len(queue), self.engine.now)
 
     # -- metrics hooks -----------------------------------------------------------------
 

@@ -109,6 +109,26 @@ def test_a_batch_with_one_packet_born_after_delivery_records_none_of_it(table):
     assert ledger.delivered_payload == 29 + 31 + 29 and len(ledger.delivered_records) == 3
 
 
+@pytest.mark.parametrize("field, value, error", [("payload_len", 29.5, TypeError),
+                                                 ("origin", 2**64, OverflowError)],
+                         ids=["float-payload", "origin-beyond-long"])
+def test_a_batch_with_a_value_its_column_cannot_hold_records_none_of_it(table, field, value,
+                                                                          error):
+    """Every column is built before any is appended: a packet whose payload
+    is not an int, or whose origin is beyond the `"l"` range, leaves all four
+    columns and the payload total as they were."""
+    ledger = MetricsLedger(3, table)
+    ledger.record_delivery([make_data_packet(0, 1, 0, 1.0, 29, 16)], 2.0)
+    columns = (ledger._origins, ledger._born, ledger._delivered, ledger._payloads)
+    kept = [c.tolist() for c in columns], ledger.delivered_payload
+    bad = make_data_packet(2, 1, 0, 3.0, 29, 16)
+    setattr(bad, field, value)
+    with pytest.raises(error):
+        ledger.record_delivery([make_data_packet(1, 2, 0, 2.5, 31, 16), bad], 4.0)
+    assert ([c.tolist() for c in columns], ledger.delivered_payload) == kept
+    assert list(ledger.delivered_records) == [(1, 1.0, 2.0, 29)]
+
+
 class TupleLedger:
     """The sink's deliveries as one tuple per packet, the ledger's layout
     before its columns: the oracle for the records and `latency_stats`."""
@@ -225,6 +245,23 @@ def ledger_digest(ledger):
     return h.hexdigest()
 
 
+def pinned_run(run):
+    """A finished run: the benchmark's saturated star cut to 200 s, where no
+    battery depletes, or a `desk` seed-4 run under ARQ or Seda."""
+    if run == "star-seda-200s":
+        sc = desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
+                         horizon_s=200.0, sampling_interval_s=0.08, recovery="seda",
+                         shadowing_sigma=0.0, battery_mah=2400.0,
+                         stop_on_first_death=False)
+        sim = star_simulation(sc)
+    else:
+        recovery = "seda" if run == "desk-4-seda" else "arq"
+        sim = Simulation(desk_preset(seed=4, horizon_s=120.0, stop_on_first_death=False,
+                                     recovery=recovery))
+    sim.run()
+    return sim
+
+
 # digests of two runs, recorded when each sample still went through `inject`,
 # `record_generated`, `queue_changed` and a separate sample charge
 PINNED_LEDGER = {
@@ -235,17 +272,36 @@ PINNED_LEDGER = {
 
 @pytest.mark.parametrize("run", sorted(PINNED_LEDGER))
 def test_sampling_books_the_pinned_ledger_floats(run):
-    if run == "star-seda-200s":
-        # the benchmark's saturated star, cut to 200 s: no battery depletes
-        sc = desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
-                         horizon_s=200.0, sampling_interval_s=0.08, recovery="seda",
-                         shadowing_sigma=0.0, battery_mah=2400.0,
-                         stop_on_first_death=False)
-        sim = star_simulation(sc)
-    else:
-        sim = Simulation(desk_preset(seed=4, horizon_s=120.0, stop_on_first_death=False))
-    sim.run()
+    sim = pinned_run(run)
     assert (sim.ledger.generated_packets, ledger_digest(sim.ledger)) == PINNED_LEDGER[run]
+
+
+def delivery_digest(ledger):
+    """SHA-256 over the sink's four delivery columns as stored, the payload
+    total and each node's queue integral as an exact hex float."""
+    h = hashlib.sha256()
+    for column in (ledger._origins, ledger._born, ledger._delivered, ledger._payloads):
+        h.update(column.tobytes())
+    h.update(str(ledger.delivered_payload).encode())
+    h.update(" ".join(x.hex() for x in ledger._queue_integral).encode())
+    return h.hexdigest()
+
+
+# digests recorded when the sink appended one packet at a time to each
+# column, a relay queued each packet of a batch with its own `enqueue` and
+# every removal went through the one-pass multiset; the `desk` Seda run hands
+# 207 batches to relays (60 of two or more packets) and 41 to the sink
+PINNED_DELIVERIES = {
+    "star-seda-200s": (12887, "7a87a5269225b5e304730418b9b30cacc2096c68f7d692ecbbbfd9b9f44124e8"),
+    "desk-4-seda": (170, "f52f4c3837a9c43075cbc941cff4e39fb4c0a585cf6287f96243d399adbcbe1a"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_DELIVERIES))
+def test_transfer_batches_book_the_pinned_delivery_records(run):
+    sim = pinned_run(run)
+    assert ((len(sim.ledger.delivered_records), delivery_digest(sim.ledger))
+            == PINNED_DELIVERIES[run])
 
 
 def test_a_sampled_packet_is_the_packet_inject_builds():
@@ -318,6 +374,43 @@ def test_queue_removal_matches_one_uid_at_a_time(seed):
         for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
             assert getattr(batched.ledger, name) == getattr(oracle.ledger, name)
     assert oracle.ledger._queue_integral[1] > 0.0
+
+
+QUEUED_UIDS = [3, 5, 3, 7, 5, 9, 1]
+
+
+@pytest.mark.parametrize("uids", [
+    [3],                      # the head, k = 1
+    [3, 5],                   # the head, several
+    QUEUED_UIDS,              # the whole queue
+    [3, 5, 3, 7, 5],          # a head with duplicate uids
+    [5, 3, 3],                # the head's uids in another order
+    [3, 5, 42],               # the head plus an absent uid
+    QUEUED_UIDS + [3],        # more uids than the queue holds
+    [42, 8],                  # none queued: nothing shrinks
+], ids=["head-1", "head-2", "whole", "duplicates", "reordered", "absent", "more", "none"])
+def test_queue_head_removal_matches_one_uid_at_a_time(uids):
+    """Removing the queue's head in one slice leaves the queue and the
+    queue accounts of one removal per uid, whichever path a removal takes."""
+    sims = [Simulation(Scenario(node_count=2, seed=1), [(0.0, 0.0), (5.0, 0.0)],
+                       parents={1: 0}) for _ in range(2)]
+    oracle, sliced = sims
+    for born, uid in enumerate(QUEUED_UIDS):
+        for sim in sims:
+            sim.engine.run_until(0.5 * born)
+            sim.enqueue(1, make_data_packet(uid, 1, 0, 0.5 * born, 29, 16))
+    calls = []
+    queue_changed = sliced.ledger.queue_changed
+    sliced.ledger.queue_changed = lambda *args: (calls.append(args), queue_changed(*args))
+    for sim in sims:
+        sim.engine.run_until(7.25)
+    remove_one_uid_at_a_time(oracle, 1, uids)
+    sliced.remove_from_queue(1, uids)
+    assert len(calls) == (len(oracle.nodes[1].queue) < len(QUEUED_UIDS))
+    assert ([(p.uid, p.born_at) for p in sliced.nodes[1].queue]
+            == [(p.uid, p.born_at) for p in oracle.nodes[1].queue])
+    for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
+        assert getattr(sliced.ledger, name) == getattr(oracle.ledger, name)
 
 
 @pytest.mark.parametrize("seed", range(6))
