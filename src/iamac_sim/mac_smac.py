@@ -29,8 +29,7 @@ SLEEP, LISTEN = RadioState.SLEEP, RadioState.LISTEN
 
 class SmacNodeState:
     __slots__ = ("nav_until", "peer", "role", "exchange",
-                 "pending_ev", "window_start", "awaiting", "done_frame",
-                 "awake_until", "wake_ev")
+                 "pending_ev", "window_start", "awaiting", "awake_until")
 
     def __init__(self):
         self.nav_until = 0.0
@@ -40,9 +39,7 @@ class SmacNodeState:
         self.pending_ev = None
         self.window_start = 0.0
         self.awaiting = False
-        self.done_frame = False
         self.awake_until = 0.0
-        self.wake_ev = None
 
 
 class SmacDriver:
@@ -103,7 +100,7 @@ class SmacDriver:
 
     def _backoff(self, nid):
         st = self.states[nid]
-        if st.role is not None or st.done_frame:
+        if st.role is not None:
             return
         now = self.engine.now
         if now < st.nav_until:
@@ -133,8 +130,10 @@ class SmacDriver:
         node = sim.nodes[nid]
         st = self.states[nid]
         st.pending_ev = None
-        if (not node.alive or st.role is not None or st.done_frame
-                or not node.queue or node.state is not LISTEN):
+        # taking a role cancels only the attempt `pending_ev` holds: not one
+        # from an earlier frame, nor one whose handle a stale timeout cleared
+        if (not node.alive or st.role is not None or not node.queue
+                or node.state is not LISTEN):
             return
         assert self.engine.now >= st.nav_until, "transmission during NAV"
         if sim.medium.sensed_since(nid, st.window_start):
@@ -179,7 +178,7 @@ class SmacDriver:
 
         if kind is RTS:
             if pkt.dst == nid:
-                if st.role is not None or st.done_frame or self.engine.now < st.nav_until:
+                if st.role is not None or self.engine.now < st.nav_until:
                     return
                 self._cancel_pending(st)
                 st.role = "rx"
@@ -262,7 +261,6 @@ class SmacDriver:
             sim.remove_from_queue(nid, (st.exchange["uid"],))
         st.role = None
         st.peer = None
-        st.done_frame = not self.adaptive
         self._cancel_pending(st)
         if self.adaptive:
             self._stay_awake(nid)
@@ -277,7 +275,9 @@ class SmacDriver:
     # -- overhearing and adaptive wakeups ------------------------------------------------
 
     def _overheard(self, nid, pkt):
-        """Foreign RTS or CTS: sleep through the announced exchange."""
+        """Foreign RTS or CTS: sleep through the announced exchange. The node
+        decoded the frame, so it is alive and listening; it sleeps until its
+        NAV wake, which no state holds, or the next frame."""
         sim = self.sim
         st = self.states[nid]
         if st.role is not None:
@@ -289,28 +289,21 @@ class SmacDriver:
         st.awake_until = 0.0
         now = self.engine.now
         if self.adaptive:
-            remaining = exchange_end - now
-            if remaining < 0.0:
-                remaining = 0.0
+            # an RTS or CTS ends before the exchange it announces
             err = self.rng_adaptive.uniform(-self.err, self.err)
-            wake_at = now + remaining * (1.0 + err)
+            wake_at = now + (exchange_end - now) * (1.0 + err)
             if sim.trace_enabled:
                 sim.trace(nid, "nav-sleep", "until~%.4f", wake_at)
         else:
             wake_at = st.nav_until
             if sim.trace_enabled:
                 sim.trace(nid, "nav-sleep", "until=%.4f", exchange_end)
-        if st.wake_ev is not None:
-            self.engine.cancel(st.wake_ev)
-        st.wake_ev = self.engine.schedule(wake_at, partial(self._nav_wake, nid))
-        node = sim.nodes[nid]
-        if node.alive and node.state is not SLEEP:
-            node.set_radio(SLEEP)
+        self.engine.schedule(wake_at, partial(self._nav_wake, nid))
+        sim.nodes[nid].set_radio(SLEEP)
 
     def _nav_wake(self, nid, ev):
         sim = self.sim
         st = self.states[nid]
-        st.wake_ev = None
         node = sim.nodes[nid]
         if not node.alive or st.role is not None:
             return
@@ -327,9 +320,8 @@ class SmacDriver:
 
     def _stay_awake(self, nid):
         st = self.states[nid]
-        awake_until = self.engine.now + self.contention_window
-        if awake_until > st.awake_until:
-            st.awake_until = awake_until
+        # time moves forward and `_overheard` only lowers `awake_until`
+        st.awake_until = self.engine.now + self.contention_window
         self.engine.schedule(st.awake_until, partial(self._awake_expiry, nid))
         if self.sim.nodes[nid].queue and self.parents[nid] is not None:
             self._backoff(nid)
@@ -343,10 +335,9 @@ class SmacDriver:
             node.set_radio(SLEEP)
 
     def on_corrupt(self, node, tx):
+        # the medium reports a corrupt frame only to a live listener
         st = self.states[node.id]
-        if not node.alive or st.role is not None:
-            return
-        if st.awaiting and node.state is LISTEN:
+        if st.awaiting and st.role is None:
             st.awaiting = False
             self._backoff(node.id)
 

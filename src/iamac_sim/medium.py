@@ -148,11 +148,12 @@ class Medium:
             left = onair[j] - p
             onair[j] = 0.0 if left < 1e-21 else left
 
-        # the sender is receive-ready the instant its last bit leaves, so
-        # same-instant responses (acks, recovery frames) can reach it
+        # the sender is receive-ready the instant its last bit leaves, so same-instant
+        # responses (acks, recovery frames) can reach it; a dead sender or one
+        # put to sleep mid-frame stays as it is (`set_radio` ignores the dead)
         nodes = self.nodes
         node = nodes[sender]
-        if node.alive and node.state is TX:
+        if node.state is TX:
             node.set_radio(LISTEN)
 
         # control frames with corruption switched off always arrive; Seda

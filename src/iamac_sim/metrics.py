@@ -23,10 +23,9 @@ def colliding_sets(data_log):
     `Simulation.data_log`, by the rule of `MetricsLedger.record_data_reception`;
     a frame without interferers is absent."""
     frames = {}
-    for sender, dst, _, _, frame, interferers in data_log:
+    for _, dst, _, _, frame, interferers in data_log:
         if interferers:
-            frames.setdefault(frame, {}).setdefault(dst, set()).update(
-                i for i in interferers if i != sender)
+            frames.setdefault(frame, {}).setdefault(dst, set()).update(interferers)
     return frames
 
 
@@ -138,11 +137,8 @@ class MetricsLedger:
         return residual
 
     def account_switch(self, node):
-        # uncalled: `account_radio` charges switches; this stays while the
-        # benchmark's tracer (`simbench/tracing.py`) wraps it by name
-        mj = self.table.switch_mj
-        self.switch_energy[node] += mj
-        self.residual_mj[node] -= mj
+        """Nothing calls this: `account_radio` charges switches. It stays
+        while the benchmark's tracer (`simbench/tracing.py`) wraps it by name."""
 
     def account_sample(self, node, queue_len, t):
         """The ledger side of one sample taken at `t` by `node`, whose queue
@@ -167,11 +163,12 @@ class MetricsLedger:
 
     # -- colliding sets and frame boundaries -------------------------------
 
-    def record_data_reception(self, receiver, wanted_sender, interferers):
+    def record_data_reception(self, receiver, interferers):
+        """`interferers` holds the senders of other data frames, and no node
+        sends two frames at once, so the wanted sender is never among them."""
         if not interferers:
             return
-        bucket = self._frame_cs.setdefault(receiver, set())
-        bucket.update(i for i in interferers if i != wanted_sender)
+        self._frame_cs.setdefault(receiver, set()).update(interferers)
 
     def flush_frame_cs(self):
         total = sum(len(s) for s in self._frame_cs.values())

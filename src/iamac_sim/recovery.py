@@ -220,7 +220,8 @@ class ArqSession(_SessionBase):
         if self.current is None:
             return
         if node == self.parent and pkt.kind is PacketKind.DATA and pkt.src == self.child:
-            if pkt.uid == self.current.uid and not self.got_through:
+            # the child sends only the current packet
+            if not self.got_through:
                 self.got_through = True
                 self._deliver((self.current,))
             # acknowledge every decoded data frame, duplicates included
@@ -252,8 +253,7 @@ class ArqSession(_SessionBase):
             self._next_packet()
 
     def _pop_current(self, delivered):
-        if self.current is None:
-            return
+        # every caller holds a current packet
         self.sim.remove_from_queue(self.child, (self.current.uid,))
         if not delivered:
             self.sim.ledger.record_drop()
@@ -345,7 +345,8 @@ class SedaSession(_SessionBase):
     def _retransmit_or_resolve(self, uids):
         """Resend `uids` once if their frame fits the window, else close the burst."""
         self._cancel_timer()
-        if uids and self._window_end - self.engine.now >= self._frame_airtime(len(uids)):
+        # a burst is never empty, and neither is a recovery report
+        if self._window_end - self.engine.now >= self._frame_airtime(len(uids)):
             self.phase = "retrans"
             self.retrans_uids.update(uids)
             self._send_frame(uids, await_recovery=False)

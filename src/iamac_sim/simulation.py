@@ -96,20 +96,17 @@ class Node:
     # -- medium callbacks -----------------------------------------------------
 
     def on_air_rise(self, tx):
-        # uncalled: `Medium.transmit` writes `last_rise_t` itself; this and
-        # the MACs' `on_air_rise` stay while the benchmark's tracer wraps them
-        self.last_rise_t = self.engine.now
-        driver = self.sim.driver
-        if driver is not None:
-            driver.on_air_rise(self, tx)
+        """Nothing calls this: `Medium.transmit` writes `last_rise_t` itself.
+        It and the MACs' `on_air_rise` stay while the benchmark's tracer
+        (`simbench/tracing.py`) wraps them by name."""
 
     def on_packet(self, pkt, sinr):
         """A frame decoded here; `sinr` is its worst-case SINR over the
-        frame, as a linear ratio (not dB). Transfer frames go to the node's
-        session, everything else to the MAC driver."""
-        if self.active_session is not None and pkt.kind in (
-                PacketKind.DATA, PacketKind.ACK,
-                PacketKind.SEDA_BLOCK, PacketKind.RECOVERY_FRAME):
+        frame, as a linear ratio (not dB). It goes to the node's session if
+        the node holds one, else to the MAC driver. A node holds a session
+        only in IAMAC's communication phase, where the driver ignores every
+        frame, or in `transfer_benchmark`, which has no driver."""
+        if self.active_session is not None:
             self.active_session.on_packet(self.id, pkt, sinr)
             return
         driver = self.sim.driver
@@ -335,7 +332,7 @@ class Simulation:
     def _data_resolved(self, tx, interferers):
         # the addressee's own reception only: bystanders have no colliding set
         if interferers is not None:
-            self.ledger.record_data_reception(tx.packet.dst, tx.sender, interferers)
+            self.ledger.record_data_reception(tx.packet.dst, interferers)
         if self.trace_enabled:
             self.data_log.append((tx.sender, tx.packet.dst, tx.t_start, tx.t_end,
                                   self.frame_idx, interferers))

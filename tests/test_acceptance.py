@@ -168,19 +168,23 @@ def test_c7_lifetime_orderings(equal_frame_runs):
     ok_a = all(i["lifetime_s"] > a["lifetime_s"] and not i["lifetime_censored"]
                and not a["lifetime_censored"] for i, a in pairs)
 
-    # (b) adaptive listening does not scale with density
-    means = []
+    # (b) adaptive listening does not scale with density; the slotted MAC
+    # over the same scenarios is printed as a cross-check, not asserted
+    means, neighbors, iamac_means = [], [], []
     for n in (35, 50, 80):
-        vals = []
+        vals, nbrs, iamac_vals = [], [], []
         for seed in (4, 6, 10):
-            sc = desk_preset(node_count=n, horizon_s=2500.0,
-                             protocol="adaptive-smac", seed=seed,
-                             battery_mah=0.15, output_power_dbm=10.0,
-                             sampling_interval_s=120.0)
-            r = Simulation(sc).run()
+            density = dict(node_count=n, horizon_s=2500.0, seed=seed, battery_mah=0.15,
+                           output_power_dbm=10.0, sampling_interval_s=120.0)
+            r = Simulation(desk_preset(protocol="adaptive-smac", **density)).run()
             assert r["status"] == "ok"
             vals.append(r["lifetime_s"])
+            nbrs.append(r["avg_neighbors"])
+            r = Simulation(desk_preset(protocol="iamac", **density)).run()
+            iamac_vals.append(r["lifetime_s"])
         means.append(statistics.mean(vals))
+        neighbors.append(statistics.mean(nbrs))
+        iamac_means.append(statistics.mean(iamac_vals))
     ok_b = trend_monotone(means, increasing=False)
 
     # (c) a 10 s cycle beats a 5 s listen/sleep frame on BOTH axes
@@ -196,11 +200,20 @@ def test_c7_lifetime_orderings(equal_frame_runs):
                and i["mean_latency_s"] < s["mean_latency_s"]
                for i, s in zip(long_cycle, short_smac))
 
+    def lives(rows):
+        return [round(r["lifetime_s"], 1) for r in rows]
+
     report(7, ok_a and ok_b and ok_c,
-           f"(a) paired lifetimes {[round(i['lifetime_s'],1) for i in equal_frame_runs['iamac']]} > "
-           f"{[round(a['lifetime_s'],1) for a in equal_frame_runs['adaptive-smac']]}; "
-           f"(b) density means {['%.1f' % m for m in means]} non-increasing; "
-           f"(c) 10s-cycle beats 5s-frame on lifetime and latency for every seed")
+           f"(a) paired lifetimes {lives(equal_frame_runs['iamac'])} > "
+           f"{lives(equal_frame_runs['adaptive-smac'])} (plain S-MAC "
+           f"{lives(equal_frame_runs['smac'])}, not compared); "
+           f"(b) density means {['%.1f' % m for m in means]} non-increasing at "
+           f"{['%.1f' % m for m in neighbors]} average neighbors (slotted "
+           f"{['%.1f' % m for m in iamac_means]}); "
+           f"(c) 10s-cycle lifetimes {lives(long_cycle)} and mean latencies "
+           f"{[round(r['mean_latency_s'], 1) for r in long_cycle]} s beat the 5s-frame's "
+           f"{lives(short_smac)} and {[round(r['mean_latency_s'], 1) for r in short_smac]} s "
+           f"for every seed")
 
 
 def test_c8_latency_ordering_with_separated_errors(equal_frame_runs):
@@ -215,9 +228,11 @@ def test_c8_latency_ordering_with_separated_errors(equal_frame_runs):
     m_i, se_i = stats(equal_frame_runs["iamac"])
     m_s, se_s = stats(equal_frame_runs["smac"])
     ok = (m_a + se_a < m_i - se_i) and (m_i + se_i < m_s - se_s)
+    delivered = {p: [r["delivered_packets"] for r in rows]
+                 for p, rows in equal_frame_runs.items()}
     report(8, ok, f"mean latency adaptive {m_a:.1f}±{se_a:.1f} < slotted "
                   f"{m_i:.1f}±{se_i:.1f} < plain {m_s:.1f}±{se_s:.1f} s, "
-                  "gaps outside overlapping standard errors")
+                  f"gaps outside overlapping standard errors; delivered {delivered}")
 
 
 # -- criterion 9: throughput interior maximum ----------------------------------------------
@@ -259,7 +274,7 @@ def test_c10_duty_cycle_and_queue_ordering():
         duties.append(Simulation(sc).run()["mean_duty_cycle"])
     ok_duty = trend_monotone(duties, increasing=False)
 
-    ratios = []
+    ratios, queues = [], []
     for seed in (1, 2, 3):
         q = {}
         for rec in ("arq", "seda"):
@@ -270,11 +285,12 @@ def test_c10_duty_cycle_and_queue_ordering():
             sim = star_simulation(sc)
             q[rec] = sim.run()["mean_queue_len"]
         ratios.append(q["arq"] / q["seda"])
+        queues.append("%.1f/%.1f" % (q["arq"], q["seda"]))
     ok_queue = all(1.4 <= r <= 3.0 for r in ratios)
     report(10, ok_duty and ok_queue,
            f"duty cycle falls with cycle length {['%.3f' % d for d in duties]}; "
            f"ARQ/Seda queue ratio at 100 s super frame = "
-           f"{['%.2f' % r for r in ratios]} in [1.4, 3.0]")
+           f"{['%.2f' % r for r in ratios]} in [1.4, 3.0] (mean queues {queues})")
 
 
 # -- criterion 11: determinism and conservation ------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from iamac_sim.config import ConfigError, Scenario, desk_preset
+from iamac_sim.energy import RadioState
 from iamac_sim.mac_smac import SmacDriver
 from iamac_sim.packets import PacketKind, airtime
 from iamac_sim.simulation import Simulation
@@ -118,6 +119,55 @@ def test_smac_sender_releases_a_delivered_packet_whose_ack_is_lost(protocol, mon
     assert (res["delivered_packets"], res["queued_packets"]) == (1, 0)
     assert res["conserved"]
     assert [node for _, node, label, _ in sim.trace_log if label == "smac-rts"] == [1]
+
+
+def stale_attempt_chain(delay):
+    """Plain S-MAC on a clean one-hop line, node 1 holding two packets: its
+    first contention plan puts an attempt `delay` after frame 2's contention
+    starts, which no state of frame 2 holds; its third plan starts an RTS
+    right then."""
+    sim = chain_sim("smac", hops=1, horizon_s=4.0,
+                    fixed_contention={1: [2.0 + delay, 0.0, 0.0]})
+    sim.trace_enabled = True
+    sim.inject(1, 29)
+    sim.inject(1, 29)
+    return sim
+
+
+def test_an_smac_attempt_from_an_earlier_frame_sends_nothing_in_an_exchange(monkeypatch):
+    """Taking a role cancels only the attempt the node's state holds, so an
+    attempt left from an earlier frame can find its node in an exchange.
+    `_attempt`'s role test keeps it from sending: here it fires after node
+    1's RTS ends and before the CTS starts, with nothing sensed since the
+    backoff, so without the test node 1 would send a second RTS."""
+    attempt = SmacDriver._attempt
+    in_role = []
+
+    def watched(driver, nid, ev):
+        node = driver.sim.nodes[nid]
+        if node.alive and node.state is RadioState.LISTEN and driver.states[nid].role:
+            in_role.append((nid, driver.states[nid].role))
+        attempt(driver, nid, ev)
+
+    monkeypatch.setattr(SmacDriver, "_attempt", watched)
+    sim = stale_attempt_chain(Scenario().control_air + 0.5e-3)
+    sim.run()
+    assert in_role == [(1, "tx")]
+    assert [node for t, node, label, _ in sim.trace_log
+            if label == "smac-rts" and 2.0 <= t < 3.0] == [1]
+
+
+@pytest.mark.xfail(strict=True, reason="an S-MAC attempt left from an earlier frame clears the "
+                   "`pending_ev` of the node's exchange, so that exchange's timeout survives")
+def test_an_smac_attempt_from_an_earlier_frame_leaves_the_exchange_timeout_held():
+    # the stale attempt fires during node 1's RTS and clears the handle of its
+    # RTS timeout; that timeout ends the exchange while the data is on the
+    # air, plain S-MAC puts node 1 to sleep, it misses the ACK and sends the
+    # packet again
+    sim = stale_attempt_chain(1e-3)
+    res = sim.run()
+    assert res["conserved"]
+    assert res["delivered_packets"] == 2
 
 
 @pytest.mark.parametrize("seed", [2, 3])

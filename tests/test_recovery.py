@@ -10,7 +10,8 @@ from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
 from iamac_sim.packets import Packet, PacketKind, airtime, readdressed
-from iamac_sim.recovery import ArqSession, arq_capacity, rts_success_prob, seda_capacity
+from iamac_sim.recovery import (ArqSession, SedaSession, arq_capacity, rts_success_prob,
+                                seda_capacity)
 from iamac_sim.simulation import Simulation
 
 
@@ -308,4 +309,34 @@ def test_arq_reconciles_when_a_node_dies_mid_session():
                      sampling_interval_s=0.1, frame_s=100.0, horizon_s=200.5, seed=1)
     res = Simulation(sc).run()
     assert not res["lifetime_censored"]
+    assert res["conserved"]
+
+
+def test_seda_session_ends_when_a_node_dies(monkeypatch):
+    """A Seda session whose child or parent is dead when its next burst is
+    due finishes there: no timer pending, neither node still holding it, and
+    the run still conserves packets."""
+    sc = desk_preset(recovery="seda", seed=1, node_count=10, area=(20.0, 20.0),
+                     sampling_interval_s=0.2, frame_s=10.0, battery_mah=0.02,
+                     horizon_s=300.0)
+    sim = Simulation(sc)
+    next_burst = SedaSession._next_burst
+    ended = []
+
+    def watched(session):
+        nodes = session.sim.nodes
+        dead = not (nodes[session.child].alive and nodes[session.parent].alive)
+        next_burst(session)
+        if dead:
+            ended.append(session)
+
+    monkeypatch.setattr(SedaSession, "_next_burst", watched)
+    res = sim.run()
+    # two sessions take this exit: children 6 and 4, at 11.669 s and 12.434 s
+    assert ended
+    for session in ended:
+        assert session.done
+        assert session._timeout_ev is None or session._timeout_ev.cancelled
+        assert all(sim.nodes[nid].active_session is not session
+                   for nid in (session.child, session.parent))
     assert res["conserved"]
