@@ -14,14 +14,14 @@ MIN_DISTANCE_M = 1e-3  # link budgets treat closer nodes as this far apart
 
 @dataclass
 class LinkModel:
-    path_loss_exponent: float = 4.0
-    pl_d0: float = 55.0            # dB at reference distance
-    d0: float = 1.0                # meters
-    noise_floor: float = -105.0    # dBm
-    shadowing_sigma: float = 4.0   # dB, per ordered link realization
-    bandwidth_to_rate: float = 1.5625  # noise bandwidth over bit rate in the FSK BER map
-    radio_speed: float = 19200.0   # bits/second
-    cs_threshold: float = 3.0      # dB above noise floor -> carrier "busy"
+    path_loss_exponent: float
+    pl_d0: float                   # dB at reference distance
+    d0: float                      # meters
+    noise_floor: float             # dBm
+    shadowing_sigma: float         # dB, per ordered link realization
+    bandwidth_to_rate: float       # noise bandwidth over bit rate in the FSK BER map
+    radio_speed: float             # bits/second
+    cs_threshold: float            # dB above noise floor -> carrier "busy"
 
     def __post_init__(self):
         if self.path_loss_exponent <= 0 or self.d0 <= 0 or self.radio_speed <= 0:

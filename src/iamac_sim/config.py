@@ -2,9 +2,11 @@
 
 The defaults reproduce the reference settings: 200 nodes on 100x100 m^2, sink
 at the middle of the top edge, FSK/NRZ radio at 19200 bps and 0 dBm, 45-byte
-data frames, and the tabulated ARQ/Seda lengths. Scenario files are flat
-`key = value` lines using exactly the field names below; unknown keys are
-rejected so a typo can never silently fall back to a default.
+data frames, and the tabulated ARQ/Seda lengths. They are the only copy:
+every derived object and capacity bound takes its values from a Scenario it is
+given. Scenario files are flat `key = value` lines using exactly the field
+names below; unknown keys are rejected so a typo can never silently fall back
+to a default.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ class Scenario:
     cs_threshold: float = 3.0
     disjoint_tolerance: float = 0.05   # stranded fraction that aborts the run
 
-    # energy table
+    # energy table: order-of-magnitude stand-ins for a MICA2-class radio,
+    # NOT taken from any published measurement table; every ordering-based
+    # study is insensitive to them
     sleep_ma: float = 0.03
     listen_ma: float = 15.0
     tx0_ma: float = 25.4
@@ -196,11 +200,8 @@ class Scenario:
         return airtime(self.control_bytes + self.header_bytes, self.radio_speed)
 
     def frame_plan(self):
-        return build_frame_plan(
-            self.frame_s, synch_slot=self.synch_slot_s, w=self.w,
-            mini_slot=self.mini_slot_s, cts_slot=self.cts_slot_s,
-            max_backoff=self.max_backoff_s, rts_airtime=self.control_air,
-        )
+        return build_frame_plan(self.frame_s, self.synch_slot_s, self.w, self.mini_slot_s,
+                                self.cts_slot_s, self.max_backoff_s, self.control_air)
 
     def energy_table(self):
         return EnergyTable(

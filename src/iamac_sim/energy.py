@@ -14,17 +14,15 @@ class RadioState(Enum):
 
 @dataclass
 class EnergyTable:
-    """Current draw per radio state. The defaults are order-of-magnitude
-    realistic for a MICA2-class radio; they are NOT taken from any published
-    measurement table and every ordering-based study is insensitive to them."""
+    """Current draw per radio state; `Scenario.energy_table` builds it."""
 
-    sleep_ma: float = 0.03
-    listen_ma: float = 15.0
-    tx0_ma: float = 25.4          # at 0 dBm output power
-    voltage: float = 3.0
-    switch_mj: float = 0.002      # per radio state transition
-    sample_mj: float = 0.09       # per sensor sample
-    battery_mah: float = 2400.0
+    sleep_ma: float
+    listen_ma: float
+    tx0_ma: float                 # at 0 dBm output power
+    voltage: float
+    switch_mj: float              # per radio state transition
+    sample_mj: float              # per sensor sample
+    battery_mah: float
 
     def __post_init__(self):
         if min(self.sleep_ma, self.listen_ma, self.tx0_ma, self.voltage) <= 0:

@@ -60,8 +60,7 @@ class FramePlan:
         return self.rts_start(cycle_start) + k * self.mini_slot
 
 
-def build_frame_plan(frame_s, synch_slot=0.05, w=8, mini_slot=0.016,
-                     cts_slot=0.05, max_backoff=0.0015, rts_airtime=None):
+def build_frame_plan(frame_s, synch_slot, w, mini_slot, cts_slot, max_backoff, rts_airtime):
     """Lay out the requested wake cycle (`frame_s` between consecutive RTS slots).
 
     Cycles of at most 12 s become a single Time Frame; anything longer becomes
@@ -70,7 +69,7 @@ def build_frame_plan(frame_s, synch_slot=0.05, w=8, mini_slot=0.016,
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    if rts_airtime is not None and mini_slot <= max_backoff + rts_airtime:
+    if mini_slot <= max_backoff + rts_airtime:
         raise ValueError(
             f"mini-slot {mini_slot*1e3:.2f} ms must exceed max backoff + RTS airtime "
             f"({(max_backoff + rts_airtime)*1e3:.2f} ms)"

@@ -90,10 +90,9 @@ def sweep(base, param, values, seeds, workers=0):
     return table, rows
 
 
-def analytic_report(ber_grid, d_s=1.0, sc=None):
-    """Closed-form capacities per bit error rate for scenario `sc` (default:
-    the reference scenario); no simulation involved."""
-    sc = sc or Scenario()
+def analytic_report(ber_grid, d_s, sc):
+    """Closed-form capacities per bit error rate for scenario `sc`; no
+    simulation involved."""
     rows = []
     for ber in ber_grid:
         a = arq_capacity(d_s, ber, sc)
@@ -199,6 +198,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
     if supply is None:
         supply = max(arq_capacity(d_s, 0.0, sc), seda_capacity(d_s, 0.0, sc)) + 20
     sessions = []
+    elapsed = {}  # frame -> seconds from its start until its session finished
     delivered_first = None
     for k in range(frames):
         t0 = engine.now if k == 0 else engine.now + gap
@@ -214,10 +214,14 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
         for _ in range(supply):
             sim.inject(1, sc.payload_bytes)
         windows = [(t0, t0 + d_s)]
+
+        def done(session, k=k, t0=t0):
+            elapsed[k] = engine.now - t0
+
         if recovery == "seda":
-            session = SedaSession(sim, 1, 0, windows, None, link_ber=ber)
+            session = SedaSession(sim, 1, 0, windows, done, link_ber=ber)
         else:
-            session = ArqSession(sim, 1, 0, windows, None)
+            session = ArqSession(sim, 1, 0, windows, done)
         sessions.append(session)
         session.start()
         engine.run_until(t0 + d_s + 0.2)
@@ -225,13 +229,12 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
             delivered_first = len(ledger.delivered_records)
 
     mean_sent = sum(s.result.started_packets for s in sessions) / frames
-    first = sessions[0]
     return {
         "mean_packets_sent": mean_sent,
         "mean_sent_payload": mean_sent * sc.payload_bytes,
         "mean_delivered_payload": ledger.delivered_payload / frames,
         "delivered_per_frame": delivered_first,
-        "elapsed_first": first.result.elapsed if first.done else None,
+        "elapsed_first": elapsed.get(0),
         "recovery_frames": sum(s.result.recovery_frames for s in sessions),
         "frames": frames,
     }

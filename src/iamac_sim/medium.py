@@ -40,7 +40,7 @@ class Transmission:
 
 
 class Medium:
-    def __init__(self, engine, topology, streams, control_corruption_disabled=False):
+    def __init__(self, engine, topology, streams, control_corruption_disabled):
         self.engine = engine
         self.topo = topology
         self.model = topology.model

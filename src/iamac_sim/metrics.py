@@ -29,38 +29,8 @@ def colliding_sets(data_log):
     return frames
 
 
-class DeliveryRecords:
-    """A read-only view of the sink's delivery columns as one
-    `(origin, born_at, delivered_at, payload)` tuple per delivered packet,
-    built on read: `len` is O(1), an index or a slice builds only the tuples
-    it returns."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def __len__(self):
-        return len(self._columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(*(c[i] for c in self._columns)))
-        return tuple(c[i] for c in self._columns)
-
-    def __iter__(self):
-        return zip(*self._columns)
-
-    def __eq__(self, other):
-        if isinstance(other, DeliveryRecords):
-            return self._columns == other._columns
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-
 class MetricsLedger:
-    def __init__(self, n_nodes, energy_table, output_power_dbm=0.0):
+    def __init__(self, n_nodes, energy_table, output_power_dbm):
         self.n = n_nodes
         self.table = energy_table
 
@@ -92,8 +62,6 @@ class MetricsLedger:
         self._born = array("d")
         self._delivered = array("d")
         self._payloads = array("l")
-        self.delivered_records = DeliveryRecords(
-            (self._origins, self._born, self._delivered, self._payloads))
         self.delivered_payload = 0           # the records' payload bytes
         self.dropped_packets = 0
 
@@ -103,6 +71,12 @@ class MetricsLedger:
         self._queue_integral = [0.0] * n_nodes
 
         self.measure_end = 0.0
+
+    @property
+    def delivered_records(self):
+        """One `(origin, born_at, delivered_at, payload)` tuple per delivered
+        packet, in delivery order, built from the columns on each read."""
+        return list(zip(self._origins, self._born, self._delivered, self._payloads))
 
     # -- energy ---------------------------------------------------------
 

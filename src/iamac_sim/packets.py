@@ -31,7 +31,7 @@ class Packet:
     src: int
     dst: int
     length: int                 # bytes, excluding header (see on_air_bytes)
-    header: int = 16
+    header: int
     born_at: float = 0.0        # generation time of the payload, for latency
     origin: int = -1            # node that generated the payload
     payload_len: int = 0

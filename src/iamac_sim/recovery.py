@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .config import Scenario
 from .packets import Packet, PacketKind, airtime, readdressed
 
 
@@ -39,11 +38,9 @@ def rts_success_prob(n, w, mode="distinct-slot"):
 
 # -- capacity analytics ------------------------------------------------------
 
-def arq_capacity(d_s, ber, sc=None):
+def arq_capacity(d_s, ber, sc):
     """Largest packet count whose send+ack cycles, with the expected
-    single retransmission share, fit into the d_s budget of scenario `sc`
-    (default: the reference scenario)."""
-    sc = sc or Scenario()
+    single retransmission share, fit into the d_s budget of scenario `sc`."""
     if not 0.0 <= ber < 1.0:
         raise ValueError("ber must be in [0, 1)")
     if d_s <= sc.gamma_s:
@@ -55,10 +52,10 @@ def arq_capacity(d_s, ber, sc=None):
     return int((d_s - sc.gamma_s) / per_pkt)
 
 
-def seda_capacity(d_s, ber, sc=None):
+def seda_capacity(d_s, ber, sc):
     """Largest block count for one header-framed burst plus the expected
-    recovery round (recovery frame, retransmission header, corrupted blocks)."""
-    sc = sc or Scenario()
+    recovery round (recovery frame, retransmission header, corrupted blocks)
+    of scenario `sc`."""
     if not 0.0 <= ber < 1.0:
         raise ValueError("ber must be in [0, 1)")
     if d_s <= sc.gamma_s:
@@ -98,13 +95,14 @@ def seda_capacity(d_s, ber, sc=None):
 
 
 class TransferResult:
-    __slots__ = ("started_packets", "delivered_packets", "recovery_frames", "elapsed")
+    __slots__ = ("started_packets", "delivered_packets", "recovery_frames")
 
     def __init__(self):
-        self.started_packets = 0     # data packets sent; a retransmission adds none
+        # data packets sent, counted at their first transmission: a
+        # retransmission adds none; a session's caller times it by `on_done`
+        self.started_packets = 0
         self.delivered_packets = 0
         self.recovery_frames = 0
-        self.elapsed = 0.0
 
 
 class _SessionBase:
@@ -118,8 +116,6 @@ class _SessionBase:
         self.windows = list(windows)
         self.on_done = on_done
         self.result = TransferResult()
-        self.done = False
-        self._t0 = self.engine.now
         self._timeout_ev = None
         sim.nodes[child].active_session = self
         sim.nodes[parent].active_session = self
@@ -130,14 +126,11 @@ class _SessionBase:
     def _finish(self):
         # a finished session has no timer pending and no node forwarding to it
         self._cancel_timer()
-        self.done = True
-        self.result.elapsed = self.engine.now - self._t0
         for nid in (self.child, self.parent):
             node = self.sim.nodes[nid]
             if node.active_session is self:
                 node.active_session = None
-        if self.on_done is not None:
-            self.on_done(self)
+        self.on_done(self)
 
     def _deliver(self, pkts):
         self.result.delivered_packets += len(pkts)
@@ -169,14 +162,13 @@ class ArqSession(_SessionBase):
         self.current = None
         self.attempts = 0
         self.got_through = False     # parent decoded some attempt of current
+        sc = self.sc
+        # one data frame, its ack and the turnaround
+        self.cycle = (airtime(sc.payload_bytes + sc.header_bytes, sc.radio_speed)
+                      + airtime(sc.ack_len, sc.radio_speed) + sc.turnaround_s)
 
     def start(self):
         self._next_packet()
-
-    def _cycle_time(self):
-        sc = self.sc
-        return (airtime(sc.payload_bytes + sc.header_bytes, sc.radio_speed)
-                + airtime(sc.ack_len, sc.radio_speed) + sc.turnaround_s)
 
     def _next_packet(self):
         q = self._queue()
@@ -186,16 +178,11 @@ class ArqSession(_SessionBase):
         self.current = q[0]
         self.attempts = 0
         self.got_through = False
-        start, _ = self._fit(self._cycle_time())
-        if start is None:
-            self._finish()
-            return
-        self.result.started_packets += 1
         self._send_attempt()
 
     def _send_attempt(self):
         nodes = self.sim.nodes
-        start, _ = self._fit(self._cycle_time())
+        start, _ = self._fit(self.cycle)
         if start is None or not (nodes[self.child].alive and nodes[self.parent].alive):
             # no room for another cycle, or a node died: reconcile and stop
             if self.got_through:
@@ -205,6 +192,8 @@ class ArqSession(_SessionBase):
         if start > self.engine.now + 1e-12:
             self.engine.schedule(start, lambda ev: self._send_attempt())
             return
+        if not self.attempts:
+            self.result.started_packets += 1
         self.attempts += 1
         sc = self.sc
         data = readdressed(self.current, self.child, self.parent, sc.header_bytes)

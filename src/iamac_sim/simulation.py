@@ -375,7 +375,7 @@ class Simulation:
                            if ledger.first_death_time is not None
                            else self.scenario.horizon_s),
             "lifetime_censored": ledger.first_death_time is None,
-            "delivered_packets": len(ledger.delivered_records),
+            "delivered_packets": lat["count"] if lat else 0,
             "delivered_payload": ledger.delivered_payload,
             "throughput_bps": ledger.throughput_bps(),
             "mean_latency_s": lat["mean"] if lat else None,

@@ -69,12 +69,12 @@ def test_c3_transfer_procedures_track_capacities():
     lines = []
     ok = True
     for ber in (1e-4, 1e-3):
-        cap = arq_capacity(1.0, ber) * PAYLOAD
+        cap = arq_capacity(1.0, ber, Scenario()) * PAYLOAD
         r = transfer_benchmark("arq", 1.0, ber, frames=500)
         ratio = r["mean_sent_payload"] / cap
         ok &= abs(ratio - 1.0) <= 0.10
         lines.append(f"arq@{ber:g}: {ratio:.3f}")
-        cap_s = seda_capacity(1.0, ber) * PAYLOAD
+        cap_s = seda_capacity(1.0, ber, Scenario()) * PAYLOAD
         rs = transfer_benchmark("seda", 1.0, ber, frames=500)
         ratio_s = rs["mean_delivered_payload"] / cap_s
         ok &= abs(ratio_s - 1.0) <= 0.10

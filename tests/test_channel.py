@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iamac_sim.channel import LinkModel, dbm_to_mw, expected_prr, transitional_region
+from iamac_sim.channel import dbm_to_mw, expected_prr, transitional_region
 from iamac_sim.config import Scenario
 from iamac_sim.energy import RadioState
 from iamac_sim.packets import Packet, PacketKind
@@ -14,7 +14,7 @@ from iamac_sim.simulation import Simulation
 
 @pytest.fixture
 def model():
-    return LinkModel()
+    return Scenario().link_model()
 
 
 def test_path_loss_reference_distance(model):
@@ -59,7 +59,7 @@ def test_prr_perfect_channel(model):
 
 def test_prr_closed_form():
     # pick the SNR realizing pb = 1e-3 and check (1-1e-3)^360
-    m = LinkModel()
+    m = Scenario().link_model()
     snr_lin = 2.0 * math.log(0.5 / 1e-3) / m.bandwidth_to_rate
     snr = 10.0 * math.log10(snr_lin)
     assert m.packet_reception_prob(dbm_to_mw(snr), 45) == pytest.approx((1 - 1e-3) ** 360,
@@ -147,7 +147,7 @@ def test_sinr_strictly_below_snr_with_interference(model):
        st.floats(min_value=1.0, max_value=100.0))
 @settings(max_examples=80, deadline=None)
 def test_prr_monotone_in_distance_and_power(power_margin, d):
-    m = LinkModel(shadowing_sigma=0.0)
+    m = Scenario(shadowing_sigma=0.0).link_model()
     tx = power_margin - 40.0
     p_near = m.packet_reception_prob(dbm_to_mw(m.snr(tx, d)), 45)
     p_far = m.packet_reception_prob(dbm_to_mw(m.snr(tx, d * 1.3)), 45)
@@ -157,7 +157,7 @@ def test_prr_monotone_in_distance_and_power(power_margin, d):
 
 
 def test_transitional_region_zero_sigma_matches_closed_form():
-    m = LinkModel(shadowing_sigma=0.0)
+    m = Scenario(shadowing_sigma=0.0).link_model()
     length = 45
     begin, end = transitional_region(m, 0.0, length)
 
@@ -175,20 +175,20 @@ def test_transitional_region_zero_sigma_matches_closed_form():
 
 
 def test_transitional_region_degenerate_everything_connected():
-    m = LinkModel(shadowing_sigma=0.0)
+    m = Scenario(shadowing_sigma=0.0).link_model()
     begin, end = transitional_region(m, 60.0, 45, d_max=50.0)
     assert begin == end == 50.0
 
 
 def test_transitional_region_width_recorded():
     """The achieved default-region width is a recorded artifact property."""
-    m = LinkModel()
+    m = Scenario().link_model()
     begin, end = transitional_region(m, 0.0, 45)
     assert 0.0 < begin < end < 40.0
 
 
 def test_expected_prr_marginalizes_shadowing():
-    m = LinkModel(shadowing_sigma=4.0)
+    m = Scenario(shadowing_sigma=4.0).link_model()
     mid = 0.5 * sum(transitional_region(m, 0.0, 45))
     val = expected_prr(m, 0.0, mid, 45)
     assert 0.0 < val < 1.0
@@ -215,7 +215,7 @@ def prr_through_db(model, wanted_mw, other_mw, noise_mw, length_bytes):
 def test_linear_sinr_prr_matches_the_db_round_trip():
     saturated = near_half = 0
     for noise_floor in (-115.0, -105.0, -95.0):
-        model = LinkModel(noise_floor=noise_floor)
+        model = Scenario(noise_floor=noise_floor).link_model()
         noise = model.noise_mw
         for wanted_dbm in np.arange(-140.0, -19.0, 1.25):
             wanted = dbm_to_mw(wanted_dbm)

@@ -227,7 +227,7 @@ def test_degenerate_sweep_equals_single_run():
 # -- analytics -------------------------------------------------------------------
 
 def test_analytic_report_reference_row():
-    rows = analytic_report([0.0, 1e-3])
+    rows = analytic_report([0.0, 1e-3], 1.0, Scenario())
     assert rows[0][1] == "35" and rows[0][2] == "76"
     for row in rows:
         assert int(row[4]) >= int(row[3])

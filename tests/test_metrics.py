@@ -8,7 +8,7 @@ import pytest
 
 from iamac_sim import metrics
 from iamac_sim.config import Scenario, desk_preset
-from iamac_sim.energy import EnergyTable, RadioState
+from iamac_sim.energy import RadioState
 from iamac_sim.harness import star_simulation
 from iamac_sim.metrics import MetricsLedger, colliding_sets
 from iamac_sim.packets import make_data_packet
@@ -41,7 +41,7 @@ def colliding_sets_offline(data_log, sense_in):
 
 @pytest.fixture
 def table():
-    return EnergyTable()
+    return Scenario().energy_table()
 
 
 def test_sleep_second_energy(table):
@@ -50,7 +50,7 @@ def test_sleep_second_energy(table):
 
 
 def test_zero_duration_zero_energy(table):
-    ledger = MetricsLedger(1, table)
+    ledger = MetricsLedger(1, table, 0.0)
     # charging nothing leaves the whole battery as the residual it returns
     assert ledger.account(0, RadioState.LISTEN, 0.0) == table.battery_mj
     assert ledger.spent_mj(0) == 0.0 and ledger.state_time[0] == [0.0, 0.0, 0.0]
@@ -72,30 +72,30 @@ def test_idle_lifetime_closed_form(table):
     # a node asleep forever dies at capacity / sleep draw
     seconds = table.battery_mj / (table.sleep_ma * table.voltage)
     assert seconds == pytest.approx(2400.0 * 3600.0 / 0.03)
-    doubled = EnergyTable(battery_mah=4800.0)
+    doubled = Scenario(battery_mah=4800.0).energy_table()
     assert doubled.battery_mj / (doubled.sleep_ma * doubled.voltage) == pytest.approx(2 * seconds)
 
 
 def test_always_asleep_duty_cycle_is_zero(table):
-    ledger = MetricsLedger(1, table)
+    ledger = MetricsLedger(1, table, 0.0)
     ledger.account(0, RadioState.SLEEP, 100.0)
     assert ledger.duty_cycle(0) == 0.0
 
 
 def test_negative_duration_rejected(table):
-    ledger = MetricsLedger(1, table)
+    ledger = MetricsLedger(1, table, 0.0)
     with pytest.raises(ValueError):
         ledger.account(0, RadioState.SLEEP, -1.0)
 
 
 def test_delivery_before_birth_rejected(table):
-    ledger = MetricsLedger(1, table)
+    ledger = MetricsLedger(1, table, 0.0)
     with pytest.raises(ValueError):
         ledger.record_delivery([make_data_packet(0, 0, 0, 10.0, 29, 16)], 9.0)
 
 
 def test_a_batch_with_one_packet_born_after_delivery_records_none_of_it(table):
-    ledger = MetricsLedger(3, table)
+    ledger = MetricsLedger(3, table, 0.0)
     ledger.record_delivery([make_data_packet(0, 1, 0, 1.0, 29, 16)], 2.0)
     kept = (list(ledger.delivered_records), ledger.delivered_payload)
     batch = [make_data_packet(1, 2, 0, 2.5, 31, 16), make_data_packet(2, 1, 0, 3.0, 29, 16),
@@ -117,7 +117,7 @@ def test_a_batch_with_a_value_its_column_cannot_hold_records_none_of_it(table, f
     """Every column is built before any is appended: a packet whose payload
     is not an int, or whose origin is beyond the `"l"` range, leaves all four
     columns and the payload total as they were."""
-    ledger = MetricsLedger(3, table)
+    ledger = MetricsLedger(3, table, 0.0)
     ledger.record_delivery([make_data_packet(0, 1, 0, 1.0, 29, 16)], 2.0)
     columns = (ledger._origins, ledger._born, ledger._delivered, ledger._payloads)
     kept = [c.tolist() for c in columns], ledger.delivered_payload
@@ -179,7 +179,7 @@ def test_latency_stats_equal_the_tuple_formula_bit_for_bit(table, case, seed,
     # both sorts: numpy's in place, and a list of Python floats
     monkeypatch.setattr(metrics, "NUMPY_SORT_FROM", numpy_sort_from)
     rng = np.random.default_rng(seed)
-    ledger, oracle = MetricsLedger(7, table), TupleLedger()
+    ledger, oracle = MetricsLedger(7, table, 0.0), TupleLedger()
     for pkts, t in delivery_batches(case, rng):
         ledger.record_delivery(pkts, t)
         oracle.record_delivery(pkts, t)
@@ -204,7 +204,7 @@ def test_delivery_records_hold_at_most_40_bytes_per_delivery(table):
     """Each record outlives its packet; 100,000 of them, born at distinct
     instants, must hold at most 40 B each in the ledger."""
     n, batch = 100_000, 50
-    ledger = MetricsLedger(7, table)
+    ledger = MetricsLedger(7, table, 0.0)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -224,7 +224,7 @@ def test_delivery_records_hold_at_most_40_bytes_per_delivery(table):
 
 
 def test_queue_time_weighted_mean(table):
-    ledger = MetricsLedger(2, table)
+    ledger = MetricsLedger(2, table, 0.0)
     ledger.measure_end = 10.0
     ledger.queue_changed(0, 4, 2.0)   # len 0 for [0,2)
     ledger.queue_changed(0, 0, 7.0)   # len 4 for [2,7)

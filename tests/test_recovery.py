@@ -95,21 +95,23 @@ def test_domain_errors():
 
 # -- capacity closed forms --------------------------------------------------------
 
+REF = Scenario()  # the reference scenario
+
 def test_arq_capacity_error_free():
-    assert arq_capacity(1.0, 0.0) == 35          # floor(19200 / (360 + 184))
+    assert arq_capacity(1.0, 0.0, REF) == 35          # floor(19200 / (360 + 184))
 
 
 def test_arq_capacity_at_1e3():
-    assert arq_capacity(1.0, 1e-3) == 27
+    assert arq_capacity(1.0, 1e-3, REF) == 27
 
 
 def test_arq_capacity_saturation_limit():
     # every packet retransmitted once: floor(19200 / (2 * 544))
-    assert arq_capacity(1.0, 1.0 - 1e-12) == 17
+    assert arq_capacity(1.0, 1.0 - 1e-12, REF) == 17
 
 
 def test_seda_capacity_error_free():
-    assert seda_capacity(1.0, 0.0) == 76         # floor((19200 - 128) / 248)
+    assert seda_capacity(1.0, 0.0, REF) == 76         # floor((19200 - 128) / 248)
 
 
 def test_capacities_monotone_grid():
@@ -136,20 +138,20 @@ def test_seda_payload_dominates_arq_on_grid():
 
 
 def test_both_capacities_tend_to_fixed_values_at_high_ber():
-    assert arq_capacity(1.0, 0.99) == arq_capacity(1.0, 0.999)
-    assert seda_capacity(1.0, 0.99) == seda_capacity(1.0, 0.999)
+    assert arq_capacity(1.0, 0.99, REF) == arq_capacity(1.0, 0.999, REF)
+    assert seda_capacity(1.0, 0.99, REF) == seda_capacity(1.0, 0.999, REF)
 
 
 def test_gamma_reduces_budget():
-    assert arq_capacity(1.0, 0.0, Scenario(gamma_s=0.5)) == arq_capacity(0.5, 0.0)
+    assert arq_capacity(1.0, 0.0, Scenario(gamma_s=0.5)) == arq_capacity(0.5, 0.0, REF)
 
 
 def test_domain_errors_capacity():
     with pytest.raises(ValueError):
-        arq_capacity(1.0, 1.0)
+        arq_capacity(1.0, 1.0, REF)
     with pytest.raises(ValueError):
-        seda_capacity(1.0, -0.1)
-    assert arq_capacity(0.0, 0.0) == 0
+        seda_capacity(1.0, -0.1, REF)
+    assert arq_capacity(0.0, 0.0, REF) == 0
 
 
 # -- event-level transfers ---------------------------------------------------------
@@ -180,7 +182,7 @@ def test_seda_perfect_channel_no_recovery_frames():
     r = transfer_benchmark("seda", 1.0, 0.0, frames=2)
     assert r["recovery_frames"] == 0
     assert r["mean_delivered_payload"] == pytest.approx(
-        seda_capacity(1.0, 0.0) * 29)
+        seda_capacity(1.0, 0.0, REF) * 29)
 
 
 def test_seda_single_corruption_one_recovery_one_retransmission(monkeypatch):
@@ -226,10 +228,10 @@ def test_seda_cutoff_retransmission_keeps_block_queued(monkeypatch):
 
 def test_transfer_consistency_with_capacity():
     for ber in (1e-4, 1e-3):
-        cap = arq_capacity(1.0, ber)
+        cap = arq_capacity(1.0, ber, REF)
         r = transfer_benchmark("arq", 1.0, ber, frames=150)
         assert r["mean_sent_payload"] == pytest.approx(cap * 29, rel=0.10)
-        cap_s = seda_capacity(1.0, ber)
+        cap_s = seda_capacity(1.0, ber, REF)
         rs = transfer_benchmark("seda", 1.0, ber, frames=150)
         assert rs["mean_delivered_payload"] == pytest.approx(cap_s * 29, rel=0.10)
 
@@ -293,13 +295,13 @@ def test_finished_session_leaves_a_newer_session_attached():
     sim = Simulation(sc, [(0.0, 0.0), (4.0, 0.0), (8.0, 0.0)], parents={1: 0, 2: 1})
     seen = []
     old = ArqSession(sim, 1, 0, [(0.0, 1.0)],
-                     lambda s: seen.append([n.active_session for n in sim.nodes]))
+                     lambda s: seen.append((s, [n.active_session for n in sim.nodes])))
     assert [n.active_session for n in sim.nodes] == [old, old, None]
-    new = ArqSession(sim, 2, 1, [(0.0, 1.0)], None)
+    new = ArqSession(sim, 2, 1, [(0.0, 1.0)], seen.append)
     old.start()   # node 1 has nothing queued: the session ends at once
-    assert old.done and not new.done
-    # detached before its callback, and only where it was still attached
-    assert seen == [[None, new, new]]
+    # only the old session finished, detached before its callback, and only
+    # where it was still attached
+    assert seen == [(old, [None, new, new])]
 
 
 def test_arq_reconciles_when_a_node_dies_mid_session():
@@ -321,7 +323,14 @@ def test_seda_session_ends_when_a_node_dies(monkeypatch):
                      horizon_s=300.0)
     sim = Simulation(sc)
     next_burst = SedaSession._next_burst
-    ended = []
+    init = SedaSession.__init__
+    ended, finished = [], []
+
+    def recording(session, sim, child, parent, windows, on_done, **kwargs):
+        def done(s):
+            finished.append(s)
+            on_done(s)
+        init(session, sim, child, parent, windows, done, **kwargs)
 
     def watched(session):
         nodes = session.sim.nodes
@@ -331,11 +340,12 @@ def test_seda_session_ends_when_a_node_dies(monkeypatch):
             ended.append(session)
 
     monkeypatch.setattr(SedaSession, "_next_burst", watched)
+    monkeypatch.setattr(SedaSession, "__init__", recording)
     res = sim.run()
     # two sessions take this exit: children 6 and 4, at 11.669 s and 12.434 s
     assert ended
     for session in ended:
-        assert session.done
+        assert finished.count(session) == 1
         assert session._timeout_ev is None or session._timeout_ev.cancelled
         assert all(sim.nodes[nid].active_session is not session
                    for nid in (session.child, session.parent))
