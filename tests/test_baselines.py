@@ -3,19 +3,21 @@ import pytest
 from iamac_sim.config import ConfigError, Scenario, desk_preset
 from iamac_sim.energy import RadioState
 from iamac_sim.mac_smac import SmacDriver
+from iamac_sim.medium import Medium
 from iamac_sim.packets import PacketKind, airtime
 from iamac_sim.simulation import Simulation
 
 def chain_sim(protocol, hops=3, frame_s=1.0, horizon_s=12.0, seed=2,
-              sampling=1000.0, fixed_contention=None):
-    """A->B->C->D line, data flows toward node 0."""
+              sampling=1000.0, fixed_contention=None, **overrides):
+    """A->B->C->D line, data flows toward node 0; `overrides` sets further
+    scenario fields."""
     n = hops + 1
     positions = [(6.0 * k, 0.0) for k in range(n)]
     sc = Scenario(node_count=n, area=(40.0, 5.0), protocol=protocol,
                   frame_s=frame_s, sampling_interval_s=sampling,
                   horizon_s=horizon_s, shadowing_sigma=0.0,
                   stop_on_first_death=False, smac_adaptive_err=0.0,
-                  seed=seed).validate()
+                  seed=seed, **overrides).validate()
     return Simulation(sc, positions, parents={k: k - 1 for k in range(1, n)},
                       fixed_contention=fixed_contention)
 
@@ -155,6 +157,72 @@ def test_an_smac_attempt_from_an_earlier_frame_sends_nothing_in_an_exchange(monk
     assert in_role == [(1, "tx")]
     assert [node for t, node, label, _ in sim.trace_log
             if label == "smac-rts" and 2.0 <= t < 3.0] == [1]
+
+
+def smac_sends(monkeypatch):
+    """Every `Medium.transmit` call from here on, as (time, sender, kind)."""
+    transmit = Medium.transmit
+    sent = []
+
+    def watched(medium, sender, packet, on_resolved=None):
+        sent.append((medium.engine.now, sender, packet.kind))
+        return transmit(medium, sender, packet, on_resolved)
+
+    monkeypatch.setattr(Medium, "transmit", watched)
+    return sent
+
+
+def test_an_smac_attempt_too_late_for_its_exchange_sends_nothing(monkeypatch):
+    """`_attempt`'s end-of-frame test. An injected delay is not bounded by
+    the backoff's room, so node 1's attempt comes at 0.15 s, while it still
+    listens; its 2000-byte packet's exchange would then end about 30 ms past
+    the frame. It sends nothing in that frame, and the packet goes in the
+    next."""
+    attempt = SmacDriver._attempt
+    late = []
+
+    def watched(driver, nid, ev):
+        now = driver.engine.now
+        if (driver.sim.nodes[nid].queue and now + driver._exchange_span(nid)
+                > driver.cycle_start + driver.period - 1e-3):
+            late.append((nid, now, driver.sim.nodes[nid].state))
+        attempt(driver, nid, ev)
+
+    monkeypatch.setattr(SmacDriver, "_attempt", watched)
+    sent = smac_sends(monkeypatch)
+    sim = chain_sim("smac", hops=1, horizon_s=4.0, fixed_contention={1: [0.1]})
+    sim.inject(1, 2000)
+    res = sim.run()
+    assert late == [(1, pytest.approx(0.15), RadioState.LISTEN)]
+    assert not [s for s in sent if s[0] < 1.0]
+    assert res["delivered_packets"] == 1 and res["conserved"]
+
+
+def test_an_smac_data_send_after_its_exchange_ended_sends_nothing(monkeypatch):
+    """`_send_data`'s role test, reached only through a timer of an earlier
+    frame (ROADMAP item 3): the stale attempt of `stale_attempt_chain` clears
+    the handle of node 1's CTS timeout after its RTS. The CTS still comes,
+    but with a 5 ms SIFS the surviving timeout fires 2 ms after it and ends
+    the exchange before the data is due, so the data send finds no role and
+    sends nothing; the packet stays queued."""
+    send_data = SmacDriver._send_data
+    roleless = []
+
+    def watched(driver, nid, ev):
+        if driver.states[nid].role is None:
+            roleless.append(nid)
+        send_data(driver, nid, ev)
+
+    monkeypatch.setattr(SmacDriver, "_send_data", watched)
+    sent = smac_sends(monkeypatch)
+    sim = chain_sim("smac", hops=1, horizon_s=4.0, sifs_s=0.005,
+                    fixed_contention={1: [2.0 + Scenario().control_air + 0.5e-3, 0.0, 0.0]})
+    sim.inject(1, 29)
+    sim.inject(1, 29)
+    res = sim.run()
+    assert roleless == [1]
+    assert [kind for t, node, kind in sent if node == 1 and 2.0 <= t < 3.0] == [PacketKind.RTS]
+    assert res["delivered_packets"] == 2 and res["conserved"]
 
 
 @pytest.mark.xfail(strict=True, reason="an S-MAC attempt left from an earlier frame clears the "

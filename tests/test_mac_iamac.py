@@ -4,9 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from iamac_sim.config import desk_preset
+from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.fixtures import build_fig6, FIG6_B, FIG6_C, FIG6_E
 from iamac_sim.mac_iamac import IamacDriver
+from iamac_sim.medium import Medium
 from iamac_sim.packets import PacketKind
 from iamac_sim.recovery import rts_success_prob
 from iamac_sim.simulation import Simulation
@@ -262,3 +263,35 @@ def test_sensing_children_get_every_rts_through():
     assert all(set(children) - {c} <= set(sim.topo.sense_out[c]) for c in children)
     assert sum(sent.values()) > 150
     assert decoded == sent
+
+
+def test_an_rts_attempt_of_a_node_that_died_after_its_pick_sends_nothing(monkeypatch):
+    """`_rts_attempt`'s dead-node return: a death does not cancel a pending
+    attempt. Node 1's injected backoff puts its attempt 5 s after its mini
+    slot, and its 0.0005 mAh battery empties within the first frame; the
+    attempt finds it dead and nothing is sent."""
+    rts_attempt = IamacDriver._rts_attempt
+    transmit = Medium.transmit
+    attempts, senders = [], []
+
+    def watched_attempt(driver, nid):
+        attempts.append((nid, driver.sim.nodes[nid].alive))
+        rts_attempt(driver, nid)
+
+    def watched_transmit(medium, sender, packet, on_resolved=None):
+        senders.append((sender, medium.nodes[sender].alive))
+        return transmit(medium, sender, packet, on_resolved)
+
+    monkeypatch.setattr(IamacDriver, "_rts_attempt", watched_attempt)
+    monkeypatch.setattr(Medium, "transmit", watched_transmit)
+    sc = Scenario(node_count=2, area=(10.0, 5.0), frame_s=1.0, sampling_interval_s=1000.0,
+                  horizon_s=8.0, shadowing_sigma=0.0, stop_on_first_death=False,
+                  battery_mah=0.0005, seed=2).validate()
+    sim = Simulation(sc, [(0.0, 0.0), (6.0, 0.0)], parents={1: 0},
+                     fixed_contention={1: [(0, 5.0)]})
+    sim.inject(1, 29)
+    res = sim.run()
+    assert res["lifetime_s"] < 1.0
+    assert attempts == [(1, False)]
+    assert senders == []
+    assert res["conserved"] and res["queued_packets"] == 1

@@ -304,6 +304,62 @@ def test_finished_session_leaves_a_newer_session_attached():
     assert seen == [(old, [None, new, new])]
 
 
+def test_arq_counts_no_started_packet_when_its_child_dies_before_the_window():
+    """A packet counts as started at its first transmission. Here the only
+    window opens at 1 s and the child dies at 0.5 s, so nothing is sent and
+    nothing counts; the packet stays queued."""
+    sc = Scenario(node_count=2, seed=1, shadowing_sigma=0.0, battery_mah=0.0005,
+                  stop_on_first_death=False)
+    sim = Simulation(sc, [(0.0, 0.0), (4.0, 0.0)], parents={1: 0})
+    sim.inject(1, sc.payload_bytes)
+    sim.wake(1)
+    finished = []
+    session = ArqSession(sim, 1, 0, [(1.0, 2.0)], finished.append)
+    session.start()
+    sim.engine.run_until(0.5)
+    sim.nodes[1].flush_energy()   # 0.5 s of listening empties the battery
+    assert not sim.nodes[1].alive
+    sim.engine.run_until(3.0)
+    assert finished == [session]
+    assert session.result.started_packets == 0
+    assert len(sim.nodes[1].queue) == 1
+
+
+def test_an_arq_session_between_packets_ignores_an_overheard_frame(monkeypatch):
+    """`on_packet`'s `current is None` return: with a turnaround, a session
+    holds no packet between an ACK and its next packet, and its nodes still
+    decode their neighbours' frames. In this run child 3 hears ACKs of another
+    pair in such gaps; each changes nothing in the session and sends
+    nothing."""
+    on_packet = ArqSession.on_packet
+    transmit = Medium.transmit
+    sent, idle = [], []
+
+    def watched_transmit(medium, sender, packet, on_resolved=None):
+        sent.append(sender)
+        return transmit(medium, sender, packet, on_resolved)
+
+    def watched(session, node, pkt, sinr):
+        def state():
+            r = session.result
+            return (session.current, len(sent), session.attempts, session.got_through,
+                    r.started_packets, r.delivered_packets)
+
+        before = state()
+        on_packet(session, node, pkt, sinr)
+        if before[0] is None:
+            idle.append((node, pkt.kind))
+            assert state() == before
+
+    monkeypatch.setattr(Medium, "transmit", watched_transmit)
+    monkeypatch.setattr(ArqSession, "on_packet", watched)
+    sc = desk_preset(seed=3, recovery="arq", turnaround_s=0.01, sampling_interval_s=0.5,
+                     horizon_s=60.0)
+    res = Simulation(sc).run()
+    assert idle
+    assert res["conserved"]
+
+
 def test_arq_reconciles_when_a_node_dies_mid_session():
     """A child that dies at its data frame's last bit, after its parent
     decoded the frame, must not keep the delivered packet queued."""
