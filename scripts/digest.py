@@ -8,8 +8,7 @@ Each corpus run is reduced to one SHA-256 over its result dict, the engine's
 scheduled, dispatched and cancelled counts, the ledger's floats as exact hex,
 the sink's delivery records, every node's queue length and alive flag, and,
 for a traced run, its `trace_log` and `data_log` (interferer sets sorted).
-A run that raises digests its exception with the state it left. A
-`transfer_benchmark` call digests its returned dict.
+A `transfer_benchmark` call digests its returned dict.
 
 `record` rewrites `scripts/digests.json`; `check` recomputes every digest,
 names each run whose digest moved or that is missing from one side, and exits
@@ -143,16 +142,15 @@ def _hexes(values):
     return " ".join("None" if v is None else float(v).hex() for v in values)
 
 
-def sim_digest(sim, result, error):
-    """SHA-256 over everything a finished (or raising) run leaves behind."""
+def sim_digest(sim, result):
+    """SHA-256 over everything a finished run leaves behind."""
     h = hashlib.sha256()
 
     def put(*parts):
         h.update(repr(parts).encode())
         h.update(b"\n")
 
-    put("result", sorted(result.items()) if result is not None else None)
-    put("error", error)
+    put("result", sorted(result.items()))
     engine = sim.engine
     put("engine", engine.scheduled_count, engine.dispatched_count, engine.cancelled_count)
     ledger = sim.ledger
@@ -173,17 +171,12 @@ def sim_digest(sim, result, error):
 
 
 def run(name):
-    """`(digest, result)` of one corpus run; `result` is the run's result
-    dict, or None when it raised."""
+    """`(digest, result)` of one corpus run, with the run's result dict."""
     built = corpus()[name]()
     if isinstance(built, dict):
         return hashlib.sha256(repr(sorted(built.items())).encode()).hexdigest(), built
-    result, error = None, None
-    try:
-        result = built.run()
-    except Exception as exc:  # a defect a later change may mend: digest it, don't stop
-        error = f"{type(exc).__name__}: {exc} at t={built.engine.now!r}"
-    return sim_digest(built, result, error), result
+    result = built.run()
+    return sim_digest(built, result), result
 
 
 def _digest_only(name):
@@ -193,9 +186,11 @@ def _digest_only(name):
 def compute(workers):
     names = list(corpus())
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             return dict(pool.map(_digest_only, names, chunksize=4))
     return dict(map(_digest_only, names))
 

@@ -200,8 +200,11 @@ class Scenario:
         return airtime(self.control_bytes + self.header_bytes, self.radio_speed)
 
     def frame_plan(self):
-        return build_frame_plan(self.frame_s, self.synch_slot_s, self.w, self.mini_slot_s,
-                                self.cts_slot_s, self.max_backoff_s, self.control_air)
+        return build_frame_plan(
+            self.frame_s, synch_slot=self.synch_slot_s, w=self.w,
+            mini_slot=self.mini_slot_s, cts_slot=self.cts_slot_s,
+            max_backoff=self.max_backoff_s, rts_airtime=self.control_air,
+        )
 
     def energy_table(self):
         return EnergyTable(

@@ -35,7 +35,8 @@ def test_rts_slot_is_w_mini_slots():
 
 def test_mini_slot_must_cover_backoff_plus_airtime():
     with pytest.raises(ValueError):
-        build_frame_plan(1.0, 0.05, 8, 0.016, 0.05, 0.0015, 0.0183)
+        build_frame_plan(1.0, synch_slot=0.05, w=8, mini_slot=0.016, cts_slot=0.05,
+                         max_backoff=0.0015, rts_airtime=0.0183)
 
 
 def test_active_slots_must_fit():
