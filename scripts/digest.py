@@ -212,7 +212,8 @@ def main(argv=None):
                    if digests.get(name) != recorded.get(name))
     for name in moved:
         print(f"moved: {name} (recorded {recorded.get(name)}, now {digests.get(name)})")
-    print(f"{len(digests) - len(moved)} of {len(recorded)} recorded digests match")
+    same = sum(digests.get(name) == digest for name, digest in recorded.items())
+    print(f"{same} of {len(recorded)} recorded digests match")
     return 1 if moved else 0
 
 

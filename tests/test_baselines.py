@@ -200,8 +200,9 @@ def test_an_smac_attempt_too_late_for_its_exchange_sends_nothing(monkeypatch):
 
 def test_an_smac_data_send_after_its_exchange_ended_sends_nothing(monkeypatch):
     """`_send_data`'s role test, reached only through a timer of an earlier
-    frame (ROADMAP item 3): the stale attempt of `stale_attempt_chain` clears
-    the handle of node 1's CTS timeout after its RTS. The CTS still comes,
+    frame, which `start` does not cancel: the stale attempt of
+    `stale_attempt_chain` clears the handle of node 1's CTS timeout after its
+    RTS. The CTS still comes,
     but with a 5 ms SIFS the surviving timeout fires 2 ms after it and ends
     the exchange before the data is due, so the data send finds no role and
     sends nothing; the packet stays queued."""
