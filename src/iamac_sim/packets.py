@@ -38,7 +38,7 @@ class Packet:
     uid: int = -1               # data packets: numbered per run by the Simulation
     # extra per-kind fields
     exchange_end: float = 0.0   # S-MAC duration field (absolute end time)
-    block_uids: tuple = ()      # Seda data frame: uids of packets carried as blocks
+    blocks: tuple = ()          # Seda frames: burst positions of the blocks named
 
     def on_air_bytes(self):
         return self.length + self.header
@@ -58,4 +58,4 @@ def readdressed(pkt, src, dst, header):
     """`pkt` as `dataclasses.replace(pkt, src=src, dst=dst, header=header)`
     gives it, built positionally in field order."""
     return Packet(pkt.kind, src, dst, pkt.length, header, pkt.born_at, pkt.origin,
-                  pkt.payload_len, pkt.uid, pkt.exchange_end, pkt.block_uids)
+                  pkt.payload_len, pkt.uid, pkt.exchange_end, pkt.blocks)

@@ -206,8 +206,6 @@ class ArqSession(_SessionBase):
     def on_packet(self, node, pkt, sinr):
         """A frame decoded at `node`; `sinr` (a linear ratio) is unused,
         since an ARQ frame is received whole or not at all."""
-        if self.current is None:
-            return
         if node == self.parent and pkt.kind is PacketKind.DATA and pkt.src == self.child:
             # the child sends only the current packet
             if not self.got_through:
@@ -256,15 +254,22 @@ class SedaSession(_SessionBase):
     A corrupted recovery frame falls back to retransmitting the whole burst.
     The burst size is planned from the capacity bound at the link's bit error
     rate, so the recovery round is expected to fit the remaining window.
+
+    A burst is the head of the child's queue, and its frames name blocks by
+    their position in it. While the session runs nothing else removes
+    packets from that queue, and every queued uid is distinct, so a position
+    names the same packet for the whole burst and a per-position flag marks a
+    block delivered at most once.
     """
 
     def __init__(self, *args, link_ber=0.0, **kwargs):
         super().__init__(*args, **kwargs)
         self.link_ber = link_ber
         self.block_len = self.sc.payload_bytes + self.sc.block_overhead
-        self.burst = {}              # uid -> packet, in queue order
-        self.delivered_uids = set()
-        self.retrans_uids = set()    # blocks that flew in a retransmission
+        self.burst = []              # the child's queue head, in queue order
+        self.delivered = []          # per position: the parent holds the block
+        self.retried = []            # per position: the block flew in a retransmission
+        self.n_delivered = 0
         self.phase = "idle"          # idle | data | retrans
         self._window_end = None
 
@@ -292,22 +297,24 @@ class SedaSession(_SessionBase):
         plan = seda_capacity(budget, self.link_ber, self.sc)
         if plan < 1:
             plan = 1  # a one-block frame already fits: push at least one block
-        self.burst = {p.uid: p for p in q[:plan]}
-        self.delivered_uids = set()
-        self.retrans_uids = set()
+        self.burst = burst = q[:plan]
+        n = len(burst)
+        self.delivered = [False] * n
+        self.retried = [False] * n
+        self.n_delivered = 0
         self._window_end = end
-        self.result.started_packets += len(self.burst)
+        self.result.started_packets += n
         self.phase = "data"
-        self._send_frame(tuple(self.burst), await_recovery=True)
+        self._send_frame(range(n), await_recovery=True)
 
     def _frame_airtime(self, blocks):
         return airtime(self.sc.header_bytes + blocks * self.block_len, self.sc.radio_speed)
 
-    def _send_frame(self, uids, await_recovery):
+    def _send_frame(self, blocks, await_recovery):
         sc = self.sc
         frame = Packet(kind=PacketKind.SEDA_BLOCK, src=self.child, dst=self.parent,
-                       length=len(uids) * self.block_len, header=sc.header_bytes,
-                       block_uids=uids)
+                       length=len(blocks) * self.block_len, header=sc.header_bytes,
+                       blocks=blocks)
         t_end = self.medium.transmit(self.child, frame)
         self._cancel_timer()
         if await_recovery:
@@ -329,39 +336,44 @@ class SedaSession(_SessionBase):
             return
         if tx.sender != self.parent or tx.packet.kind is not PacketKind.RECOVERY_FRAME:
             return
-        self._retransmit_or_resolve(tuple(self.burst))
+        self._retransmit_or_resolve(range(len(self.burst)))
 
-    def _retransmit_or_resolve(self, uids):
-        """Resend `uids` once if their frame fits the window, else close the burst."""
+    def _retransmit_or_resolve(self, blocks):
+        """Resend the blocks at positions `blocks` once if their frame fits
+        the window, else close the burst."""
         self._cancel_timer()
         # a burst is never empty, and neither is a recovery report
-        if self._window_end - self.engine.now >= self._frame_airtime(len(uids)):
+        if self._window_end - self.engine.now >= self._frame_airtime(len(blocks)):
             self.phase = "retrans"
-            self.retrans_uids.update(uids)
-            self._send_frame(uids, await_recovery=False)
+            retried = self.retried
+            for i in blocks:
+                retried[i] = True
+            self._send_frame(blocks, await_recovery=False)
         else:
             self._resolve_burst()
 
     # -- parent side ------------------------------------------------------
 
     def _parent_got_frame(self, pkt, sinr):
-        flips = self.medium.block_corruption_draws(
-            sinr, len(pkt.block_uids), self.block_len)
+        blocks = pkt.blocks
+        flips = self.medium.block_corruption_draws(sinr, len(blocks), self.block_len)
+        burst, delivered = self.burst, self.delivered
         corrupt, got = [], []
-        for uid, bad in zip(pkt.block_uids, flips):
+        for i, bad in zip(blocks, flips):
             if bad:
-                corrupt.append(uid)
-            elif uid not in self.delivered_uids:
-                self.delivered_uids.add(uid)
-                got.append(self.burst[uid])
+                corrupt.append(i)
+            elif not delivered[i]:
+                delivered[i] = True
+                got.append(burst[i])
         if got:
+            self.n_delivered += len(got)
             self._deliver(got)
         # the child sends one frame in the data phase, so at most one report
         if self.phase == "data" and corrupt:
             self.result.recovery_frames += 1
             rf = Packet(kind=PacketKind.RECOVERY_FRAME, src=self.parent,
                         dst=self.child, length=self.sc.rf_overhead,
-                        header=self.sc.header_bytes, block_uids=tuple(corrupt))
+                        header=self.sc.header_bytes, blocks=tuple(corrupt))
             self.medium.transmit(self.parent, rf)
 
     # -- shared -----------------------------------------------------------
@@ -373,20 +385,25 @@ class SedaSession(_SessionBase):
         if node == self.parent and pkt.kind is PacketKind.SEDA_BLOCK and pkt.src == self.child:
             self._parent_got_frame(pkt, sinr)
         elif node == self.child and pkt.kind is PacketKind.RECOVERY_FRAME and pkt.src == self.parent:
-            self._retransmit_or_resolve(pkt.block_uids)
+            self._retransmit_or_resolve(pkt.blocks)
 
     def _resolve_burst(self):
         """Burst over: delivered blocks leave the queue, blocks that lost
-        their retransmission drop, the rest stay queued for the next frame."""
+        their retransmission drop, and the rest stay at the queue's head, in
+        queue order, for the next frame."""
         self._cancel_timer()
-        delivered, retried = self.delivered_uids, self.retrans_uids
-        gone = [uid for uid in self.burst if uid in delivered or uid in retried]
-        self.sim.remove_from_queue(self.child, gone)
-        # every delivered uid is in the burst (the parent looked it up there)
-        lost = len(gone) - len(delivered)
+        burst, got = self.burst, self.n_delivered
+        n = len(burst)
+        if got == n:
+            kept = []
+        else:
+            kept = [p for p, d, r in zip(burst, self.delivered, self.retried)
+                    if not (d or r)]
+        self.sim.replace_queue_head(self.child, n, kept)
+        lost = n - len(kept) - got
         if lost:
             self.sim.ledger.record_drop(lost)
-        self.burst = {}
+        self.burst = []
         self.phase = "idle"
         gap = self.sc.turnaround_s + 1e-6
         self.engine.schedule(self.engine.now + gap, lambda ev: self._next_burst())

@@ -315,6 +315,16 @@ class Simulation:
             queue[:stop] = kept
             self.ledger.queue_changed(nid, len(queue), self.engine.now)
 
+    def replace_queue_head(self, nid, n, kept):
+        """Put `kept` in place of the first `n` packets of `nid`'s queue. The
+        ledger sees one queue change when the queue shrinks and none
+        otherwise: a change at an unchanged length would split the queue's
+        time-weighted integral and move its floats."""
+        if len(kept) < n:
+            queue = self.nodes[nid].queue
+            queue[:n] = kept
+            self.ledger.queue_changed(nid, len(queue), self.engine.now)
+
     def deliver_to(self, nid, pkts):
         """Hand `pkts` to `nid` in order: the sink records them delivered in
         one ledger call; any other node queues them for its parent with one

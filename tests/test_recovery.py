@@ -1,5 +1,7 @@
 import itertools
 import math
+import types
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from iamac_sim.simulation import Simulation
 @pytest.mark.parametrize("kind", list(PacketKind))
 def test_readdressed_equals_dataclasses_replace(kind):
     pkt = Packet(kind, src=4, dst=9, length=29, header=11, born_at=3.25, origin=2,
-                 payload_len=27, uid=41, exchange_end=7.5, block_uids=(41, 42))
+                 payload_len=27, uid=41, exchange_end=7.5, blocks=(0, 1))
     # every field away from its default, so a field the copy drops shows
     assert all(getattr(pkt, f.name) != f.default for f in fields(Packet))
     got = readdressed(pkt, 5, 1, 16)
@@ -326,11 +328,11 @@ def test_arq_counts_no_started_packet_when_its_child_dies_before_the_window():
 
 
 def test_an_arq_session_between_packets_ignores_an_overheard_frame(monkeypatch):
-    """`on_packet`'s `current is None` return: with a turnaround, a session
-    holds no packet between an ACK and its next packet, and its nodes still
-    decode their neighbours' frames. In this run child 3 hears ACKs of another
-    pair in such gaps; each changes nothing in the session and sends
-    nothing."""
+    """With a turnaround, a session holds no packet between an ACK and its
+    next packet, and its nodes still decode their neighbours' frames. In this
+    run child 3 hears ACKs of another pair in such gaps; each changes nothing
+    in the session and sends nothing, since `on_packet` reads the current
+    packet only for a DATA from the child or an ACK from the parent."""
     on_packet = ArqSession.on_packet
     transmit = Medium.transmit
     sent, idle = [], []
@@ -406,3 +408,155 @@ def test_seda_session_ends_when_a_node_dies(monkeypatch):
         assert all(sim.nodes[nid].active_session is not session
                    for nid in (session.child, session.parent))
     assert res["conserved"]
+
+
+# -- Seda bursts by queue position ---------------------------------------------------
+
+def test_a_seda_burst_is_its_childs_queue_head(monkeypatch):
+    """What naming blocks by position rests on: at every resolution the
+    child's queue head holds the burst's packets, the same objects in the
+    same order, their uids are distinct, and the queue changes once exactly
+    when something leaves it. The seeds reach every way a burst ends, with
+    nodes dying along the way."""
+    resolve = SedaSession._resolve_burst
+    got_frame = SedaSession._parent_got_frame
+    ends = Counter()
+
+    def checked_frame(session, pkt, sinr):
+        # a frame reaches its burst, never a later one
+        assert session.phase in ("data", "retrans")
+        assert max(pkt.blocks) < len(session.burst)
+        got_frame(session, pkt, sinr)
+
+    def checked(session):
+        burst, queue, ledger = session.burst, session._queue(), session.sim.ledger
+        n = len(burst)
+        assert len(queue) >= n and all(a is b for a, b in zip(queue, burst))
+        assert len({p.uid for p in burst}) == n
+        changes = []
+        queue_changed = ledger.queue_changed
+        ledger.queue_changed = lambda *args: (changes.append(args), queue_changed(*args))
+        before, dropped = len(queue), ledger.dropped_packets
+        try:
+            resolve(session)
+        finally:
+            del ledger.queue_changed
+        left = before - len(queue)
+        assert len(changes) == (left > 0)
+        ends["whole" if left == n else "kept" if left else "none"] += 1
+        ends["dropped"] += ledger.dropped_packets - dropped
+        ends["retried"] += any(session.retried)
+        ends["every block retried"] += all(session.retried)
+
+    monkeypatch.setattr(SedaSession, "_resolve_burst", checked)
+    monkeypatch.setattr(SedaSession, "_parent_got_frame", checked_frame)
+    for seed in (3, 10, 22, 23):
+        sc = desk_preset(seed=seed, recovery="seda", battery_mah=0.05,
+                         sampling_interval_s=0.5, stop_on_first_death=False)
+        res = Simulation(sc).run()
+        assert not res["lifetime_censored"]
+        assert res["conserved"]
+    assert all(ends[key] for key in ("whole", "kept", "none", "dropped", "retried",
+                                     "every block retried"))
+
+
+def _seda_link(supply):
+    """A clean two-node link with `supply` packets queued at child 1 and a
+    Seda session over one 1 s window, not yet started. Returns the run, the
+    session, the queued packets and, per `deliver_to` call, the uids it
+    hands the parent."""
+    sc = Scenario(node_count=2, seed=1, shadowing_sigma=0.0, stop_on_first_death=False)
+    sim = Simulation(sc, [(0.0, 0.0), (5.0, 0.0)], parents={1: 0})
+    for _ in range(supply):
+        sim.inject(1, sc.payload_bytes)
+    packets = list(sim.nodes[1].queue)
+    deliveries = []
+    deliver_to = sim.deliver_to
+    sim.deliver_to = lambda nid, pkts: (deliveries.append([p.uid for p in pkts]),
+                                        deliver_to(nid, pkts))
+    sim.wake(0)
+    sim.wake(1)
+    session = SedaSession(sim, 1, 0, [(0.0, 1.0)], lambda s: None, link_ber=0.0)
+    return sim, session, packets, deliveries
+
+
+def forced_draws(monkeypatch, *corrupt):
+    """Per block frame in turn, the positions in its frame that arrive
+    corrupt; later frames arrive clean. Returns the block count per frame."""
+    sizes = []
+
+    def draws(medium, sinr, n_blocks, block_bytes):
+        bad = corrupt[len(sizes)] if len(sizes) < len(corrupt) else ()
+        sizes.append(n_blocks)
+        return [i in bad for i in range(n_blocks)]
+
+    monkeypatch.setattr(Medium, "block_corruption_draws", draws)
+    return sizes
+
+
+def test_a_corrupt_recovery_frame_resends_the_whole_burst(monkeypatch):
+    """The child hears the recovery report as garbage and resends all six
+    blocks. Blocks the first frame delivered are not delivered again, the
+    block corrupt in both frames drops, and the whole burst leaves."""
+    sizes = forced_draws(monkeypatch, (1, 3), (0, 3))
+    on_packet = SedaSession.on_packet
+
+    def garbled_report(session, node, pkt, sinr):
+        if node == session.child and pkt.kind is PacketKind.RECOVERY_FRAME:
+            tx = types.SimpleNamespace(sender=session.parent, packet=pkt)
+            session.on_corrupt(node, tx)
+        else:
+            on_packet(session, node, pkt, sinr)
+
+    monkeypatch.setattr(SedaSession, "on_packet", garbled_report)
+    sim, session, pk, deliveries = _seda_link(6)
+    session.start()
+    sim.engine.run_until(1.5)
+    assert sizes == [6, 6]
+    uids = [p.uid for p in pk]
+    assert deliveries == [[uids[0], uids[2], uids[4], uids[5]], [uids[1]]]
+    assert session.result.recovery_frames == 1
+    assert session.result.delivered_packets == 5
+    assert sim.ledger.dropped_packets == 1
+    assert sim.nodes[1].queue == []
+    assert sim._result()["conserved"]
+
+
+def test_blocks_without_room_for_their_retransmission_stay_at_the_queue_head(monkeypatch):
+    """A burst that fills its window leaves no room to resend its two corrupt,
+    non-adjacent blocks: they stay at the queue head in queue order, ahead of
+    the packets the burst did not carry, with one queue-length change."""
+    forced_draws(monkeypatch, (2, 5))
+    sim, session, pk, deliveries = _seda_link(100)
+    resolve = SedaSession._resolve_burst
+    seen = []
+
+    def watched(s):
+        changes = []
+        queue_changed = sim.ledger.queue_changed
+        sim.ledger.queue_changed = lambda *args: (changes.append(args), queue_changed(*args))
+        resolve(s)
+        del sim.ledger.queue_changed
+        seen.append((list(s._queue()), changes))
+
+    plan = []
+    next_burst = SedaSession._next_burst
+
+    def planned(s):
+        next_burst(s)
+        if s.phase == "data":
+            plan.append(len(s.burst))
+
+    monkeypatch.setattr(SedaSession, "_resolve_burst", watched)
+    monkeypatch.setattr(SedaSession, "_next_burst", planned)
+    session.start()
+    sim.engine.run_until(1.5)
+    (n,) = plan
+    assert 5 < n < len(pk)
+    assert len(seen) == 1
+    queue, changes = seen[0]
+    assert all(a is b for a, b in zip(queue, [pk[2], pk[5]] + pk[n:]))
+    assert len(queue) == len(pk) - n + 2
+    assert [args[:2] for args in changes] == [(1, len(queue))]
+    assert sum(deliveries, []) == [p.uid for i, p in enumerate(pk[:n]) if i not in (2, 5)]
+    assert sim.ledger.dropped_packets == 0
