@@ -258,7 +258,7 @@ class SmacDriver:
         # the receiver marks the data before it acks: the packet leaves the
         # sender's queue iff its parent holds it, even if the ack died
         if st.role == "tx" and st.exchange["data_received"]:
-            sim.remove_from_queue(nid, (st.exchange["uid"],))
+            sim.remove_from_queue(nid, st.exchange["uid"])
         st.role = None
         st.peer = None
         self._cancel_pending(st)

@@ -209,5 +209,10 @@ class Medium:
         if pb <= 0.0:
             return [False] * n_blocks
         p_block = 1.0 - (1.0 - pb) ** (8 * block_bytes)
+        if p_block == 0.0:
+            # a bit error rate below about 1e-16 rounds `1.0 - pb` to 1.0: no
+            # draw falls below 0.0, but the draws still move the stream
+            self.rng.take(n_blocks)
+            return [False] * n_blocks
         # one vector of n_blocks doubles, the same ones a scalar loop would take
         return (self.rng.take(n_blocks) < p_block).tolist()

@@ -30,6 +30,12 @@ def colliding_sets(data_log):
 
 
 class MetricsLedger:
+    """Storage and summaries of one run's accounts. The ledger charges
+    samples (`account_sample`) and plain state time (`account`, for IAMAC's
+    mid-cycle Synch slots and `Node.flush_energy`); each `Node` charges its
+    own radio changes and frame-boundary flushes, wakes and beacons into the
+    ledger's per-node rows, by the expressions of `account`."""
+
     def __init__(self, n_nodes, energy_table, output_power_dbm):
         self.n = n_nodes
         self.table = energy_table
@@ -44,6 +50,7 @@ class MetricsLedger:
         self._sleep_rate = energy_table.current_ma(SLEEP) * energy_table.voltage
         self._listen_rate = energy_table.current_ma(LISTEN) * energy_table.voltage
         self._tx_rate = energy_table.current_ma(TX, output_power_dbm) * energy_table.voltage
+        self.switch_mj = energy_table.switch_mj
         self.switch_energy = [0.0] * n_nodes
         self.sample_energy = [0.0] * n_nodes
         self.residual_mj = [energy_table.battery_mj] * n_nodes
@@ -82,36 +89,27 @@ class MetricsLedger:
 
     def account(self, node, state, duration):
         """Charge `duration` seconds in `state`; returns the residual energy
-        in mJ."""
+        in mJ. `Node.set_radio` and `Simulation._frame_end` write this same
+        charge in place, and `Simulation._frame_begin` its TX case."""
         if duration < 0:
             raise ValueError("negative duration")
-        return self.account_radio(node, state, duration, state)
-
-    def account_radio(self, node, state, elapsed, new_state):
-        """A radio change in one call: charge `elapsed` seconds in `state`
-        (none when `elapsed` is not positive), then one switch when
-        `new_state` differs from `state`. Returns the residual energy in mJ."""
         residual = self.residual_mj[node]
-        if elapsed > 0:
+        if duration > 0:
             if state is SLEEP:
                 k, rate = 0, self._sleep_rate
             elif state is LISTEN:
                 k, rate = 1, self._listen_rate
             else:
                 k, rate = 2, self._tx_rate
-            mj = rate * elapsed
-            self.state_time[node][k] += elapsed
+            mj = rate * duration
+            self.state_time[node][k] += duration
             self.state_energy[node][k] += mj
-            residual -= mj
-        if new_state is not state:
-            mj = self.table.switch_mj
-            self.switch_energy[node] += mj
             residual -= mj
         self.residual_mj[node] = residual
         return residual
 
     def account_switch(self, node):
-        """Nothing calls this: `account_radio` charges switches. It stays
+        """Nothing calls this: `Node.set_radio` charges switches. It stays
         while the benchmark's tracer (`simbench/tracing.py`) wraps it by name."""
 
     def account_sample(self, node, queue_len, t):

@@ -241,7 +241,7 @@ class ArqSession(_SessionBase):
 
     def _pop_current(self, delivered):
         # every caller holds a current packet
-        self.sim.remove_from_queue(self.child, (self.current.uid,))
+        self.sim.remove_from_queue(self.child, self.current.uid)
         if not delivered:
             self.sim.ledger.record_drop()
         self.current = None

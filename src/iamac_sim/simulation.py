@@ -24,7 +24,12 @@ DATA = PacketKind.DATA
 
 
 class Node:
-    """Radio-state bookkeeping and queue ownership for one sensor node."""
+    """Radio-state bookkeeping and queue ownership for one sensor node. The
+    node charges its own radio energy where its radio changes: it binds its
+    rows of the ledger's `state_time` and `state_energy` (mutated, never
+    rebound) and its reception dict in the medium, and `set_radio`,
+    `Simulation._frame_end` and `Simulation._frame_begin` write those charges
+    in place. The ledger keeps the storage and the summaries."""
 
     def __init__(self, sim, nid):
         self.sim = sim
@@ -32,7 +37,9 @@ class Node:
         # fixed for the run, so the radio path binds them once
         self.engine = sim.engine
         self.ledger = sim.ledger
-        self.medium = sim.medium
+        self._time = sim.ledger.state_time[nid]
+        self._energy = sim.ledger.state_energy[nid]
+        self._receptions = sim.medium.receptions[nid]
         self.alive = True
         self.queue = []
         self.active_session = None
@@ -43,16 +50,41 @@ class Node:
     # -- radio state --------------------------------------------------------
 
     def set_radio(self, state):
+        """Charge the time spent in the old state, then one switch when
+        `state` differs from it: `rate * elapsed` is added to the old state's
+        time and energy and taken from the residual, as `MetricsLedger.account`
+        charges it, then `switch_mj` is added to `switch_energy` and taken
+        from the residual. Leaving listen drops the node's open receptions.
+        The node dies when the charge leaves its residual at or below zero, so
+        a switch alone can empty a battery."""
         if not self.alive:
             return
         now = self.engine.now
         old = self.state
-        residual = self.ledger.account_radio(self.id, old, now - self._state_since, state)
+        ledger = self.ledger
+        nid = self.id
+        residual = ledger.residual_mj[nid]
+        elapsed = now - self._state_since
+        if elapsed > 0:
+            if old is SLEEP:
+                k, rate = 0, ledger._sleep_rate
+            elif old is LISTEN:
+                k, rate = 1, ledger._listen_rate
+            else:
+                k, rate = 2, ledger._tx_rate
+            mj = rate * elapsed
+            self._time[k] += elapsed
+            self._energy[k] += mj
+            residual -= mj
         self._state_since = now
         if state is not old:
+            mj = ledger.switch_mj
+            ledger.switch_energy[nid] += mj
+            residual -= mj
             self.state = state
             if old is LISTEN:
-                self.medium.abort_receptions(self.id)
+                self._receptions.clear()
+        ledger.residual_mj[nid] = residual
         if residual <= 0.0:
             self._deplete()
 
@@ -71,7 +103,7 @@ class Node:
         # the battery of this live node is empty: it dies now
         self.alive = False
         self.ledger.record_death(self.engine.now)
-        self.medium.abort_receptions(self.id)
+        self._receptions.clear()
 
     # -- traffic --------------------------------------------------------------
 
@@ -228,27 +260,76 @@ class Simulation:
     # -- frame loop ---------------------------------------------------------------
 
     def _frame_begin(self, event):
-        """Open the next frame: every node wakes for the Synch/Routing slot
-        and pays its beacon, then the MAC opens the frame's slots."""
+        """Open the next frame in one pass over the nodes: each sleeping node
+        wakes for the Synch/Routing slot and each listening node pays its
+        beacon, as `set_radio(LISTEN)` and `charge_synch_slot` would charge
+        them; then the MAC opens the frame's slots. The wake is a switch only:
+        a node asleep now went to sleep at or before the previous frame's end,
+        whose flush at this same instant left it no elapsed time (the first
+        frame opens at 0.0 on nodes asleep since 0.0)."""
         self.frame_idx += 1
-        for node in self.nodes:
-            if node.alive and node.state is SLEEP:
-                node.set_radio(LISTEN)
-        driver = self.driver
-        self.charge_synch_slot()
         t0 = self.engine.now
+        ledger = self.ledger
+        residual_mj = ledger.residual_mj
+        switch_energy = ledger.switch_energy
+        switch_mj = ledger.switch_mj
+        airtime = self.scenario.control_air
+        # `account(nid, TX, airtime)`'s product, the same for every beacon
+        beacon_mj = ledger._tx_rate * airtime
+        for node in self.nodes:
+            if not node.alive:
+                continue
+            nid = node.id
+            state = node.state
+            if state is SLEEP:
+                residual = residual_mj[nid] = residual_mj[nid] - switch_mj
+                switch_energy[nid] += switch_mj
+                node.state = state = LISTEN
+                node._state_since = t0
+                if residual <= 0.0:
+                    node._deplete()
+                    continue
+            if state is LISTEN:
+                node._time[2] += airtime
+                node._energy[2] += beacon_mj
+                residual = residual_mj[nid] = residual_mj[nid] - beacon_mj
+                # the transmit burst replaces listen time inside the slot
+                node._state_since += airtime
+                if residual <= 0.0:
+                    node._deplete()
+        driver = self.driver
         driver.start(t0)
         self.engine.schedule(t0 + driver.period, self._frame_end)
 
     def _frame_end(self, event):
         """Close the frame's accounts, then open the next frame if it fits
-        the horizon and no node death stops the run."""
+        the horizon and no node death stops the run. Each live node pays its
+        time since its last change as `account(nid, state, elapsed)` would
+        charge it, so every flush death is known before any node wakes for
+        the next frame."""
+        now = self.engine.now
+        ledger = self.ledger
+        residual_mj = ledger.residual_mj
+        rates = (ledger._sleep_rate, ledger._listen_rate, ledger._tx_rate)
         for node in self.nodes:
-            node.flush_energy()
-        self.ledger.flush_frame_cs()
-        self.measured_until = now = self.engine.now
+            if not node.alive:
+                continue
+            elapsed = now - node._state_since
+            if elapsed > 0:
+                state = node.state
+                k = 0 if state is SLEEP else 1 if state is LISTEN else 2
+                mj = rates[k] * elapsed
+                node._time[k] += elapsed
+                node._energy[k] += mj
+                nid = node.id
+                residual = residual_mj[nid] = residual_mj[nid] - mj
+                node._state_since = now
+                if residual <= 0.0:
+                    node._deplete()
+        ledger.flush_frame_cs()
+        self.measured_until = now
         sc = self.scenario
-        stop = sc.stop_on_first_death and self.ledger.first_death_time is not None
+        stop = sc.stop_on_first_death and ledger.first_death_time is not None
         if not stop and now + self.driver.period <= sc.horizon_s + 1e-9:
             self._frame_begin(event)
         else:
@@ -279,41 +360,15 @@ class Simulation:
         node.queue.append(pkt)
         self.ledger.queue_changed(nid, len(node.queue), self.engine.now)
 
-    def remove_from_queue(self, nid, uids):
-        """Remove from `nid`'s queue, for each entry of `uids`, the earliest
-        queued packet with that uid; an absent uid removes nothing. The queue
-        ends as after one removal per uid in a row, and the ledger sees one
-        queue change: same-instant changes add nothing to the time-weighted
-        queue length. When the queue's head holds `uids` in order, duplicates
-        included, that head is the earliest packet for each entry and goes in
-        one slice; otherwise one pass stops after the last match."""
-        if not uids:
-            return
+    def remove_from_queue(self, nid, uid):
+        """Remove from `nid`'s queue the earliest queued packet with `uid`,
+        with one queue change; an absent uid removes nothing."""
         queue = self.nodes[nid].queue
-        k = len(uids)
-        if [p.uid for p in queue[:k]] == list(uids):
-            del queue[:k]
-            self.ledger.queue_changed(nid, len(queue), self.engine.now)
-            return
-        want = {}
-        for uid in uids:
-            want[uid] = want.get(uid, 0) + 1
-        left = k
-        kept = []
-        stop = len(queue)
         for i, p in enumerate(queue):
-            n = want.get(p.uid)
-            if not n:
-                kept.append(p)
-                continue
-            want[p.uid] = n - 1
-            left -= 1
-            if not left:
-                stop = i + 1
-                break
-        if stop > len(kept):
-            queue[:stop] = kept
-            self.ledger.queue_changed(nid, len(queue), self.engine.now)
+            if p.uid == uid:
+                del queue[i]
+                self.ledger.queue_changed(nid, len(queue), self.engine.now)
+                return
 
     def replace_queue_head(self, nid, n, kept):
         """Put `kept` in place of the first `n` packets of `nid`'s queue. The

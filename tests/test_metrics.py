@@ -331,15 +331,22 @@ def test_a_sampled_packet_is_the_packet_inject_builds():
     assert sampled.ledger.sample_energy[1] > 0.0 == injected.ledger.sample_energy[1]
 
 
-def remove_one_uid_at_a_time(sim, nid, uids):
-    """Oracle: the one-uid removal loop, called once per entry of `uids`."""
+def remove_one_uid_at_a_time(sim, nid, uid):
+    """Oracle: delete the earliest queued packet with `uid`, if any, and
+    record the queue change."""
     queue = sim.nodes[nid].queue
-    for uid in uids:
-        for i, p in enumerate(queue):
-            if p.uid == uid:
-                del queue[i]
-                sim.ledger.queue_changed(nid, len(queue), sim.engine.now)
-                break
+    for i, p in enumerate(queue):
+        if p.uid == uid:
+            del queue[i]
+            sim.ledger.queue_changed(nid, len(queue), sim.engine.now)
+            break
+
+
+def assert_same_queue(sim, oracle, nid):
+    assert ([(p.uid, p.born_at) for p in sim.nodes[nid].queue]
+            == [(p.uid, p.born_at) for p in oracle.nodes[nid].queue])
+    for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
+        assert getattr(sim.ledger, name) == getattr(oracle.ledger, name)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -347,70 +354,62 @@ def test_queue_removal_matches_one_uid_at_a_time(seed):
     rng = np.random.default_rng(seed)
     sims = [Simulation(Scenario(node_count=2, seed=seed), [(0.0, 0.0), (5.0, 0.0)],
                        parents={1: 0}) for _ in range(2)]
-    oracle, batched = sims
+    oracle, removed = sims
     calls = []
-    queue_changed = batched.ledger.queue_changed
-    batched.ledger.queue_changed = lambda *args: (calls.append(args),
+    queue_changed = removed.ledger.queue_changed
+    removed.ledger.queue_changed = lambda *args: (calls.append(args),
                                                   queue_changed(*args))
     t, born = 0.0, 0
-    for step in range(40):
+    for step in range(60):
         # some steps share an instant with the previous one
         t += float(rng.uniform(0.0, 2.0)) if rng.random() < 0.7 else 0.0
         for sim in sims:
             sim.engine.run_until(t)
         # uids 0-7 repeat within a queue; 8 and 9 are never queued
-        for uid in rng.integers(0, 8, size=int(rng.integers(0, 4))).tolist():
+        for uid in rng.integers(0, 8, size=int(rng.integers(0, 3))).tolist():
             for sim in sims:
                 sim.enqueue(1, make_data_packet(uid, 1, 0, float(born), 29, 16))
             born += 1
-        uids = [] if step == 0 else rng.integers(0, 10, size=int(rng.integers(0, 7))).tolist()
+        uid = int(rng.integers(0, 10))
         before = len(oracle.nodes[1].queue)
-        remove_one_uid_at_a_time(oracle, 1, uids)
+        remove_one_uid_at_a_time(oracle, 1, uid)
         del calls[:]
-        batched.remove_from_queue(1, tuple(uids))
+        removed.remove_from_queue(1, uid)
         assert len(calls) == (len(oracle.nodes[1].queue) < before)
-        assert ([(p.uid, p.born_at) for p in batched.nodes[1].queue]
-                == [(p.uid, p.born_at) for p in oracle.nodes[1].queue])
-        for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
-            assert getattr(batched.ledger, name) == getattr(oracle.ledger, name)
+        assert_same_queue(removed, oracle, 1)
     assert oracle.ledger._queue_integral[1] > 0.0
 
 
 QUEUED_UIDS = [3, 5, 3, 7, 5, 9, 1]
 
 
-@pytest.mark.parametrize("uids", [
-    [3],                      # the head, k = 1
-    [3, 5],                   # the head, several
-    QUEUED_UIDS,              # the whole queue
-    [3, 5, 3, 7, 5],          # a head with duplicate uids
-    [5, 3, 3],                # the head's uids in another order
-    [3, 5, 42],               # the head plus an absent uid
-    QUEUED_UIDS + [3],        # more uids than the queue holds
-    [42, 8],                  # none queued: nothing shrinks
-], ids=["head-1", "head-2", "whole", "duplicates", "reordered", "absent", "more", "none"])
-def test_queue_head_removal_matches_one_uid_at_a_time(uids):
-    """Removing the queue's head in one slice leaves the queue and the
-    queue accounts of one removal per uid, whichever path a removal takes."""
+@pytest.mark.parametrize("uid, left", [
+    (3, [5, 3, 7, 5, 9, 1]),      # the head
+    (7, [3, 5, 3, 5, 9, 1]),      # the middle
+    (5, [3, 3, 7, 5, 9, 1]),      # queued twice: only the earlier one goes
+    (42, QUEUED_UIDS),            # absent: nothing shrinks
+], ids=["head-1", "middle", "duplicates", "absent"])
+def test_queue_head_removal_matches_one_uid_at_a_time(uid, left):
+    """Removing one uid from the head, the middle or nowhere leaves the queue
+    and the queue accounts of the oracle, with one queue change exactly when
+    the queue shrinks."""
     sims = [Simulation(Scenario(node_count=2, seed=1), [(0.0, 0.0), (5.0, 0.0)],
                        parents={1: 0}) for _ in range(2)]
-    oracle, sliced = sims
-    for born, uid in enumerate(QUEUED_UIDS):
+    oracle, removed = sims
+    for born, queued in enumerate(QUEUED_UIDS):
         for sim in sims:
             sim.engine.run_until(0.5 * born)
-            sim.enqueue(1, make_data_packet(uid, 1, 0, 0.5 * born, 29, 16))
+            sim.enqueue(1, make_data_packet(queued, 1, 0, 0.5 * born, 29, 16))
     calls = []
-    queue_changed = sliced.ledger.queue_changed
-    sliced.ledger.queue_changed = lambda *args: (calls.append(args), queue_changed(*args))
+    queue_changed = removed.ledger.queue_changed
+    removed.ledger.queue_changed = lambda *args: (calls.append(args), queue_changed(*args))
     for sim in sims:
         sim.engine.run_until(7.25)
-    remove_one_uid_at_a_time(oracle, 1, uids)
-    sliced.remove_from_queue(1, uids)
-    assert len(calls) == (len(oracle.nodes[1].queue) < len(QUEUED_UIDS))
-    assert ([(p.uid, p.born_at) for p in sliced.nodes[1].queue]
-            == [(p.uid, p.born_at) for p in oracle.nodes[1].queue])
-    for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
-        assert getattr(sliced.ledger, name) == getattr(oracle.ledger, name)
+    remove_one_uid_at_a_time(oracle, 1, uid)
+    removed.remove_from_queue(1, uid)
+    assert [p.uid for p in removed.nodes[1].queue] == left
+    assert calls == ([(1, len(left), 7.25)] if len(left) < len(QUEUED_UIDS) else [])
+    assert_same_queue(removed, oracle, 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -501,6 +500,70 @@ def test_per_frame_state_times_sum_to_frame_duration():
         for node_start, node_end in zip(start, end):
             spent = sum(now - then for now, then in zip(node_end, node_start))
             assert spent == pytest.approx(sc.frame_s, abs=1e-9)
+
+
+def node_accounts(ledger, nid):
+    return (list(ledger.state_time[nid]), list(ledger.state_energy[nid]),
+            ledger.switch_energy[nid], ledger.sample_energy[nid], ledger.residual_mj[nid])
+
+
+@pytest.mark.parametrize("stop", [True, False], ids=["stop", "go-on"])
+@pytest.mark.parametrize("charge", ["flush", "wake", "beacon"])
+def test_a_battery_empties_at_each_frame_boundary_charge(charge, stop):
+    """Empty node 2's battery at one charge of the boundary at 2.0 s: the
+    frame's flush (a listening node), the wake switch of a sleeping node or
+    its Synch beacon. The residual is set 1 ms before the boundary, on a
+    3-node IAMAC line without traffic where nothing else touches node 2 then.
+    The node dies at 2.0 s and is charged nothing afterwards; with the stop
+    flag, a flush death stops the run before any node wakes or pays a
+    beacon."""
+    boundary, nid = 2.0, 2
+    sc = Scenario(node_count=3, seed=1, horizon_s=5.0, sampling_interval_s=1000.0,
+                  stop_on_first_death=stop)
+    sim = Simulation(sc, [(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)], parents={1: 0, 2: 1})
+    ledger, node = sim.ledger, sim.nodes[nid]
+    before, after = {}, {}
+
+    def empty(ev):
+        if charge == "flush":
+            sim.wake(nid)
+            # well below the flush's 1 ms of listening
+            ledger.residual_mj[nid] = 1e-9
+        else:
+            assert node.state is RadioState.SLEEP
+            flush_mj = ledger._sleep_rate * (boundary - node._state_since)
+            switch_mj = sim.energy_table.switch_mj
+            beacon_mj = ledger._tx_rate * sc.control_air
+            left = 0.5 * switch_mj if charge == "wake" else switch_mj + 0.5 * beacon_mj
+            ledger.residual_mj[nid] = flush_mj + left
+        before.update({i: node_accounts(ledger, i) for i in range(3)})
+        before["states"] = [n.state for n in sim.nodes]
+        # after the boundary's frame end, which was scheduled earlier
+        sim.engine.schedule(boundary, lambda ev: after.update(
+            {i: node_accounts(ledger, i) for i in range(3)}))
+
+    sim.engine.schedule(boundary - 1e-3, empty)
+    res = sim.run()
+    assert not node.alive and ledger.first_death_time == boundary
+    assert [n.alive for n in sim.nodes[:2]] == [True, True]
+    assert node_accounts(ledger, nid) == after[nid]
+    time0, energy0, switch0, _, _ = before[nid]
+    time1, energy1, switch1, _, residual = after[nid]
+    assert residual <= 0.0
+    woken = switch1 > switch0
+    beaconed = time1[2] > time0[2]
+    assert (woken, beaconed) == {"flush": (False, False), "wake": (True, False),
+                                 "beacon": (True, True)}[charge]
+    if charge == "flush":
+        assert time1[1] > time0[1]
+    if stop and charge == "flush":
+        assert sim.stopped and res["frames"] == 2
+        for i in range(2):
+            assert after[i][2] == before[i][2]                 # no wake switch
+            assert after[i][0][2] == before[i][0][2]           # no beacon
+            assert sim.nodes[i].state is before["states"][i]
+    else:
+        assert res["frames"] == (3 if stop else 5)
 
 
 @pytest.mark.parametrize("protocol, frame_s, horizon_s, frames, share", [
