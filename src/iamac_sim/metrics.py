@@ -31,10 +31,11 @@ def colliding_sets(data_log):
 
 class MetricsLedger:
     """Storage and summaries of one run's accounts. The ledger charges
-    samples (`account_sample`) and plain state time (`account`, for IAMAC's
-    mid-cycle Synch slots and `Node.flush_energy`); each `Node` charges its
-    own radio changes and frame-boundary flushes, wakes and beacons into the
-    ledger's per-node rows, by the expressions of `account`."""
+    samples (`account_sample`) and plain state time (`account`: IAMAC's
+    mid-cycle Synch slots and `Node.flush_energy`). Radio changes are charged
+    in place, into the per-node rows, by `Node.set_radio` and by
+    `Simulation`'s frame-boundary passes (flush, wake and beacon), with
+    `account`'s expressions and a switch charge of `switch_mj`."""
 
     def __init__(self, n_nodes, energy_table, output_power_dbm):
         self.n = n_nodes
