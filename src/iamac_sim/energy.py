@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 
-class RadioState(Enum):
-    SLEEP = "sleep"
-    LISTEN = "listen"    # idle listen and receive draw the same current
-    TX = "tx"
+class RadioState:
+    """The radio states. Each value is also the state's column in the
+    ledger's `state_time`, `state_energy` and `rates`. They are plain ints,
+    not an `IntEnum`: CPython 3.11 specializes list subscripts only for exact
+    ints."""
+
+    SLEEP = 0
+    LISTEN = 1    # idle listen and receive draw the same current
+    TX = 2
 
 
 @dataclass
@@ -36,9 +40,9 @@ class EnergyTable:
         return max(scaled, self.listen_ma)
 
     def current_ma(self, state, power_dbm=0.0):
-        if state is RadioState.SLEEP:
+        if state == RadioState.SLEEP:
             return self.sleep_ma
-        if state is RadioState.LISTEN:
+        if state == RadioState.LISTEN:
             return self.listen_ma
         return self.tx_ma(power_dbm)
 

@@ -74,7 +74,7 @@ class IamacDriver:
     def _mid_synch_end(self, event):
         # only transfer participants stay awake once the beacon slot closes
         for node in self.sim.nodes:
-            if node.active_session is None and node.state is RadioState.LISTEN:
+            if node.active_session is None and node.state == RadioState.LISTEN:
                 self.sim.sleep(node.id)
 
     # -- RTS slot -------------------------------------------------------------------

@@ -133,7 +133,7 @@ class SmacDriver:
         # taking a role cancels only the attempt `pending_ev` holds: not one
         # from an earlier frame, nor one whose handle a stale timeout cleared
         if (not node.alive or st.role is not None or not node.queue
-                or node.state is not LISTEN):
+                or node.state != LISTEN):
             return
         assert self.engine.now >= st.nav_until, "transmission during NAV"
         if sim.medium.sensed_since(nid, st.window_start):
@@ -309,7 +309,7 @@ class SmacDriver:
             return
         if self.adaptive:
             # wake at the estimated exchange end and contend at once
-            if node.state is SLEEP:
+            if node.state == SLEEP:
                 node.set_radio(LISTEN)
             if sim.trace_enabled:
                 sim.trace(nid, "adaptive-wake")
@@ -331,7 +331,7 @@ class SmacDriver:
         node = self.sim.nodes[nid]
         now = self.engine.now
         if (node.alive and st.role is None and now >= st.awake_until
-                and node.state is LISTEN and now >= self._listen_end):
+                and node.state == LISTEN and now >= self._listen_end):
             node.set_radio(SLEEP)
 
     def on_corrupt(self, node, tx):

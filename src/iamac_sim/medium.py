@@ -111,7 +111,7 @@ class Medium:
                 continue
             node.last_rise_t = now
             # only listening nodes hold receptions (set_radio aborts them)
-            if node.state is not LISTEN:
+            if node.state != LISTEN:
                 continue
             open_here = receptions[j]
             if is_data:
@@ -153,7 +153,7 @@ class Medium:
         # put to sleep mid-frame stays as it is (`set_radio` ignores the dead)
         nodes = self.nodes
         node = nodes[sender]
-        if node.state is TX:
+        if node.state == TX:
             node.set_radio(LISTEN)
 
         # control frames with corruption switched off always arrive; Seda
@@ -175,7 +175,7 @@ class Medium:
             node = nodes[j]
             # a listener asleep or transmitting at the last bit hears nothing,
             # and an open reception implies listening (set_radio aborts it)
-            if node.state is not LISTEN or not node.alive:
+            if node.state != LISTEN or not node.alive:
                 continue
             open_here = receptions[j]
             rec = open_here.pop(tx, None) if open_here else None

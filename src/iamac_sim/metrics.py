@@ -31,26 +31,25 @@ def colliding_sets(data_log):
 
 class MetricsLedger:
     """Storage and summaries of one run's accounts. The ledger charges
-    samples (`account_sample`) and plain state time (`account`: IAMAC's
-    mid-cycle Synch slots and `Node.flush_energy`). Radio changes are charged
-    in place, into the per-node rows, by `Node.set_radio` and by
-    `Simulation`'s frame-boundary passes (flush, wake and beacon), with
-    `account`'s expressions and a switch charge of `switch_mj`."""
+    samples (`account_sample`) and plain state time (`account`, for
+    `Node.flush_energy`). Radio time is charged in place, into the per-node
+    rows, by `Node.set_radio`, `Simulation._frame_end` and
+    `Simulation.charge_synch_slot`, with `account`'s expressions; a switch
+    costs `switch_mj`."""
 
     def __init__(self, n_nodes, energy_table, output_power_dbm):
         self.n = n_nodes
         self.table = energy_table
 
-        # per node, seconds and mJ in each state, in RadioState order:
-        # SLEEP, LISTEN, TX
+        # per node, seconds and mJ in each state, indexed by the state
         self.state_time = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
         self.state_energy = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
-        # mJ per second in a state: the (current * voltage) factor of
-        # EnergyTable.energy_mj, so rate * duration is the same product;
-        # every transmission of a run uses its one output power
-        self._sleep_rate = energy_table.current_ma(SLEEP) * energy_table.voltage
-        self._listen_rate = energy_table.current_ma(LISTEN) * energy_table.voltage
-        self._tx_rate = energy_table.current_ma(TX, output_power_dbm) * energy_table.voltage
+        # mJ per second in each state, indexed by the state: the
+        # (current * voltage) factor of EnergyTable.energy_mj, so
+        # rate * duration is the same product; every transmission of a run
+        # uses its one output power
+        self.rates = [energy_table.current_ma(state, output_power_dbm) * energy_table.voltage
+                      for state in (SLEEP, LISTEN, TX)]
         self.switch_mj = energy_table.switch_mj
         self.switch_energy = [0.0] * n_nodes
         self.sample_energy = [0.0] * n_nodes
@@ -90,24 +89,16 @@ class MetricsLedger:
 
     def account(self, node, state, duration):
         """Charge `duration` seconds in `state`; returns the residual energy
-        in mJ. `Node.set_radio` and `Simulation._frame_end` write this same
-        charge in place, and `Simulation._frame_begin` its TX case."""
+        in mJ. `Node.set_radio`, `Simulation._frame_end` and
+        `Simulation.charge_synch_slot` write this same charge in place."""
         if duration < 0:
             raise ValueError("negative duration")
-        residual = self.residual_mj[node]
         if duration > 0:
-            if state is SLEEP:
-                k, rate = 0, self._sleep_rate
-            elif state is LISTEN:
-                k, rate = 1, self._listen_rate
-            else:
-                k, rate = 2, self._tx_rate
-            mj = rate * duration
-            self.state_time[node][k] += duration
-            self.state_energy[node][k] += mj
-            residual -= mj
-        self.residual_mj[node] = residual
-        return residual
+            mj = self.rates[state] * duration
+            self.state_time[node][state] += duration
+            self.state_energy[node][state] += mj
+            self.residual_mj[node] -= mj
+        return self.residual_mj[node]
 
     def account_switch(self, node):
         """Nothing calls this: `Node.set_radio` charges switches. It stays
@@ -204,7 +195,7 @@ class MetricsLedger:
         total = sum(times)
         if total == 0.0:
             return 0.0
-        return (times[1] + times[2]) / total   # LISTEN + TX
+        return (times[LISTEN] + times[TX]) / total
 
     def mean_duty_cycle(self):
         return sum(self.duty_cycle(i) for i in range(self.n)) / self.n

@@ -28,8 +28,8 @@ class Node:
     node charges its own radio energy where its radio changes: it binds its
     rows of the ledger's `state_time` and `state_energy` (mutated, never
     rebound) and its reception dict in the medium, and `set_radio`,
-    `Simulation._frame_end` and `Simulation._frame_begin` write those charges
-    in place. The ledger keeps the storage and the summaries."""
+    `Simulation._frame_end` and `Simulation.charge_synch_slot` write those
+    charges in place. The ledger keeps the storage and the summaries."""
 
     def __init__(self, sim, nid):
         self.sim = sim
@@ -66,23 +66,17 @@ class Node:
         residual = ledger.residual_mj[nid]
         elapsed = now - self._state_since
         if elapsed > 0:
-            if old is SLEEP:
-                k, rate = 0, ledger._sleep_rate
-            elif old is LISTEN:
-                k, rate = 1, ledger._listen_rate
-            else:
-                k, rate = 2, ledger._tx_rate
-            mj = rate * elapsed
-            self._time[k] += elapsed
-            self._energy[k] += mj
+            mj = ledger.rates[old] * elapsed
+            self._time[old] += elapsed
+            self._energy[old] += mj
             residual -= mj
         self._state_since = now
-        if state is not old:
+        if state != old:
             mj = ledger.switch_mj
             ledger.switch_energy[nid] += mj
             residual -= mj
             self.state = state
-            if old is LISTEN:
+            if old == LISTEN:
                 self._receptions.clear()
         ledger.residual_mj[nid] = residual
         if residual <= 0.0:
@@ -260,43 +254,28 @@ class Simulation:
     # -- frame loop ---------------------------------------------------------------
 
     def _frame_begin(self, event):
-        """Open the next frame in one pass over the nodes: each sleeping node
-        wakes for the Synch/Routing slot and each listening node pays its
-        beacon, as `set_radio(LISTEN)` and `charge_synch_slot` would charge
-        them; then the MAC opens the frame's slots. The wake is a switch only:
-        a node asleep now went to sleep at or before the previous frame's end,
-        whose flush at this same instant left it no elapsed time (the first
-        frame opens at 0.0 on nodes asleep since 0.0)."""
+        """Open the next frame: each sleeping node wakes for the Synch/Routing
+        slot, as `set_radio(LISTEN)` would charge it, every listening node
+        pays its beacon, and the MAC opens the frame's slots. The wake is a
+        switch only: a node asleep now went to sleep at or before the previous
+        frame's end, whose flush at this same instant left it no elapsed time
+        (the first frame opens at 0.0 on nodes asleep since 0.0)."""
         self.frame_idx += 1
         t0 = self.engine.now
         ledger = self.ledger
         residual_mj = ledger.residual_mj
         switch_energy = ledger.switch_energy
         switch_mj = ledger.switch_mj
-        airtime = self.scenario.control_air
-        # `account(nid, TX, airtime)`'s product, the same for every beacon
-        beacon_mj = ledger._tx_rate * airtime
         for node in self.nodes:
-            if not node.alive:
-                continue
-            nid = node.id
-            state = node.state
-            if state is SLEEP:
+            if node.alive and node.state == SLEEP:
+                nid = node.id
                 residual = residual_mj[nid] = residual_mj[nid] - switch_mj
                 switch_energy[nid] += switch_mj
-                node.state = state = LISTEN
+                node.state = LISTEN
                 node._state_since = t0
                 if residual <= 0.0:
                     node._deplete()
-                    continue
-            if state is LISTEN:
-                node._time[2] += airtime
-                node._energy[2] += beacon_mj
-                residual = residual_mj[nid] = residual_mj[nid] - beacon_mj
-                # the transmit burst replaces listen time inside the slot
-                node._state_since += airtime
-                if residual <= 0.0:
-                    node._deplete()
+        self.charge_synch_slot()
         driver = self.driver
         driver.start(t0)
         self.engine.schedule(t0 + driver.period, self._frame_end)
@@ -310,17 +289,16 @@ class Simulation:
         now = self.engine.now
         ledger = self.ledger
         residual_mj = ledger.residual_mj
-        rates = (ledger._sleep_rate, ledger._listen_rate, ledger._tx_rate)
+        rates = ledger.rates
         for node in self.nodes:
             if not node.alive:
                 continue
             elapsed = now - node._state_since
             if elapsed > 0:
                 state = node.state
-                k = 0 if state is SLEEP else 1 if state is LISTEN else 2
-                mj = rates[k] * elapsed
-                node._time[k] += elapsed
-                node._energy[k] += mj
+                mj = rates[state] * elapsed
+                node._time[state] += elapsed
+                node._energy[state] += mj
                 nid = node.id
                 residual = residual_mj[nid] = residual_mj[nid] - mj
                 node._state_since = now
@@ -469,23 +447,29 @@ class Simulation:
 
     def wake(self, nid):
         node = self.nodes[nid]
-        if node.alive and node.state is SLEEP:
+        if node.alive and node.state == SLEEP:
             node.set_radio(LISTEN)
 
     def sleep(self, nid):
         node = self.nodes[nid]
-        if node.alive and node.state is not SLEEP:
+        if node.alive and node.state != SLEEP:
             node.set_radio(SLEEP)
 
     def charge_synch_slot(self):
         """Synchronization beacons are modeled as airtime and energy only:
-        every awake node pays one transmit burst, receptions are abstract."""
-        synch_airtime = self.scenario.control_air
-        account = self.ledger.account
+        every awake node pays one transmit burst, receptions are abstract.
+        This charges every beacon of a run, at each frame start and in IAMAC's
+        mid-cycle Synch slots, as `account(nid, TX, airtime)` would."""
+        airtime = self.scenario.control_air
+        residual_mj = self.ledger.residual_mj
+        beacon_mj = self.ledger.rates[TX] * airtime
         for node in self.nodes:
-            if node.alive and node.state is LISTEN:
-                residual = account(node.id, TX, synch_airtime)
+            if node.alive and node.state == LISTEN:
+                node._time[TX] += airtime
+                node._energy[TX] += beacon_mj
+                nid = node.id
+                residual = residual_mj[nid] = residual_mj[nid] - beacon_mj
                 # the transmit burst replaces listen time inside the slot
-                node._state_since += synch_airtime
+                node._state_since += airtime
                 if residual <= 0.0:
                     node._deplete()

@@ -469,7 +469,7 @@ def test_a_switch_that_empties_the_battery_kills_the_sender():
     for node in sim.nodes:
         node.state = RadioState.LISTEN
     switch_mj = sim.energy_table.switch_mj
-    listen_rate = ledger._listen_rate
+    listen_rate = ledger.rates[RadioState.LISTEN]
     # listen until half a switch's energy is left, with a frame arriving
     t = (sim.energy_table.battery_mj - 0.5 * switch_mj) / listen_rate
     sim.engine.run_until(t)
@@ -521,7 +521,8 @@ def test_a_node_that_dies_at_its_transmit_switch_sends_nothing():
     decoded = []
     listener.on_packet = lambda pkt, sinr: decoded.append(pkt)
     # listen until half a switch's energy is left: the switch to TX kills node 1
-    t = (sim.energy_table.battery_mj - 0.5 * sim.energy_table.switch_mj) / ledger._listen_rate
+    listen_rate = ledger.rates[RadioState.LISTEN]
+    t = (sim.energy_table.battery_mj - 0.5 * sim.energy_table.switch_mj) / listen_rate
     sim.engine.run_until(t)
     end = sim.medium.transmit(1, control(1, 0))
     assert not sender.alive and listener.alive
@@ -538,9 +539,10 @@ def test_same_state_set_radio_charges_time_and_no_switch():
     sim.engine.run_until(2e-3)
     node.set_radio(RadioState.LISTEN)
     assert ledger.state_time[0] == [0.0, 2e-3, 0.0]
-    assert ledger.state_energy[0][1] == ledger._listen_rate * 2e-3
+    listen_rate = ledger.rates[RadioState.LISTEN]
+    assert ledger.state_energy[0][1] == listen_rate * 2e-3
     assert ledger.switch_energy[0] == 0.0
-    assert ledger.residual_mj[0] == sim.energy_table.battery_mj - ledger._listen_rate * 2e-3
+    assert ledger.residual_mj[0] == sim.energy_table.battery_mj - listen_rate * 2e-3
     # still listening: the open reception survives
     assert sim.medium.receptions[0]
     # a switch later charges the time since that call, then one switch

@@ -531,9 +531,9 @@ def test_a_battery_empties_at_each_frame_boundary_charge(charge, stop):
             ledger.residual_mj[nid] = 1e-9
         else:
             assert node.state is RadioState.SLEEP
-            flush_mj = ledger._sleep_rate * (boundary - node._state_since)
+            flush_mj = ledger.rates[RadioState.SLEEP] * (boundary - node._state_since)
             switch_mj = sim.energy_table.switch_mj
-            beacon_mj = ledger._tx_rate * sc.control_air
+            beacon_mj = ledger.rates[RadioState.TX] * sc.control_air
             left = 0.5 * switch_mj if charge == "wake" else switch_mj + 0.5 * beacon_mj
             ledger.residual_mj[nid] = flush_mj + left
         before.update({i: node_accounts(ledger, i) for i in range(3)})
