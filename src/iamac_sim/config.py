@@ -132,6 +132,10 @@ class Scenario:
             if not low <= getattr(self, key) <= high:
                 raise ConfigError(f"{key}: must be in [{low}, {high}], "
                                   f"got {getattr(self, key)!r}")
+        # a Seda recovery frame is the RF overhead and the header alone
+        if self.rf_overhead + self.header_bytes < 1:
+            raise ConfigError("rf_overhead, header_bytes: a recovery frame needs at least "
+                              f"1 byte, got {self.rf_overhead!r} + {self.header_bytes!r}")
         for key in ("battery_mah", "bandwidth_to_rate"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key}: must be > 0, got {getattr(self, key)!r}")

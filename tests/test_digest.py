@@ -1,7 +1,7 @@
 """A fixed subset of `scripts/digest.py`'s byte-identity corpus reproduces its
 committed digests: every MAC under ARQ and Seda past a battery depletion,
-`fixed_contention` runs, runs without a Synch slot, the fixtures, transfers
-and the saturated star."""
+`fixed_contention` runs, runs without a Synch slot, IAMAC Super Frames of
+several Time Frames, the fixtures, transfers and the saturated star."""
 
 import importlib.util
 import json
@@ -17,6 +17,8 @@ SUBSET = DEATHS + [
     "desk-nosynch-iamac-arq@1", "desk-nosynch-smac-seda@1", "desk-nosynch-adaptive-smac-arq@1",
     "fig2-iamac", "fig2-adaptive-smac", "transfer-arq-0.001", "transfer-seda-0.001",
     "star-iamac-seda@1", "desk-preset-iamac-seda@1", "desk-payload400-smac-arq@1",
+    # IAMAC Super Frames of three Time Frames: the mid-cycle Synch slots
+    "desk-frame30-iamac-arq@1", "desk-frame30-iamac-seda@1",
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -253,10 +255,19 @@ DRAW_CALL = st.one_of(
     st.tuples(st.just("take"), st.sampled_from([0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1,
                                                 2 * BLOCK + 5])))
 DRAW_CALLS = st.lists(DRAW_CALL, max_size=12)
+# a uniform call whose bounds are 0.0 and -0.0: `Generator.uniform` refuses
+# (0.0, -0.0), since high - low < 0, so -0.0 must come first
+SIGNED_ZEROS = [("uniform", 0.0, -0.0)]
+
+
+def ordered(bounds):
+    """`bounds` ascending, with -0.0 before 0.0."""
+    return sorted(bounds, key=lambda x: (x, math.copysign(1.0, x)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(calls=DRAW_CALLS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(calls=SIGNED_ZEROS, seed=0)
 def test_block_draws_equal_the_generator_calls(calls, seed):
     draws = RandomStreams(seed).draws("channel")
     gen = RandomStreams(seed).stream("channel")
@@ -266,7 +277,7 @@ def test_block_draws_equal_the_generator_calls(calls, seed):
             assert got == [gen.random() for _ in range(call[1])]
             assert all(type(x) is float for x in got)
         elif call[0] == "uniform":
-            lo, hi = sorted(call[1:])
+            lo, hi = ordered(call[1:])
             assert draws.uniform(lo, hi) == float(gen.uniform(lo, hi))
         else:
             assert draws.take(call[1]).tolist() == gen.random(call[1]).tolist()
@@ -295,6 +306,7 @@ MIXED_CALLS = st.lists(st.one_of(
 # a 2**31 + 7 span
 @example(calls=[("random", BLOCK - 1), ("integers", 0, 8, 1), ("take", 3),
                 ("integers", 0, 8, 1), ("integers", -3, 2**31 + 7, 9)], seed=11)
+@example(calls=SIGNED_ZEROS, seed=0)
 def test_block_integers_equal_the_generator_calls(calls, seed):
     draws = RandomStreams(seed).draws("contention")
     gen = RandomStreams(seed).stream("contention")
@@ -307,7 +319,7 @@ def test_block_integers_equal_the_generator_calls(calls, seed):
         elif call[0] == "random":
             assert [draws.random() for _ in range(call[1])] == gen.random(call[1]).tolist()
         elif call[0] == "uniform":
-            lo, hi = sorted(call[1:])
+            lo, hi = ordered(call[1:])
             assert draws.uniform(lo, hi) == float(gen.uniform(lo, hi))
         else:
             assert draws.take(call[1]).tolist() == gen.random(call[1]).tolist()

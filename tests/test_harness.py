@@ -286,6 +286,21 @@ def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize("recovery", ["arq", "seda"])
+def test_cli_empty_recovery_frame_is_a_config_error(recovery, capsys):
+    """A Seda recovery frame is the RF overhead and the header alone, so
+    their sum must be at least 1 byte, whatever the recovery."""
+    argv = ["run", "--preset", "desk", "--set", f"recovery={recovery}",
+            "--set", "rf_overhead=0", "--set", "header_bytes=0",
+            "--set", "sampling_interval_s=2", "--set", "horizon_s=120", "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "rf_overhead" in err and "header_bytes" in err
+    for rf_overhead, header_bytes in [(1, 0), (0, 1)]:
+        desk_preset(rf_overhead=rf_overhead, header_bytes=header_bytes).validate()
+
+
 def test_cli_scenario_file_with_preset_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("seed = 4\nhorizon_s = 20\n")

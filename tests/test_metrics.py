@@ -76,6 +76,22 @@ def test_idle_lifetime_closed_form(table):
     assert doubled.battery_mj / (doubled.sleep_ma * doubled.voltage) == pytest.approx(2 * seconds)
 
 
+@pytest.mark.parametrize("power", [-10.0, 0.0, 8.0])
+def test_each_radio_state_is_its_ledger_column(table, power):
+    """A state's value is its column in the ledger's `rates`, `state_time`
+    and `state_energy`, which the radio charges index directly."""
+    ledger = MetricsLedger(1, table, power)
+    for state in (RadioState.SLEEP, RadioState.LISTEN, RadioState.TX):
+        for d in (1e-3, 0.25, 7.0, 3600.0):
+            assert ledger.rates[state] * d == table.energy_mj(state, d, power)
+            time0, energy0 = list(ledger.state_time[0]), list(ledger.state_energy[0])
+            ledger.account(0, state, d)
+            time0[state] += d
+            energy0[state] += ledger.rates[state] * d
+            assert ledger.state_time[0] == time0
+            assert ledger.state_energy[0] == energy0
+
+
 def test_always_asleep_duty_cycle_is_zero(table):
     ledger = MetricsLedger(1, table, 0.0)
     ledger.account(0, RadioState.SLEEP, 100.0)
