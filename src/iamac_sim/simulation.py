@@ -255,8 +255,9 @@ class Simulation:
 
     def _frame_begin(self, event):
         """Open the next frame: each sleeping node wakes for the Synch/Routing
-        slot, as `set_radio(LISTEN)` would charge it, every listening node
-        pays its beacon, and the MAC opens the frame's slots. The wake is a
+        slot, as `set_radio(LISTEN)` would charge it, `charge_synch_slot`
+        charges every listening node its beacon, and the MAC opens the
+        frame's slots. The wake is a
         switch only: a node asleep now went to sleep at or before the previous
         frame's end, whose flush at this same instant left it no elapsed time
         (the first frame opens at 0.0 on nodes asleep since 0.0)."""
