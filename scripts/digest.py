@@ -4,15 +4,18 @@
     python3 scripts/digest.py record [--workers N]
     python3 scripts/digest.py check [--workers N]
 
-Each corpus run is reduced to one SHA-256 over its result dict, the engine's
-scheduled, dispatched and cancelled counts, the ledger's floats as exact hex,
-the sink's delivery records, every node's queue length and alive flag, and,
-for a traced run, its `trace_log` and `data_log` (interferer sets sorted).
-A `transfer_benchmark` call digests its returned dict.
+Each corpus run is stored as two parts. Its outputs are one SHA-256 over its
+result dict, the ledger's floats as exact hex, the sink's delivery records,
+every node's queue length and alive flag, and, for a traced run, its
+`trace_log` and `data_log` (interferer sets sorted). Beside them are the
+engine's scheduled, dispatched and cancelled counts, which say how the run
+was dispatched rather than what it computed. A `transfer_benchmark` call
+digests its returned dict and has no engine counts.
 
-`record` rewrites `scripts/digests.json`; `check` recomputes every digest,
-names each run whose digest moved or that is missing from one side, and exits
-1 if any did. `--workers N` spreads the runs over N processes.
+`record` rewrites `scripts/digests.json`; `check` recomputes every run, names
+each run whose outputs moved, whose engine counts alone moved, or that is
+missing from one side, and exits 1 if any did. `--workers N` spreads the runs
+over N processes.
 
 The corpus (`corpus()`, 321 runs) holds:
 - each `simbench` workload at seeds 1 and 3, traced and untraced (12);
@@ -143,7 +146,7 @@ def _hexes(values):
 
 
 def sim_digest(sim, result):
-    """SHA-256 over everything a finished run leaves behind."""
+    """SHA-256 over every output a finished run leaves behind."""
     h = hashlib.sha256()
 
     def put(*parts):
@@ -151,8 +154,6 @@ def sim_digest(sim, result):
         h.update(b"\n")
 
     put("result", sorted(result.items()))
-    engine = sim.engine
-    put("engine", engine.scheduled_count, engine.dispatched_count, engine.cancelled_count)
     ledger = sim.ledger
     for node in range(ledger.n):
         put("node", node, _hexes(ledger.state_time[node]), _hexes(ledger.state_energy[node]),
@@ -171,15 +172,19 @@ def sim_digest(sim, result):
 
 
 def run(name):
-    """`(digest, result)` of one corpus run, with the run's result dict."""
+    """`(entry, result)` of one corpus run: its `{"outputs": digest, "engine":
+    [scheduled, dispatched, cancelled] or None}` entry and its result dict."""
     built = corpus()[name]()
     if isinstance(built, dict):
-        return hashlib.sha256(repr(sorted(built.items())).encode()).hexdigest(), built
+        digest = hashlib.sha256(repr(sorted(built.items())).encode()).hexdigest()
+        return {"outputs": digest, "engine": None}, built
     result = built.run()
-    return sim_digest(built, result), result
+    engine = built.engine
+    counts = [engine.scheduled_count, engine.dispatched_count, engine.cancelled_count]
+    return {"outputs": sim_digest(built, result), "engine": counts}, result
 
 
-def _digest_only(name):
+def _entry_only(name):
     return name, run(name)[0]
 
 
@@ -191,8 +196,8 @@ def compute(workers):
 
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            return dict(pool.map(_digest_only, names, chunksize=4))
-    return dict(map(_digest_only, names))
+            return dict(pool.map(_entry_only, names, chunksize=4))
+    return dict(map(_entry_only, names))
 
 
 def main(argv=None):
@@ -202,19 +207,32 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.workers < 1:
         ap.error("--workers must be >= 1")
-    digests = compute(args.workers)
+    entries = compute(args.workers)
     if args.command == "record":
-        DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(digests)} digests in {DIGESTS}")
+        # one run per line, so a re-record diffs run by run
+        lines = (f" {json.dumps(name)}: {json.dumps(entries[name])}" for name in sorted(entries))
+        DIGESTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        print(f"recorded {len(entries)} runs in {DIGESTS}")
         return 0
     recorded = json.loads(DIGESTS.read_text())
-    moved = sorted(name for name in digests.keys() | recorded.keys()
-                   if digests.get(name) != recorded.get(name))
-    for name in moved:
-        print(f"moved: {name} (recorded {recorded.get(name)}, now {digests.get(name)})")
-    same = sum(digests.get(name) == digest for name, digest in recorded.items())
-    print(f"{same} of {len(recorded)} recorded digests match")
-    return 1 if moved else 0
+    failed = False
+    for name in sorted(entries.keys() | recorded.keys()):
+        got, was = entries.get(name), recorded.get(name)
+        if got is None or was is None:
+            failed = True
+            print(f"missing: {name} ({'not run' if got is None else 'not recorded'})")
+        elif got["outputs"] != was["outputs"]:
+            failed = True
+            print(f"outputs moved: {name} (recorded {was['outputs']}, now {got['outputs']})")
+        elif got["engine"] != was["engine"]:
+            failed = True
+            print(f"engine counts only: {name} (recorded {was['engine']}, now {got['engine']})")
+    both = entries.keys() & recorded.keys()
+    same_outputs = sum(entries[n]["outputs"] == recorded[n]["outputs"] for n in both)
+    same_engine = sum(entries[n]["engine"] == recorded[n]["engine"] for n in both)
+    print(f"{same_outputs} of {len(recorded)} recorded outputs match; "
+          f"{same_engine} of {len(recorded)} recorded engine counts match")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
