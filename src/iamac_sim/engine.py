@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 
 import numpy as np
@@ -26,7 +27,11 @@ class Engine:
     def __init__(self):
         self.now = 0.0
         self._heap = []
-        self._seq = 0
+        # the sequence number the next event takes: `schedule` takes it and
+        # adds one, and a caller that re-arms its own events takes numbers the
+        # same way, so every number orders one event
+        self.next_seq = 0
+        self._until = 0.0           # the end of the current or last run_until
         self.dispatched_count = 0
         self.cancelled_count = 0
 
@@ -35,27 +40,35 @@ class Engine:
             raise RuntimeError(
                 f"cannot schedule at {fire_time} before clock {self.now}"
             )
-        seq = self._seq
+        seq = self.next_seq
         ev = Event(fire_time, seq, fn)
-        self._seq = seq + 1
+        self.next_seq = seq + 1
         heapq.heappush(self._heap, (fire_time, seq, ev))
         return ev
 
-    def reschedule(self, ev, fire_time):
-        """Re-arm a dispatched event at `fire_time`, ordered and counted as a
-        new `schedule` call at this point would be."""
+    def rearm(self, ev, fire_time, seq):
+        """Put a dispatched event back at `(fire_time, seq)`, with `seq` a
+        number taken earlier from `next_seq`: it orders as an event scheduled
+        when `seq` was taken would."""
         if fire_time < self.now:
             raise RuntimeError(f"cannot schedule at {fire_time} before clock {self.now}")
-        seq = self._seq
         ev.fire_time = fire_time
         ev.seq = seq
-        self._seq = seq + 1
         heapq.heappush(self._heap, (fire_time, seq, ev))
+
+    def next_key(self):
+        """`(fire_time, seq)` that work done inside a callback must order
+        before to keep its place in this `run_until`: the next pending
+        entry's key, or `(t_end, inf)` when none is due by `t_end`."""
+        heap = self._heap
+        if heap and heap[0][0] <= self._until:
+            return heap[0][0], heap[0][1]
+        return self._until, math.inf
 
     @property
     def scheduled_count(self):
-        # every scheduled or re-armed event took the next sequence number
-        return self._seq
+        # every scheduled event, and every number a caller took, advanced next_seq
+        return self.next_seq
 
     def cancel(self, event):
         """Drop a pending event; None (no timer set) is a no-op."""
@@ -67,6 +80,7 @@ class Engine:
         """Dispatch every pending event with fire_time <= t_end; clock ends at t_end."""
         if t_end < self.now:
             raise RuntimeError(f"run_until({t_end}) behind clock {self.now}")
+        self._until = t_end
         dispatched = 0
         heap = self._heap
         heappop = heapq.heappop

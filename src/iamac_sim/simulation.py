@@ -4,6 +4,7 @@ independent runs share nothing."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import count
 from numbers import Integral, Real
@@ -98,26 +99,6 @@ class Node:
         self.alive = False
         self.ledger.record_death(self.engine.now)
         self._receptions.clear()
-
-    # -- traffic --------------------------------------------------------------
-
-    def sample(self, ev):
-        """One sample while the run goes on and the node lives: the packet
-        `Simulation.inject` would queue, its ledger side in one call, and the
-        sampling event re-armed."""
-        sim = self.sim
-        if sim.stopped or not self.alive:
-            return
-        sc = sim.scenario
-        nid = self.id
-        now = self.engine.now
-        queue = self.queue
-        payload = sc.payload_bytes
-        # `make_data_packet` built in place, in its field order
-        queue.append(Packet(DATA, nid, sim.route_states[nid].parent or 0, payload,
-                            sc.header_bytes, now, nid, payload, next(sim._uids)))
-        self.ledger.account_sample(nid, len(queue), now)
-        self.engine.reschedule(ev, now + sc.sampling_interval_s)
 
     # -- medium callbacks -----------------------------------------------------
 
@@ -217,6 +198,8 @@ class Simulation:
         self.measured_until = 0.0
         self.driver = None
         self._uids = count()
+        # each sampling node's next sample as (time, seq, nid), a heap
+        self._samples = []
 
     # -- tracing ---------------------------------------------------------------
 
@@ -317,13 +300,76 @@ class Simulation:
     # -- traffic -----------------------------------------------------------------
 
     def start_traffic(self):
+        """Give each non-sink node its first sample, a uniform draw within one
+        interval. The samples run from one engine event, `_take_samples`; the
+        earliest sample's number is the one `schedule` takes for that event,
+        so every sample holds the number its own event would."""
         rng = self.streams.draws("traffic")
         interval = self.scenario.sampling_interval_s
-        for node in self.nodes:
-            if node.id == self.topo.sink:
-                continue
-            first = rng.uniform(0.0, interval)
-            self.engine.schedule(first, node.sample)
+        firsts = [(rng.uniform(0.0, interval), nid) for nid in range(self.topo.n)
+                  if nid != self.topo.sink]
+        if not firsts:
+            return
+        lead = min(range(len(firsts)), key=lambda i: firsts[i][0])
+        engine = self.engine
+        heap = self._samples
+        for i, (t, nid) in enumerate(firsts):
+            if i == lead:
+                seq = engine.schedule(t, self._take_samples).seq
+            else:
+                seq = engine.next_seq
+                engine.next_seq = seq + 1
+            heap.append((t, seq, nid))
+        heapq.heapify(heap)
+
+    def _take_samples(self, ev):
+        """Take in `(time, seq)` order every sample that orders before the
+        engine's next event and within the current `run_until`, then re-arm
+        at the next one. A sample queues the packet `Simulation.inject` would
+        build, books it with one `account_sample` call and gives the node's
+        next sample the engine's next sequence number, as one event per
+        sample re-armed at each dispatch would; a dead node samples no more,
+        and after the run has stopped no node does."""
+        if self.stopped:
+            return
+        engine = self.engine
+        bound_t, bound_seq = engine.next_key()
+        heap = self._samples
+        heapreplace = heapq.heapreplace
+        sc = self.scenario
+        interval = sc.sampling_interval_s
+        payload = sc.payload_bytes
+        header = sc.header_bytes
+        nodes = self.nodes
+        route_states = self.route_states
+        account_sample = self.ledger.account_sample
+        uids = self._uids
+        # nothing the loop calls schedules, so it holds the engine's next
+        # sequence number and hands it back when it ends
+        next_seq = engine.next_seq
+        try:
+            t, seq, nid = heap[0]
+            while True:
+                node = nodes[nid]
+                if node.alive:
+                    engine.now = t      # the clock the sample's own event would set
+                    queue = node.queue
+                    # `make_data_packet` built in place, in its field order
+                    queue.append(Packet(DATA, nid, route_states[nid].parent or 0, payload,
+                                        header, t, nid, payload, next(uids)))
+                    account_sample(nid, len(queue), t)
+                    heapreplace(heap, (t + interval, next_seq, nid))
+                    next_seq += 1
+                else:
+                    heapq.heappop(heap)
+                    if not heap:
+                        return
+                t, seq, nid = heap[0]
+                if t > bound_t or (t == bound_t and seq > bound_seq):
+                    break
+        finally:
+            engine.next_seq = next_seq
+        engine.rearm(ev, t, seq)
 
     def inject(self, origin, payload_len):
         """A new data packet, born now at `origin` and queued there for its parent."""

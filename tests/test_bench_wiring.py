@@ -56,4 +56,4 @@ def test_benchmark_tracer_sees_every_dispatched_event(monkeypatch):
         tracer.uninstall()
     event_ids = [nid for nid, name in enumerate(tracer.names) if name.startswith("event:")]
     spans = sum(tracer.name.tolist().count(nid) for nid in event_ids)
-    assert spans == sim.engine.dispatched_count == 7976
+    assert spans == sim.engine.dispatched_count == 730

@@ -70,14 +70,21 @@ def test_periodic_event_dispatch_count():
     assert dispatched == 10
 
 
-def test_periodic_event_by_reschedule_matches_scheduling_anew():
+def take_seq(e):
+    """The next sequence number, taken as `schedule` takes one."""
+    seq = e.next_seq
+    e.next_seq = seq + 1
+    return seq
+
+
+def test_periodic_event_by_rearm_matches_scheduling_anew():
     # the source of test_periodic_event_dispatch_count, re-arming one event
     e = Engine()
     times = []
 
     def tick(ev):
         times.append(e.now)
-        e.reschedule(ev, e.now + 1.0)
+        e.rearm(ev, e.now + 1.0, take_seq(e))
 
     e.schedule(1.0, tick)
     assert e.run_until(10.0) == 10
@@ -94,7 +101,7 @@ def test_rearmed_event_takes_the_next_sequence_number():
     def rearm(ev):
         order.append("rearm")
         if len(order) == 1:
-            e.reschedule(ev, 2.0)
+            e.rearm(ev, 2.0, take_seq(e))
             e.schedule(2.0, lambda ev: order.append("after"))
 
     e.schedule(2.0, lambda ev: order.append("before"))
@@ -105,13 +112,43 @@ def test_rearmed_event_takes_the_next_sequence_number():
     assert e.scheduled_count == 4
 
 
+def test_rearming_at_an_earlier_sequence_number_dispatches_first():
+    e = Engine()
+    order = []
+
+    def rearm(ev):
+        order.append("rearm")
+        if len(order) == 1:
+            e.schedule(2.0, lambda ev: order.append("later"))
+            # the number taken before "later" was scheduled orders first
+            e.rearm(ev, 2.0, seq)
+
+    e.schedule(1.0, rearm)
+    seq = take_seq(e)
+    e.schedule(2.0, lambda ev: order.append("after"))
+    e.run_until(5.0)
+    assert order == ["rearm", "rearm", "after", "later"]
+    assert e.scheduled_count == 4
+
+
+def test_next_key_is_the_next_due_entry_or_the_run_end():
+    e = Engine()
+    keys = []
+    e.schedule(1.0, lambda ev: keys.append(e.next_key()))
+    e.schedule(2.0, lambda ev: keys.append(e.next_key()))
+    e.schedule(7.0, lambda ev: None)
+    e.run_until(5.0)
+    # the 7.0 entry is past this run's end
+    assert keys == [(2.0, 1), (5.0, math.inf)]
+
+
 def test_rearming_into_the_past_is_a_hard_fault():
     e = Engine()
     raised = []
 
     def rearm(ev):
         with pytest.raises(RuntimeError):
-            e.reschedule(ev, 0.5)
+            e.rearm(ev, 0.5, ev.seq)
         raised.append(e.now)
 
     e.schedule(1.0, rearm)
@@ -126,7 +163,7 @@ def test_cancelled_rearmed_event_never_fires():
 
     def once(ev):
         fired.append(e.now)
-        e.reschedule(ev, 3.0)
+        e.rearm(ev, 3.0, take_seq(e))
         e.cancel(ev)
 
     e.schedule(1.0, once)

@@ -433,9 +433,9 @@ def test_an_untraced_run_makes_no_trace_call():
 # the same runs' engine counts (scheduled, dispatched, cancelled) under the
 # default recovery: a change that keeps them dispatches the same events
 PINNED_ENGINE_COUNTS = {
-    "iamac": (3915, 2733, 1133),
-    "smac": (8386, 7178, 1159),
-    "adaptive-smac": (36916, 34742, 2094),
+    "iamac": (3915, 2679, 1133),
+    "smac": (8386, 7114, 1159),
+    "adaptive-smac": (36916, 34737, 2094),
 }
 
 
