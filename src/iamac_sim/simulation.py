@@ -310,11 +310,11 @@ class Simulation:
                   if nid != self.topo.sink]
         if not firsts:
             return
-        lead = min(range(len(firsts)), key=lambda i: firsts[i][0])
+        lead = min(firsts)
         engine = self.engine
         heap = self._samples
-        for i, (t, nid) in enumerate(firsts):
-            if i == lead:
+        for t, nid in firsts:
+            if (t, nid) == lead:
                 seq = engine.schedule(t, self._take_samples).seq
             else:
                 seq = engine.next_seq
