@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 from .channel import MIN_DISTANCE_M, LinkModel, dbm_to_mw
 from .energy import EnergyTable
@@ -22,6 +23,12 @@ from .packets import airtime
 
 class ConfigError(ValueError):
     pass
+
+
+def check_node_id(value, n, where):
+    """Raise a ConfigError naming `where` unless `value` is an int node id in `[0, n)`."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or not 0 <= value < n:
+        raise ConfigError(f"{where}: {value!r} is not a node id in [0, {n})")
 
 
 # smallest accepted value of each count, duration and energy

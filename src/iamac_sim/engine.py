@@ -98,10 +98,6 @@ class Engine:
         self.now = t_end
         return dispatched
 
-    @property
-    def pending_count(self):
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
-
 
 def _label_key(label):
     # Stable across processes (unlike hash()).

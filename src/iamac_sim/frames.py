@@ -31,10 +31,6 @@ class FramePlan:
     def __post_init__(self):
         object.__setattr__(self, "cycle", self.time_frame * self.n_time_frames)
 
-    @property
-    def is_super_frame(self):
-        return self.n_time_frames > 1
-
     def comm_windows(self, cycle_start):
         """Absolute (start, end) spans usable for data within one cycle.
 

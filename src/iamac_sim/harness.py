@@ -102,15 +102,12 @@ def analytic_report(ber_grid, d_s, sc):
     return rows
 
 
-def p0_table(w_values, modes=("paper", "distinct-slot")):
-    rows = []
-    for w in w_values:
-        for n in range(1, w + 1):
-            row = [str(w), str(n)]
-            for mode in modes:
-                row.append(_fmt(rts_success_prob(n, w, mode)))
-            rows.append(row)
-    return rows
+def p0_table(w_values):
+    """Rows of w, n and the RTS success probability of n contenders over w
+    mini-slots, by the printed formula and by distinct slots."""
+    return [[str(w), str(n), _fmt(rts_success_prob(n, w, "paper")),
+             _fmt(rts_success_prob(n, w, "distinct-slot"))]
+            for w in w_values for n in range(1, w + 1)]
 
 
 # -- trend checks ----------------------------------------------------------------
@@ -139,9 +136,9 @@ def isotonic_fit(values, increasing=True):
     return fitted
 
 
-def trend_monotone(values, increasing=True, rel_residual=0.15):
-    """True when an isotonic fit explains the series to within the given
-    residual share of its range (stochastic series need slack)."""
+def trend_monotone(values, increasing=True):
+    """True when an isotonic fit explains the series to within 15% of its
+    range (stochastic series need slack)."""
     if len(values) < 2:
         return True
     fitted = isotonic_fit(values, increasing)
@@ -149,7 +146,7 @@ def trend_monotone(values, increasing=True, rel_residual=0.15):
     if rng <= 0:
         return True
     resid = max(abs(a - b) for a, b in zip(values, fitted))
-    return resid <= rel_residual * rng
+    return resid <= 0.15 * rng
 
 
 def trend_interior_max(values):
@@ -175,11 +172,11 @@ def star_simulation(scenario, trace=False):
 # -- transfer benchmark (analytics <-> simulation consistency) ----------------------
 
 
-def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, supply=None):
-    """Repeated single-link transfers: a fresh saturated queue each frame of
-    budget d_s, over a channel whose SNR realizes the requested bit error
-    rate. Returns per-frame means of packets sent and payload delivered."""
-    sc = Scenario(node_count=2, seed=seed, shadowing_sigma=0.0, output_power_dbm=0.0,
+def transfer_benchmark(recovery, d_s, ber, frames, turnaround_s=0.0, supply=None):
+    """Repeated single-link transfers on seed 7: a fresh saturated queue each
+    frame of budget d_s, over a channel whose SNR realizes the requested bit
+    error rate. Returns per-frame means of packets sent and payload delivered."""
+    sc = Scenario(node_count=2, seed=7, shadowing_sigma=0.0, output_power_dbm=0.0,
                   stop_on_first_death=False, turnaround_s=turnaround_s)
     if ber > 0:
         # invert the FSK map: ber = 0.5*exp(-snr_lin/2 * k)
@@ -198,7 +195,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
     if supply is None:
         supply = max(arq_capacity(d_s, 0.0, sc), seda_capacity(d_s, 0.0, sc)) + 20
     sessions = []
-    elapsed = {}  # frame -> seconds from its start until its session finished
+    elapsed_first = None  # seconds from frame 0's start until its session finished
     delivered_first = None
     for k in range(frames):
         t0 = engine.now if k == 0 else engine.now + gap
@@ -216,7 +213,9 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
         windows = [(t0, t0 + d_s)]
 
         def done(session, k=k, t0=t0):
-            elapsed[k] = engine.now - t0
+            nonlocal elapsed_first
+            if k == 0:
+                elapsed_first = engine.now - t0
 
         if recovery == "seda":
             session = SedaSession(sim, 1, 0, windows, done, link_ber=ber)
@@ -234,7 +233,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, seed=7, turnaround_s=0.0, sup
         "mean_sent_payload": mean_sent * sc.payload_bytes,
         "mean_delivered_payload": ledger.delivered_payload / frames,
         "delivered_per_frame": delivered_first,
-        "elapsed_first": elapsed.get(0),
+        "elapsed_first": elapsed_first,
         "recovery_frames": sum(s.result.recovery_frames for s in sessions),
         "frames": frames,
     }

@@ -44,6 +44,7 @@ class IamacDriver:
         self.plan = sc.frame_plan()
         self.period = self.plan.cycle
         self.rng = sim.streams.draws("contention")
+        self.parents = sim.parents
         self.states = [IamacNodeState() for _ in range(sim.topo.n)]
         self.phase = "idle"
         self.cycle_start = 0.0
@@ -84,7 +85,7 @@ class IamacDriver:
         sim = self.sim
         # every state is fresh from `start`: nothing has deactivated yet
         for node in sim.nodes:
-            if node.alive and node.queue and sim.parent_of(node.id) is not None:
+            if node.alive and node.queue and self.parents[node.id] is not None:
                 self._pick_contention(node.id, min_slot=0)
 
     def _pick_contention(self, nid, min_slot):
@@ -120,7 +121,7 @@ class IamacDriver:
             # act on whatever that packet turns out to be
             st.awaiting = True
             return
-        parent = sim.parent_of(nid)
+        parent = self.parents[nid]
         sc = sim.scenario
         # positional, in field order: kind, src, dst, length, header
         rts = Packet(PacketKind.RTS, nid, parent, sc.control_bytes, sc.header_bytes)
@@ -139,7 +140,7 @@ class IamacDriver:
         sim = self.sim
         nid = node.id
         st = self.states[nid]
-        parent = sim.parent_of(nid)
+        parent = self.parents[nid]
         if pkt.dst == nid:
             st.received_rtss.append(pkt)
             if sim.trace_enabled:
@@ -230,7 +231,7 @@ class IamacDriver:
             st.granted = True
             if sim.trace_enabled:
                 sim.trace(nid, "granted", "by=%s", pkt.src)
-        elif pkt.src == sim.parent_of(nid):
+        elif pkt.src == self.parents[nid]:
             pass  # a sibling's grant in my own parent's train: mine may follow
         elif st.committed_rx or st.granted:
             pass  # committed roles ride out foreign grants

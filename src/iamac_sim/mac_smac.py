@@ -63,7 +63,7 @@ class SmacDriver:
         self.rng = sim.streams.draws("contention")
         self.rng_adaptive = sim.streams.draws("adaptive")
         # the tree is fixed once routing has bootstrapped, before the driver
-        self.parents = [st.parent for st in sim.route_states]
+        self.parents = sim.parents
         self.states = [SmacNodeState() for _ in range(sim.topo.n)]
         self.cycle_start = 0.0
         self._listen_end = self.synch_slot + self.contention_window

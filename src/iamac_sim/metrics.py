@@ -31,9 +31,8 @@ def colliding_sets(data_log):
 
 class MetricsLedger:
     """Storage and summaries of one run's accounts. The ledger charges
-    samples (`account_sample`) and plain state time (`account`, for
-    `Node.flush_energy`). Radio time is charged in place, into the per-node
-    rows, by `Node.set_radio`, `Simulation._frame_end` and
+    samples (`account_sample`). Radio time is charged in place, into the
+    per-node rows, by `Node.set_radio`, `Simulation._frame_end` and
     `Simulation.charge_synch_slot`, with `account`'s expressions; a switch
     costs `switch_mj`."""
 
@@ -90,7 +89,9 @@ class MetricsLedger:
     def account(self, node, state, duration):
         """Charge `duration` seconds in `state`; returns the residual energy
         in mJ. `Node.set_radio`, `Simulation._frame_end` and
-        `Simulation.charge_synch_slot` write this same charge in place."""
+        `Simulation.charge_synch_slot` write this same charge in place; this
+        method serves only tests, and stays while the benchmark's tracer
+        (`simbench/tracing.py`) wraps it by name."""
         if duration < 0:
             raise ValueError("negative duration")
         if duration > 0:

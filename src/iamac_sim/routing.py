@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError, check_node_id
+
 
 @dataclass
 class RouteState:
@@ -95,6 +97,9 @@ def build_tree(states, max_children):
     node holding it in `etx` (its cost moved) and, under the cap, every node
     holding its old or new parent there (their children counts moved). Any
     other node would decide as before, so the tree is the one full sweeps build.
+
+    The tree is acyclic: a node takes a parent at the parent's cost plus an
+    ETX >= 1, and a cost otherwise only falls (a tie moves it by <= 1e-12).
     """
     n = len(states)
     cap = max_children > 0
@@ -160,13 +165,25 @@ def build_tree(states, max_children):
 
 def preset_tree(topology, parents):
     """A fixed tree that skips bootstrap. `parents` maps child -> parent;
-    nodes outside it are roots (local collection points, cost 0). Costs count
-    hops; no link is estimated."""
-    states = [RouteState(node=i, is_sink=(i not in parents)) for i in range(topology.n)]
+    nodes outside it are roots (local collection points, cost 0), the sink
+    among them. Costs count hops; no link is estimated. A key or parent that
+    is not a node id, a sink with a parent, or a node whose parents never
+    reach a root is a ConfigError."""
+    n = topology.n
+    for child, parent in parents.items():
+        check_node_id(child, n, "parents")
+        check_node_id(parent, n, f"parents: node {child}'s parent")
+    if topology.sink in parents:
+        raise ConfigError(f"parents: the sink {topology.sink} must be a root, "
+                          f"got parent {parents[topology.sink]!r}")
+    states = [RouteState(node=i, is_sink=(i not in parents)) for i in range(n)]
     for child, parent in parents.items():
         hops, cur = 1, parent
         while cur in parents and hops <= len(parents):
             hops, cur = hops + 1, parents[cur]
+        if cur in parents:
+            raise ConfigError(f"parents: {child}: {parent} leads into a cycle, "
+                              f"never to a root")
         states[child].parent = parent
         states[child].my_cost = float(hops)
     return states
@@ -174,21 +191,3 @@ def preset_tree(topology, parents):
 
 def disjoint_nodes(states):
     return [st.node for st in states if not st.is_sink and st.parent is None]
-
-
-def tree_is_acyclic(states):
-    """Every routed node must reach the sink by following parents."""
-    n = len(states)
-    for st in states:
-        if st.is_sink or st.parent is None:
-            continue
-        seen = set()
-        cur = st
-        while cur.parent is not None:
-            if cur.node in seen or len(seen) > n:
-                return False
-            seen.add(cur.node)
-            cur = states[cur.parent]
-        if not cur.is_sink:
-            return False
-    return True

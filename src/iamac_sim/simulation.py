@@ -10,13 +10,13 @@ from itertools import count
 from numbers import Integral, Real
 
 from .channel import dbm_to_mw
-from .config import ConfigError
+from .config import ConfigError, check_node_id
 from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
 from .metrics import MetricsLedger
 from .packets import Packet, PacketKind, make_data_packet
-from .routing import build_tree, disjoint_nodes, estimate_links, preset_tree, tree_is_acyclic
+from .routing import build_tree, disjoint_nodes, estimate_links, preset_tree
 from .topology import Topology, random_topology
 
 SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
@@ -84,15 +84,10 @@ class Node:
             self._deplete()
 
     def flush_energy(self):
-        if not self.alive:
-            return
-        now = self.engine.now
-        elapsed = now - self._state_since
-        if elapsed > 0:
-            residual = self.ledger.account(self.id, self.state, elapsed)
-            self._state_since = now
-            if residual <= 0.0:
-                self._deplete()
+        """Charge the time spent in the current state, as `set_radio` to
+        that state does. Only tests call this; it stays while the benchmark's
+        tracer (`simbench/tracing.py`) wraps it by name."""
+        self.set_radio(self.state)
 
     def _deplete(self):
         # the battery of this live node is empty: it dies now
@@ -154,7 +149,8 @@ class Simulation:
     """One run. Nodes are placed at random over `scenario.area` with the sink
     at node 0, or at the given `positions` with zero shadowing and the given
     `sink`. The routing tree is bootstrapped, or fixed by `parents` (child ->
-    parent; nodes outside it are roots)."""
+    parent; nodes outside it are roots), which `preset_tree` checks. A `sink`
+    or `fixed_contention` key that is not a node id is a ConfigError."""
 
     def __init__(self, scenario, positions=None, sink=0, parents=None,
                  fixed_contention=None, trace=False):
@@ -170,6 +166,7 @@ class Simulation:
                                        scenario.area[1], self.model, power, self.streams)
         else:
             topology = Topology(positions, sink, self.model, power)
+            check_node_id(sink, topology.n, "sink")
         self.topo = topology
         self.medium = Medium(self.engine, topology, self.streams,
                              control_corruption_disabled=scenario.control_corruption_disabled)
@@ -179,10 +176,12 @@ class Simulation:
         self.medium.on_data_resolved = self._data_resolved
 
         self.route_states = None if parents is None else preset_tree(topology, parents)
+        self.parents = None   # each node's parent or None, once routing has bootstrapped
         # each node's injected contention plans, popped by the MAC in order
         self.fixed_contention = {nid: list(plans)
                                  for nid, plans in (fixed_contention or {}).items()}
         for nid, plans in self.fixed_contention.items():
+            check_node_id(nid, topology.n, "fixed_contention")
             for plan in plans:
                 why = _contention_fault(scenario.protocol, scenario.w, plan)
                 if why is not None:
@@ -212,22 +211,18 @@ class Simulation:
     # -- routing ----------------------------------------------------------------
 
     def bootstrap_routing(self):
-        """Link estimation and tree construction before duty cycling begins."""
+        """Link estimation and tree construction before duty cycling begins,
+        unless `parents` fixed the tree; then `parents` lists each node's parent."""
         sc = self.scenario
         if self.route_states is None:
             states = estimate_links(self.topo, self.streams, sc.broadcast_count,
                                     sc.report_rounds, sc.control_bytes + sc.header_bytes)
             self.route_states = build_tree(states, sc.max_children)
+        self.parents = [st.parent for st in self.route_states]
         stranded = disjoint_nodes(self.route_states)
-        allowed = sc.disjoint_tolerance * (self.topo.n - 1)
-        if len(stranded) > allowed:
+        if len(stranded) > sc.disjoint_tolerance * (self.topo.n - 1):
             self.status = "disjoint"
-        elif not tree_is_acyclic(self.route_states):
-            raise AssertionError("routing produced a cyclic parent graph")
         self.stranded = stranded
-
-    def parent_of(self, nid):
-        return self.route_states[nid].parent
 
     def refresh_routing(self):
         """Nothing calls this: the tree is fixed once `bootstrap_routing` has
@@ -341,7 +336,7 @@ class Simulation:
         payload = sc.payload_bytes
         header = sc.header_bytes
         nodes = self.nodes
-        route_states = self.route_states
+        parents = self.parents
         account_sample = self.ledger.account_sample
         uids = self._uids
         # nothing the loop calls schedules, so it holds the engine's next
@@ -355,7 +350,7 @@ class Simulation:
                     engine.now = t      # the clock the sample's own event would set
                     queue = node.queue
                     # `make_data_packet` built in place, in its field order
-                    queue.append(Packet(DATA, nid, route_states[nid].parent or 0, payload,
+                    queue.append(Packet(DATA, nid, parents[nid] or 0, payload,
                                         header, t, nid, payload, next(uids)))
                     account_sample(nid, len(queue), t)
                     heapreplace(heap, (t + interval, next_seq, nid))
@@ -373,8 +368,9 @@ class Simulation:
 
     def inject(self, origin, payload_len):
         """A new data packet, born now at `origin` and queued there for its parent."""
-        pkt = make_data_packet(next(self._uids), origin, self.parent_of(origin) or 0,
-                               self.engine.now, payload_len, self.scenario.header_bytes)
+        parent = self.route_states[origin].parent
+        pkt = make_data_packet(next(self._uids), origin, parent or 0, self.engine.now,
+                               payload_len, self.scenario.header_bytes)
         self.enqueue(origin, pkt)
         self.ledger.record_generated()
 

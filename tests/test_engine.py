@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from iamac_sim.engine import BLOCK, Engine, RandomStreams
 
 
+def pending_count(e):
+    """The events in `e`'s queue that are not cancelled."""
+    return sum(1 for _, _, ev in e._heap if not ev.cancelled)
+
+
 def test_zero_delay_fires_before_later_events():
     e = Engine()
     order = []
@@ -91,7 +96,7 @@ def test_periodic_event_by_rearm_matches_scheduling_anew():
     assert times == [float(t) for t in range(1, 11)]
     # the first schedule and ten re-arms, the last still pending
     assert e.scheduled_count == 11
-    assert e.pending_count == 1
+    assert pending_count(e) == 1
 
 
 def test_rearmed_event_takes_the_next_sequence_number():
@@ -154,7 +159,7 @@ def test_rearming_into_the_past_is_a_hard_fault():
     e.schedule(1.0, rearm)
     e.run_until(2.0)
     assert raised == [1.0]
-    assert e.scheduled_count == 1 and e.pending_count == 0
+    assert e.scheduled_count == 1 and pending_count(e) == 0
 
 
 def test_cancelled_rearmed_event_never_fires():
@@ -203,7 +208,7 @@ def test_no_lost_events(spec):
     e.run_until(25.0)
     e.run_until(50.0)
     assert e.scheduled_count == (e.dispatched_count + e.cancelled_count
-                                 + e.pending_count)
+                                 + pending_count(e))
 
 
 def test_dispatches_before_a_raising_callback_are_counted():

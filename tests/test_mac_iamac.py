@@ -57,7 +57,7 @@ def test_data_moves_only_child_to_parent():
     sim, res = _detail_run()
     assert receptions(sim)
     for listener, wanted, f in receptions(sim):
-        assert sim.parent_of(wanted) == listener
+        assert sim.parents[wanted] == listener
 
 
 def test_deactivated_node_is_silent_for_the_frame():
@@ -82,7 +82,7 @@ def test_same_parent_transfers_never_overlap():
     sim, res = _detail_run(sampling_interval_s=2.0)
     by_parent = {}
     for sender, t0, t1 in transmissions(sim):
-        parent = sim.parent_of(sender)
+        parent = sim.parents[sender]
         by_parent.setdefault(parent, []).append((t0, t1))
     for spans in by_parent.values():
         spans.sort()

@@ -782,3 +782,35 @@ def test_no_live_node_holds_an_empty_battery_after_a_sample():
     ledger.account_sample = checked
     sim.run()
     assert emptied == []
+
+
+def radio_time_error(**overrides):
+    """The largest gap, over the live nodes of a `desk` seed-1 run, between a
+    node's summed `state_time` and the measured span."""
+    sim = Simulation(desk_preset(seed=1, stop_on_first_death=False, **overrides))
+    sim.run()
+    ledger = sim.ledger
+    return max(abs(sum(ledger.state_time[node.id]) - ledger.measure_end)
+               for node in sim.nodes if node.alive)
+
+
+@pytest.mark.parametrize("protocol", ["iamac", "smac"])
+@pytest.mark.parametrize("recovery", ["arq", "seda"])
+def test_radio_time_sums_to_the_measured_span(protocol, recovery):
+    # every live node is in exactly one radio state at every instant
+    assert radio_time_error(protocol=protocol, recovery=recovery) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="a switch inside a beacon's airtime resets the clock "
+                   "`charge_synch_slot` moved past now, so the overlap is charged twice")
+def test_a_synch_slot_shorter_than_a_beacon_keeps_radio_time():
+    # over-charged by up to 0.34 s (IAMAC) and 0.39 s (S-MAC) over 240 s
+    assert max(radio_time_error(protocol=protocol, synch_slot_s=0.0)
+               for protocol in ("iamac", "smac")) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="a stale adaptive S-MAC attempt transmits inside a "
+                   "frame's first beacon airtime, so that overlap is charged twice")
+def test_adaptive_smac_keeps_radio_time():
+    # over-charged by up to 0.004 s over 240 s
+    assert radio_time_error(protocol="adaptive-smac") <= 1e-9

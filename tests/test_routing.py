@@ -6,11 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from iamac_sim.config import desk_preset, paper_density_preset, paper_preset
+from iamac_sim.config import ConfigError, desk_preset, paper_density_preset, paper_preset
 from iamac_sim.engine import RandomStreams
 from iamac_sim.harness import star_simulation
-from iamac_sim.routing import (RouteState, build_tree, disjoint_nodes, estimate_links,
-                               tree_is_acyclic)
+from iamac_sim.routing import RouteState, build_tree, disjoint_nodes, estimate_links
 from iamac_sim.simulation import Simulation
 
 
@@ -111,6 +110,18 @@ def test_build_tree_re_evaluates_the_holders_of_a_parent_that_fills():
     assert got[10] == (3, 4.0)
 
 
+def assert_acyclic(states):
+    """Every routed node's cost exceeds its parent's, and every node without
+    a parent is a root (cost 0) or stranded (cost inf). Costs then fall along
+    every chain of parents, which so ends at a root: no node is its own
+    ancestor, and every routed node reaches a root."""
+    for st in states:
+        if st.parent is not None:
+            assert st.my_cost > states[st.parent].my_cost
+        else:
+            assert st.my_cost == (0.0 if st.is_sink else math.inf)
+
+
 def _bootstrap(sc):
     sim = Simulation(sc)
     states = estimate_links(sim.topo, sim.streams, sc.broadcast_count,
@@ -149,7 +160,7 @@ def test_bootstrap_tree_full_and_acyclic():
     sim, states = _bootstrap(sc)
     build_tree(states, sc.max_children)
     assert disjoint_nodes(states) == []
-    assert tree_is_acyclic(states)
+    assert_acyclic(states)
 
 
 def test_costs_strictly_decrease_toward_sink():
@@ -316,8 +327,25 @@ def test_preset_tree_star_and_chain():
         assert [st.my_cost for st in states] == costs
         # preset trees carry no link estimates
         assert all(st.etx == {} for st in states)
-        assert tree_is_acyclic(states)
+        assert_acyclic(states)
         assert disjoint_nodes(states) == []
+
+
+@pytest.mark.parametrize("network, message", [
+    (dict(parents={1: 2, 2: 1}), r"parents: 1: 2 leads into a cycle"),
+    (dict(parents={1: 1}), r"parents: 1: 1 leads into a cycle"),
+    (dict(parents={1: 0, 2: -1}), r"parents: node 2's parent: -1 is not a node id in \[0, 3\)"),
+    (dict(parents={1: 7}), r"parents: node 1's parent: 7 is not a node id"),
+    (dict(parents={5: 0}), r"parents: 5 is not a node id"),
+    (dict(parents={1: 0.0}), r"parents: node 1's parent: 0.0 is not a node id"),
+    (dict(sink=9), r"sink: 9 is not a node id"),
+    (dict(parents={1: 0, 2: 1}, sink=2), r"parents: the sink 2 must be a root, got parent 1"),
+    (dict(fixed_contention={9: [(0, 0.0)]}), r"fixed_contention: 9 is not a node id"),
+])
+def test_a_malformed_hand_placed_network_is_a_config_error(network, message):
+    line = [(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)]
+    with pytest.raises(ConfigError, match=message):
+        Simulation(desk_preset(), line, **network)
 
 
 # SHA-256 of repr([(parent, my_cost), ...]) after bootstrap; the cap of 3
