@@ -17,7 +17,8 @@ commit).
 parent checkout and ten in this one, each side first in every other pair, and
 stores under `--name` every run's host-normalized `run_s`, its `setup_s` (the
 median of the run's three timed set-ups), its `peak_rss_mb` and the host
-slowdown the times were divided by. For `run_s` it stores each side's median
+slowdown the times were divided by, and under `engine` each side's engine
+scheduled, dispatched and cancelled counts. For `run_s` it stores each side's median
 and interquartile range and how many pairs the change won, at the top level as
 in earlier records; `setup_s_summary` and `peak_rss_mb_summary` hold the same
 for `setup_s` and `peak_rss_mb`. Each summary's `claim_holds` says whether
@@ -30,7 +31,9 @@ change's IQR of `setup_s` and `peak_rss_mb`.
 fairly only between alike paths. Run one workload seed per call. A run whose
 CSV hash differs from its checkout's `simbench/expected.json`, whose status is
 not "ok" or that does not conserve packets stops `pairs` with a non-zero exit
-before anything is written.
+before anything is written, and so does a run whose engine counts differ from
+an earlier run of its side: the runs would not be deterministic across
+processes.
 """
 
 import argparse
@@ -110,6 +113,7 @@ def pairs(args):
     setups = {"parent": [], "change": []}
     peak_rss = {"parent": [], "change": []}
     slowdown = {"parent": [], "change": []}
+    engine = {}
     for i in range(PAIRS):
         order = list(sides.items())
         for side, checkout in order if i % 2 == 0 else order[::-1]:
@@ -117,6 +121,9 @@ def pairs(args):
             fault = run_fault(rec, expected[side])
             if fault is not None:
                 raise SystemExit(f"pair {i}, {side} run: {fault}; nothing written")
+            if engine.setdefault(side, rec["engine"]) != rec["engine"]:
+                raise SystemExit(f"pair {i}, {side} run: engine counts {rec['engine']} differ "
+                                 f"from {engine[side]} in an earlier run; nothing written")
             runs[side].append(rec["run_s"])
             setups[side].append(statistics.median(rec["setup_s"]))
             peak_rss[side].append(rec["peak_rss_mb"])
@@ -133,6 +140,7 @@ def pairs(args):
         "setup_s": setups,
         "peak_rss_mb": peak_rss,
         "slowdown": slowdown,
+        "engine": engine,
         **summary(runs),
         "setup_s_summary": summary(setups),
         "peak_rss_mb_summary": summary(peak_rss),

@@ -12,7 +12,11 @@ reception elsewhere.
 
 Every timer is a `functools.partial` over a bound method that takes
 `(nid, ev)`, with any further bound arguments between the two, so an event
-reaches its handler without a forwarding frame of its own.
+reaches its handler without a forwarding frame of its own. The timers that
+bind only a node id are built once per run, one table per kind indexed by
+node id; the CTS and ACK sends bind their packet, so each builds its own.
+A node has at most one pending awake-expiry event: a stay while it is
+pending reserves a later key, and the event moves there when it fires.
 """
 
 from __future__ import annotations
@@ -64,9 +68,26 @@ class SmacDriver:
         self.rng_adaptive = sim.streams.draws("adaptive")
         # the tree is fixed once routing has bootstrapped, before the driver
         self.parents = sim.parents
-        self.states = [SmacNodeState() for _ in range(sim.topo.n)]
+        n = sim.topo.n
+        self.states = [SmacNodeState() for _ in range(n)]
         self.cycle_start = 0.0
         self._listen_end = self.synch_slot + self.contention_window
+
+        def timers(handler, *args):
+            # one bound method shared by every node's entry
+            return [partial(handler, nid, *args) for nid in range(n)]
+
+        self._on_attempt = timers(self._attempt)
+        self._on_nav_wake = timers(self._nav_wake)
+        self._on_expiry = timers(self._awake_expiry)
+        self._on_rx_timeout = timers(self._rx_timeout)
+        self._on_send_data = timers(self._send_data)
+        self._on_no_cts = timers(self._tx_timeout, "smac-no-cts")
+        self._on_ack_timeout = timers(self._tx_timeout, None)
+        # each node's pending awake-expiry event, and the `(time, seq)` key a
+        # stay reserved for it while it was pending; both outlive a frame
+        self._expiry_ev = [None] * n
+        self._expiry_later = [None] * n
 
     # -- frame scheduling ------------------------------------------------------
 
@@ -87,7 +108,7 @@ class SmacDriver:
 
     def _listen_over(self, event):
         for node in self.sim.nodes:
-            self._awake_expiry(node.id, event)
+            self._sleep_if_expired(node.id)
 
     # -- contention -----------------------------------------------------------------
 
@@ -123,7 +144,7 @@ class SmacDriver:
             delay = float(injected.pop(0))
         else:
             delay = min(room, self.contention_window / 4) * self.rng.random()
-        st.pending_ev = self.engine.schedule(now + delay, partial(self._attempt, nid))
+        st.pending_ev = self.engine.schedule(now + delay, self._on_attempt[nid])
 
     def _attempt(self, nid, ev):
         sim = self.sim
@@ -156,8 +177,7 @@ class SmacDriver:
         if sim.trace_enabled:
             sim.trace(nid, "smac-rts", "dst=%s", parent)
         timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
-        st.pending_ev = self.engine.schedule(
-            timeout, partial(self._tx_timeout, nid, "smac-no-cts"))
+        st.pending_ev = self.engine.schedule(timeout, self._on_no_cts[nid])
 
     def _tx_timeout(self, nid, label, ev):
         st = self.states[nid]
@@ -195,7 +215,7 @@ class SmacDriver:
                     sim.trace(nid, "smac-cts", "dst=%s", pkt.src)
                 # release the reservation if the data never shows up
                 st.pending_ev = self.engine.schedule(pkt.exchange_end + 2e-3,
-                                                     partial(self._rx_timeout, nid))
+                                                     self._on_rx_timeout[nid])
             else:
                 self._overheard(nid, pkt)
         elif kind is CTS:
@@ -203,7 +223,7 @@ class SmacDriver:
                 if st.role == "tx":
                     self._cancel_pending(st)
                     self.engine.schedule(self.engine.now + self.sifs,
-                                         partial(self._send_data, nid))
+                                         self._on_send_data[nid])
             else:
                 self._overheard(nid, pkt)
         elif kind is DATA and pkt.dst == nid:
@@ -236,8 +256,7 @@ class SmacDriver:
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)
-        st.pending_ev = self.engine.schedule(ack_deadline,
-                                             partial(self._tx_timeout, nid, None))
+        st.pending_ev = self.engine.schedule(ack_deadline, self._on_ack_timeout[nid])
 
     def _rx_timeout(self, nid, ev):
         st = self.states[nid]
@@ -298,7 +317,7 @@ class SmacDriver:
             wake_at = st.nav_until
             if sim.trace_enabled:
                 sim.trace(nid, "nav-sleep", "until=%.4f", exchange_end)
-        self.engine.schedule(wake_at, partial(self._nav_wake, nid))
+        self.engine.schedule(wake_at, self._on_nav_wake[nid])
         sim.nodes[nid].set_radio(SLEEP)
 
     def _nav_wake(self, nid, ev):
@@ -319,14 +338,53 @@ class SmacDriver:
         # otherwise stay asleep until the next frame
 
     def _stay_awake(self, nid):
+        """Keep the node awake for one contention window from now, and
+        contend at once if it has a packet to send.
+
+        The node's one pending awake-expiry event checks the window's end.
+        If none is pending, this schedules it. Otherwise this takes the
+        sequence number a new event would take, by hand, and records
+        `(awake_until, seq)` as the key the pending event moves to when it
+        fires (`_awake_expiry`). So the scheduled and cancelled counts and
+        the tie order are those of one event per stay; only the dispatches
+        fall."""
         st = self.states[nid]
+        engine = self.engine
         # time moves forward and `_overheard` only lowers `awake_until`
-        st.awake_until = self.engine.now + self.contention_window
-        self.engine.schedule(st.awake_until, partial(self._awake_expiry, nid))
+        st.awake_until = until = engine.now + self.contention_window
+        if self._expiry_ev[nid] is None:
+            self._expiry_ev[nid] = engine.schedule(until, self._on_expiry[nid])
+        else:
+            seq = engine.next_seq
+            engine.next_seq = seq + 1
+            self._expiry_later[nid] = (until, seq)
         if self.sim.nodes[nid].queue and self.parents[nid] is not None:
             self._backoff(nid)
 
     def _awake_expiry(self, nid, ev):
+        """The node's pending awake-expiry event. If a stay recorded a later
+        key while it was pending, move there and check nothing; otherwise
+        check the node.
+
+        The skipped checks, those the events of all but the latest stay
+        would have made, could not have acted. A stay at `t` sets
+        `awake_until = t + contention_window`, so an expiry that fires after
+        a stay at a later instant finds `awake_until` past `now`, with two
+        exceptions. `_overheard` may have reset `awake_until` since; that
+        call also put the node to sleep, and only a NAV wake wakes it, which
+        stays again. Or `start` built a fresh state since; then `now` lies
+        before the new frame's `_listen_end`. (Two stays of one node at one
+        instant would need a NAV wake due at exactly the instant of its
+        other stay.)"""
+        later = self._expiry_later[nid]
+        if later is not None:
+            self._expiry_later[nid] = None
+            self.engine.rearm(ev, *later)
+            return
+        self._expiry_ev[nid] = None
+        self._sleep_if_expired(nid)
+
+    def _sleep_if_expired(self, nid):
         st = self.states[nid]
         node = self.sim.nodes[nid]
         now = self.engine.now

@@ -1,5 +1,6 @@
 """`scripts/bench.py pairs` times only runs that reproduce their checkout's
-recorded output, writes nothing when one does not, and summarizes `run_s`,
+recorded output and engine counts, writes nothing when one does not, and
+summarizes `run_s`,
 `setup_s` and `peak_rss_mb` alike; `record` and `pairs` name the checkouts
 they ran."""
 
@@ -11,6 +12,7 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 HASH = "ab" * 32
+ENGINE = {"scheduled": 30, "dispatched": 20, "cancelled": 5}
 
 
 @pytest.fixture
@@ -40,7 +42,8 @@ def stub_runs(bench, monkeypatch, times, bad=None, setups=None, rss=None):
         rec = {"run_s": times[side][i], "slowdown": 1.0, "hash": HASH,
                "status": "ok", "conserved": True,
                "setup_s": setups[side][i] if setups else [0.1, 0.1, 0.1],
-               "peak_rss_mb": rss[side][i] if rss else 44.0}
+               "peak_rss_mb": rss[side][i] if rss else 44.0,
+               "engine": ENGINE if side == "parent" else {**ENGINE, "dispatched": 18}}
         if bad is not None and bad[:2] == (side, i):
             rec[bad[2]] = bad[3]
         return rec
@@ -118,6 +121,24 @@ def test_pairs_records_each_checkout_path(bench, tmp_path, monkeypatch):
     rec = json.loads((tmp_path / "BENCH_t.json").read_text())["pairs"]["paper-iamac@1"]
     assert rec["checkouts"] == {side: str((tmp_path / side).resolve())
                                 for side in ("parent", "change")}
+
+
+def test_pairs_records_each_sides_engine_counts(bench, tmp_path, monkeypatch):
+    stub_runs(bench, monkeypatch, {"parent": [1.0] * 10, "change": [0.9] * 10})
+    assert run_pairs(bench, tmp_path) == 0
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())["pairs"]["paper-iamac@1"]
+    assert rec["engine"] == {"parent": ENGINE, "change": {**ENGINE, "dispatched": 18}}
+
+
+@pytest.mark.parametrize("side, index", [("parent", 1), ("change", 9)])
+def test_pairs_refuses_runs_of_one_side_with_different_engine_counts(bench, tmp_path,
+                                                                     monkeypatch, side, index):
+    stub_runs(bench, monkeypatch, {"parent": [1.0] * 10, "change": [0.9] * 10},
+              (side, index, "engine", {**ENGINE, "scheduled": 31}))
+    with pytest.raises(SystemExit) as exc:
+        run_pairs(bench, tmp_path)
+    assert "engine counts" in str(exc.value.code)
+    assert not (tmp_path / "BENCH_t.json").exists()
 
 
 def test_record_stores_the_checkout_path(bench, tmp_path, monkeypatch):

@@ -136,6 +136,39 @@ def test_rearming_at_an_earlier_sequence_number_dispatches_first():
     assert e.scheduled_count == 4
 
 
+@pytest.mark.parametrize("rearmed", [False, True])
+def test_one_event_rearmed_twice_dispatches_where_fresh_events_would(rearmed):
+    # at 0.5 one callback arms two checks at 2.0 around a `schedule` call at
+    # 2.0: as fresh events, or as numbers reserved for the event pending at
+    # 1.0, which re-arms at each of them in turn
+    e = Engine()
+    order = []
+    keys = []
+
+    def check(ev):
+        order.append(("check", e.now))
+        if keys:
+            e.rearm(ev, *keys.pop(0))
+
+    def arm(ev):
+        for tag in ("first", None, "second"):
+            if tag is None:
+                e.schedule(2.0, lambda ev: order.append(("other", e.now)))
+            elif rearmed:
+                keys.append((2.0, take_seq(e)))
+            else:
+                e.schedule(2.0, check)
+
+    e.schedule(0.5, arm)
+    e.schedule(1.0, check)
+    e.schedule(2.0, lambda ev: order.append(("before", e.now)))
+    e.run_until(5.0)
+    assert order == [("check", 1.0), ("before", 2.0), ("check", 2.0), ("other", 2.0),
+                     ("check", 2.0)]
+    assert e.scheduled_count == 6
+    assert e.dispatched_count == 6
+
+
 def test_next_key_is_the_next_due_entry_or_the_run_end():
     e = Engine()
     keys = []

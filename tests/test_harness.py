@@ -435,7 +435,7 @@ def test_an_untraced_run_makes_no_trace_call():
 PINNED_ENGINE_COUNTS = {
     "iamac": (3915, 2679, 1133),
     "smac": (8386, 7114, 1159),
-    "adaptive-smac": (36916, 34737, 2094),
+    "adaptive-smac": (36916, 30932, 2094),
 }
 
 
