@@ -9,15 +9,16 @@ result dict, the ledger's floats as exact hex, the sink's delivery records,
 every node's queue length and alive flag, and, for a traced run, its
 `trace_log` and `data_log` (interferer sets sorted). Beside them are the
 engine's scheduled, dispatched and cancelled counts, which say how the run
-was dispatched rather than what it computed. A `transfer_benchmark` call
-digests its returned dict and has no engine counts.
+was dispatched rather than what it computed. An entry that returns a dict (a
+`transfer_benchmark` call, a bootstrap tree) digests that dict and has no
+engine counts.
 
 `record` rewrites `scripts/digests.json`; `check` recomputes every run, names
 each run whose outputs moved, whose engine counts alone moved, or that is
 missing from one side, and exits 1 if any did. `--workers N` spreads the runs
 over N processes.
 
-The corpus (`corpus()`, 321 runs) holds:
+The corpus (`corpus()`, 334 entries) holds:
 - each `simbench` workload at seeds 1 and 3, traced and untraced (12);
 - 252 traced `desk` runs: the three MACs under ARQ and Seda at seeds 1-6,
   each in seven variants (`DESK_VARIANTS`): the preset, 0.05 mAh batteries run
@@ -29,7 +30,9 @@ The corpus (`corpus()`, 321 runs) holds:
   plain S-MAC) and 12 saturated star runs (three MACs, ARQ and Seda, seeds 1-2);
 - the fig2 fixture under each MAC and the fig6 fixture, and 3 `fixed_contention`
   line runs, one per MAC;
-- 6 `transfer_benchmark` calls: ARQ and Seda at bit error rates 0, 1e-4, 1e-3.
+- 6 `transfer_benchmark` calls: ARQ and Seda at bit error rates 0, 1e-4, 1e-3;
+- 9 `desk` seed-4 runs without a lifetime stop: 7 traced 60 s runs and 2
+  untraced 120 s IAMAC runs, and 4 routing bootstrap trees (see `corpus()`).
 
 Only names that the simulator has long exported are read, so the same file
 checks a change against its parent.
@@ -98,8 +101,18 @@ def _contention_line(protocol):
 
 
 def corpus():
-    """Run name -> a callable that builds the run's Simulation, or, for a
-    `transfer_benchmark` call, returns its result dict."""
+    """Run name -> a callable that builds the run's Simulation, or returns a
+    dict: a `transfer_benchmark` call's result or a bootstrap tree.
+
+    The `desk60-*` runs (`desk` seed 4, 60 s) cover every MAC and recovery;
+    S-MAC's trace does not depend on the recovery, which only IAMAC transfers
+    use. Their 20 s IAMAC frame is a Super Frame of two Time Frames, whose
+    mid-cycle Synch slot no `simbench` workload reaches. Of the untraced
+    `desk120-*` runs, the Seda one hands 207 batches to relays (60 of two or
+    more packets) and 41 to the sink. The `bootstrap-*` trees are
+    `bootstrap_routing`'s parents and path costs: a cap of 3 children moves
+    parents at `desk` seed 4, while at `paper` seed 1 no node has over 6.
+    """
     runs = {}
     for name in ("paper-iamac", "paper-adaptive-smac", "star-seda"):
         for seed in (1, 3):
@@ -138,7 +151,29 @@ def corpus():
         for ber in (0.0, 1e-4, 1e-3):
             runs[f"transfer-{r}-{ber:g}"] = (
                 lambda r=r, b=ber: transfer_benchmark(r, 1.0, b, frames=60))
+    for p in MACS:
+        for r in RECOVERIES:
+            runs[f"desk60-{p}-{r}@4"] = lambda p=p, r=r: Simulation(desk_preset(
+                seed=4, horizon_s=60.0, stop_on_first_death=False, protocol=p, recovery=r),
+                trace=True)
+    runs["desk60-frame20-iamac-arq@4"] = lambda: Simulation(desk_preset(
+        seed=4, horizon_s=60.0, stop_on_first_death=False, frame_s=20.0), trace=True)
+    for r in RECOVERIES:
+        runs[f"desk120-iamac-{r}@4"] = lambda r=r: Simulation(desk_preset(
+            seed=4, horizon_s=120.0, stop_on_first_death=False, recovery=r))
+    for name, preset, seed, cap in (("paper", paper_preset, 1, 8), ("paper", paper_preset, 3, 8),
+                                    ("desk", desk_preset, 4, 8), ("desk-cap3", desk_preset, 4, 3)):
+        runs[f"bootstrap-{name}@{seed}"] = (
+            lambda preset=preset, s=seed, c=cap: _bootstrap_tree(preset(seed=s, max_children=c)))
     return runs
+
+
+def _bootstrap_tree(scenario):
+    """The routing tree the bootstrap builds: its status and each node's
+    parent and path cost."""
+    sim = Simulation(scenario)
+    sim.bootstrap_routing()
+    return {"status": sim.status, "tree": [(st.parent, st.my_cost) for st in sim.route_states]}
 
 
 def _hexes(values):

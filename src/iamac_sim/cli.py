@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 disjoint network,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -158,6 +159,8 @@ def cmd_analytics(args):
     for ber in grid:
         if not 0.0 <= ber < 1.0:
             raise ConfigError(f"--ber-grid: bit error rate must be in [0, 1), got {ber!r}")
+    if not (math.isfinite(args.ds) and args.ds >= 0.0):
+        raise ConfigError(f"--ds: the budget must be a finite time >= 0 s, got {args.ds!r}")
     rows = analytic_report(grid, d_s=args.ds, sc=sc)
     csv = rows_to_csv(ANALYTICS_COLUMNS, rows)
     out = os.path.join(args.out, "analytics.csv") if args.out else None

@@ -1,8 +1,13 @@
 """A fixed subset of `scripts/digest.py`'s byte-identity corpus reproduces its
 committed output digests and engine counts: every MAC under ARQ and Seda past
 a battery depletion, `fixed_contention` runs, runs without a Synch slot, IAMAC
-Super Frames of several Time Frames, the fixtures, transfers and the
-saturated star."""
+Super Frames of several Time Frames, the fixtures, all six transfers, the
+saturated star, the `desk` seed-4 runs of every MAC and recovery, and the
+routing bootstrap trees.
+
+The CLI's own files are pinned in `tests/test_harness.py` instead
+(`PINNED_ANALYTICS_CSV` and the `tree.txt` and `trace.txt` hashes): a corpus
+digest covers what a run computes, never the files the CLI writes from it."""
 
 import importlib.util
 import json
@@ -16,11 +21,14 @@ DEATHS = [f"desk-deaths-{p}-{r}@1" for p in ("iamac", "smac", "adaptive-smac")
 SUBSET = DEATHS + [
     "fig6", "contention-iamac", "contention-smac", "contention-adaptive-smac",
     "desk-nosynch-iamac-arq@1", "desk-nosynch-smac-seda@1", "desk-nosynch-adaptive-smac-arq@1",
-    "fig2-iamac", "fig2-adaptive-smac", "transfer-arq-0.001", "transfer-seda-0.001",
+    "fig2-iamac", "fig2-adaptive-smac",
     "star-iamac-seda@1", "desk-preset-iamac-seda@1", "desk-payload400-smac-arq@1",
     # IAMAC Super Frames of three Time Frames: the mid-cycle Synch slots
     "desk-frame30-iamac-arq@1", "desk-frame30-iamac-seda@1",
-]
+    "desk60-frame20-iamac-arq@4", "desk120-iamac-arq@4", "desk120-iamac-seda@4",
+    "bootstrap-paper@1", "bootstrap-paper@3", "bootstrap-desk@4", "bootstrap-desk-cap3@4",
+] + [f"transfer-{r}-{ber}" for r in ("arq", "seda") for ber in ("0", "0.0001", "0.001")] + [
+    f"desk60-{p}-{r}@4" for p in ("iamac", "smac", "adaptive-smac") for r in ("arq", "seda")]
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -9,7 +8,6 @@ import pytest
 from iamac_sim import metrics
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.energy import RadioState
-from iamac_sim.harness import star_simulation
 from iamac_sim.metrics import MetricsLedger, colliding_sets
 from iamac_sim.packets import make_data_packet
 from iamac_sim.simulation import Simulation
@@ -247,77 +245,6 @@ def test_queue_time_weighted_mean(table):
     ledger.close_queues(10.0)         # len 0 for [7,10)
     # node 0 integral = 20 over 10 s, node 1 contributes zero
     assert ledger.mean_queue_len() == pytest.approx(20.0 / (10.0 * 2))
-
-
-def ledger_digest(ledger):
-    """SHA-256 over each node's sample energy, residual energy and queue
-    integral, as exact hex floats, and the generated packet count: the
-    ledger floats a run's CSV shows only through sums or not at all."""
-    h = hashlib.sha256()
-    for node in range(ledger.n):
-        h.update(" ".join(v.hex() for v in (ledger.sample_energy[node], ledger.residual_mj[node],
-                                             ledger._queue_integral[node])).encode() + b"\n")
-    h.update(str(ledger.generated_packets).encode())
-    return h.hexdigest()
-
-
-def pinned_run(run):
-    """A finished run: the benchmark's saturated star cut to 200 s, where no
-    battery depletes, or a `desk` seed-4 run under ARQ or Seda."""
-    if run == "star-seda-200s":
-        sc = desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
-                         horizon_s=200.0, sampling_interval_s=0.08, recovery="seda",
-                         shadowing_sigma=0.0, battery_mah=2400.0,
-                         stop_on_first_death=False)
-        sim = star_simulation(sc)
-    else:
-        recovery = "seda" if run == "desk-4-seda" else "arq"
-        sim = Simulation(desk_preset(seed=4, horizon_s=120.0, stop_on_first_death=False,
-                                     recovery=recovery))
-    sim.run()
-    return sim
-
-
-# digests of two runs, recorded when each sample still went through `inject`,
-# `record_generated`, `queue_changed` and a separate sample charge
-PINNED_LEDGER = {
-    "star-seda-200s": (15000, "91a2fff734723254a58ebd6e8c277f4458803d757235a038dc0b114876dc595f"),
-    "desk-4": (294, "198d03c5a42d7faccac3db4f84266f8dfc8b40f7c0084241cb602497dde732aa"),
-}
-
-
-@pytest.mark.parametrize("run", sorted(PINNED_LEDGER))
-def test_sampling_books_the_pinned_ledger_floats(run):
-    sim = pinned_run(run)
-    assert (sim.ledger.generated_packets, ledger_digest(sim.ledger)) == PINNED_LEDGER[run]
-
-
-def delivery_digest(ledger):
-    """SHA-256 over the sink's four delivery columns as stored, the payload
-    total and each node's queue integral as an exact hex float."""
-    h = hashlib.sha256()
-    for column in (ledger._origins, ledger._born, ledger._delivered, ledger._payloads):
-        h.update(column.tobytes())
-    h.update(str(ledger.delivered_payload).encode())
-    h.update(" ".join(x.hex() for x in ledger._queue_integral).encode())
-    return h.hexdigest()
-
-
-# digests recorded when the sink appended one packet at a time to each
-# column, a relay queued each packet of a batch with its own `enqueue` and
-# every removal went through the one-pass multiset; the `desk` Seda run hands
-# 207 batches to relays (60 of two or more packets) and 41 to the sink
-PINNED_DELIVERIES = {
-    "star-seda-200s": (12887, "7a87a5269225b5e304730418b9b30cacc2096c68f7d692ecbbbfd9b9f44124e8"),
-    "desk-4-seda": (170, "f52f4c3837a9c43075cbc941cff4e39fb4c0a585cf6287f96243d399adbcbe1a"),
-}
-
-
-@pytest.mark.parametrize("run", sorted(PINNED_DELIVERIES))
-def test_transfer_batches_book_the_pinned_delivery_records(run):
-    sim = pinned_run(run)
-    assert ((len(sim.ledger.delivered_records), delivery_digest(sim.ledger))
-            == PINNED_DELIVERIES[run])
 
 
 def test_a_sampled_packet_is_the_packet_inject_builds():

@@ -238,41 +238,6 @@ def test_transfer_consistency_with_capacity():
         assert rs["mean_delivered_payload"] == pytest.approx(cap_s * 29, rel=0.10)
 
 
-PINNED_TRANSFERS = {
-    ("arq", 0.0): {
-        "mean_packets_sent": 35.0, "mean_sent_payload": 1015.0,
-        "mean_delivered_payload": 1015.0, "delivered_per_frame": 35,
-        "elapsed_first": 0.9916666666666663, "recovery_frames": 0, "frames": 60},
-    ("arq", 1e-4): {
-        "mean_packets_sent": 33.38333333333333, "mean_sent_payload": 968.1166666666667,
-        "mean_delivered_payload": 965.7, "delivered_per_frame": 30,
-        "elapsed_first": 0.9916716666666665, "recovery_frames": 0, "frames": 60},
-    ("arq", 1e-3): {
-        "mean_packets_sent": 25.0, "mean_sent_payload": 725.0,
-        "mean_delivered_payload": 653.4666666666667, "delivered_per_frame": 23,
-        "elapsed_first": 0.991682666666667, "recovery_frames": 0, "frames": 60},
-    ("seda", 0.0): {
-        "mean_packets_sent": 76.0, "mean_sent_payload": 2204.0,
-        "mean_delivered_payload": 2204.0, "delivered_per_frame": 76,
-        "elapsed_first": 0.9970853333333334, "recovery_frames": 0, "frames": 60},
-    ("seda", 1e-4): {
-        "mean_packets_sent": 74.83333333333333, "mean_sent_payload": 2170.1666666666665,
-        "mean_delivered_payload": 2105.883333333333, "delivered_per_frame": 70,
-        "elapsed_first": 0.9995853333333334, "recovery_frames": 56, "frames": 60},
-    ("seda", 1e-3): {
-        "mean_packets_sent": 69.45, "mean_sent_payload": 2014.0500000000002,
-        "mean_delivered_payload": 1672.8166666666666, "delivered_per_frame": 59,
-        "elapsed_first": 0.9933363333333335, "recovery_frames": 109, "frames": 60},
-}
-
-
-@pytest.mark.parametrize("recovery,ber", sorted(PINNED_TRANSFERS))
-def test_transfer_benchmark_pinned(recovery, ber):
-    """Exact per-frame figures of 60 transfer frames, recorded from the
-    reference implementation; any drift in wiring or RNG use shows here."""
-    assert transfer_benchmark(recovery, 1.0, ber, frames=60) == PINNED_TRANSFERS[(recovery, ber)]
-
-
 @pytest.mark.parametrize("recovery", ["arq", "seda"])
 def test_transfer_benchmark_conserves_packets(recovery, monkeypatch):
     """Each frame's fresh supply is counted as generated, and the previous
