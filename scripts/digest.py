@@ -19,7 +19,8 @@ missing from one side, and exits 1 if any did. `--workers N` spreads the runs
 over N processes.
 
 The corpus (`corpus()`, 334 entries) holds:
-- each `simbench` workload at seeds 1 and 3, traced and untraced (12);
+- each `simbench` workload at seeds 1 and 3, traced and untraced (12), built
+  by `simbench/workloads.py`'s own `scenario` and `build`;
 - 252 traced `desk` runs: the three MACs under ARQ and Seda at seeds 1-6,
   each in seven variants (`DESK_VARIANTS`): the preset, 0.05 mAh batteries run
   600 s past their deaths, 0.5 s sampling, 30 s frames, 14 dBm, no Synch slot
@@ -46,11 +47,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from iamac_sim.config import Scenario, desk_preset, paper_preset  # noqa: E402
 from iamac_sim.fixtures import build_fig2, build_fig6  # noqa: E402
 from iamac_sim.harness import star_simulation, transfer_benchmark  # noqa: E402
 from iamac_sim.simulation import Simulation  # noqa: E402
+from simbench.workloads import WORKLOADS, build, scenario  # noqa: E402
 
 DIGESTS = ROOT / "scripts" / "digests.json"
 MACS = ("iamac", "smac", "adaptive-smac")
@@ -66,19 +69,10 @@ DESK_VARIANTS = {
 }
 
 
-def _workload(name, seed, trace):
-    if name == "star-seda":
-        return star_simulation(_star(seed, "iamac", "seda", horizon_s=2000.0), trace=trace)
-    if name == "paper-adaptive-smac":
-        return Simulation(paper_preset(seed=seed, protocol="adaptive-smac", horizon_s=100.0),
-                          trace=trace)
-    return Simulation(paper_preset(seed=seed), trace=trace)
-
-
-def _star(seed, protocol, recovery, horizon_s=200.0):
-    """The `star-seda` workload's saturated 6-child star scenario."""
+def _star(seed, protocol, recovery):
+    """The `star-seda` workload's saturated 6-child star scenario, over 200 s."""
     return desk_preset(seed=seed, node_count=7, area=(20.0, 20.0), frame_s=10.0,
-                       horizon_s=horizon_s, sampling_interval_s=0.08, protocol=protocol,
+                       horizon_s=200.0, sampling_interval_s=0.08, protocol=protocol,
                        recovery=recovery, shadowing_sigma=0.0, battery_mah=2400.0,
                        stop_on_first_death=False)
 
@@ -114,11 +108,11 @@ def corpus():
     parents at `desk` seed 4, while at `paper` seed 1 no node has over 6.
     """
     runs = {}
-    for name in ("paper-iamac", "paper-adaptive-smac", "star-seda"):
+    for name in WORKLOADS:
         for seed in (1, 3):
             for trace in (False, True):
                 runs[f"{name}@{seed}{'-traced' if trace else ''}"] = (
-                    lambda n=name, s=seed, t=trace: _workload(n, s, t))
+                    lambda n=name, s=seed, t=trace: build(n, scenario(n, s), trace=t))
     for variant, overrides in DESK_VARIANTS.items():
         for p in MACS:
             for r in RECOVERIES:

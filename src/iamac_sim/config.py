@@ -19,6 +19,7 @@ from .channel import MIN_DISTANCE_M, LinkModel, dbm_to_mw
 from .energy import EnergyTable
 from .frames import build_frame_plan
 from .packets import airtime
+from .recovery import SESSIONS
 
 
 class ConfigError(ValueError):
@@ -67,7 +68,7 @@ class Scenario:
     node_count: int = 200
     area: tuple = (100.0, 100.0)
     protocol: str = "iamac"            # iamac | smac | adaptive-smac
-    recovery: str = "arq"              # arq | seda
+    recovery: str = "arq"              # a key of recovery.SESSIONS
     frame_s: float = 1.0
     sampling_interval_s: float = 60.0
     horizon_s: float = 300.0
@@ -153,7 +154,7 @@ class Scenario:
                               f"got {self.area!r}")
         if self.protocol not in ("iamac", "smac", "adaptive-smac"):
             raise ConfigError(f"protocol: unknown value {self.protocol!r}")
-        if self.recovery not in ("arq", "seda"):
+        if self.recovery not in SESSIONS:
             raise ConfigError(f"recovery: unknown value {self.recovery!r}")
         if self.horizon_s <= self.frame_s:
             raise ConfigError("horizon_s: must exceed one frame")

@@ -10,12 +10,12 @@ import numpy as np
 
 class Event:
     """A scheduled callback, called as fn(event). Equal fire times dispatch in
-    insertion order. State the callback needs is bound where it is scheduled."""
+    insertion order. State the callback needs is bound where it is scheduled.
+    Its fire time lives only in its `(fire_time, seq, event)` heap entry."""
 
-    __slots__ = ("fire_time", "seq", "fn", "cancelled")
+    __slots__ = ("seq", "fn", "cancelled")
 
-    def __init__(self, fire_time, seq, fn):
-        self.fire_time = fire_time
+    def __init__(self, seq, fn):
         self.seq = seq
         self.fn = fn
         self.cancelled = False
@@ -41,7 +41,7 @@ class Engine:
                 f"cannot schedule at {fire_time} before clock {self.now}"
             )
         seq = self.next_seq
-        ev = Event(fire_time, seq, fn)
+        ev = Event(seq, fn)
         self.next_seq = seq + 1
         heapq.heappush(self._heap, (fire_time, seq, ev))
         return ev
@@ -52,7 +52,6 @@ class Engine:
         when `seq` was taken would."""
         if fire_time < self.now:
             raise RuntimeError(f"cannot schedule at {fire_time} before clock {self.now}")
-        ev.fire_time = fire_time
         ev.seq = seq
         heapq.heappush(self._heap, (fire_time, seq, ev))
 
@@ -86,10 +85,10 @@ class Engine:
         heappop = heapq.heappop
         try:
             while heap and heap[0][0] <= t_end:
-                _, _, ev = heappop(heap)
+                now, _, ev = heappop(heap)
                 if ev.cancelled:
                     continue
-                self.now = ev.fire_time
+                self.now = now
                 ev.fn(ev)
                 dispatched += 1
         finally:

@@ -14,8 +14,6 @@ queued request and contends itself.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .config import Scenario
 from .metrics import colliding_sets
 from .simulation import Simulation
@@ -39,20 +37,19 @@ FIG6_GOLDEN = [
 ]
 
 
-def _fixture_scenario(n, protocol, seed=11, **overrides):
-    base = Scenario(
+def _fixture_scenario(n, protocol):
+    return Scenario(
         node_count=n, area=(40.0, 10.0), protocol=protocol,
         frame_s=1.0, sampling_interval_s=1000.0, horizon_s=1.5,
         shadowing_sigma=0.0, stop_on_first_death=False,
-        smac_adaptive_err=0.0, seed=seed,
-    )
-    return replace(base, **overrides).validate()
+        smac_adaptive_err=0.0, seed=11,
+    ).validate()
 
 
-def build_fig2(protocol, seed=11):
+def build_fig2(protocol):
     if protocol not in ("adaptive-smac", "iamac", "smac"):
         raise ValueError(f"hidden-wakeup fixture undefined for {protocol!r}")
-    sc = _fixture_scenario(5, protocol, seed=seed)
+    sc = _fixture_scenario(5, protocol)
     if protocol == "iamac":
         contention = {FIG2_B: [(0, 0.001)], FIG2_D: [(2, 0.0012)],
                       FIG2_E: [(4, 0.0011)]}
@@ -75,15 +72,15 @@ def cs_at(sim, node):
                default=0)
 
 
-def run_fig2(protocol, seed=11):
+def run_fig2(protocol):
     """Returns (cs_at_C, trace_log, run_result)."""
-    sim = build_fig2(protocol, seed=seed)
+    sim = build_fig2(protocol)
     res = sim.run()
     return cs_at(sim, FIG2_C), sim.trace_log, res
 
 
-def build_fig6(seed=11):
-    sc = _fixture_scenario(4, "iamac", seed=seed)
+def build_fig6():
+    sc = _fixture_scenario(4, "iamac")
     contention = {
         FIG6_A: [(0, 0.001)],
         FIG6_E: [(2, 0.001)],
@@ -99,7 +96,7 @@ def build_fig6(seed=11):
 _FIG6_NAMES = {FIG6_A: "A", FIG6_B: "B", FIG6_C: "C", FIG6_E: "E"}
 
 
-def fig6_transcript(trace_log, nodes=(FIG6_A, FIG6_B, FIG6_E)):
+def fig6_transcript(trace_log):
     """Project the raw trace onto the narrated transition vocabulary; the
     narration follows A, B and E, with C's bookkeeping left ambient."""
     def name(x):
@@ -107,7 +104,7 @@ def fig6_transcript(trace_log, nodes=(FIG6_A, FIG6_B, FIG6_E)):
 
     out = []
     for _, node, label, detail in trace_log:
-        if node not in nodes:
+        if node not in (FIG6_A, FIG6_B, FIG6_E):
             continue
         if label == "rts-tx":
             out.append((name(node), label, f"to {name(detail.split('=')[1])}"))
@@ -123,7 +120,7 @@ def fig6_transcript(trace_log, nodes=(FIG6_A, FIG6_B, FIG6_E)):
     return out
 
 
-def run_fig6(seed=11):
-    sim = build_fig6(seed=seed)
+def run_fig6():
+    sim = build_fig6()
     res = sim.run()
     return fig6_transcript(sim.trace_log), sim, res

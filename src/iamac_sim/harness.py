@@ -8,7 +8,7 @@ import math
 from dataclasses import replace
 
 from .config import Scenario
-from .recovery import ArqSession, SedaSession, arq_capacity, rts_success_prob, seda_capacity
+from .recovery import SESSIONS, arq_capacity, rts_success_prob, seda_capacity
 from .simulation import Simulation
 
 RUN_COLUMNS = ["scenario", "protocol", "recovery", "frame_s", "seed", "metric", "value"]
@@ -177,7 +177,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, turnaround_s=0.0, supply=None
     frame of budget d_s, over a channel whose SNR realizes the requested bit
     error rate. Returns per-frame means of packets sent and payload delivered."""
     sc = Scenario(node_count=2, seed=7, shadowing_sigma=0.0, output_power_dbm=0.0,
-                  stop_on_first_death=False, turnaround_s=turnaround_s)
+                  stop_on_first_death=False, turnaround_s=turnaround_s, recovery=recovery)
     if ber > 0:
         # invert the FSK map: ber = 0.5*exp(-snr_lin/2 * k)
         snr_lin = 2.0 * math.log(0.5 / ber) / sc.bandwidth_to_rate
@@ -217,10 +217,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, turnaround_s=0.0, supply=None
             if k == 0:
                 elapsed_first = engine.now - t0
 
-        if recovery == "seda":
-            session = SedaSession(sim, 1, 0, windows, done, link_ber=ber)
-        else:
-            session = ArqSession(sim, 1, 0, windows, done)
+        session = SESSIONS[sc.recovery](sim, 1, 0, windows, done)
         sessions.append(session)
         session.start()
         engine.run_until(t0 + d_s + 0.2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .energy import RadioState
 from .packets import Packet, PacketKind, airtime
-from .recovery import ArqSession, SedaSession
+from .recovery import SESSIONS
 
 CTS_GUARD = 0.001
 
@@ -277,12 +277,7 @@ class IamacDriver:
                 sim.sleep(child)
                 self._next_transfer(parent, children, windows)
 
-            if sim.scenario.recovery == "seda":
-                session = SedaSession(sim, child, parent, windows, done,
-                                      link_ber=sim.link_ber_estimate(child, parent))
-            else:
-                session = ArqSession(sim, child, parent, windows, done)
-            session.start()
+            SESSIONS[sim.scenario.recovery](sim, child, parent, windows, done).start()
             return
         sim.sleep(parent)
 

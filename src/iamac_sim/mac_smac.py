@@ -47,11 +47,11 @@ class SmacNodeState:
 
 
 class SmacDriver:
-    def __init__(self, sim, adaptive=False):
+    def __init__(self, sim):
         self.sim = sim
         self.engine = sim.engine
-        self.adaptive = adaptive
         sc = sim.scenario
+        self.adaptive = sc.protocol == "adaptive-smac"
         # a CTS is as long as an RTS
         self.rts_air = sc.control_air
         self.ack_air = airtime(sc.ack_len, sc.radio_speed)

@@ -252,8 +252,9 @@ class SedaSession(_SessionBase):
     receiver reports corrupted blocks once, the sender retransmits only those.
 
     A corrupted recovery frame falls back to retransmitting the whole burst.
-    The burst size is planned from the capacity bound at the link's bit error
-    rate, so the recovery round is expected to fit the remaining window.
+    The burst size is planned from the capacity bound at the link's own bit
+    error rate estimate, so the recovery round is expected to fit the
+    remaining window.
 
     A burst is the head of the child's queue, and its frames name blocks by
     their position in it. While the session runs nothing else removes
@@ -262,9 +263,9 @@ class SedaSession(_SessionBase):
     block delivered at most once.
     """
 
-    def __init__(self, *args, link_ber=0.0, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.link_ber = link_ber
+        self.link_ber = self.sim.link_ber_estimate(self.child, self.parent)
         self.block_len = self.sc.payload_bytes + self.sc.block_overhead
         self.burst = []              # the child's queue head, in queue order
         self.delivered = []          # per position: the parent holds the block
@@ -407,3 +408,7 @@ class SedaSession(_SessionBase):
         self.phase = "idle"
         gap = self.sc.turnaround_s + 1e-6
         self.engine.schedule(self.engine.now + gap, lambda ev: self._next_burst())
+
+
+# `Scenario.recovery` names the session class every transfer runs
+SESSIONS = {"arq": ArqSession, "seda": SedaSession}

@@ -437,7 +437,7 @@ class Simulation:
         if sc.protocol == "iamac":
             self.driver = IamacDriver(self)
         elif sc.protocol in ("smac", "adaptive-smac"):
-            self.driver = SmacDriver(self, adaptive=(sc.protocol == "adaptive-smac"))
+            self.driver = SmacDriver(self)
         else:
             raise ValueError(f"unknown protocol {sc.protocol!r}")
 

@@ -260,10 +260,14 @@ def test_trend_interior_max():
 
 # -- CLI ------------------------------------------------------------------------------
 
-def test_cli_rejects_bad_key(tmp_path):
+def test_cli_rejects_bad_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("fooo = 1\n")
-    assert main(["run", str(cfg)]) == 2
+    # `--set` rejects a line without "=" and a preset before parsing; a file does not
+    for text, named in [("fooo = 1\n", "fooo"), ("node_count\n", "expected 'key = value'"),
+                        ("preset = nope\n", "unknown preset 'nope'")]:
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["area=100", "frame_s=0", "w=100", "listen_ma=0",
@@ -278,7 +282,8 @@ def test_cli_rejects_bad_key(tmp_path):
                                      "seed=-1", "d0=1e300", "pl_d0=-1e300",
                                      "shadowing_sigma=1e10", "area=1e200,1e200",
                                      "node_count=100000", "broadcast_count=1001",
-                                     "report_rounds=1000000000", "rf_overhead=65536"])
+                                     "report_rounds=1000000000", "rf_overhead=65536",
+                                     "cts_slot_s=0.016"])
 def test_cli_malformed_scenario_is_a_config_error(setting, capsys):
     assert main(["run", "--preset", "desk", "--set", setting]) == 2
     err = capsys.readouterr().err

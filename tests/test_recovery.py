@@ -441,7 +441,7 @@ def _seda_link(supply):
                                         deliver_to(nid, pkts))
     sim.wake(0)
     sim.wake(1)
-    session = SedaSession(sim, 1, 0, [(0.0, 1.0)], lambda s: None, link_ber=0.0)
+    session = SedaSession(sim, 1, 0, [(0.0, 1.0)], lambda s: None)
     return sim, session, packets, deliveries
 
 

@@ -347,6 +347,16 @@ def test_a_malformed_hand_placed_network_is_a_config_error(network, message):
         Simulation(desk_preset(), line, **network)
 
 
+@pytest.mark.parametrize("protocol", ["iamac", "smac", "adaptive-smac"])
+def test_a_one_node_placed_network_runs_its_frames_without_traffic(protocol):
+    """The lone node is the sink, so no node samples: the run still frames
+    out its horizon and conserves its (zero) packets."""
+    sim = Simulation(desk_preset(protocol=protocol, horizon_s=10.0), [(0.0, 0.0)])
+    res = sim.run()
+    assert (res["status"], res["frames"], res["generated_packets"]) == ("ok", 10, 0)
+    assert res["conserved"]
+
+
 def full_sweep_build_tree(states, max_children):
     """`build_tree` as full sweeps, every non-sink node evaluated in id order
     each sweep: the oracle for its stale-only re-evaluation."""
