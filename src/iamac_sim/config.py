@@ -18,8 +18,13 @@ from numbers import Integral
 from .channel import MIN_DISTANCE_M, LinkModel, dbm_to_mw
 from .energy import EnergyTable
 from .frames import build_frame_plan
+from .mac_iamac import IamacDriver
+from .mac_smac import SmacDriver
 from .packets import airtime
 from .recovery import SESSIONS
+
+# `Scenario.protocol` names the driver class a run wires
+DRIVERS = {"iamac": IamacDriver, "smac": SmacDriver, "adaptive-smac": SmacDriver}
 
 
 class ConfigError(ValueError):
@@ -67,7 +72,7 @@ class Scenario:
     seed: int = 1
     node_count: int = 200
     area: tuple = (100.0, 100.0)
-    protocol: str = "iamac"            # iamac | smac | adaptive-smac
+    protocol: str = "iamac"            # a key of DRIVERS
     recovery: str = "arq"              # a key of recovery.SESSIONS
     frame_s: float = 1.0
     sampling_interval_s: float = 60.0
@@ -152,7 +157,7 @@ class Scenario:
         if not all(0 < side <= MAX_AREA_SIDE_M for side in self.area):
             raise ConfigError(f"area: sides must be in (0, {MAX_AREA_SIDE_M:g}] m, "
                               f"got {self.area!r}")
-        if self.protocol not in ("iamac", "smac", "adaptive-smac"):
+        if self.protocol not in DRIVERS:
             raise ConfigError(f"protocol: unknown value {self.protocol!r}")
         if self.recovery not in SESSIONS:
             raise ConfigError(f"recovery: unknown value {self.recovery!r}")

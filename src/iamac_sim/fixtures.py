@@ -47,8 +47,6 @@ def _fixture_scenario(n, protocol):
 
 
 def build_fig2(protocol):
-    if protocol not in ("adaptive-smac", "iamac", "smac"):
-        raise ValueError(f"hidden-wakeup fixture undefined for {protocol!r}")
     sc = _fixture_scenario(5, protocol)
     if protocol == "iamac":
         contention = {FIG2_B: [(0, 0.001)], FIG2_D: [(2, 0.0012)],

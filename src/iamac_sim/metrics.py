@@ -105,18 +105,29 @@ class MetricsLedger:
         """Nothing calls this: `Node.set_radio` charges switches. It stays
         while the benchmark's tracer (`simbench/tracing.py`) wraps it by name."""
 
-    def account_sample(self, node, queue_len, t):
-        """The ledger side of one sample taken at `t` by `node`, whose queue
-        now holds `queue_len` packets: the queue change, one generated packet
-        and the sample's energy, as `queue_changed`, `record_generated` and
-        the sample charge would book them one by one."""
-        self._queue_integral[node] += self._queue_len[node] * (t - self._queue_last_t[node])
-        self._queue_len[node] = queue_len
-        self._queue_last_t[node] = t
-        self.generated_packets += 1
+    def account_sample(self, node, queue_len, times):
+        """The ledger side of the samples `node` took at `times`, in order,
+        which leave its queue holding `queue_len` packets: per sample the
+        queue change, one generated packet and the sample's energy, with the
+        floats `queue_changed`, `record_generated` and the sample charge
+        would book one by one."""
+        integral = self._queue_integral[node]
+        held = self._queue_len[node]
+        last = self._queue_last_t[node]
         mj = self.table.sample_mj
-        self.sample_energy[node] += mj
-        self.residual_mj[node] -= mj
+        spent = self.sample_energy[node]
+        residual = self.residual_mj[node]
+        for after, t in enumerate(times, queue_len - len(times) + 1):
+            integral += held * (t - last)
+            held, last = after, t
+            spent += mj
+            residual -= mj
+        self._queue_integral[node] = integral
+        self._queue_len[node] = queue_len
+        self._queue_last_t[node] = last
+        self.generated_packets += len(times)
+        self.sample_energy[node] = spent
+        self.residual_mj[node] = residual
 
     def record_death(self, t):
         if self.first_death_time is None:

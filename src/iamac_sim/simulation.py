@@ -4,13 +4,12 @@ independent runs share nothing."""
 
 from __future__ import annotations
 
-import heapq
 import math
-from itertools import count
+from collections import deque
 from numbers import Integral, Real
 
 from .channel import dbm_to_mw
-from .config import ConfigError, check_node_id
+from .config import DRIVERS, ConfigError, check_node_id
 from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
@@ -196,9 +195,10 @@ class Simulation:
         self.frame_idx = -1
         self.measured_until = 0.0
         self.driver = None
-        self._uids = count()
-        # each sampling node's next sample as (time, seq, nid), a heap
-        self._samples = []
+        self._next_uid = 0    # samples and `inject` number packets from here
+        # each sampling node's next sample as (time, seq, nid), in key order:
+        # a rotation of the nodes (see `_take_samples`)
+        self._samples = deque()
 
     # -- tracing ---------------------------------------------------------------
 
@@ -307,70 +307,91 @@ class Simulation:
             return
         lead = min(firsts)
         engine = self.engine
-        heap = self._samples
+        entries = []
         for t, nid in firsts:
             if (t, nid) == lead:
                 seq = engine.schedule(t, self._take_samples).seq
             else:
                 seq = engine.next_seq
                 engine.next_seq = seq + 1
-            heap.append((t, seq, nid))
-        heapq.heapify(heap)
+            entries.append((t, seq, nid))
+        self._samples.extend(sorted(entries))
 
     def _take_samples(self, ev):
-        """Take in `(time, seq)` order every sample that orders before the
-        engine's next event and within the current `run_until`, then re-arm
-        at the next one. A sample queues the packet `Simulation.inject` would
-        build, books it with one `account_sample` call and gives the node's
-        next sample the engine's next sequence number, as one event per
-        sample re-armed at each dispatch would; a dead node samples no more,
-        and after the run has stopped no node does."""
+        """Take every sample that orders before the engine's next event and
+        within the current `run_until`, node by node, then re-arm at the next
+        one. Each sample queues the packet `Simulation.inject` would build,
+        with the uid, and the re-arm seq, that one event per sample would
+        give it; a node's samples are booked with one `account_sample` call.
+        A dead node samples no more, and after the run has stopped no node does.
+
+        With one interval `c`, the samples come in a fixed rotation of the
+        nodes. Taking the head at `t_a` re-arms it at `(fl(t_a + c), s)`. The
+        tail `(fl(t_p + c), s_p)` was re-armed from a sample at `t_p <= t_a`
+        taken earlier, so monotone rounding and `s > s_p` put the head behind
+        the tail; a first re-arm is behind every first sample, as
+        `uniform(0, c) <= c`. So the due nodes are a prefix of the rotation,
+        and only all of it can take several rounds. Of the `m` live due
+        nodes, the one at place `o` takes its `j`-th sample at `t + j*c`,
+        summed as the events would, with uid `u0 + o + j*m` and re-arm seq
+        `s0 + o + j*m`, up to its first key that is not due."""
         if self.stopped:
             return
         engine = self.engine
-        bound_t, bound_seq = engine.next_key()
-        heap = self._samples
-        heapreplace = heapq.heapreplace
-        sc = self.scenario
-        interval = sc.sampling_interval_s
-        payload = sc.payload_bytes
-        header = sc.header_bytes
+        bound = engine.next_key()
+        bound_t, bound_seq = bound
+        rotation = self._samples
         nodes = self.nodes
-        parents = self.parents
-        account_sample = self.ledger.account_sample
-        uids = self._uids
-        # nothing the loop calls schedules, so it holds the engine's next
-        # sequence number and hands it back when it ends
-        next_seq = engine.next_seq
-        try:
-            t, seq, nid = heap[0]
-            while True:
-                node = nodes[nid]
-                if node.alive:
-                    engine.now = t      # the clock the sample's own event would set
-                    queue = node.queue
+        due = []
+        while rotation and rotation[0] < bound:
+            entry = rotation.popleft()
+            if nodes[entry[2]].alive:
+                due.append(entry)
+        m = len(due)
+        if m:
+            sc = self.scenario
+            interval = sc.sampling_interval_s
+            payload = sc.payload_bytes
+            header = sc.header_bytes
+            parents = self.parents
+            account_sample = self.ledger.account_sample
+            uid0 = self._next_uid
+            seq0 = engine.next_seq
+            taken = 0
+            for o, (t, _, nid) in enumerate(due):
+                queue = nodes[nid].queue
+                parent = parents[nid] or 0
+                uid, seq = uid0 + o, seq0 + o
+                born = []
+                while True:
                     # `make_data_packet` built in place, in its field order
-                    queue.append(Packet(DATA, nid, parents[nid] or 0, payload,
-                                        header, t, nid, payload, next(uids)))
-                    account_sample(nid, len(queue), t)
-                    heapreplace(heap, (t + interval, next_seq, nid))
-                    next_seq += 1
-                else:
-                    heapq.heappop(heap)
-                    if not heap:
-                        return
-                t, seq, nid = heap[0]
-                if t > bound_t or (t == bound_t and seq > bound_seq):
-                    break
-        finally:
-            engine.next_seq = next_seq
-        engine.rearm(ev, t, seq)
+                    queue.append(Packet(DATA, nid, parent, payload, header, t, nid, payload,
+                                        uid))
+                    born.append(t)
+                    t += interval
+                    if t > bound_t or (t == bound_t and seq > bound_seq):
+                        break
+                    uid += m
+                    seq += m
+                account_sample(nid, len(queue), born)
+                rotation.append((t, seq, nid))
+                taken += len(born)
+            self._next_uid = uid0 + taken
+            engine.next_seq = seq0 + taken
+            # only a batch that took the whole rotation can end part way
+            # through a round, and then the rotation holds its nodes alone
+            rotation.rotate(-(taken % m))
+        if rotation:
+            t, seq, _ = rotation[0]
+            engine.rearm(ev, t, seq)
 
     def inject(self, origin, payload_len):
         """A new data packet, born now at `origin` and queued there for its parent."""
         parent = self.route_states[origin].parent
-        pkt = make_data_packet(next(self._uids), origin, parent or 0, self.engine.now,
-                               payload_len, self.scenario.header_bytes)
+        uid = self._next_uid
+        self._next_uid = uid + 1
+        pkt = make_data_packet(uid, origin, parent or 0, self.engine.now, payload_len,
+                               self.scenario.header_bytes)
         self.enqueue(origin, pkt)
         self.ledger.record_generated()
 
@@ -430,17 +451,7 @@ class Simulation:
         self.bootstrap_routing()
         if self.status == "disjoint":
             return self._result()
-
-        from .mac_iamac import IamacDriver
-        from .mac_smac import SmacDriver
-
-        if sc.protocol == "iamac":
-            self.driver = IamacDriver(self)
-        elif sc.protocol in ("smac", "adaptive-smac"):
-            self.driver = SmacDriver(self)
-        else:
-            raise ValueError(f"unknown protocol {sc.protocol!r}")
-
+        self.driver = DRIVERS[sc.protocol](self)
         self.start_traffic()
         self.engine.schedule(0.0, self._frame_begin)
         self.engine.run_until(sc.horizon_s)

@@ -701,10 +701,10 @@ def test_no_live_node_holds_an_empty_battery_after_a_sample():
     account_sample = ledger.account_sample
     emptied = []
 
-    def checked(node, queue_len, t):
-        account_sample(node, queue_len, t)
+    def checked(node, queue_len, times):
+        account_sample(node, queue_len, times)
         if sim.nodes[node].alive and ledger.residual_mj[node] <= 0.0:
-            emptied.append((node, t))
+            emptied.append((node, times[-1]))
 
     ledger.account_sample = checked
     sim.run()

@@ -13,6 +13,7 @@ from functools import partial
 import pytest
 
 from iamac_sim.config import desk_preset
+from iamac_sim.harness import star_simulation
 from iamac_sim.packets import Packet, PacketKind
 from iamac_sim.simulation import Simulation
 
@@ -43,9 +44,11 @@ def per_event_sample(node, ev):
     now = sim.engine.now
     queue = node.queue
     payload = sc.payload_bytes
+    uid = sim._next_uid
+    sim._next_uid = uid + 1
     queue.append(Packet(PacketKind.DATA, nid, sim.route_states[nid].parent or 0, payload,
-                        sc.header_bytes, now, nid, payload, next(sim._uids)))
-    node.ledger.account_sample(nid, len(queue), now)
+                        sc.header_bytes, now, nid, payload, uid))
+    node.ledger.account_sample(nid, len(queue), (now,))
     # re-armed as a new `schedule` call here would be: the next sequence number
     engine = sim.engine
     seq = engine.next_seq
@@ -84,10 +87,10 @@ def ledger_hexes(ledger):
     return [float(x).hex() for x in floats], ledger.first_death_time
 
 
-def twin_runs(monkeypatch, sc, firsts=None):
+def twin_runs(monkeypatch, sc, firsts=None, build=Simulation):
     """`(sampled, reference)`: the run as it is, and a twin run on the
-    per-event sample path, both traced."""
-    sampled, reference = Simulation(sc, trace=True), Simulation(sc, trace=True)
+    per-event sample path, both built by `build(sc, trace=True)`."""
+    sampled, reference = build(sc, trace=True), build(sc, trace=True)
     if firsts is not None:
         for sim in (sampled, reference):
             fix_traffic_draws(monkeypatch, sim, firsts)
@@ -161,3 +164,37 @@ def test_sampling_stops_at_a_horizon_before_the_last_frame_end(monkeypatch, prot
     assert not sampled.stopped
     born = born_times(sampled)
     assert 9.5 - 2.0 ** -32 in born and max(born) <= horizon
+
+
+def star(protocol, **overrides):
+    """The `star-seda` workload's saturated 6-child star, 0.08 s sampling
+    and 10 s frames, under `protocol` with Seda."""
+    return desk_preset(seed=1, node_count=7, area=(20.0, 20.0), frame_s=10.0,
+                       sampling_interval_s=0.08, recovery="seda", shadowing_sigma=0.0,
+                       stop_on_first_death=False, protocol=protocol, **overrides)
+
+
+def most_sampler_dispatches(sampled, reference):
+    """A bound on the sampler's dispatches: the event path dispatches one
+    event per sample and at most one more per node, which samples nothing
+    (its node is dead or the run has stopped); the other events are shared."""
+    return (sampled.engine.dispatched_count - reference.engine.dispatched_count
+            + sampled.ledger.generated_packets + len(sampled.nodes))
+
+
+def test_a_saturated_star_samples_in_rounds_as_the_event_path_does(monkeypatch):
+    sampled, reference = twin_runs(monkeypatch, star("iamac", battery_mah=2400.0,
+                                                     horizon_s=100.0), build=star_simulation)
+    assert_same_run(sampled, reference)
+    # more than one sample per child per sampler dispatch on average, so
+    # dispatches take the whole rotation, several rounds over
+    assert sampled.ledger.generated_packets > 6 * most_sampler_dispatches(sampled, reference)
+
+
+@pytest.mark.parametrize("protocol", ["iamac", "smac"])
+def test_a_star_whose_children_all_die_matches_the_event_path(monkeypatch, protocol):
+    sampled, reference = twin_runs(monkeypatch, star(protocol, battery_mah=0.05,
+                                                     horizon_s=600.0), build=star_simulation)
+    assert_same_run(sampled, reference)
+    # each dead child left the rotation when it came due, and the rotation drained
+    assert not any(node.alive for node in sampled.nodes) and not sampled._samples
