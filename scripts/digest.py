@@ -18,7 +18,7 @@ each run whose outputs moved, whose engine counts alone moved, or that is
 missing from one side, and exits 1 if any did. `--workers N` spreads the runs
 over N processes.
 
-The corpus (`corpus()`, 337 entries) holds:
+The corpus (`corpus()`, 339 entries) holds:
 - each `simbench` workload at seeds 1 and 3, traced and untraced (12), built
   by `simbench/workloads.py`'s own `scenario` and `build`;
 - 252 traced `desk` runs: the three MACs under ARQ and Seda at seeds 1-6,
@@ -28,9 +28,10 @@ The corpus (`corpus()`, 337 entries) holds:
 - 24 traced runs of a stress scenario (no Synch slot, 2 s sampling, 200 s past
   deaths) at seeds 1-8 for each MAC;
 - 6 density runs of acceptance check c7, 2 `paper` runs (IAMAC with Seda,
-  plain S-MAC), 12 saturated star runs (three MACs, ARQ and Seda, seeds 1-2)
-  and 3 more whose 0.05 mAh batteries all empty within 600 s (the three MACs
-  with Seda, seed 1);
+  plain S-MAC), 12 saturated star runs (three MACs, ARQ and Seda, seeds 1-2),
+  3 more whose 0.05 mAh batteries all empty within 600 s (the three MACs
+  with Seda, seed 1) and 2 IAMAC ones with 30 s frames (ARQ and Seda, seed
+  1), whose transfers go on in a later Time Frame's window;
 - the fig2 fixture under each MAC and the fig6 fixture, and 3 `fixed_contention`
   line runs, one per MAC;
 - 6 `transfer_benchmark` calls: ARQ and Seda at bit error rates 0, 1e-4, 1e-3;
@@ -71,10 +72,10 @@ DESK_VARIANTS = {
 }
 
 
-def _star(seed, protocol, recovery, battery_mah=2400.0, horizon_s=200.0):
+def _star(seed, protocol, recovery, battery_mah=2400.0, horizon_s=200.0, frame_s=10.0):
     """The `star-seda` workload's saturated 6-child star scenario, over 200 s
-    unless `horizon_s` says otherwise."""
-    return desk_preset(seed=seed, node_count=7, area=(20.0, 20.0), frame_s=10.0,
+    with 10 s frames unless `horizon_s` and `frame_s` say otherwise."""
+    return desk_preset(seed=seed, node_count=7, area=(20.0, 20.0), frame_s=frame_s,
                        horizon_s=horizon_s, sampling_interval_s=0.08, protocol=protocol,
                        recovery=recovery, shadowing_sigma=0.0, battery_mah=battery_mah,
                        stop_on_first_death=False)
@@ -143,6 +144,12 @@ def corpus():
         # every child dies, so dead nodes leave the sample rotation mid-run
         runs[f"star-deaths-{p}-seda@1"] = lambda p=p: star_simulation(
             _star(1, p, "seda", battery_mah=0.05, horizon_s=600.0), trace=True)
+    for r in RECOVERIES:
+        # a Super Frame of three Time Frames: the saturated queues outlast the
+        # first window, so a transfer waits for a later one, and a granted
+        # child that a mid-cycle Synch slot put to sleep wakes for its turn
+        runs[f"star-frame30-iamac-{r}@1"] = lambda r=r: star_simulation(
+            _star(1, "iamac", r, frame_s=30.0), trace=True)
     for p in MACS:
         runs[f"fig2-{p}"] = lambda p=p: build_fig2(p)
         runs[f"contention-{p}"] = lambda p=p: _contention_line(p)

@@ -145,8 +145,8 @@ class IamacDriver:
             st.received_rtss.append(pkt)
             if sim.trace_enabled:
                 sim.trace(nid, "rts-queued", "from=%s", pkt.src)
-            if not st.sent_rts:
-                self._cancel_pending(st)
+            # a node that sent its RTS holds no attempt and awaits nothing
+            self._cancel_pending(st)
         elif parent is not None and pkt.dst == parent:
             # answering a child now could collide with the overheard pair's
             # transfer at my parent, so the responder role is off for this

@@ -287,9 +287,8 @@ class SmacDriver:
             sim.sleep(nid)
 
     def _cancel_pending(self, st):
-        if st.pending_ev is not None:
-            self.engine.cancel(st.pending_ev)
-            st.pending_ev = None
+        self.engine.cancel(st.pending_ev)
+        st.pending_ev = None
 
     # -- overhearing and adaptive wakeups ------------------------------------------------
 

@@ -161,10 +161,7 @@ class Medium:
         # receiver draws per-block corruption at this same worst-case SINR
         always = kind is PacketKind.SEDA_BLOCK or (
             self.control_corruption_disabled and kind in CONTROL_KINDS)
-        on_air_bytes = pkt.on_air_bytes()
-        if on_air_bytes < 1:
-            raise ValueError(f"packet length must be >= 1 byte, got {on_air_bytes}")
-        bits = 8 * on_air_bytes
+        bits = 8 * pkt.on_air_bytes()
         bit_error_rate = self.model.bit_error_rate
         random = self.rng.random
         noise_mw = self.noise_mw

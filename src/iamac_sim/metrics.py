@@ -141,7 +141,8 @@ class MetricsLedger:
 
     def record_data_reception(self, receiver, interferers):
         """`interferers` holds the senders of other data frames, and no node
-        sends two frames at once, so the wanted sender is never among them."""
+        sends two frames at once, so the wanted sender is never among them;
+        it is None when the addressee resolved no reception."""
         if not interferers:
             return
         self._frame_cs.setdefault(receiver, set()).update(interferers)
@@ -161,12 +162,10 @@ class MetricsLedger:
         self.generated_packets += 1
 
     def record_delivery(self, pkts, delivered_at):
-        """Packets `pkts` reached the sink at `delivered_at`, in this order.
+        """Packets `pkts`, at least one, reached the sink at `delivered_at`, in this order.
         Each column is built whole and then appended once, so a batch that
         raises (a packet born after `delivered_at`, a value its column cannot
         hold) records none of its packets."""
-        if not pkts:
-            return
         born = [p.born_at for p in pkts]
         if max(born) > delivered_at:
             raise ValueError("delivery precedes generation")

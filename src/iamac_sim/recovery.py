@@ -124,8 +124,7 @@ class _SessionBase:
         return self.sim.nodes[self.child].queue
 
     def _finish(self):
-        # a finished session has no timer pending and no node forwarding to it
-        self._cancel_timer()
+        # no timer is pending here, and no node forwards to a finished session
         for nid in (self.child, self.parent):
             node = self.sim.nodes[nid]
             if node.active_session is self:
@@ -317,7 +316,6 @@ class SedaSession(_SessionBase):
                        length=len(blocks) * self.block_len, header=sc.header_bytes,
                        blocks=blocks)
         t_end = self.medium.transmit(self.child, frame)
-        self._cancel_timer()
         if await_recovery:
             rf_time = airtime(sc.rf_overhead + sc.header_bytes, sc.radio_speed)
             deadline = t_end + rf_time + sc.turnaround_s + 1e-6
@@ -392,7 +390,6 @@ class SedaSession(_SessionBase):
         """Burst over: delivered blocks leave the queue, blocks that lost
         their retransmission drop, and the rest stay at the queue's head, in
         queue order, for the next frame."""
-        self._cancel_timer()
         burst, got = self.burst, self.n_delivered
         n = len(burst)
         if got == n:

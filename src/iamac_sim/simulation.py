@@ -193,7 +193,6 @@ class Simulation:
         self.stranded = []
         self.stopped = False
         self.frame_idx = -1
-        self.measured_until = 0.0
         self.driver = None
         self._next_uid = 0    # samples and `inject` number packets from here
         # each sampling node's next sample as (time, seq, nid), in key order:
@@ -203,10 +202,9 @@ class Simulation:
     # -- tracing ---------------------------------------------------------------
 
     def trace(self, node, label, fmt="", *args):
-        """Record `label` with the detail `fmt % args`, formatted only when
-        the run is traced."""
-        if self.trace_enabled:
-            self.trace_log.append((round(self.engine.now, 9), node, label, fmt % args))
+        """Record `label` with the detail `fmt % args`. Callers test
+        `trace_enabled` first, so an untraced run formats nothing."""
+        self.trace_log.append((round(self.engine.now, 9), node, label, fmt % args))
 
     # -- routing ----------------------------------------------------------------
 
@@ -284,7 +282,7 @@ class Simulation:
                 if residual <= 0.0:
                     node._deplete()
         ledger.flush_frame_cs()
-        self.measured_until = now
+        ledger.measure_end = now
         sc = self.scenario
         stop = sc.stop_on_first_death and ledger.first_death_time is not None
         if not stop and now + self.driver.period <= sc.horizon_s + 1e-9:
@@ -386,7 +384,9 @@ class Simulation:
             engine.rearm(ev, t, seq)
 
     def inject(self, origin, payload_len):
-        """A new data packet, born now at `origin` and queued there for its parent."""
+        """A new data packet of `payload_len` >= 1 bytes, born now at `origin`."""
+        if payload_len < 1:
+            raise ConfigError(f"payload_len: must be >= 1, got {payload_len!r}")
         parent = self.route_states[origin].parent
         uid = self._next_uid
         self._next_uid = uid + 1
@@ -427,9 +427,11 @@ class Simulation:
         one ledger call; any other node queues them for its parent with one
         queue change, as same-instant changes add nothing to the time-weighted
         queue length. An empty batch changes nothing."""
+        if not pkts:
+            return
         if nid == self.topo.sink:
             self.ledger.record_delivery(pkts, self.engine.now)
-        elif pkts:
+        else:
             queue = self.nodes[nid].queue
             queue.extend(pkts)
             self.ledger.queue_changed(nid, len(queue), self.engine.now)
@@ -438,8 +440,7 @@ class Simulation:
 
     def _data_resolved(self, tx, interferers):
         # the addressee's own reception only: bystanders have no colliding set
-        if interferers is not None:
-            self.ledger.record_data_reception(tx.packet.dst, interferers)
+        self.ledger.record_data_reception(tx.packet.dst, interferers)
         if self.trace_enabled:
             self.data_log.append((tx.sender, tx.packet.dst, tx.t_start, tx.t_end,
                                   self.frame_idx, interferers))
@@ -455,9 +456,8 @@ class Simulation:
         self.start_traffic()
         self.engine.schedule(0.0, self._frame_begin)
         self.engine.run_until(sc.horizon_s)
-        end = self.measured_until if self.measured_until > 0 else sc.horizon_s
-        self.ledger.measure_end = end
-        self.ledger.close_queues(end)
+        # `horizon_s > frame_s`, so the first frame's end wrote `measure_end`
+        self.ledger.close_queues(self.ledger.measure_end)
         return self._result()
 
     def _result(self):

@@ -2,7 +2,7 @@
 committed output digests and engine counts: every MAC under ARQ and Seda past
 a battery depletion, `fixed_contention` runs, runs without a Synch slot, IAMAC
 Super Frames of several Time Frames, the fixtures, all six transfers, the
-saturated star, the `desk` seed-4 runs of every MAC and recovery, and the
+saturated star, with 10 s frames and with 30 s frames under Seda, the `desk` seed-4 runs of every MAC and recovery, and the
 routing bootstrap trees.
 
 The CLI's own files are pinned in `tests/test_harness.py` instead
@@ -23,6 +23,8 @@ SUBSET = DEATHS + [
     "desk-nosynch-iamac-arq@1", "desk-nosynch-smac-seda@1", "desk-nosynch-adaptive-smac-arq@1",
     "fig2-iamac", "fig2-adaptive-smac",
     "star-iamac-seda@1", "desk-preset-iamac-seda@1", "desk-payload400-smac-arq@1",
+    # Seda transfers that wait for a later Time Frame's window
+    "star-frame30-iamac-seda@1",
     # IAMAC Super Frames of three Time Frames: the mid-cycle Synch slots
     "desk-frame30-iamac-arq@1", "desk-frame30-iamac-seda@1",
     "desk60-frame20-iamac-arq@4", "desk120-iamac-arq@4", "desk120-iamac-seda@4",

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from iamac_sim.config import Scenario, desk_preset, paper_preset
+from iamac_sim.config import ConfigError, Scenario, desk_preset, paper_preset
 from iamac_sim.energy import RadioState
 from iamac_sim.mac_iamac import IamacDriver
 from iamac_sim.mac_smac import SmacDriver
@@ -281,8 +281,8 @@ def test_onair_power_is_the_sum_over_live_transmissions(protocol, recovery, monk
 def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeypatch):
     """The states the MACs, the sessions, the node radio and the ledger no
     longer guard against never occur: no node starts a transmission while its
-    own is on the air, no session outlives its frame or finishes with a timer
-    pending, no IAMAC handler sees a deactivated node, and each S-MAC,
+    own is on the air, no session outlives its frame, or sends, resolves or
+    finishes with a timer pending, no IAMAC handler sees a deactivated node, and each S-MAC,
     session and ledger proof in `CHANGES.md` holds. The battery cases check
     the proofs through deaths."""
     sc = desk_preset(seed=4, protocol=protocol, recovery=recovery,
@@ -305,7 +305,7 @@ def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeyp
 
     def checked_finish(session):
         calls["finished"] += 1
-        assert session._timeout_ev is None or session._timeout_ev.cancelled
+        assert session._timeout_ev is None
         finish(session)
 
     def checked_on_packet(driver, node, pkt, sinr):
@@ -332,6 +332,9 @@ def test_transfer_path_preconditions_hold(protocol, recovery, overrides, monkeyp
         assert calls["finished"] > 0 and calls["iamac"] > 0
         assert calls["session decodes"] > 0
         assert calls["arq decodes" if recovery == "arq" else "seda resends"] > 0
+        assert calls["seda resolves"] > 0 or recovery == "arq"
+        # the 20 s frames give too few contentions for an RTS to meet a sender
+        assert calls["rts to a sender"] > 0 or "frame_s" in overrides
     else:
         assert calls["overheard"] > 0 and calls["corrupt"] > 0
         assert calls["stay awake" if protocol == "adaptive-smac" else "done"] > 0
@@ -414,11 +417,15 @@ def check_smac_proofs(monkeypatch, calls):
 
 
 def check_session_and_ledger_proofs(monkeypatch, calls):
-    """Wrap the node, the sessions and the ledger hook so that each condition
-    they no longer test is asserted never to decide."""
+    """Wrap the node, the sessions, IAMAC's RTS handler and the ledger hook
+    so that each condition they no longer test is asserted never to decide.
+    A session's `_timeout_ev` is None exactly when no timer is pending: it is
+    cleared where the timer fires and where it is cancelled."""
     node_packet, data_resolved = Node.on_packet, Simulation._data_resolved
     arq_packet, pop_current = ArqSession.on_packet, ArqSession._pop_current
     resend = SedaSession._retransmit_or_resolve
+    send_frame, resolve_burst = SedaSession._send_frame, SedaSession._resolve_burst
+    handle_rts = IamacDriver._handle_rts
 
     def checked_node_packet(node, pkt, sinr):
         if node.active_session is not None:
@@ -452,11 +459,47 @@ def check_session_and_ledger_proofs(monkeypatch, calls):
         assert len(uids) > 0
         resend(session, uids)
 
+    def checked_send_frame(session, blocks, await_recovery):
+        # `_next_burst` sends with no timer armed, `_retransmit_or_resolve`
+        # after cancelling it
+        calls["seda frames"] += 1
+        assert session._timeout_ev is None
+        send_frame(session, blocks, await_recovery)
+
+    def checked_resolve_burst(session):
+        # reached from the fired deadline, or after `_retransmit_or_resolve`
+        # cancelled it
+        calls["seda resolves"] += 1
+        assert session._timeout_ev is None
+        resolve_burst(session)
+
+    def checked_handle_rts(driver, node, pkt):
+        # sending its RTS, a node left contention: nothing since re-enters it
+        st = driver.states[node.id]
+        if pkt.dst == node.id and st.sent_rts:
+            calls["rts to a sender"] += 1
+            assert st.pending_ev is None and not st.awaiting
+        handle_rts(driver, node, pkt)
+
     monkeypatch.setattr(Node, "on_packet", checked_node_packet)
     monkeypatch.setattr(Simulation, "_data_resolved", checked_data_resolved)
     monkeypatch.setattr(ArqSession, "on_packet", checked_arq_packet)
     monkeypatch.setattr(ArqSession, "_pop_current", checked_pop_current)
     monkeypatch.setattr(SedaSession, "_retransmit_or_resolve", checked_resend)
+    monkeypatch.setattr(SedaSession, "_send_frame", checked_send_frame)
+    monkeypatch.setattr(SedaSession, "_resolve_burst", checked_resolve_burst)
+    monkeypatch.setattr(IamacDriver, "_handle_rts", checked_handle_rts)
+
+
+def test_an_injected_packet_of_no_bytes_is_a_config_error():
+    """`_end_transmission` takes every frame to be at least 1 byte long.
+    `Scenario.validate` bounds what the run builds, and `inject` refuses an
+    empty payload, which without a header would be a frame of 0 bytes."""
+    sc = Scenario(node_count=2, seed=1, shadowing_sigma=0.0, header_bytes=0).validate()
+    sim = Simulation(sc, [(0.0, 0.0), (3.0, 0.0)], parents={1: 0})
+    with pytest.raises(ConfigError, match="payload_len"):
+        sim.inject(1, 0)
+    assert sim.nodes[1].queue == [] and sim.ledger.generated_packets == 0
 
 
 # -- radio switches and the energy ledger -------------------------------------------

@@ -684,7 +684,7 @@ def test_accounting_freezes_when_the_run_stops_early():
     sim = Simulation(sc)
     res = sim.run()
     assert not res["lifetime_censored"]
-    end = sim.measured_until
+    end = sim.ledger.measure_end
     expected_max = sim.topo.n * (end / sc.sampling_interval_s + 1)
     assert res["generated_packets"] <= expected_max
     assert res["conserved"]
