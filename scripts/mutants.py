@@ -3,8 +3,8 @@
 check depends on.
 
     python3 scripts/mutants.py record [--workers N]
-    python3 scripts/mutants.py check [--workers N]
-    python3 scripts/mutants.py list
+    python3 scripts/mutants.py check [--workers N] [--only WHERE ...]
+    python3 scripts/mutants.py list [--only WHERE ...]
 
 Each mutant changes one decision in one module of `MODULES`, by one of two
 operator classes:
@@ -27,6 +27,11 @@ keeping the kind and reason of each survivor it already lists; a new survivor
 is written as "unclassified", which `tests/test_mutants.py` refuses. `check`
 recomputes the survivors and exits 1 if they differ from the file. `list`
 prints every mutant and runs none.
+
+`--only` takes enclosing functions as the file names them (`where`, e.g.
+`Simulation.inject`): `list` and `check` then take only those functions'
+mutants, and `check` compares their survivors with the file's survivors in
+those functions, ignoring the totals.
 """
 
 import argparse
@@ -141,10 +146,11 @@ class _Sites(ast.NodeVisitor):
         self._test(node, "ternary")
 
 
-def mutants():
-    """Every mutant of every module in `MODULES`, as `(key, path, mutate)`:
-    `path` is the module's path from the repository root, and `mutate()`
-    returns its mutated source."""
+def mutants(only=None):
+    """Every mutant of every module in `MODULES`, or only those whose
+    enclosing function is in `only`, as `(key, path, mutate)`: `path` is the
+    module's path from the repository root, and `mutate()` returns its
+    mutated source."""
     out = []
     for module in MODULES:
         path = PACKAGE / f"{module}.py"
@@ -152,6 +158,8 @@ def mutants():
         sites = _Sites(module, source)
         sites.visit(ast.parse(source))
         for key, lo, hi, replacement in sites.found:
+            if only is not None and key["where"] not in only:
+                continue
             out.append((key, path, lambda raw=sites.raw, lo=lo, hi=hi, r=replacement:
                         (raw[:lo] + r.encode() + raw[hi:]).decode()))
     return out
@@ -179,10 +187,11 @@ def _passes(cmd, cwd, timeout):
         return False
 
 
-def census(workers):
-    """`(mutant count, kills per command, survivor keys)`: each mutant runs in
-    one of `workers` copies of the tree."""
-    todo = mutants()
+def census(workers, only=None):
+    """`(mutant count, kills per command, survivor keys)` of the mutants
+    `mutants(only)` gives: each mutant runs in one of `workers` copies of the
+    tree."""
+    todo = mutants(only)
     jobs = queue.Queue()
     for job in todo:
         jobs.put(job)
@@ -254,27 +263,39 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("command", choices=["record", "check", "list"])
     ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--only", nargs="+", metavar="WHERE",
+                    help="list or check only the mutants in these enclosing functions")
     args = ap.parse_args(argv)
     if args.workers < 1:
         ap.error("--workers must be >= 1")
+    only = None if args.only is None else set(args.only)
+    if only is not None:
+        if args.command == "record":
+            ap.error("--only applies to list and check: record rewrites the whole file")
+        missing = only - {key["where"] for key, _, _ in mutants(only)}
+        if missing:
+            ap.error(f"--only: no mutant in {', '.join(sorted(missing))}")
     if args.command == "list":
-        for key, _, _ in mutants():
+        for key, _, _ in mutants(only):
             print(f"{key['module']} {key['where']} `{key['text']}` {key['mutation']}")
         return 0
-    count, kills, survivors = census(args.workers)
+    count, kills, survivors = census(args.workers, only)
     old = json.loads(SURVIVORS.read_text()) if SURVIVORS.exists() else {}
     print(f"{count} mutants: killed {kills}, {len(survivors)} survive")
     if args.command == "record":
         write(count, kills, survivors, old)
         print(f"recorded {len(survivors)} survivors in {SURVIVORS}")
         return 0
-    was = {key_id(entry) for entry in old.get("survivors", [])}
+    was = {key_id(entry) for entry in old.get("survivors", [])
+           if only is None or entry["where"] in only}
     now = {key_id(key) for key in survivors}
     for ident in sorted(now - was):
         print(f"new survivor: {ident}")
     for ident in sorted(was - now):
         print(f"no longer survives: {ident}")
-    moved = (now != was or count != old.get("mutants") or kills != old.get("killed"))
+    moved = now != was
+    if only is None:
+        moved = moved or count != old.get("mutants") or kills != old.get("killed")
     return 1 if moved else 0
 
 

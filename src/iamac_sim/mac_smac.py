@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import partial
 
 from .energy import RadioState
-from .packets import Packet, PacketKind, airtime, readdressed
+from .packets import Packet, PacketKind, airtime, data_frame
 
 # an Enum member read through its class costs a lookup on every event
 RTS, CTS, DATA, ACK = PacketKind.RTS, PacketKind.CTS, PacketKind.DATA, PacketKind.ACK
@@ -116,7 +116,7 @@ class SmacDriver:
         # every caller holds a queue: contenders, and deferrers that have not sent since
         node = self.sim.nodes[nid]
         sc = self.sim.scenario
-        data_air = airtime(node.queue[0].payload_len + sc.header_bytes, sc.radio_speed)
+        data_air = airtime(node.queue[0][3] + sc.header_bytes, sc.radio_speed)
         return self.span_head + data_air + self.sifs + self.ack_air
 
     def _backoff(self, nid):
@@ -173,7 +173,7 @@ class SmacDriver:
         sim.medium.transmit(nid, rts)
         st.role = "tx"
         st.peer = parent
-        st.exchange = {"uid": node.queue[0].uid, "data_received": False}
+        st.exchange = {"uid": node.queue[0][0], "data_received": False}
         if sim.trace_enabled:
             sim.trace(nid, "smac-rts", "dst=%s", parent)
         timeout = self.engine.now + self.rts_air + self.sifs + self.rts_air + 2e-3
@@ -230,7 +230,8 @@ class SmacDriver:
             if st.role == "rx" and pkt.src == st.peer:
                 if not st.exchange["data_received"]:
                     st.exchange["data_received"] = True
-                    sim.deliver_to(nid, (pkt,))
+                    # the one place a frame becomes a queue entry again
+                    sim.deliver_to(nid, ((pkt.uid, pkt.origin, pkt.born_at, pkt.payload_len),))
                 ack = Packet(ACK, nid, pkt.src, sim.scenario.ack_len, 0)
                 self.engine.schedule(
                     self.engine.now + self.sifs,
@@ -252,7 +253,7 @@ class SmacDriver:
         st = self.states[nid]
         if not node.alive or st.role is None or not node.queue:
             return
-        data = readdressed(node.queue[0], nid, st.peer, sim.scenario.header_bytes)
+        data = data_frame(node.queue[0], nid, st.peer, sim.scenario.header_bytes)
         sim.medium.transmit(nid, data)
         ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)

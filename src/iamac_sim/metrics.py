@@ -162,15 +162,15 @@ class MetricsLedger:
         self.generated_packets += 1
 
     def record_delivery(self, pkts, delivered_at):
-        """Packets `pkts`, at least one, reached the sink at `delivered_at`, in this order.
-        Each column is built whole and then appended once, so a batch that
-        raises (a packet born after `delivered_at`, a value its column cannot
-        hold) records none of its packets."""
-        born = [p.born_at for p in pkts]
+        """The queue entries `pkts`, at least one, reached the sink at
+        `delivered_at`, in this order. Each column is built whole and then
+        appended once, so a batch that raises (a packet born after
+        `delivered_at`, a value its column cannot hold) records none of its
+        packets."""
+        _, origins, born, payloads = zip(*pkts)
         if max(born) > delivered_at:
             raise ValueError("delivery precedes generation")
-        payloads = [p.payload_len for p in pkts]
-        origin_col = array("l", [p.origin for p in pkts])
+        origin_col = array("l", origins)
         born_col = array("d", born)
         delivered_col = array("d", (delivered_at,)) * len(born)
         payload_col = array("l", payloads)

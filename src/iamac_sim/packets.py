@@ -25,7 +25,9 @@ def airtime(nbytes, radio_speed):
 @dataclass(slots=True)
 class Packet:
     """One frame on the air. `length` excludes the phy+MAC header except for
-    ACKs, whose tabulated size already includes it."""
+    ACKs, whose tabulated size already includes it. A queued payload is not a
+    `Packet` but the entry `make_data_packet` builds; `data_frame` puts one
+    on the air."""
 
     kind: PacketKind
     src: int
@@ -47,15 +49,14 @@ class Packet:
         return airtime(self.on_air_bytes(), radio_speed)
 
 
-def make_data_packet(uid, origin, dst, born_at, payload_len, header):
-    # positional, in field order: kind, src, dst, length, header, born_at,
-    # origin, payload_len, uid
-    return Packet(PacketKind.DATA, origin, dst, payload_len, header, born_at,
-                  origin, payload_len, uid)
+def make_data_packet(uid, origin, born_at, payload_len):
+    """A queued payload: the entry `(uid, origin, born_at, payload_len)`."""
+    return (uid, origin, born_at, payload_len)
 
 
-def readdressed(pkt, src, dst, header):
-    """`pkt` as `dataclasses.replace(pkt, src=src, dst=dst, header=header)`
-    gives it, built positionally in field order."""
-    return Packet(pkt.kind, src, dst, pkt.length, header, pkt.born_at, pkt.origin,
-                  pkt.payload_len, pkt.uid, pkt.exchange_end, pkt.blocks)
+def data_frame(entry, src, dst, header):
+    """The DATA frame that carries the queued payload `entry` from `src` to
+    `dst`, built positionally in field order."""
+    uid, origin, born_at, payload_len = entry
+    return Packet(PacketKind.DATA, src, dst, payload_len, header, born_at, origin,
+                  payload_len, uid)

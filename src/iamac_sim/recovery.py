@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .packets import Packet, PacketKind, airtime, readdressed
+from .packets import Packet, PacketKind, airtime, data_frame
 
 
 # -- contention analytics ---------------------------------------------------
@@ -25,8 +25,7 @@ def rts_success_prob(n, w, mode="distinct-slot"):
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be >= 1")
-    if n > w:
-        return 0.0
+    # for n > w, math.comb(w, n) is 0 and so is either closed form
     if mode == "paper":
         p = math.comb(w, n) * n * (1.0 / w) ** n
     elif mode == "distinct-slot":
@@ -158,7 +157,7 @@ class ArqSession(_SessionBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.current = None
+        self.current = None          # the queue entry in flight
         self.attempts = 0
         self.got_through = False     # parent decoded some attempt of current
         sc = self.sc
@@ -195,7 +194,7 @@ class ArqSession(_SessionBase):
             self.result.started_packets += 1
         self.attempts += 1
         sc = self.sc
-        data = readdressed(self.current, self.child, self.parent, sc.header_bytes)
+        data = data_frame(self.current, self.child, self.parent, sc.header_bytes)
         t_end = self.medium.transmit(self.child, data)
         # the instant-ack case resolves exactly at t_end + ack airtime; the
         # 1 us slack keeps the timeout strictly after that resolution
@@ -240,7 +239,7 @@ class ArqSession(_SessionBase):
 
     def _pop_current(self, delivered):
         # every caller holds a current packet
-        self.sim.remove_from_queue(self.child, self.current.uid)
+        self.sim.remove_from_queue(self.child, self.current[0])
         if not delivered:
             self.sim.ledger.record_drop()
         self.current = None
@@ -331,8 +330,6 @@ class SedaSession(_SessionBase):
 
     def on_corrupt(self, node, tx):
         """The child heard garbage while waiting for the recovery report."""
-        if node != self.child or self.phase != "data":
-            return
         if tx.sender != self.parent or tx.packet.kind is not PacketKind.RECOVERY_FRAME:
             return
         self._retransmit_or_resolve(range(len(self.burst)))

@@ -14,13 +14,11 @@ from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
 from .metrics import MetricsLedger
-from .packets import Packet, PacketKind, make_data_packet
+from .packets import make_data_packet
 from .routing import build_tree, disjoint_nodes, estimate_links, preset_tree
 from .topology import Topology, random_topology
 
 SLEEP, LISTEN, TX = RadioState.SLEEP, RadioState.LISTEN, RadioState.TX
-# an Enum member read through its class costs about 0.1 us, once per sample
-DATA = PacketKind.DATA
 
 
 class Node:
@@ -318,10 +316,11 @@ class Simulation:
     def _take_samples(self, ev):
         """Take every sample that orders before the engine's next event and
         within the current `run_until`, node by node, then re-arm at the next
-        one. Each sample queues the packet `Simulation.inject` would build,
-        with the uid, and the re-arm seq, that one event per sample would
-        give it; a node's samples are booked with one `account_sample` call.
-        A dead node samples no more, and after the run has stopped no node does.
+        one. Each sample queues the entry `(uid, origin, born_at,
+        payload_len)` that `Simulation.inject` would build, with the uid, and
+        the re-arm seq, that one event per sample would give it; a node's
+        samples are booked with one `account_sample` call. A dead node
+        samples no more, and after the run has stopped no node does.
 
         With one interval `c`, the samples come in a fixed rotation of the
         nodes. Taking the head at `t_a` re-arms it at `(fl(t_a + c), s)`. The
@@ -350,21 +349,17 @@ class Simulation:
             sc = self.scenario
             interval = sc.sampling_interval_s
             payload = sc.payload_bytes
-            header = sc.header_bytes
-            parents = self.parents
             account_sample = self.ledger.account_sample
             uid0 = self._next_uid
             seq0 = engine.next_seq
             taken = 0
             for o, (t, _, nid) in enumerate(due):
                 queue = nodes[nid].queue
-                parent = parents[nid] or 0
                 uid, seq = uid0 + o, seq0 + o
                 born = []
                 while True:
-                    # `make_data_packet` built in place, in its field order
-                    queue.append(Packet(DATA, nid, parent, payload, header, t, nid, payload,
-                                        uid))
+                    # `make_data_packet` built in place
+                    queue.append((uid, nid, t, payload))
                     born.append(t)
                     t += interval
                     if t > bound_t or (t == bound_t and seq > bound_seq):
@@ -384,36 +379,33 @@ class Simulation:
             engine.rearm(ev, t, seq)
 
     def inject(self, origin, payload_len):
-        """A new data packet of `payload_len` >= 1 bytes, born now at `origin`."""
+        """Queue a new payload of `payload_len` >= 1 bytes, born now at `origin`."""
         if payload_len < 1:
             raise ConfigError(f"payload_len: must be >= 1, got {payload_len!r}")
-        parent = self.route_states[origin].parent
         uid = self._next_uid
         self._next_uid = uid + 1
-        pkt = make_data_packet(uid, origin, parent or 0, self.engine.now, payload_len,
-                               self.scenario.header_bytes)
-        self.enqueue(origin, pkt)
+        self.enqueue(origin, make_data_packet(uid, origin, self.engine.now, payload_len))
         self.ledger.record_generated()
 
     # -- queue plumbing -------------------------------------------------------------
 
-    def enqueue(self, nid, pkt):
+    def enqueue(self, nid, entry):
         node = self.nodes[nid]
-        node.queue.append(pkt)
+        node.queue.append(entry)
         self.ledger.queue_changed(nid, len(node.queue), self.engine.now)
 
     def remove_from_queue(self, nid, uid):
-        """Remove from `nid`'s queue the earliest queued packet with `uid`,
-        with one queue change; an absent uid removes nothing."""
+        """Remove from `nid`'s queue the earliest entry with `uid`, with one
+        queue change; an absent uid removes nothing."""
         queue = self.nodes[nid].queue
-        for i, p in enumerate(queue):
-            if p.uid == uid:
+        for i, entry in enumerate(queue):
+            if entry[0] == uid:
                 del queue[i]
                 self.ledger.queue_changed(nid, len(queue), self.engine.now)
                 return
 
     def replace_queue_head(self, nid, n, kept):
-        """Put `kept` in place of the first `n` packets of `nid`'s queue. The
+        """Put `kept` in place of the first `n` entries of `nid`'s queue. The
         ledger sees one queue change when the queue shrinks and none
         otherwise: a change at an unchanged length would split the queue's
         time-weighted integral and move its floats."""
@@ -423,10 +415,10 @@ class Simulation:
             self.ledger.queue_changed(nid, len(queue), self.engine.now)
 
     def deliver_to(self, nid, pkts):
-        """Hand `pkts` to `nid` in order: the sink records them delivered in
-        one ledger call; any other node queues them for its parent with one
-        queue change, as same-instant changes add nothing to the time-weighted
-        queue length. An empty batch changes nothing."""
+        """Hand the queue entries `pkts` to `nid` in order: the sink records
+        them delivered in one ledger call; any other node queues them for its
+        parent with one queue change, as same-instant changes add nothing to
+        the time-weighted queue length. An empty batch changes nothing."""
         if not pkts:
             return
         if nid == self.topo.sink:

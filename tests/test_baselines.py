@@ -26,10 +26,19 @@ def test_injected_packets_are_counted_and_conserved():
     sim = chain_sim("iamac", horizon_s=6.0)
     for origin in (1, 2, 3, 3):
         sim.inject(origin, 29)
-    # each packet is addressed to its origin's parent
-    assert [(p.origin, p.dst) for n in sim.nodes for p in n.queue] == [
-        (1, 0), (2, 1), (3, 2), (3, 2)]
+    assert [origin for n in sim.nodes for _, origin, _, _ in n.queue] == [1, 2, 3, 3]
+    # each payload's first DATA frame is addressed to its origin's parent
+    first_hops = {}
+    transmit = sim.medium.transmit
+
+    def record(nid, pkt, *args, **kwargs):
+        if pkt.kind is PacketKind.DATA and pkt.src == pkt.origin:
+            first_hops.setdefault(pkt.uid, (pkt.origin, pkt.dst))
+        return transmit(nid, pkt, *args, **kwargs)
+
+    sim.medium.transmit = record
     res = sim.run()
+    assert [first_hops[uid] for uid in range(4)] == [(1, 0), (2, 1), (3, 2), (3, 2)]
     assert res["generated_packets"] == 4
     assert res["conserved"]
 

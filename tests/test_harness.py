@@ -356,7 +356,7 @@ def test_repeated_runs_in_one_process_number_packets_alike():
     for _ in range(2):
         sim = Simulation(desk_preset(seed=4, horizon_s=30.0, stop_on_first_death=False))
         sim.run()
-        queued.append([p.uid for node in sim.nodes for p in node.queue])
+        queued.append([uid for node in sim.nodes for uid, *_ in node.queue])
     assert queued[0] and len(set(queued[0])) == len(queued[0])
     assert queued[0] == queued[1]
 

@@ -447,7 +447,7 @@ def check_session_and_ledger_proofs(monkeypatch, calls):
         if (session.current is not None and node == session.parent
                 and pkt.kind is PacketKind.DATA and pkt.src == session.child):
             calls["arq decodes"] += 1
-            assert pkt.uid == session.current.uid
+            assert pkt.uid == session.current[0]
         arq_packet(session, node, pkt, sinr)
 
     def checked_pop_current(session, delivered):
@@ -500,6 +500,22 @@ def test_an_injected_packet_of_no_bytes_is_a_config_error():
     with pytest.raises(ConfigError, match="payload_len"):
         sim.inject(1, 0)
     assert sim.nodes[1].queue == [] and sim.ledger.generated_packets == 0
+
+
+def test_an_injected_one_byte_payload_is_queued_and_delivered():
+    """The smallest payload `inject` takes: one byte, queued as the entry
+    `(uid, origin, now, 1)`, which the run delivers and conserves."""
+    sc = Scenario(node_count=2, seed=1, shadowing_sigma=0.0, header_bytes=0,
+                  horizon_s=5.0).validate()
+    sim = Simulation(sc, [(0.0, 0.0), (3.0, 0.0)], parents={1: 0})
+    sim.inject(1, 1)
+    assert sim.nodes[1].queue == [(0, 1, 0.0, 1)]
+    assert [type(v) for v in sim.nodes[1].queue[0]] == [int, int, float, int]
+    res = sim.run()
+    assert res["conserved"] and res["generated_packets"] == 1
+    records = sim.ledger.delivered_records
+    assert [(r[0], r[1], r[3]) for r in records] == [(1, 0.0, 1)]
+    assert sim.ledger.delivered_payload == 1
 
 
 # -- radio switches and the energy ledger -------------------------------------------

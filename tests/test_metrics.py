@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from iamac_sim import metrics
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.energy import RadioState
 from iamac_sim.metrics import MetricsLedger, colliding_sets
-from iamac_sim.packets import make_data_packet
+from iamac_sim.packets import data_frame, make_data_packet
 from iamac_sim.simulation import Simulation
 
 
@@ -105,15 +104,15 @@ def test_negative_duration_rejected(table):
 def test_delivery_before_birth_rejected(table):
     ledger = MetricsLedger(1, table, 0.0)
     with pytest.raises(ValueError):
-        ledger.record_delivery([make_data_packet(0, 0, 0, 10.0, 29, 16)], 9.0)
+        ledger.record_delivery([make_data_packet(0, 0, 10.0, 29)], 9.0)
 
 
 def test_a_batch_with_one_packet_born_after_delivery_records_none_of_it(table):
     ledger = MetricsLedger(3, table, 0.0)
-    ledger.record_delivery([make_data_packet(0, 1, 0, 1.0, 29, 16)], 2.0)
+    ledger.record_delivery([make_data_packet(0, 1, 1.0, 29)], 2.0)
     kept = (list(ledger.delivered_records), ledger.delivered_payload)
-    batch = [make_data_packet(1, 2, 0, 2.5, 31, 16), make_data_packet(2, 1, 0, 3.0, 29, 16),
-             make_data_packet(3, 2, 0, 4.5, 40, 16), make_data_packet(4, 1, 0, 3.5, 29, 16)]
+    batch = [make_data_packet(1, 2, 2.5, 31), make_data_packet(2, 1, 3.0, 29),
+             make_data_packet(3, 2, 4.5, 40), make_data_packet(4, 1, 3.5, 29)]
     with pytest.raises(ValueError, match="delivery precedes generation"):
         ledger.record_delivery(batch, 4.0)
     assert (list(ledger.delivered_records), ledger.delivered_payload) == kept
@@ -132,13 +131,13 @@ def test_a_batch_with_a_value_its_column_cannot_hold_records_none_of_it(table, f
     is not an int, or whose origin is beyond the `"l"` range, leaves all four
     columns and the payload total as they were."""
     ledger = MetricsLedger(3, table, 0.0)
-    ledger.record_delivery([make_data_packet(0, 1, 0, 1.0, 29, 16)], 2.0)
+    ledger.record_delivery([make_data_packet(0, 1, 1.0, 29)], 2.0)
     columns = (ledger._origins, ledger._born, ledger._delivered, ledger._payloads)
     kept = [c.tolist() for c in columns], ledger.delivered_payload
-    bad = make_data_packet(2, 1, 0, 3.0, 29, 16)
-    setattr(bad, field, value)
+    bad = make_data_packet(**{"uid": 2, "origin": 1, "born_at": 3.0, "payload_len": 29,
+                              field: value})
     with pytest.raises(error):
-        ledger.record_delivery([make_data_packet(1, 2, 0, 2.5, 31, 16), bad], 4.0)
+        ledger.record_delivery([make_data_packet(1, 2, 2.5, 31), bad], 4.0)
     assert ([c.tolist() for c in columns], ledger.delivered_payload) == kept
     assert list(ledger.delivered_records) == [(1, 1.0, 2.0, 29)]
 
@@ -151,8 +150,8 @@ class TupleLedger:
         self.records = []
 
     def record_delivery(self, pkts, delivered_at):
-        for p in pkts:
-            self.records.append((p.origin, p.born_at, delivered_at, p.payload_len))
+        for _, origin, born_at, payload_len in pkts:
+            self.records.append((origin, born_at, delivered_at, payload_len))
 
     def latency_stats(self):
         if not self.records:
@@ -170,7 +169,7 @@ def delivery_batches(case, rng):
     if case == "none":
         return []
     if case == "single":
-        return [([make_data_packet(0, 3, 0, 0.25, 29, 16)], 1.0 / 3.0)]
+        return [([make_data_packet(0, 3, 0.25, 29)], 1.0 / 3.0)]
     batches, t, uid = [], 1e3, 0
     for _ in range(400):
         if rng.random() < 0.6:
@@ -178,8 +177,8 @@ def delivery_batches(case, rng):
         pkts = []
         for _ in range(int(rng.integers(1, 8))):
             lat = 0.75 if case == "equal" else float(10.0 ** rng.uniform(-6.0, 3.0))
-            pkts.append(make_data_packet(uid, int(rng.integers(1, 7)), 0, t - lat,
-                                         int(rng.integers(1, 60)), 16))
+            pkts.append(make_data_packet(uid, int(rng.integers(1, 7)), t - lat,
+                                         int(rng.integers(1, 60))))
             uid += 1
         batches.append((pkts, t))
     return batches
@@ -225,7 +224,7 @@ def test_delivery_records_hold_at_most_40_bytes_per_delivery(table):
     try:
         before = tracemalloc.get_traced_memory()[0]
         for start in range(0, n, batch):
-            pkts = [make_data_packet(uid, uid % 6 + 1, 0, uid * 1e-3 + 0.1, 29, 16)
+            pkts = [make_data_packet(uid, uid % 6 + 1, uid * 1e-3 + 0.1, 29)
                     for uid in range(start, start + batch)]
             ledger.record_delivery(pkts, start * 1e-3 + 1.0)
         del pkts
@@ -248,10 +247,11 @@ def test_queue_time_weighted_mean(table):
 
 
 def test_a_sampled_packet_is_the_packet_inject_builds():
-    """Sampling builds its packet in place and books it in one ledger call;
-    injecting at each sample's instant on a twin run gives the same packets,
-    field for field, and the same queue accounts. Node 3 is a root, so its
-    packets are addressed to node 0."""
+    """Sampling builds its queue entry in place and books it in one ledger
+    call; injecting at each sample's instant on a twin run gives the same
+    entries, field for field, and the same queue accounts. The DATA frames
+    built from nodes 1 and 2's entries go to their parents, 0 and 1; node 3
+    is a root, whose entries no frame carries."""
     sc = Scenario(node_count=4, seed=5, sampling_interval_s=0.05, horizon_s=12.0,
                   shadowing_sigma=0.0, stop_on_first_death=False).validate()
     positions = [(0.0, 0.0), (6.0, 0.0), (12.0, 0.0), (0.0, 6.0)]
@@ -260,14 +260,19 @@ def test_a_sampled_packet_is_the_packet_inject_builds():
         sim.bootstrap_routing()
     sampled.start_traffic()
     sampled.engine.run_until(2.0)
-    packets = sorted((p for node in sampled.nodes for p in node.queue), key=lambda p: p.uid)
-    assert {p.dst for p in packets} == {0, 1} and len(packets) > 100
-    for p in packets:
-        injected.engine.schedule(p.born_at, lambda ev, origin=p.origin:
+    packets = sorted(p for node in sampled.nodes for p in node.queue)
+    parents = sampled.parents
+    frames = [data_frame(p, p[1], parents[p[1]], sc.header_bytes) for p in packets
+              if parents[p[1]] is not None]
+    assert {f.dst for f in frames} == {0, 1} and len(packets) > 100
+    assert [(f.uid, f.origin, f.born_at, f.payload_len) for f in frames] == [
+        p for p in packets if p[1] != 3]
+    for _, origin, born_at, _ in packets:
+        injected.engine.schedule(born_at, lambda ev, origin=origin:
                                  injected.inject(origin, sc.payload_bytes))
     injected.engine.run_until(2.0)
     for mine, theirs in zip(sampled.nodes, injected.nodes):
-        assert [astuple(p) for p in mine.queue] == [astuple(p) for p in theirs.queue]
+        assert mine.queue == theirs.queue
     for name in ("generated_packets", "_queue_len", "_queue_last_t", "_queue_integral"):
         assert getattr(sampled.ledger, name) == getattr(injected.ledger, name)
     # only the sample pays its energy
@@ -275,19 +280,18 @@ def test_a_sampled_packet_is_the_packet_inject_builds():
 
 
 def remove_one_uid_at_a_time(sim, nid, uid):
-    """Oracle: delete the earliest queued packet with `uid`, if any, and
+    """Oracle: delete the earliest queue entry with `uid`, if any, and
     record the queue change."""
     queue = sim.nodes[nid].queue
     for i, p in enumerate(queue):
-        if p.uid == uid:
+        if p[0] == uid:
             del queue[i]
             sim.ledger.queue_changed(nid, len(queue), sim.engine.now)
             break
 
 
 def assert_same_queue(sim, oracle, nid):
-    assert ([(p.uid, p.born_at) for p in sim.nodes[nid].queue]
-            == [(p.uid, p.born_at) for p in oracle.nodes[nid].queue])
+    assert sim.nodes[nid].queue == oracle.nodes[nid].queue
     for name in ("_queue_len", "_queue_last_t", "_queue_integral"):
         assert getattr(sim.ledger, name) == getattr(oracle.ledger, name)
 
@@ -311,7 +315,7 @@ def test_queue_removal_matches_one_uid_at_a_time(seed):
         # uids 0-7 repeat within a queue; 8 and 9 are never queued
         for uid in rng.integers(0, 8, size=int(rng.integers(0, 3))).tolist():
             for sim in sims:
-                sim.enqueue(1, make_data_packet(uid, 1, 0, float(born), 29, 16))
+                sim.enqueue(1, make_data_packet(uid, 1, float(born), 29))
             born += 1
         uid = int(rng.integers(0, 10))
         before = len(oracle.nodes[1].queue)
@@ -342,7 +346,7 @@ def test_queue_head_removal_matches_one_uid_at_a_time(uid, left):
     for born, queued in enumerate(QUEUED_UIDS):
         for sim in sims:
             sim.engine.run_until(0.5 * born)
-            sim.enqueue(1, make_data_packet(queued, 1, 0, 0.5 * born, 29, 16))
+            sim.enqueue(1, make_data_packet(queued, 1, 0.5 * born, 29))
     calls = []
     queue_changed = removed.ledger.queue_changed
     removed.ledger.queue_changed = lambda *args: (calls.append(args), queue_changed(*args))
@@ -350,7 +354,7 @@ def test_queue_head_removal_matches_one_uid_at_a_time(uid, left):
         sim.engine.run_until(7.25)
     remove_one_uid_at_a_time(oracle, 1, uid)
     removed.remove_from_queue(1, uid)
-    assert [p.uid for p in removed.nodes[1].queue] == left
+    assert [uid for uid, *_ in removed.nodes[1].queue] == left
     assert calls == ([(1, len(left), 7.25)] if len(left) < len(QUEUED_UIDS) else [])
     assert_same_queue(removed, oracle, 1)
 
@@ -374,7 +378,7 @@ def test_batched_delivery_matches_one_packet_at_a_time(seed):
         pkts = []
         for _ in range(int(rng.integers(0, 6))):
             born = float(rng.uniform(0.0, t))
-            pkts.append(make_data_packet(uid, 2, 1, born, int(rng.integers(1, 60)), 16))
+            pkts.append(make_data_packet(uid, 2, born, int(rng.integers(1, 60))))
             uid += 1
         for p in pkts:
             if nid == 0:
@@ -385,12 +389,11 @@ def test_batched_delivery_matches_one_packet_at_a_time(seed):
         batched.deliver_to(nid, pkts)
         if nid == 0:
             assert batched.ledger.delivered_records[n_records:] == [
-                (2, p.born_at, t, p.payload_len) for p in pkts]
+                (2, born_at, t, payload_len) for _, _, born_at, payload_len in pkts]
     for name in ("delivered_records", "delivered_payload",
                  "_queue_len", "_queue_last_t", "_queue_integral"):
         assert getattr(batched.ledger, name) == getattr(oracle.ledger, name)
-    assert ([p.uid for p in batched.nodes[1].queue]
-            == [p.uid for p in oracle.nodes[1].queue])
+    assert batched.nodes[1].queue == oracle.nodes[1].queue
     assert batched.ledger.delivered_records and batched.ledger._queue_integral[1] > 0.0
 
 
@@ -405,6 +408,38 @@ def test_delivered_payload_counts_every_delivery_record(protocol, recovery):
     assert records
     assert sim.ledger.delivered_payload == sum(r[3] for r in records)
     assert res["delivered_payload"] == sim.ledger.delivered_payload
+
+
+@pytest.mark.parametrize("protocol, recovery", [
+    ("iamac", "arq"), ("iamac", "seda"), ("smac", "arq"), ("adaptive-smac", "arq")])
+def test_a_payload_never_changes_between_hops(protocol, recovery):
+    """Every queue entry a relay or the sink receives is, value for value
+    and type for type, the first entry seen with its uid, and at the run's
+    end every queue holds only such `(uid, origin, born_at, payload_len)`
+    tuples. S-MAC rebuilds the entry from the DATA frame at each hop."""
+    sc = desk_preset(seed=4, horizon_s=60.0, stop_on_first_death=False,
+                     protocol=protocol, recovery=recovery)
+    sim = Simulation(sc)
+    first, received = {}, []
+    deliver_to = sim.deliver_to
+
+    def checked_deliver_to(nid, pkts):
+        for entry in pkts:
+            assert type(entry) is tuple
+            assert [type(v) for v in entry] == [int, int, float, int]
+            assert first.setdefault(entry[0], entry) == entry
+            received.append(entry[0])
+        deliver_to(nid, pkts)
+
+    sim.deliver_to = checked_deliver_to
+    sim.run()
+    # some payloads cross a relay and the sink: two receptions of one uid
+    assert len(received) > len(first) > 0
+    for node in sim.nodes:
+        for entry in node.queue:
+            assert type(entry) is tuple
+            assert [type(v) for v in entry] == [int, int, float, int]
+            assert first.get(entry[0], entry) == entry
 
 
 def test_energy_ledger_conservation_on_a_run():

@@ -29,3 +29,17 @@ def test_every_survivor_names_a_current_mutant_and_has_a_kind(mutants):
     assert [s for s in survivors if mutants.key_id(s) not in current] == []
     assert [s for s in survivors if s["kind"] not in mutants.KINDS or not s["why"]] == []
     assert len({mutants.key_id(s) for s in survivors}) == len(survivors)
+
+
+def test_only_lists_the_mutants_of_the_named_functions(mutants, capsys):
+    """`list --only` prints, in order, exactly the mutants whose enclosing
+    function it names, and refuses a name that encloses none."""
+    only = ["Simulation.inject", "seda_capacity"]
+    assert mutants.main(["list", "--only", *only]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    want = [key for key, _, _ in mutants.mutants() if key["where"] in only]
+    assert {key["where"] for key in want} == set(only)
+    assert printed == [f"{key['module']} {key['where']} `{key['text']}` {key['mutation']}"
+                       for key in want]
+    with pytest.raises(SystemExit):
+        mutants.main(["list", "--only", "Simulation.no_such_function"])

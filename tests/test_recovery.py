@@ -2,7 +2,7 @@ import itertools
 import math
 import types
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,23 +11,29 @@ from iamac_sim import harness
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
-from iamac_sim.packets import Packet, PacketKind, airtime, readdressed
+from iamac_sim.packets import Packet, PacketKind, airtime, data_frame
 from iamac_sim.recovery import (ArqSession, SedaSession, arq_capacity, rts_success_prob,
                                 seda_capacity)
 from iamac_sim.simulation import Simulation
 
 
-# -- frame copies ---------------------------------------------------------------
+# -- data frames ----------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", list(PacketKind))
-def test_readdressed_equals_dataclasses_replace(kind):
-    pkt = Packet(kind, src=4, dst=9, length=29, header=11, born_at=3.25, origin=2,
-                 payload_len=27, uid=41, exchange_end=7.5, blocks=(0, 1))
-    # every field away from its default, so a field the copy drops shows
-    assert all(getattr(pkt, f.name) != f.default for f in fields(Packet))
-    got = readdressed(pkt, 5, 1, 16)
-    assert got == replace(pkt, src=5, dst=1, header=16)
-    assert got is not pkt and (pkt.src, pkt.dst, pkt.header) == (4, 9, 11)
+@pytest.mark.parametrize("entry", [(41, 2, 3.25, 27), (0, 0, 0.0, 1), (7, 5, 0.0, 1)],
+                         ids=["mid-run", "first-uid-one-byte-at-0", "one-byte-at-0"])
+def test_data_frame_equals_the_readdressed_queued_packet(entry):
+    """The frame built from a queue entry is, field for field, the one that
+    readdressing a queued DATA packet gave: a packet built at the origin for
+    some first parent `d0` and header `h0`, then copied with the hop's
+    addresses and header."""
+    uid, origin, born_at, payload_len = entry
+    for d0, h0, src, dst, header in [(9, 11, 5, 1, 16), (0, 0, 2, 0, 0), (3, 16, 3, 4, 40)]:
+        queued = Packet(PacketKind.DATA, origin, d0, payload_len, h0, born_at, origin,
+                        payload_len, uid)
+        want = replace(queued, src=src, dst=dst, header=header)
+        got = data_frame(entry, src, dst, header)
+        assert astuple(got) == astuple(want)
+        assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
 
 
 # -- contention probability ----------------------------------------------------
@@ -146,6 +152,14 @@ def test_both_capacities_tend_to_fixed_values_at_high_ber():
 
 def test_gamma_reduces_budget():
     assert arq_capacity(1.0, 0.0, Scenario(gamma_s=0.5)) == arq_capacity(0.5, 0.0, REF)
+
+
+def test_a_budget_of_gamma_fits_no_burst_where_one_block_rounds_away():
+    """At `gamma_s = 2**60` s one float step is 256 s, so a one-block
+    burst's 0.02 s vanishes in `t + gamma_s`: `fits(1)` alone would pass at a
+    budget of exactly `gamma_s`, and only the `d_s <= gamma_s` test returns 0."""
+    sc = Scenario(gamma_s=2.0 ** 60).validate()
+    assert seda_capacity(2.0 ** 60, 0.0, sc) == 0 == arq_capacity(2.0 ** 60, 0.0, sc)
 
 
 def test_domain_errors_capacity():
@@ -397,7 +411,7 @@ def test_a_seda_burst_is_its_childs_queue_head(monkeypatch):
         burst, queue, ledger = session.burst, session._queue(), session.sim.ledger
         n = len(burst)
         assert len(queue) >= n and all(a is b for a, b in zip(queue, burst))
-        assert len({p.uid for p in burst}) == n
+        assert len({uid for uid, *_ in burst}) == n
         changes = []
         queue_changed = ledger.queue_changed
         ledger.queue_changed = lambda *args: (changes.append(args), queue_changed(*args))
@@ -437,7 +451,7 @@ def _seda_link(supply):
     packets = list(sim.nodes[1].queue)
     deliveries = []
     deliver_to = sim.deliver_to
-    sim.deliver_to = lambda nid, pkts: (deliveries.append([p.uid for p in pkts]),
+    sim.deliver_to = lambda nid, pkts: (deliveries.append([uid for uid, *_ in pkts]),
                                         deliver_to(nid, pkts))
     sim.wake(0)
     sim.wake(1)
@@ -478,7 +492,7 @@ def test_a_corrupt_recovery_frame_resends_the_whole_burst(monkeypatch):
     session.start()
     sim.engine.run_until(1.5)
     assert sizes == [6, 6]
-    uids = [p.uid for p in pk]
+    uids = [uid for uid, *_ in pk]
     assert deliveries == [[uids[0], uids[2], uids[4], uids[5]], [uids[1]]]
     assert session.result.recovery_frames == 1
     assert session.result.delivered_packets == 5
@@ -523,5 +537,5 @@ def test_blocks_without_room_for_their_retransmission_stay_at_the_queue_head(mon
     assert all(a is b for a, b in zip(queue, [pk[2], pk[5]] + pk[n:]))
     assert len(queue) == len(pk) - n + 2
     assert [args[:2] for args in changes] == [(1, len(queue))]
-    assert sum(deliveries, []) == [p.uid for i, p in enumerate(pk[:n]) if i not in (2, 5)]
+    assert sum(deliveries, []) == [p[0] for i, p in enumerate(pk[:n]) if i not in (2, 5)]
     assert sim.ledger.dropped_packets == 0

@@ -2,19 +2,17 @@
 
 Before the sampler, each sampling node owned one engine event, re-armed at
 each sample with the engine's next sequence number. That path is kept here as
-the reference, installed on a twin run: both runs must queue the same packets
+the reference, installed on a twin run: both runs must queue the same entries
 (uids and birth times included), book the same ledger floats to the last bit,
 trace the same log, return the same result and take the same sequence
 numbers; only the sampler's run dispatches fewer events."""
 
-from dataclasses import astuple
 from functools import partial
 
 import pytest
 
 from iamac_sim.config import desk_preset
 from iamac_sim.harness import star_simulation
-from iamac_sim.packets import Packet, PacketKind
 from iamac_sim.simulation import Simulation
 
 MACS = ("iamac", "smac", "adaptive-smac")
@@ -46,8 +44,7 @@ def per_event_sample(node, ev):
     payload = sc.payload_bytes
     uid = sim._next_uid
     sim._next_uid = uid + 1
-    queue.append(Packet(PacketKind.DATA, nid, sim.route_states[nid].parent or 0, payload,
-                        sc.header_bytes, now, nid, payload, uid))
+    queue.append((uid, nid, now, payload))
     node.ledger.account_sample(nid, len(queue), (now,))
     # re-armed as a new `schedule` call here would be: the next sequence number
     engine = sim.engine
@@ -103,13 +100,13 @@ def twin_runs(monkeypatch, sc, firsts=None, build=Simulation):
 
 def born_times(sim):
     """The birth time of every packet still queued or delivered."""
-    return ([p.born_at for node in sim.nodes for p in node.queue]
+    return ([born for node in sim.nodes for _, _, born, _ in node.queue]
             + [born for _, born, _, _ in sim.ledger.delivered_records])
 
 
 def assert_same_run(sampled, reference):
     for mine, theirs in zip(sampled.nodes, reference.nodes):
-        assert [astuple(p) for p in mine.queue] == [astuple(p) for p in theirs.queue]
+        assert mine.queue == theirs.queue
         assert mine.alive == theirs.alive
     assert ledger_hexes(sampled.ledger) == ledger_hexes(reference.ledger)
     assert sampled.ledger.generated_packets == reference.ledger.generated_packets

@@ -78,7 +78,7 @@ def twin_runs(monkeypatch, build, cases):
 
 def assert_same_run(ours, reference):
     for mine, theirs in zip(ours.nodes, reference.nodes):
-        assert [p.uid for p in mine.queue] == [p.uid for p in theirs.queue]
+        assert [uid for uid, *_ in mine.queue] == [uid for uid, *_ in theirs.queue]
         assert mine.alive == theirs.alive
     assert ledger_hexes(ours.ledger) == ledger_hexes(reference.ledger)
     assert ours.trace_log == reference.trace_log
