@@ -206,8 +206,7 @@ def transfer_benchmark(recovery, d_s, ber, frames, turnaround_s=0.0, supply=None
         leftover = nodes[1].queue
         if leftover:
             ledger.record_drop(len(leftover))
-            leftover.clear()
-            ledger.queue_changed(1, 0, t0)
+            sim.replace_queue_head(1, len(leftover), [])
         for _ in range(supply):
             sim.inject(1, sc.payload_bytes)
         windows = [(t0, t0 + d_s)]

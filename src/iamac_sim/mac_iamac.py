@@ -123,8 +123,7 @@ class IamacDriver:
             return
         parent = self.parents[nid]
         sc = sim.scenario
-        # positional, in field order: kind, src, dst, length, header
-        rts = Packet(PacketKind.RTS, nid, parent, sc.control_bytes, sc.header_bytes)
+        rts = Packet(PacketKind.RTS, nid, parent, sc.control_bytes + sc.header_bytes)
         sim.medium.transmit(nid, rts)
         st.sent_rts = True
         st.cancel_cts = True
@@ -219,7 +218,7 @@ class IamacDriver:
         if not node.alive or idx >= len(st.grants):
             return
         sc = self.sim.scenario
-        cts = Packet(PacketKind.CTS, nid, st.grants[idx], sc.control_bytes, sc.header_bytes)
+        cts = Packet(PacketKind.CTS, nid, st.grants[idx], sc.control_bytes + sc.header_bytes)
         self.sim.medium.transmit(nid, cts,
                                  on_resolved=lambda tx: self._send_cts(nid, idx + 1))
 

@@ -166,10 +166,7 @@ class SmacDriver:
         if end > self.cycle_start + self.period - 1e-3:
             return
         sc = sim.scenario
-        # positional, in field order: kind, src, dst, length, header, born_at,
-        # origin, payload_len, uid, exchange_end
-        rts = Packet(RTS, nid, parent, sc.control_bytes, sc.header_bytes,
-                     0.0, -1, 0, -1, end)
+        rts = Packet(RTS, nid, parent, sc.control_bytes + sc.header_bytes, exchange_end=end)
         sim.medium.transmit(nid, rts)
         st.role = "tx"
         st.peer = parent
@@ -207,8 +204,8 @@ class SmacDriver:
                 # falls after its RTS ends
                 st.exchange = self.states[pkt.src].exchange
                 sc = sim.scenario
-                cts = Packet(CTS, nid, pkt.src, sc.control_bytes, sc.header_bytes,
-                             0.0, -1, 0, -1, pkt.exchange_end)
+                cts = Packet(CTS, nid, pkt.src, sc.control_bytes + sc.header_bytes,
+                             exchange_end=pkt.exchange_end)
                 self.engine.schedule(self.engine.now + self.sifs,
                                      partial(self._transmit, nid, cts, None))
                 if sim.trace_enabled:
@@ -230,9 +227,8 @@ class SmacDriver:
             if st.role == "rx" and pkt.src == st.peer:
                 if not st.exchange["data_received"]:
                     st.exchange["data_received"] = True
-                    # the one place a frame becomes a queue entry again
-                    sim.deliver_to(nid, ((pkt.uid, pkt.origin, pkt.born_at, pkt.payload_len),))
-                ack = Packet(ACK, nid, pkt.src, sim.scenario.ack_len, 0)
+                    sim.deliver_to(nid, (pkt.payload,))
+                ack = Packet(ACK, nid, pkt.src, sim.scenario.ack_len)
                 self.engine.schedule(
                     self.engine.now + self.sifs,
                     partial(self._transmit, nid, ack, partial(self._exchange_over, nid)))
@@ -255,7 +251,7 @@ class SmacDriver:
             return
         data = data_frame(node.queue[0], nid, st.peer, sim.scenario.header_bytes)
         sim.medium.transmit(nid, data)
-        ack_deadline = (self.engine.now + data.airtime(sim.model.radio_speed)
+        ack_deadline = (self.engine.now + airtime(data.size, sim.model.radio_speed)
                         + self.sifs + self.ack_air + 2e-3)
         st.pending_ev = self.engine.schedule(ack_deadline, self._on_ack_timeout[nid])
 

@@ -14,7 +14,7 @@ range are collected per addressee reception for the colliding-set metric.
 from __future__ import annotations
 
 from .energy import RadioState
-from .packets import PacketKind
+from .packets import PacketKind, airtime
 
 CONTROL_KINDS = (PacketKind.SYNCH_ROUTING, PacketKind.RTS, PacketKind.CTS)
 DATA_KINDS = (PacketKind.DATA, PacketKind.SEDA_BLOCK)
@@ -81,7 +81,7 @@ class Medium:
     def transmit(self, sender, packet, on_resolved=None):
         """Put a packet on the air; returns its end time."""
         now = self.engine.now
-        duration = packet.airtime(self.model.radio_speed)
+        duration = airtime(packet.size, self.model.radio_speed)
         tx = Transmission(sender, packet, now, now + duration, on_resolved)
         nodes = self.nodes
         # no node starts a transmission while its own is still on the air
@@ -161,7 +161,7 @@ class Medium:
         # receiver draws per-block corruption at this same worst-case SINR
         always = kind is PacketKind.SEDA_BLOCK or (
             self.control_corruption_disabled and kind in CONTROL_KINDS)
-        bits = 8 * pkt.on_air_bytes()
+        bits = 8 * pkt.size
         bit_error_rate = self.model.bit_error_rate
         random = self.rng.random
         noise_mw = self.noise_mw

@@ -20,16 +20,16 @@ def rts_success_prob(n, w, mode="distinct-slot"):
     RTS through, given w contention mini-slots.
 
     "paper" evaluates the printed closed form C(w,n)*n*(1/w)^n; "distinct-slot"
-    is the probability that all n slot choices differ, C(w,n)*n!*w^-n. The two
+    is the probability that all n slot choices differ, P(w,n)*w^-n. The two
     coincide for n <= 2 and diverge beyond.
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be >= 1")
-    # for n > w, math.comb(w, n) is 0 and so is either closed form
+    # for n > w, math.comb(w, n) and math.perm(w, n) are 0, and so is either form
     if mode == "paper":
         p = math.comb(w, n) * n * (1.0 / w) ** n
     elif mode == "distinct-slot":
-        p = math.comb(w, n) * math.factorial(n) / w ** n
+        p = math.perm(w, n) / w ** n
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return min(max(p, 0.0), 1.0)
@@ -210,8 +210,7 @@ class ArqSession(_SessionBase):
                 self.got_through = True
                 self._deliver((self.current,))
             # acknowledge every decoded data frame, duplicates included
-            ack = Packet(kind=PacketKind.ACK, src=self.parent, dst=self.child,
-                         length=self.sc.ack_len, header=0)
+            ack = Packet(PacketKind.ACK, self.parent, self.child, self.sc.ack_len)
             self.medium.transmit(self.parent, ack)
         elif node == self.child and pkt.kind is PacketKind.ACK and pkt.src == self.parent:
             self._ack_received()
@@ -311,9 +310,8 @@ class SedaSession(_SessionBase):
 
     def _send_frame(self, blocks, await_recovery):
         sc = self.sc
-        frame = Packet(kind=PacketKind.SEDA_BLOCK, src=self.child, dst=self.parent,
-                       length=len(blocks) * self.block_len, header=sc.header_bytes,
-                       blocks=blocks)
+        frame = Packet(PacketKind.SEDA_BLOCK, self.child, self.parent,
+                       sc.header_bytes + len(blocks) * self.block_len, blocks=blocks)
         t_end = self.medium.transmit(self.child, frame)
         if await_recovery:
             rf_time = airtime(sc.rf_overhead + sc.header_bytes, sc.radio_speed)
@@ -367,9 +365,8 @@ class SedaSession(_SessionBase):
         # the child sends one frame in the data phase, so at most one report
         if self.phase == "data" and corrupt:
             self.result.recovery_frames += 1
-            rf = Packet(kind=PacketKind.RECOVERY_FRAME, src=self.parent,
-                        dst=self.child, length=self.sc.rf_overhead,
-                        header=self.sc.header_bytes, blocks=tuple(corrupt))
+            rf = Packet(PacketKind.RECOVERY_FRAME, self.parent, self.child,
+                        self.sc.rf_overhead + self.sc.header_bytes, blocks=tuple(corrupt))
             self.medium.transmit(self.parent, rf)
 
     # -- shared -----------------------------------------------------------

@@ -32,8 +32,10 @@ def test_injected_packets_are_counted_and_conserved():
     transmit = sim.medium.transmit
 
     def record(nid, pkt, *args, **kwargs):
-        if pkt.kind is PacketKind.DATA and pkt.src == pkt.origin:
-            first_hops.setdefault(pkt.uid, (pkt.origin, pkt.dst))
+        if pkt.kind is PacketKind.DATA:
+            uid, origin, _, _ = pkt.payload
+            if pkt.src == origin:
+                first_hops.setdefault(uid, (origin, pkt.dst))
         return transmit(nid, pkt, *args, **kwargs)
 
     sim.medium.transmit = record

@@ -103,7 +103,7 @@ def resolved_sinr_db(wanted_mw, interference_mw):
     got = []
     sim.nodes[0].on_packet = lambda pkt, sinr: got.append(sinr)
     # a Seda block frame is handed on whatever its SINR
-    frame = Packet(kind=PacketKind.SEDA_BLOCK, src=1, dst=0, length=29, header=16)
+    frame = Packet(kind=PacketKind.SEDA_BLOCK, src=1, dst=0, size=45)
     end = sim.medium.transmit(1, frame)
     (rec,) = sim.medium.receptions[0].values()
     # [wanted_mw, max_other_mw, interferers]

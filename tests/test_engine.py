@@ -53,6 +53,10 @@ def test_scheduling_in_the_past_is_a_hard_fault():
     e.run_until(5.0)
     with pytest.raises(RuntimeError):
         e.schedule(4.9, lambda ev: None)
+    # and so is running to a time behind the clock
+    with pytest.raises(RuntimeError):
+        e.run_until(4.9)
+    assert e.now == 5.0
 
 
 def test_empty_run_until_advances_clock():

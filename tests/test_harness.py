@@ -209,6 +209,8 @@ def test_sweep_records_disjoint_points_and_continues():
     sc = desk_preset(horizon_s=8.0, stop_on_first_death=False)
     table, rows = sweep(sc, "output_power_dbm", [-12.0, 8.0], [3])
     assert table[(-12.0, 3)]["status"] == "disjoint"
+    # a disjoint run stops before its first frame and its first sample
+    assert table[(-12.0, 3)]["frames"] == 0 == table[(-12.0, 3)]["generated_packets"]
     assert table[(8.0, 3)]["status"] == "ok"
 
 

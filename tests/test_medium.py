@@ -34,7 +34,7 @@ def test_placed_run_has_one_link_model_and_the_scenario_power():
 
 
 def control(src, dst):
-    return Packet(kind=PacketKind.RTS, src=src, dst=dst, length=18, header=16)
+    return Packet(kind=PacketKind.RTS, src=src, dst=dst, size=34)
 
 
 def test_idle_channel_senses_idle():
@@ -104,7 +104,7 @@ def test_interferer_degrades_min_sinr():
     sim.nodes[0].on_packet = lambda pkt, sinr: sinrs.append(sinr)
     # a Seda block frame is handed on whatever its SINR, so the value shows
     # even when interference would lose a whole frame
-    data = Packet(kind=PacketKind.SEDA_BLOCK, src=1, dst=0, length=29, header=16)
+    data = Packet(kind=PacketKind.SEDA_BLOCK, src=1, dst=0, size=45)
     end = sim.medium.transmit(1, data)
 
     def interfere(ev):
@@ -122,10 +122,8 @@ def test_colliding_set_tracks_concurrent_data_senders():
     seen = []
     sim.medium.on_data_resolved = (
         lambda tx, interferers: seen.append((tx.packet.dst, tx.sender, set(interferers))))
-    data = Packet(kind=PacketKind.DATA, src=1, dst=0, length=29, header=16,
-                  payload_len=29)
-    other = Packet(kind=PacketKind.DATA, src=2, dst=0, length=29, header=16,
-                   payload_len=29)
+    data = Packet(kind=PacketKind.DATA, src=1, dst=0, size=45, payload=(0, 1, 0.0, 29))
+    other = Packet(kind=PacketKind.DATA, src=2, dst=0, size=45, payload=(1, 2, 0.0, 29))
     end = sim.medium.transmit(1, data)
     sim.engine.schedule(end * 0.5, lambda ev: sim.medium.transmit(2, other))
     sim.engine.run_until(end + 1.0)
@@ -149,8 +147,7 @@ def heard_by(sim, nid):
 
 
 def data(src, dst):
-    return Packet(kind=PacketKind.DATA, src=src, dst=dst, length=29, header=16,
-                  payload_len=29)
+    return Packet(kind=PacketKind.DATA, src=src, dst=dst, size=45, payload=(0, src, 0.0, 29))
 
 
 def test_listener_asleep_at_the_last_bit_hears_nothing():
@@ -447,7 +444,7 @@ def check_session_and_ledger_proofs(monkeypatch, calls):
         if (session.current is not None and node == session.parent
                 and pkt.kind is PacketKind.DATA and pkt.src == session.child):
             calls["arq decodes"] += 1
-            assert pkt.uid == session.current[0]
+            assert pkt.payload is session.current
         arq_packet(session, node, pkt, sinr)
 
     def checked_pop_current(session, delivered):

@@ -265,8 +265,7 @@ def test_a_sampled_packet_is_the_packet_inject_builds():
     frames = [data_frame(p, p[1], parents[p[1]], sc.header_bytes) for p in packets
               if parents[p[1]] is not None]
     assert {f.dst for f in frames} == {0, 1} and len(packets) > 100
-    assert [(f.uid, f.origin, f.born_at, f.payload_len) for f in frames] == [
-        p for p in packets if p[1] != 3]
+    assert [f.payload for f in frames] == [p for p in packets if p[1] != 3]
     for _, origin, born_at, _ in packets:
         injected.engine.schedule(born_at, lambda ev, origin=origin:
                                  injected.inject(origin, sc.payload_bytes))
@@ -682,6 +681,10 @@ def test_lone_transmitter_has_empty_colliding_set():
     sim.run()
     # sequential grants around one parent: nobody collides
     assert sim.ledger.cs_stats()["max_sum"] == 0
+    # a frame whose receptions had no interferer set, or an empty one, is absent
+    log = [(1, 0, 0.0, 1.0, 0, None), (2, 0, 1.0, 2.0, 0, set()),
+           (3, 0, 2.0, 3.0, 1, {4})]
+    assert colliding_sets(log) == {1: {0: {4}}}
 
 
 def test_payload_double_entry_bookkeeping():

@@ -2,7 +2,7 @@ import itertools
 import math
 import types
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from iamac_sim import harness
 from iamac_sim.config import Scenario, desk_preset
 from iamac_sim.harness import transfer_benchmark
 from iamac_sim.medium import Medium
-from iamac_sim.packets import Packet, PacketKind, airtime, data_frame
+from iamac_sim.packets import PacketKind, airtime, data_frame
 from iamac_sim.recovery import (ArqSession, SedaSession, arq_capacity, rts_success_prob,
                                 seda_capacity)
 from iamac_sim.simulation import Simulation
@@ -21,19 +21,15 @@ from iamac_sim.simulation import Simulation
 
 @pytest.mark.parametrize("entry", [(41, 2, 3.25, 27), (0, 0, 0.0, 1), (7, 5, 0.0, 1)],
                          ids=["mid-run", "first-uid-one-byte-at-0", "one-byte-at-0"])
-def test_data_frame_equals_the_readdressed_queued_packet(entry):
-    """The frame built from a queue entry is, field for field, the one that
-    readdressing a queued DATA packet gave: a packet built at the origin for
-    some first parent `d0` and header `h0`, then copied with the hop's
-    addresses and header."""
-    uid, origin, born_at, payload_len = entry
-    for d0, h0, src, dst, header in [(9, 11, 5, 1, 16), (0, 0, 2, 0, 0), (3, 16, 3, 4, 40)]:
-        queued = Packet(PacketKind.DATA, origin, d0, payload_len, h0, born_at, origin,
-                        payload_len, uid)
-        want = replace(queued, src=src, dst=dst, header=header)
+def test_data_frame_carries_its_queue_entry(entry):
+    """The frame built from a queue entry carries that entry itself, goes
+    from `src` to `dst`, and puts the payload plus the header on the air;
+    it fills no per-kind field."""
+    for src, dst, header in [(5, 1, 16), (2, 0, 0), (3, 4, 40)]:
         got = data_frame(entry, src, dst, header)
-        assert astuple(got) == astuple(want)
-        assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
+        assert astuple(got) == (PacketKind.DATA, src, dst, entry[3] + header, entry, 0.0, ())
+        assert got.payload is entry
+        assert type(got.size) is int
 
 
 # -- contention probability ----------------------------------------------------
@@ -98,6 +94,8 @@ def test_domain_errors():
         rts_success_prob(0, 4)
     with pytest.raises(ValueError):
         rts_success_prob(2, 0)
+    with pytest.raises(ValueError):
+        rts_success_prob(2, 8, "bogus")
     assert rts_success_prob(5, 4, "distinct-slot") == 0.0
 
 
@@ -152,6 +150,8 @@ def test_both_capacities_tend_to_fixed_values_at_high_ber():
 
 def test_gamma_reduces_budget():
     assert arq_capacity(1.0, 0.0, Scenario(gamma_s=0.5)) == arq_capacity(0.5, 0.0, REF)
+    # a `gamma_s` above the budget leaves no packet, not a negative count
+    assert arq_capacity(0.5, 0.0, Scenario(gamma_s=1.0)) == 0
 
 
 def test_a_budget_of_gamma_fits_no_burst_where_one_block_rounds_away():
@@ -167,7 +167,11 @@ def test_domain_errors_capacity():
         arq_capacity(1.0, 1.0, REF)
     with pytest.raises(ValueError):
         seda_capacity(1.0, -0.1, REF)
+    with pytest.raises(ValueError):
+        seda_capacity(1.0, 1.0, REF)
     assert arq_capacity(0.0, 0.0, REF) == 0
+    # a budget above `gamma_s` that no one-block burst fits holds no block
+    assert seda_capacity(1e-4, 0.0, REF) == 0
 
 
 # -- event-level transfers ---------------------------------------------------------
