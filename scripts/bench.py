@@ -11,7 +11,8 @@ checkout (default: this one) for every workload at workload seeds 1 and 3, and
 stores under `--name` each run's final JSON line, the recorded CSV hashes, the
 Python and numpy versions, the CPU count, the checkout's absolute path and its
 `git rev-parse HEAD` (marked "-dirty" when its tracked files differ from that
-commit).
+commit). Both commands read every checkout's revision before the first run,
+so a checkout that is not a git work tree stops them before any run.
 
 `pairs` alternates ten single `simbench/worker.py` runs of one workload in the
 parent checkout and ten in this one, each side first in every other pair, and
@@ -70,6 +71,7 @@ def last_json_line(cmd, checkout):
 
 def record(args):
     checkout = Path(args.checkout).resolve()
+    git_revision = revision(checkout)
     hashes = json.loads((checkout / "simbench" / "expected.json").read_text())["hashes"]
     runs = {}
     for workload in WORKLOADS:
@@ -81,7 +83,7 @@ def record(args):
             print(f"{workload} seed {seed}: failed {line['failed']}/{line['attempted']}, "
                   f"run_s {line['metrics']['run_s']['value']:.4f}", flush=True)
     return {
-        "git_revision": revision(checkout),
+        "git_revision": git_revision,
         "checkout": str(checkout),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -103,6 +105,7 @@ def run_fault(rec, expected_hash):
 
 def pairs(args):
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.checkout).resolve()}
+    revisions = {side: revision(checkout) for side, checkout in sides.items()}
     expected = {
         side: json.loads((checkout / "simbench" / "expected.json").read_text())
         ["hashes"][args.workload][str(args.workload_seed)]
@@ -134,7 +137,7 @@ def pairs(args):
     return {
         "workload": args.workload,
         "workload_seed": args.workload_seed,
-        "revisions": {side: revision(checkout) for side, checkout in sides.items()},
+        "revisions": revisions,
         "checkouts": {side: str(checkout) for side, checkout in sides.items()},
         "run_s": runs,
         "setup_s": setups,

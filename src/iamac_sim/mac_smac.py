@@ -15,12 +15,12 @@ Every timer is a `functools.partial` over a bound method that takes
 reaches its handler without a forwarding frame of its own. The timers that
 bind only a node id are built once per run, one table per kind indexed by
 node id; the CTS and ACK sends bind their packet, so each builds its own.
-A node has at most one pending awake-expiry event: a stay while it is
-pending reserves a later key, and the event moves there when it fires.
+The awake expiries of all stays wait in one queue, which one event walks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 
 from .energy import RadioState
@@ -79,15 +79,14 @@ class SmacDriver:
 
         self._on_attempt = timers(self._attempt)
         self._on_nav_wake = timers(self._nav_wake)
-        self._on_expiry = timers(self._awake_expiry)
         self._on_rx_timeout = timers(self._rx_timeout)
         self._on_send_data = timers(self._send_data)
         self._on_no_cts = timers(self._tx_timeout, "smac-no-cts")
         self._on_ack_timeout = timers(self._tx_timeout, None)
-        # each node's pending awake-expiry event, and the `(time, seq)` key a
-        # stay reserved for it while it was pending; both outlive a frame
-        self._expiry_ev = [None] * n
-        self._expiry_later = [None] * n
+        # each unpassed stay's `(awake_until, seq, nid)`, and each node's latest
+        # stay's seq; both outlive a frame
+        self._stays = deque()
+        self._latest_stay = [None] * n
 
     # -- frame scheduling ------------------------------------------------------
 
@@ -337,30 +336,29 @@ class SmacDriver:
         """Keep the node awake for one contention window from now, and
         contend at once if it has a packet to send.
 
-        The node's one pending awake-expiry event checks the window's end.
-        If none is pending, this schedules it. Otherwise this takes the
-        sequence number a new event would take, by hand, and records
-        `(awake_until, seq)` as the key the pending event moves to when it
-        fires (`_awake_expiry`). So the scheduled and cancelled counts and
-        the tie order are those of one event per stay; only the dispatches
-        fall."""
+        Its expiry joins `_expiry_runner`'s queue with the seq its own event
+        would take (the runner's when the queue is empty), so the scheduled
+        and cancelled counts and the tie order are those of one event per stay."""
         st = self.states[nid]
         engine = self.engine
         # time moves forward and `_overheard` only lowers `awake_until`
         st.awake_until = until = engine.now + self.contention_window
-        if self._expiry_ev[nid] is None:
-            self._expiry_ev[nid] = engine.schedule(until, self._on_expiry[nid])
-        else:
+        stays = self._stays
+        if stays:
             seq = engine.next_seq
             engine.next_seq = seq + 1
-            self._expiry_later[nid] = (until, seq)
+        else:
+            seq = engine.schedule(until, self._expiry_runner).seq
+        stays.append((until, seq, nid))
+        self._latest_stay[nid] = seq
         if self.sim.nodes[nid].queue and self.parents[nid] is not None:
             self._backoff(nid)
 
-    def _awake_expiry(self, nid, ev):
-        """The node's pending awake-expiry event. If a stay recorded a later
-        key while it was pending, move there and check nothing; otherwise
-        check the node.
+    def _expiry_runner(self, ev):
+        """Pending while the queue is not empty, at its head's key: check the
+        head's node if this is its latest stay, then move to the next live
+        head's key. Stays append in key order: `fl(now + contention_window)`
+        never falls as `now` rises, and each stay takes a higher seq.
 
         The skipped checks, those the events of all but the latest stay
         would have made, could not have acted. A stay at `t` sets
@@ -372,13 +370,15 @@ class SmacDriver:
         before the new frame's `_listen_end`. (Two stays of one node at one
         instant would need a NAV wake due at exactly the instant of its
         other stay.)"""
-        later = self._expiry_later[nid]
-        if later is not None:
-            self._expiry_later[nid] = None
-            self.engine.rearm(ev, *later)
-            return
-        self._expiry_ev[nid] = None
-        self._sleep_if_expired(nid)
+        stays = self._stays
+        latest = self._latest_stay
+        _, seq, nid = stays.popleft()
+        if latest[nid] == seq:
+            self._sleep_if_expired(nid)
+        while stays and latest[stays[0][2]] != stays[0][1]:
+            stays.popleft()
+        if stays:
+            self.engine.rearm(ev, *stays[0][:2])
 
     def _sleep_if_expired(self, nid):
         st = self.states[nid]

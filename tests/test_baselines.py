@@ -101,6 +101,64 @@ def test_overhearer_never_transmits_during_nav():
     assert res["conserved"]
 
 
+class ScriptedErrors:
+    """Adaptive wake errors in a set order: `uniform(lo, hi)` returns the
+    next of `errors`, then 0.0."""
+
+    def __init__(self, *errors):
+        self.errors = list(errors)
+
+    def uniform(self, lo, hi):
+        err = self.errors.pop(0) if self.errors else 0.0
+        assert lo <= err <= hi
+        return err
+
+
+def test_an_early_adaptive_wake_keeps_the_longer_nav(monkeypatch):
+    """`_overheard` never lowers a NAV. On a 10 m line b1 - b2 - H - a1 - a2,
+    each node senses only its neighbours, and control frames always arrive.
+    b1 sends an RTS to b2, and a1 one to a2 half a SIFS later. H decodes a1's
+    RTS, sleeps, and an error of -1 wakes it at once, in time for b2's CTS,
+    whose exchange ends half a SIFS before a1's. H wakes again at that end
+    and holds a packet for a1, but its NAV still runs to a1's exchange end,
+    so it sends nothing before that end."""
+    b1, b2, H, a1, a2 = range(5)
+    sc = Scenario(node_count=5, area=(40.0, 5.0), protocol="adaptive-smac", frame_s=1.0,
+                  sampling_interval_s=1000.0, horizon_s=2.0, shadowing_sigma=0.0,
+                  stop_on_first_death=False, smac_adaptive_err=1.0,
+                  control_corruption_disabled=True, seed=2).validate()
+    half_sifs = sc.sifs_s / 2
+    sim = Simulation(sc, [(10.0 * k, 0.0) for k in range(5)], sink=a2,
+                     parents={b1: b2, b2: H, H: a1, a1: a2},
+                     fixed_contention={b1: [0.01], a1: [0.01 + half_sifs], H: [0.05, 0.0]})
+    sim.trace_enabled = True
+    for nid in (b1, a1, H):
+        sim.inject(nid, 29)
+    init, overheard = SmacDriver.__init__, SmacDriver._overheard
+    navs = []
+
+    def scripted(driver, sim):
+        init(driver, sim)
+        driver.rng_adaptive = ScriptedErrors(-1.0)
+
+    def watched(driver, nid, pkt):
+        overheard(driver, nid, pkt)
+        if nid == H:
+            navs.append((pkt.src, pkt.exchange_end, driver.states[nid].nav_until))
+
+    monkeypatch.setattr(SmacDriver, "__init__", scripted)
+    monkeypatch.setattr(SmacDriver, "_overheard", watched)
+    sim.run()
+    (first, a_end, _), (second, b_end, nav) = navs[:2]
+    assert (first, second) == (a1, b2)
+    assert a_end - half_sifs == pytest.approx(b_end) and nav == a_end
+    assert [label for t, node, label, _ in sim.trace_log
+            if node == H and t < a_end] == ["nav-sleep", "adaptive-wake", "nav-sleep",
+                                            "adaptive-wake"]
+    assert min(t for t, node, label, _ in sim.trace_log
+               if node == H and label == "smac-rts") > a_end
+
+
 def test_smac_exchange_carries_one_packet_per_frame():
     sim = chain_sim("smac", hops=1, horizon_s=6.0)
     for k in range(4):

@@ -2,10 +2,11 @@
 recorded output and engine counts, writes nothing when one does not, and
 summarizes `run_s`,
 `setup_s` and `peak_rss_mb` alike; `record` and `pairs` name the checkouts
-they ran."""
+they ran, and read their revisions before the first run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -206,3 +207,21 @@ def test_pairs_claims_a_gain_only_by_the_win_and_spread_rule(bench, tmp_path, mo
     answer = "yes" if holds else "no"
     assert capsys.readouterr().out.splitlines()[-1].startswith(
         f"paper-iamac@1: claim holds: run_s {answer}, setup_s no, peak_rss_mb {answer}; ")
+
+
+@pytest.mark.parametrize("command", ["pairs", "record"])
+def test_a_checkout_without_a_revision_stops_before_any_run(bench, tmp_path, monkeypatch,
+                                                           command):
+    def no_revision(checkout):
+        raise subprocess.CalledProcessError(128, ["git", "rev-parse", "HEAD"])
+
+    def last_json_line(cmd, checkout):
+        raise AssertionError("a worker ran")
+
+    monkeypatch.setattr(bench, "revision", no_revision)
+    monkeypatch.setattr(bench, "last_json_line", last_json_line)
+    args = {"pairs": ["--parent", str(tmp_path / "parent")], "record": []}[command]
+    with pytest.raises(subprocess.CalledProcessError):
+        bench.main([command, "--label", "t", "--name", "n",
+                    "--checkout", str(tmp_path / "change"), *args])
+    assert list(tmp_path.glob("BENCH_*.json")) == []

@@ -1,13 +1,12 @@
-"""Adaptive S-MAC's one awake-expiry event per node against the path it
-replaced.
+"""Adaptive S-MAC's one queue of awake expiries against the path it replaced.
 
 Before, every stay scheduled its own expiry event. That path is kept here as
 the reference, installed on a twin run: both runs must return the same
 result, book the same ledger floats to the last bit, trace the same logs and
-take the same sequence numbers and cancels; only the new path dispatches
-fewer events. The expiry checks the new path skips are safe by two cases of
-the proof in `SmacDriver._stay_awake`, and each case is counted here so that
-the runs are known to reach it."""
+take the same sequence numbers and cancels; only the queue dispatches fewer
+events. The expiry checks the queue skips are safe by two cases of the proof
+in `SmacDriver._expiry_runner`, and each case is counted here so that the
+runs are known to reach it."""
 
 from collections import Counter
 
@@ -30,35 +29,42 @@ def per_stay_expiry(driver, nid):
 
 
 def count_proof_cases(monkeypatch, cases):
-    """Wrap the new path so that `cases` counts its re-arms after an
-    `_overheard` reset `awake_until`, and its expiries that fire in a later
-    frame than the stay whose key they fire at."""
-    stay_awake, overheard, expiry = (SmacDriver._stay_awake, SmacDriver._overheard,
-                                     SmacDriver._awake_expiry)
-    stay_frame = {}    # sequence number of a stay's key -> the stay's frame start
+    """Wrap the queue so that `cases` counts the stale entries it skips
+    after an `_overheard` reset their node's `awake_until`, and the checks it
+    runs in a later frame than their stay; and check at every append that
+    the queue is in key order."""
+    stay_awake, overheard, runner = (SmacDriver._stay_awake, SmacDriver._overheard,
+                                     SmacDriver._expiry_runner)
+    stay_frame = {}    # sequence number of a queued stay -> the stay's frame start
     reset = set()      # nodes whose awake_until `_overheard` reset since a stay
 
     def counted_stay(driver, nid):
         stay_awake(driver, nid)
-        later = driver._expiry_later[nid]
-        seq = driver._expiry_ev[nid].seq if later is None else later[1]
+        stays = driver._stays
+        until, seq, stayed = stays[-1]
+        assert (until, stayed) == (driver.states[nid].awake_until, nid)
+        assert len(stays) == 1 or stays[-2][:2] < (until, seq)
         stay_frame[seq] = driver.cycle_start
         reset.discard(nid)
 
     def counted_overheard(driver, nid, pkt):
         overheard(driver, nid, pkt)
-        if driver._expiry_later[nid] is not None and driver.states[nid].awake_until == 0.0:
+        if driver.states[nid].awake_until == 0.0:
             reset.add(nid)
 
-    def counted_expiry(driver, nid, ev):
-        if stay_frame.pop(ev.seq) < driver.cycle_start:
-            cases["later frame"] += 1
-        if driver._expiry_later[nid] is not None and nid in reset:
-            cases["re-arm after reset"] += 1
-        expiry(driver, nid, ev)
+    def counted_runner(driver, ev):
+        # a check cannot stay, so the runner only takes entries off the front
+        before = list(driver._stays)
+        runner(driver, ev)
+        for _, seq, nid in before[:len(before) - len(driver._stays)]:
+            if driver._latest_stay[nid] != seq:
+                cases["stale after reset"] += nid in reset
+            elif stay_frame[seq] < driver.cycle_start:
+                cases["later frame"] += 1
+            del stay_frame[seq]
 
     for name, fn in [("_stay_awake", counted_stay), ("_overheard", counted_overheard),
-                     ("_awake_expiry", counted_expiry)]:
+                     ("_expiry_runner", counted_runner)]:
         monkeypatch.setattr(SmacDriver, name, fn)
 
 
@@ -106,12 +112,12 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_one_expiry_event_per_node_matches_one_per_stay(monkeypatch, scenario):
+def test_one_expiry_queue_matches_one_event_per_stay(monkeypatch, scenario):
     cases = Counter()
     ours, reference = twin_runs(monkeypatch, SCENARIOS[scenario], cases)
     assert ours.status == "ok"
     assert_same_run(ours, reference)
     # both cases of the proof are reached
-    assert cases["re-arm after reset"] > 0 and cases["later frame"] > 0
+    assert cases["stale after reset"] > 0 and cases["later frame"] > 0
     if scenario == "stress":
         assert sum(not node.alive for node in ours.nodes) > 1
