@@ -12,7 +12,10 @@ stores under `--name` each run's final JSON line, the recorded CSV hashes, the
 Python and numpy versions, the CPU count, the checkout's absolute path and its
 `git rev-parse HEAD` (marked "-dirty" when its tracked files differ from that
 commit). Both commands read every checkout's revision before the first run,
-so a checkout that is not a git work tree stops them before any run.
+so a checkout that is not a git work tree stops them before any run. Each
+reads BENCH_<label>.json only when its runs are done and replaces only its
+own entry (`--name` for `record`, `--name` and the workload@seed for
+`pairs`), so calls on one label that overlap keep each other's results.
 
 `pairs` alternates ten single `simbench/worker.py` runs of one workload in the
 parent checkout and ten in this one, each side first in every other pair, and
@@ -182,13 +185,11 @@ def main(argv=None):
         p.add_argument("--checkout", default=str(ROOT))
     args = ap.parse_args(argv)
 
-    path = ROOT / f"BENCH_{args.label}.json"
-    bench = json.loads(path.read_text()) if path.exists() else {}
     if args.command == "record":
-        bench[args.name] = record(args)
+        result = record(args)
     else:
         key = f"{args.workload}@{args.workload_seed}"
-        bench.setdefault(args.name, {})[key] = result = pairs(args)
+        result = pairs(args)
         setup, rss = result["setup_s_summary"], result["peak_rss_mb_summary"]
         claims = ", ".join(f"{metric} {'yes' if got['claim_holds'] else 'no'}"
                            for metric, got in (("run_s", result), ("setup_s", setup),
@@ -199,6 +200,14 @@ def main(argv=None):
               f"IQR {setup['parent_iqr']:.5f} -> {setup['change_iqr']:.5f}; "
               f"peak_rss_mb {rss['parent_median']:.2f} -> {rss['change_median']:.2f}, "
               f"IQR {rss['parent_iqr']:.3f} -> {rss['change_iqr']:.3f}")
+    # read the file only now, so that results another call on this label
+    # wrote while this one ran are kept; this call replaces only its own entry
+    path = ROOT / f"BENCH_{args.label}.json"
+    bench = json.loads(path.read_text()) if path.exists() else {}
+    if args.command == "record":
+        bench[args.name] = result
+    else:
+        bench.setdefault(args.name, {})[key] = result
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 

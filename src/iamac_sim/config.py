@@ -31,9 +31,14 @@ class ConfigError(ValueError):
     pass
 
 
+def is_int_in(value, low, high):
+    """Whether `value` is an int, and not a bool, in `[low, high]`."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and low <= value <= high
+
+
 def check_node_id(value, n, where):
     """Raise a ConfigError naming `where` unless `value` is an int node id in `[0, n)`."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or not 0 <= value < n:
+    if not is_int_in(value, 0, n - 1):
         raise ConfigError(f"{where}: {value!r} is not a node id in [0, {n})")
 
 

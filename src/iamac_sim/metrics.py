@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,7 +35,9 @@ class MetricsLedger:
     samples (`account_sample`). Radio time is charged in place, into the
     per-node rows, by `Node.set_radio`, `Simulation._frame_end` and
     `Simulation.charge_synch_slot`, with `account`'s expressions; a switch
-    costs `switch_mj`."""
+    costs `switch_mj`. Deliveries are kept in columns: per packet its 16-bit
+    origin and payload length and its birth time, 12 B; per
+    `record_delivery` batch its delivery time and size, 16 B."""
 
     def __init__(self, n_nodes, energy_table, output_power_dbm):
         self.n = n_nodes
@@ -62,12 +65,15 @@ class MetricsLedger:
 
         # traffic accounting (payload bytes)
         self.generated_packets = 0
-        # one entry per packet the sink received, in delivery order: 32 B,
-        # and no Python object, per packet
-        self._origins = array("l")
+        # one entry per packet the sink received, in delivery order: 12 B,
+        # and no Python object, per packet. Node ids (< MAX_NODES) and
+        # payload lengths (<= MAX_FRAME_BYTES) fit 16 bits
+        self._origins = array("H")
         self._born = array("d")
-        self._delivered = array("d")
-        self._payloads = array("l")
+        self._payloads = array("H")
+        # one entry per `record_delivery` call: its time and its packet count
+        self._batch_times = array("d")
+        self._batch_sizes = array("q")
         self.delivered_payload = 0           # the records' payload bytes
         self.dropped_packets = 0
 
@@ -82,7 +88,8 @@ class MetricsLedger:
     def delivered_records(self):
         """One `(origin, born_at, delivered_at, payload)` tuple per delivered
         packet, in delivery order, built from the columns on each read."""
-        return list(zip(self._origins, self._born, self._delivered, self._payloads))
+        delivered = chain.from_iterable(map(repeat, self._batch_times, self._batch_sizes))
+        return list(zip(self._origins, self._born, delivered, self._payloads))
 
     # -- energy ---------------------------------------------------------
 
@@ -163,20 +170,22 @@ class MetricsLedger:
 
     def record_delivery(self, pkts, delivered_at):
         """The queue entries `pkts`, at least one, reached the sink at
-        `delivered_at`, in this order. Each column is built whole and then
-        appended once, so a batch that raises (a packet born after
+        `delivered_at`, in this order. The batch stores `delivered_at` and its
+        size once, and each packet its origin, birth time and payload length.
+        Each per-packet column is built whole, and `delivered_at` is stored
+        before any column grows, so a batch that raises (a packet born after
         `delivered_at`, a value its column cannot hold) records none of its
         packets."""
         _, origins, born, payloads = zip(*pkts)
         if max(born) > delivered_at:
             raise ValueError("delivery precedes generation")
-        origin_col = array("l", origins)
+        origin_col = array("H", origins)
         born_col = array("d", born)
-        delivered_col = array("d", (delivered_at,)) * len(born)
-        payload_col = array("l", payloads)
+        payload_col = array("H", payloads)
+        self._batch_times.append(delivered_at)
+        self._batch_sizes.append(len(born))
         self._origins += origin_col
         self._born += born_col
-        self._delivered += delivered_col
         self._payloads += payload_col
         self.delivered_payload += sum(payloads)
 
@@ -215,7 +224,8 @@ class MetricsLedger:
         n = len(self._born)
         if not n:
             return None
-        lats = np.frombuffer(self._delivered) - np.frombuffer(self._born)
+        lats = np.repeat(np.frombuffer(self._batch_times), self._batch_sizes)
+        lats -= np.frombuffer(self._born)
         if n < NUMPY_SORT_FROM:
             lats = lats.tolist()
             lats.sort()

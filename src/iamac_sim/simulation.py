@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from numbers import Integral, Real
+from numbers import Real
 
 from .channel import dbm_to_mw
-from .config import DRIVERS, ConfigError, check_node_id
+from .config import DRIVERS, MAX_FRAME_BYTES, ConfigError, check_node_id, is_int_in
 from .energy import RadioState
 from .engine import Engine, RandomStreams
 from .medium import Medium
@@ -133,7 +133,7 @@ def _contention_fault(protocol, w, plan):
         if not isinstance(plan, (tuple, list)) or len(plan) != 2:
             return f"IAMAC takes (slot, backoff) pairs, got {plan!r}"
         slot, backoff = plan
-        if not isinstance(slot, Integral) or isinstance(slot, bool) or not 0 <= slot < w:
+        if not is_int_in(slot, 0, w - 1):
             return f"slot {slot!r} is not an int in [0, {w})"
         if not _is_time(backoff):
             return f"backoff {backoff!r} is not a time in seconds >= 0"
@@ -379,9 +379,13 @@ class Simulation:
             engine.rearm(ev, t, seq)
 
     def inject(self, origin, payload_len):
-        """Queue a new payload of `payload_len` >= 1 bytes, born now at `origin`."""
-        if payload_len < 1:
-            raise ConfigError(f"payload_len: must be >= 1, got {payload_len!r}")
+        """Queue a new payload of `payload_len` bytes, born now at node
+        `origin`. An origin that is not a node id, or a length that is not an
+        int in `[1, MAX_FRAME_BYTES]`, is a ConfigError that names it."""
+        check_node_id(origin, self.topo.n, "origin")
+        if not is_int_in(payload_len, 1, MAX_FRAME_BYTES):
+            raise ConfigError(f"payload_len: {payload_len!r} is not an int "
+                              f"in [1, {MAX_FRAME_BYTES}]")
         uid = self._next_uid
         self._next_uid = uid + 1
         self.enqueue(origin, make_data_packet(uid, origin, self.engine.now, payload_len))
@@ -439,16 +443,23 @@ class Simulation:
 
     # -- run ----------------------------------------------------------------------------
 
-    def run(self):
-        sc = self.scenario
+    def start(self):
+        """The steps before the first event: bootstrap routing and, unless
+        that leaves the network disjoint, wire the driver, the traffic and the
+        first frame. The engine's `run_until` then steps the run."""
         self.bootstrap_routing()
         if self.status == "disjoint":
-            return self._result()
-        self.driver = DRIVERS[sc.protocol](self)
+            return
+        self.driver = DRIVERS[self.scenario.protocol](self)
         self.start_traffic()
         self.engine.schedule(0.0, self._frame_begin)
-        self.engine.run_until(sc.horizon_s)
-        # `horizon_s > frame_s`, so the first frame's end wrote `measure_end`
+
+    def run(self):
+        self.start()
+        self.engine.run_until(self.scenario.horizon_s)
+        # `horizon_s > frame_s`, so the first frame's end wrote `measure_end`;
+        # a disjoint run has no event: its `measure_end` stays 0, so its mean
+        # queue length reads 0
         self.ledger.close_queues(self.ledger.measure_end)
         return self._result()
 

@@ -225,3 +225,29 @@ def test_a_checkout_without_a_revision_stops_before_any_run(bench, tmp_path, mon
         bench.main([command, "--label", "t", "--name", "n",
                     "--checkout", str(tmp_path / "change"), *args])
     assert list(tmp_path.glob("BENCH_*.json")) == []
+
+
+def test_pairs_keeps_results_another_call_wrote_while_it_ran(bench, tmp_path, monkeypatch):
+    """Two calls on one label may overlap: one that ends while `pairs` runs
+    must keep its entry, and `pairs` replaces only its own workload@seed."""
+    path = tmp_path / "BENCH_t.json"
+    path.write_text(json.dumps({"pairs": {"star-seda@1": {"kept": True}}}))
+    stub_runs(bench, monkeypatch, {"parent": [1.0] * 10, "change": [0.9] * 10})
+    stubbed = bench.last_json_line
+    calls = []
+
+    def last_json_line(cmd, checkout):
+        calls.append(checkout)
+        if len(calls) == 7:
+            # another call on this label writes its result mid-way
+            bench_file = json.loads(path.read_text())
+            bench_file["change"] = {"written": "meanwhile"}
+            path.write_text(json.dumps(bench_file))
+        return stubbed(cmd, checkout)
+
+    monkeypatch.setattr(bench, "last_json_line", last_json_line)
+    assert run_pairs(bench, tmp_path) == 0
+    written = json.loads(path.read_text())
+    assert written["change"] == {"written": "meanwhile"}
+    assert written["pairs"]["star-seda@1"] == {"kept": True}
+    assert written["pairs"]["paper-iamac@1"]["wins"] == 10

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from iamac_sim.config import ConfigError, Scenario, desk_preset, paper_preset
+from iamac_sim.config import MAX_FRAME_BYTES, ConfigError, Scenario, desk_preset, paper_preset
 from iamac_sim.energy import RadioState
 from iamac_sim.mac_iamac import IamacDriver
 from iamac_sim.mac_smac import SmacDriver
@@ -513,6 +513,31 @@ def test_an_injected_one_byte_payload_is_queued_and_delivered():
     records = sim.ledger.delivered_records
     assert [(r[0], r[1], r[3]) for r in records] == [(1, 0.0, 1)]
     assert sim.ledger.delivered_payload == 1
+
+
+@pytest.mark.parametrize("origin, payload_len, named", [
+    (-1, 29, "origin"), (10**6, 29, "origin"), (1.0, 29, "origin"),
+    (1, 29.5, "payload_len"), (2, MAX_FRAME_BYTES + 1, "payload_len"),
+    (2, 70000, "payload_len"), (2, True, "payload_len")],
+    ids=["negative-origin", "origin-beyond-the-nodes", "float-origin", "float-payload",
+         "payload-beyond-16-bits", "payload-70000", "bool-payload"])
+def test_an_injected_packet_outside_its_columns_is_a_config_error(origin, payload_len, named):
+    """`inject` checks its arguments where they enter: a negative origin
+    would queue at the last node, and the sink's 16-bit columns would
+    refuse the rest only at delivery."""
+    sim = Simulation(desk_preset(seed=4))
+    assert sim.topo.n == 50
+    with pytest.raises(ConfigError, match=f"^{named}: "):
+        sim.inject(origin, payload_len)
+    assert all(node.queue == [] for node in sim.nodes)
+    assert sim.ledger.generated_packets == 0
+
+
+def test_an_injected_packet_at_the_last_node_and_the_largest_payload_is_queued():
+    sim = Simulation(desk_preset(seed=4))
+    sim.inject(49, MAX_FRAME_BYTES)
+    assert sim.nodes[49].queue == [(0, 49, 0.0, MAX_FRAME_BYTES)]
+    assert sim.ledger.generated_packets == 1
 
 
 # -- radio switches and the energy ledger -------------------------------------------

@@ -107,6 +107,12 @@ def test_delivery_before_birth_rejected(table):
         ledger.record_delivery([make_data_packet(0, 0, 10.0, 29)], 9.0)
 
 
+def delivery_columns(ledger):
+    """The ledger's per-packet and per-batch delivery columns."""
+    return (ledger._origins, ledger._born, ledger._payloads,
+            ledger._batch_times, ledger._batch_sizes)
+
+
 def test_a_batch_with_one_packet_born_after_delivery_records_none_of_it(table):
     ledger = MetricsLedger(3, table, 0.0)
     ledger.record_delivery([make_data_packet(0, 1, 1.0, 29)], 2.0)
@@ -116,23 +122,23 @@ def test_a_batch_with_one_packet_born_after_delivery_records_none_of_it(table):
     with pytest.raises(ValueError, match="delivery precedes generation"):
         ledger.record_delivery(batch, 4.0)
     assert (list(ledger.delivered_records), ledger.delivered_payload) == kept
-    columns = (ledger._origins, ledger._born, ledger._delivered, ledger._payloads)
-    assert [len(c) for c in columns] == [1, 1, 1, 1]
+    columns = delivery_columns(ledger)
+    assert [len(c) for c in columns] == [1, 1, 1, 1, 1]
     ledger.record_delivery(batch[:2], 4.0)
     assert ledger.delivered_payload == 29 + 31 + 29 and len(ledger.delivered_records) == 3
 
 
 @pytest.mark.parametrize("field, value, error", [("payload_len", 29.5, TypeError),
-                                                 ("origin", 2**64, OverflowError)],
-                         ids=["float-payload", "origin-beyond-long"])
+                                                 ("origin", 2**16, OverflowError)],
+                         ids=["float-payload", "origin-beyond-16-bits"])
 def test_a_batch_with_a_value_its_column_cannot_hold_records_none_of_it(table, field, value,
                                                                           error):
     """Every column is built before any is appended: a packet whose payload
-    is not an int, or whose origin is beyond the `"l"` range, leaves all four
-    columns and the payload total as they were."""
+    is not an int, or whose origin is beyond the 16-bit `"H"` range, leaves
+    all five columns and the payload total as they were."""
     ledger = MetricsLedger(3, table, 0.0)
     ledger.record_delivery([make_data_packet(0, 1, 1.0, 29)], 2.0)
-    columns = (ledger._origins, ledger._born, ledger._delivered, ledger._payloads)
+    columns = delivery_columns(ledger)
     kept = [c.tolist() for c in columns], ledger.delivered_payload
     bad = make_data_packet(**{"uid": 2, "origin": 1, "born_at": 3.0, "payload_len": 29,
                               field: value})
@@ -140,6 +146,18 @@ def test_a_batch_with_a_value_its_column_cannot_hold_records_none_of_it(table, f
         ledger.record_delivery([make_data_packet(1, 2, 2.5, 31), bad], 4.0)
     assert ([c.tolist() for c in columns], ledger.delivered_payload) == kept
     assert list(ledger.delivered_records) == [(1, 1.0, 2.0, 29)]
+
+
+def test_a_batch_whose_delivery_time_its_column_cannot_hold_records_none_of_it(table):
+    """The batch's time is stored before any column grows: a time beyond
+    the float range leaves every column as it was."""
+    ledger = MetricsLedger(3, table, 0.0)
+    ledger.record_delivery([make_data_packet(0, 1, 1.0, 29)], 2.0)
+    columns = delivery_columns(ledger)
+    kept = [c.tolist() for c in columns], ledger.delivered_payload
+    with pytest.raises(OverflowError):
+        ledger.record_delivery([make_data_packet(1, 2, 2.5, 31)], 10**400)
+    assert ([c.tolist() for c in columns], ledger.delivered_payload) == kept
 
 
 class TupleLedger:
@@ -213,10 +231,13 @@ def test_latency_stats_equal_the_tuple_formula_bit_for_bit(table, case, seed,
         records[len(oracle.records)]
 
 
-def test_delivery_records_hold_at_most_40_bytes_per_delivery(table):
+@pytest.mark.parametrize("batch, bound", [(50, 16), (1, 32)],
+                         ids=["50-packet-batches", "1-packet-batches"])
+def test_delivery_records_hold_at_most_their_bound_per_delivery(table, batch, bound):
     """Each record outlives its packet; 100,000 of them, born at distinct
-    instants, must hold at most 40 B each in the ledger."""
-    n, batch = 100_000, 50
+    instants, must hold at most `bound` bytes each in the ledger: 12 B per
+    packet and 16 B per batch, with the arrays' spare room."""
+    n = 100_000
     ledger = MetricsLedger(7, table, 0.0)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -233,7 +254,7 @@ def test_delivery_records_hold_at_most_40_bytes_per_delivery(table):
         if not was_tracing:
             tracemalloc.stop()
     assert len(ledger.delivered_records) == n
-    assert held <= 40 * n
+    assert held <= bound * n
 
 
 def test_queue_time_weighted_mean(table):
